@@ -17,12 +17,9 @@
 // also emitted for every overlap cell) — and a churn sweep: two sites behind an 8 kbps trace link
 // under (deadline × churn-rate) pressure, run with fixed vs adaptive
 // per-frame quantization, tracing the misses-vs-accuracy trade of
-// graceful degradation — and a fleet scale sweep: fault-free fleets
-// from 256 up to 10240 sites, each run star and as a two-level
-// aggregation tree (topology=tree, branching ≈ √sites), tracing what
-// the gateway layer buys at scale: server fan-in O(branching) instead
-// of O(sites), the time-to-fresh-model that follows, and the
-// bits-per-level split — against the event-queue high-water mark the
+// graceful degradation — and a fleet scale sweep: fault-free star
+// fleets from 256 up to 10240 sites, tracing time-to-fresh-model,
+// uplink bits and energy against the event-queue high-water mark the
 // 10k-site runs exercise — and an attribution section: the overlap and
 // pipeline grids re-run under a flight recorder, each cell's recorded
 // server-clock op stream replayed into a critical-path blame
@@ -557,36 +554,33 @@ int main(int argc, char** argv) {
   }
   }  // selected("churn_sweep")
 
-  // --- fleet scale sweep: hierarchical aggregation at fleet sizes a
-  // star server cannot reasonably fan-in. Four fault-free wifi fleets
-  // from 256 to 10240 sites, each run star and as a two-level tree
-  // with branching ≈ √sites, on small per-site shards (8 points × 8
-  // dims per site) so the cost scales with the protocol, not the data.
-  // The columns to watch: server fan-in (tree: gateways; star: sites),
-  // server_completion_seconds (time-to-fresh-model — the tree server
-  // drains O(branching) frames instead of O(sites)), and the
-  // bits-per-level split — level-0 (site uplinks) is identical star vs
-  // tree on a fault-free fleet, the gateway→server hop adds level-1
-  // on top. queue_high_water gauges the event-queue memory pressure
-  // the 10k-site runs exercise (the reservation the simulator makes
-  // up front). No cost-ratio column: every cell is fault-free, so the
-  // model quality question belongs to the fault sweeps above.
+  // --- fleet scale sweep: the star at fleet scale. Four fault-free
+  // wifi fleets from 256 to 10240 sites, on small per-site shards (8
+  // points × 8 dims per site) so the cost scales with the protocol, not
+  // the data. The columns to watch: server_completion_seconds
+  // (time-to-fresh-model — the server drains one frame per site),
+  // uplink bits, and energy; queue_high_water gauges the event-queue
+  // memory pressure the 10k-site runs exercise (the reservation the
+  // simulator makes up front). No cost-ratio column: every cell is
+  // fault-free, so the model quality question belongs to the fault
+  // sweeps above.
   struct FleetCell {
     std::size_t sites = 0;
-    bool tree = false;
     SimReport report;
     bool feasible = true;
   };
   constexpr const char* kFleetBase = "radio=wifi,sps=1e-6,event-log=off";
-  const std::vector<std::pair<std::size_t, std::size_t>> fleet_shapes = {
-      {256, 16}, {1024, 32}, {4096, 64}, {10240, 128}};
+  const std::size_t fleet_sizes[] = {256, 1024, 4096, 10240};
   std::vector<FleetCell> fcells;
   if (selected("fleet_scale_sweep")) {
   std::printf("\nfleet scale sweep  scenario=wifi,fault-free pipeline=BKLW\n");
-  std::printf("%-7s %-5s %7s %7s %14s %14s %13s %13s %9s\n", "sites", "topo",
-              "branch", "fan_in", "server_done_s", "completion_s", "l0_bits",
-              "l1_bits", "queue_hw");
-  for (const auto& [fleet_sites, fleet_branching] : fleet_shapes) {
+  std::printf("%-7s %14s %14s %13s %9s\n", "sites", "server_done_s",
+              "completion_s", "uplink_bits", "queue_hw");
+  char fleet_spec[160];
+  std::snprintf(fleet_spec, sizeof fleet_spec, "%s,seed=%llu", kFleetBase,
+                static_cast<unsigned long long>(seed));
+  const Coordinator fleet_coord(parse_scenario(fleet_spec));
+  for (const std::size_t fleet_sites : fleet_sizes) {
     // Fresh data per fleet size, deterministic in (seed, sites) only —
     // a --only run regenerates exactly what the full run saw.
     GaussianMixtureSpec fleet_spec;
@@ -604,43 +598,25 @@ int main(int argc, char** argv) {
     fleet_cfg.seed = seed;
     fleet_cfg.coreset_size = 2 * fleet_sites;
     fleet_cfg.pca_dim = 4;
-    for (int tree_on = 0; tree_on <= 1; ++tree_on) {
-      char spec_buf[160];
-      if (tree_on != 0) {
-        std::snprintf(spec_buf, sizeof spec_buf,
-                      "%s,topology=tree,branching=%zu,seed=%llu", kFleetBase,
-                      fleet_branching, static_cast<unsigned long long>(seed));
-      } else {
-        std::snprintf(spec_buf, sizeof spec_buf, "%s,seed=%llu", kFleetBase,
-                      static_cast<unsigned long long>(seed));
-      }
-      const Coordinator coord(parse_scenario(spec_buf));
-      FleetCell cell;
-      cell.sites = fleet_sites;
-      cell.tree = tree_on != 0;
-      try {
-        cell.report = coord.run(PipelineKind::kBklw, fleet_parts, fleet_cfg);
-      } catch (const invariant_error&) {
-        cell.feasible = false;
-      }
-      if (!cell.feasible) {
-        std::printf("%-7zu %-5s %7s\n", fleet_sites,
-                    tree_on != 0 ? "tree" : "star", "infeasible");
-        fcells.push_back(std::move(cell));
-        continue;
-      }
-      std::printf(
-          "%-7zu %-5s %7llu %7llu %14.4f %14.4f %13llu %13llu %9llu\n",
-          fleet_sites, tree_on != 0 ? "tree" : "star",
-          static_cast<unsigned long long>(cell.report.branching),
-          static_cast<unsigned long long>(cell.report.server_fan_in),
-          cell.report.server_completion_seconds,
-          cell.report.completion_seconds,
-          static_cast<unsigned long long>(cell.report.result.uplink.bits),
-          static_cast<unsigned long long>(cell.report.gateway_uplink_bits),
-          static_cast<unsigned long long>(cell.report.queue_high_water));
-      fcells.push_back(std::move(cell));
+    FleetCell cell;
+    cell.sites = fleet_sites;
+    try {
+      cell.report =
+          fleet_coord.run(PipelineKind::kBklw, fleet_parts, fleet_cfg);
+    } catch (const invariant_error&) {
+      cell.feasible = false;
     }
+    if (!cell.feasible) {
+      std::printf("%-7zu %14s\n", fleet_sites, "infeasible");
+      fcells.push_back(std::move(cell));
+      continue;
+    }
+    std::printf("%-7zu %14.4f %14.4f %13llu %9llu\n", fleet_sites,
+                cell.report.server_completion_seconds,
+                cell.report.completion_seconds,
+                static_cast<unsigned long long>(cell.report.result.uplink.bits),
+                static_cast<unsigned long long>(cell.report.queue_high_water));
+    fcells.push_back(std::move(cell));
   }
   }  // selected("fleet_scale_sweep")
 
@@ -999,32 +975,22 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < fcells.size(); ++i) {
       const FleetCell& c = fcells[i];
       if (!c.feasible) {
-        std::fprintf(f,
-                     "      {\"sites\": %zu, \"topology\": \"%s\","
-                     " \"feasible\": false}%s\n",
-                     c.sites, c.tree ? "tree" : "star",
-                     i + 1 < fcells.size() ? "," : "");
+        std::fprintf(f, "      {\"sites\": %zu, \"feasible\": false}%s\n",
+                     c.sites, i + 1 < fcells.size() ? "," : "");
         continue;
       }
       std::fprintf(
           f,
-          "      {\"sites\": %zu, \"topology\": \"%s\", \"feasible\": true,\n"
-          "       \"branching\": %llu, \"gateways\": %llu,\n"
-          "       \"server_fan_in\": %llu,\n"
+          "      {\"sites\": %zu, \"feasible\": true,\n"
           "       \"server_completion_seconds\": %.17g,\n"
           "       \"completion_seconds\": %.17g,\n"
-          "       \"level0_uplink_bits\": %llu,\n"
-          "       \"level1_uplink_bits\": %llu,\n"
+          "       \"uplink_bits\": %llu,\n"
           "       \"queue_high_water\": %llu,\n"
           "       \"summary_points\": %zu, \"rounds\": %llu,\n"
           "       \"energy_joules\": %.17g}%s\n",
-          c.sites, c.tree ? "tree" : "star",
-          static_cast<unsigned long long>(c.report.branching),
-          static_cast<unsigned long long>(c.report.gateways),
-          static_cast<unsigned long long>(c.report.server_fan_in),
-          c.report.server_completion_seconds, c.report.completion_seconds,
+          c.sites, c.report.server_completion_seconds,
+          c.report.completion_seconds,
           static_cast<unsigned long long>(c.report.result.uplink.bits),
-          static_cast<unsigned long long>(c.report.gateway_uplink_bits),
           static_cast<unsigned long long>(c.report.queue_high_water),
           c.report.result.summary_points,
           static_cast<unsigned long long>(c.report.rounds),

@@ -1,11 +1,15 @@
 #include "data/loaders.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/expects.hpp"
+#include "common/parse_num.hpp"
 
 namespace ekm {
 namespace {
@@ -27,16 +31,23 @@ Dataset load_csv(const std::filesystem::path& path) {
   std::vector<double> values;
   std::size_t cols = 0;
   std::size_t rows = 0;
+  std::size_t line_no = 0;
   std::string line;
+  std::string cell;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     std::replace(line.begin(), line.end(), ',', ' ');
     std::istringstream ls(line);
     std::size_t c = 0;
-    double v = 0.0;
-    while (ls >> v) {
-      values.push_back(v);
+    while (ls >> cell) {
       ++c;
+      const auto v = parse_full_double(cell);
+      EKM_EXPECTS_MSG(v.has_value() && std::isfinite(*v),
+                      "CSV cell '" + cell + "' in " + path.string() +
+                          " at row " + std::to_string(line_no) + ", column " +
+                          std::to_string(c) + " is not a finite number");
+      values.push_back(*v);
     }
     if (c == 0) continue;
     if (cols == 0) cols = c;

@@ -14,8 +14,13 @@
 
 namespace ekm {
 
-/// Loads a dense numeric CSV (no header handling: lines starting with '#'
-/// are skipped). Throws std::runtime_error on malformed input.
+/// Loads a dense numeric CSV: cells are separated by commas and/or
+/// whitespace; blank lines and lines starting with '#' are skipped (no
+/// header handling). Each cell must parse whole as a finite double
+/// (common/parse_num.hpp) — otherwise precondition_error names the
+/// file, the cell, and its 1-based row (the line number in the file)
+/// and column. Throws std::runtime_error when the file cannot be
+/// opened, holds no rows, or has rows of different lengths.
 [[nodiscard]] Dataset load_csv(const std::filesystem::path& path);
 
 /// Loads an MNIST IDX3 image file (magic 0x00000803), flattening each

@@ -1,12 +1,9 @@
 #include "distributed/dispca.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "linalg/svd.hpp"
 #include "net/summary_codec.hpp"
-#include "net/topology.hpp"
-#include "obs/recorder.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ekm {
@@ -20,17 +17,6 @@ namespace ekm {
 // which under phase overlap (SimNetwork expiry NAKs) happens as soon
 // as every site's frames are delivered or known-expired instead of at
 // the round cutoff.
-//
-// Under a tree fabric (net.topology() != nullptr) the per-site server
-// collects are replaced by per-gateway merge barriers: gateway g
-// receives its children's Σ/V pairs by the level-0 cutoff, folds them
-// through the SAME associative merge the server uses
-// (append_pca_summary, linalg/svd.hpp) in ascending child order, and
-// forwards one (responder count, Y_g) pair to the server. Because the
-// merge is a row concatenation and gateways cover contiguous ascending
-// site ranges, the server's stacked Y is bitwise the star Y whenever
-// every frame arrives — the exact property the star/tree parity test
-// pins.
 DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
                     Fabric& net, Stopwatch& device_work) {
   EKM_EXPECTS(!parts.empty());
@@ -53,14 +39,10 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
   // (Everything a task lambda captures must live here, at function
   // scope — the graph runs long after any inner block has closed.)
   RoundId round = kNoRound;
-  double deadline = kNoDeadline;  ///< the round's cutoff, for schedule
-                                  ///< arithmetic (level-0 hop deadlines)
   std::vector<Matrix> sigma(m);  // 1 x t1 each
   std::vector<Matrix> v(m);      // d x t1 each
   Matrix y;                      // (Σ_responders t1_i) x d
   std::size_t responders = 0;
-  std::vector<Matrix> y_gw;      // per-gateway partial stacks (tree only)
-  std::vector<std::size_t> responders_gw;
   DisPcaResult result;
 
   TaskGraph graph;
@@ -69,10 +51,7 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
   // cancel retransmissions that would outlive the deadline.
   const TaskId open = graph.add(
       {TaskKind::kBarrier, kServerActor, "disPCA/open-round",
-       [&] {
-         round = net.open_round(opts.round_deadline_s);
-         deadline = net.round_cutoff(round);
-       },
+       [&] { round = net.open_round(opts.round_deadline_s); },
        {}});
 
   // --- data sources: local SVD, uplink (Σ^(t1), V^(t1)). ---
@@ -113,90 +92,22 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
   // delivered by the deadline, global SVD. A dropped source's subspace
   // simply does not shape this round's merge — the availability /
   // accuracy trade the deadline buys. ---
-  const TreeTopology* topo = net.topology();
-  std::vector<TaskId> collects;
-  if (topo == nullptr) {
-    collects.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      collects[i] = graph.add(
-          {TaskKind::kCollect, kServerActor, "disPCA/collect",
-           [&, i] {
-             // The Σ/V pair is one summary: both frames are consumed
-             // either way, and a half-arrived pair is one site miss —
-             // never half-aggregated (receive_frames_by).
-             auto frames = receive_frames_by(net.uplink(i), 2, round);
-             if (!frames.has_value()) return;
-             responders += 1;
-             const Matrix sigma_row = decode_matrix((*frames)[0]);
-             const Matrix v_t1 = decode_matrix((*frames)[1]);
-             append_pca_summary(y, sigma_row, v_t1);
-           },
-           {uplinks[i]}});
-    }
-  } else {
-    // --- gateways: in-flight reduce. Gateway g (inner device S + g,
-    // its own virtual-time track) collects its children by the level-0
-    // cutoff, folds them in ascending child order, and forwards one
-    // merged frame — cutting server fan-in from O(sites) to
-    // O(gateways). The gateway's own clock is charged the wait for its
-    // slowest resolved child (wait_until), so the forward hop departs
-    // after its inputs exist. ---
-    const std::size_t gateways = topo->gateways();
-    y_gw.assign(gateways, Matrix{});
-    responders_gw.assign(gateways, 0);
-    collects.resize(gateways);
-    for (std::size_t g = 0; g < gateways; ++g) {
-      const std::size_t actor = topo->sites + g;
-      std::vector<TaskId> child_collects;
-      for (std::size_t c = topo->child_begin(g); c < topo->child_end(g); ++c) {
-        child_collects.push_back(graph.add(
-            {TaskKind::kCollect, actor, "disPCA/gw-collect",
-             [&, g, c] {
-               // The level-0 hop deadline caps the round's cutoff: the
-               // child's frame is still round-scoped (the aliasing
-               // guard), just due earlier at the gateway.
-               const double cutoff =
-                   topo->level0_deadline(deadline, opts.round_deadline_s);
-               auto frames = receive_frames_by(net.uplink(c), 2, round, cutoff);
-               if (!frames.has_value()) return;
-               responders_gw[g] += 1;
-               const Matrix sigma_row = decode_matrix((*frames)[0]);
-               const Matrix v_t1 = decode_matrix((*frames)[1]);
-               append_pca_summary(y_gw[g], sigma_row, v_t1);
-             },
-             {uplinks[c]}}));
-      }
-      const TaskId forward = graph.add(
-          {TaskKind::kUplink, actor, "disPCA/gw-forward",
-           [&, g, actor] {
-             double ready = 0.0;
-             for (std::size_t c = topo->child_begin(g);
-                  c < topo->child_end(g); ++c) {
-               ready = std::max(ready, net.uplink_consumed_at_s(c));
-             }
-             net.wait_until(actor, ready);
-             if (Recorder* rec = net.recorder()) {
-               rec->note_gateway_fanin(g, responders_gw[g]);
-             }
-             net.uplink(actor).send(encode_scalar(
-                 static_cast<double>(responders_gw[g])));
-             net.uplink(actor).send(encode_matrix(y_gw[g]));
-           },
-           std::move(child_collects)});
-      collects[g] = graph.add(
-          {TaskKind::kCollect, kServerActor, "disPCA/collect-gateway",
-           [&, g] {
-             auto frames =
-                 receive_frames_by(net.uplink(topo->sites + g), 2, round);
-             if (!frames.has_value()) return;
-             responders += static_cast<std::size_t>(
-                 std::llround(decode_scalar((*frames)[0])));
-             const Matrix y_g = decode_matrix((*frames)[1]);
-             if (y_g.size() == 0) return;
-             y.append_rows(y_g);
-           },
-           {forward}});
-    }
+  std::vector<TaskId> collects(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    collects[i] = graph.add(
+        {TaskKind::kCollect, kServerActor, "disPCA/collect",
+         [&, i] {
+           // The Σ/V pair is one summary: both frames are consumed
+           // either way, and a half-arrived pair is one site miss —
+           // never half-aggregated (receive_frames_by).
+           auto frames = receive_frames_by(net.uplink(i), 2, round);
+           if (!frames.has_value()) return;
+           responders += 1;
+           const Matrix sigma_row = decode_matrix((*frames)[0]);
+           const Matrix v_t1 = decode_matrix((*frames)[1]);
+           append_pca_summary(y, sigma_row, v_t1);
+         },
+         {uplinks[i]}});
   }
 
   const TaskId merge = graph.add(

@@ -9,7 +9,6 @@
 #include "cr/merge.hpp"
 #include "kmeans/cost.hpp"
 #include "net/summary_codec.hpp"
-#include "net/topology.hpp"
 #include "obs/recorder.hpp"
 #include "qt/quantizer.hpp"
 #include "sched/scheduler.hpp"
@@ -152,19 +151,6 @@ int pick_significant_bits(const Coreset& cs, const DisSsOptions& opts,
 // order mirrors the PR 4 loops statement for statement, so execution
 // (lowest-ready-id) is bitwise identical to them; barriers commit on
 // final inputs, which is what the overlap commit rule accelerates.
-//
-// Under a tree fabric (net.topology() != nullptr) both collection
-// rounds aggregate through gateways: gateway g receives its children by
-// the level-0 cutoff and forwards one merged frame — [site, cost] rows
-// for the cost round, a merge_union of the children's coresets (the
-// SAME associative merge the server's union runs, src/cr/merge.hpp)
-// for the summary round. Children are folded in ascending order and
-// gateways cover contiguous ascending site ranges, so the server-side
-// union is bitwise the star union whenever every frame arrives. The
-// budget-reallocation wave is disabled under a tree: a supplement
-// cannot replace one child inside an already-merged gateway frame
-// without a second full level-0 round, which would cost more than the
-// resolution it buys.
 Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
               Fabric& net, Stopwatch& device_work, std::uint64_t seed) {
   EKM_EXPECTS(!parts.empty());
@@ -176,7 +162,6 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
 
   // Shared protocol state, written by the tasks in dependency order.
   RoundId cost_round = kNoRound;
-  double cost_deadline = kNoDeadline;
   std::vector<Matrix> local_centers(m);
   std::vector<double> local_cost(m, 0.0);
   std::vector<char> in_round(m, 0);
@@ -193,21 +178,12 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   std::size_t summary_responders = 0;
   Coreset merged;
 
-  // Tree state (null topo = the star path, untouched): per-gateway
-  // delivered [site, cost] rows for the cost round, and the decoded
-  // per-gateway unions the server stacks in place of per-site pieces.
-  const TreeTopology* topo = net.topology();
-  std::vector<std::vector<std::pair<std::size_t, double>>> gw_cost;
-  std::vector<Dataset> gw_piece;
-  std::vector<std::size_t> gw_responders;
-
   // The wave schedule is a pure function of the options (see the
-  // summary-round open task below for the timing rationale). No wave
-  // under a tree — see the header comment.
+  // summary-round open task below for the timing rationale).
   const bool reserve_scheduled =
       std::isfinite(opts.round_deadline_s) && opts.realloc_reserve > 0.0;
   const bool realloc_armed =
-      opts.reallocate && topo == nullptr &&
+      opts.reallocate &&
       (!std::isfinite(opts.round_deadline_s) || reserve_scheduled);
 
   TaskGraph graph;
@@ -215,10 +191,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   // --- step 1: local bicriteria solutions, uplink local costs. ---
   const TaskId cost_open = graph.add(
       {TaskKind::kBarrier, kServerActor, "disSS/open-cost-round",
-       [&] {
-         cost_round = net.open_round(opts.round_deadline_s);
-         cost_deadline = net.round_cutoff(cost_round);
-       },
+       [&] { cost_round = net.open_round(opts.round_deadline_s); },
        {}});
   std::vector<TaskId> cost_uplinks(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -251,82 +224,18 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   // NAK'd (allocation -1) so they stay silent in step 3; total_cost —
   // and with it every sample weight — is renormalized over the
   // responders. ---
-  std::vector<TaskId> cost_collects;
-  if (topo == nullptr) {
-    cost_collects.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      cost_collects[i] = graph.add(
-          {TaskKind::kCollect, kServerActor, "disSS/collect-cost",
-           [&, i] {
-             auto frames = receive_frames_by(net.uplink(i), 1, cost_round);
-             if (!frames.has_value()) return;
-             in_round[i] = 1;
-             cost_responders += 1;
-             total_cost += decode_scalar((*frames)[0]);
-           },
-           {cost_uplinks[i]}});
-    }
-  } else {
-    // Gateways relay the cost reports as one [site, cost] matrix per
-    // gateway. The server folds the rows gateway-ascending ×
-    // child-ascending — i.e. site-ascending, the star summation order —
-    // so total_cost (and with it every sample weight) is bitwise the
-    // star figure when every frame arrives.
-    const std::size_t gateways = topo->gateways();
-    gw_cost.assign(gateways, {});
-    cost_collects.resize(gateways);
-    for (std::size_t g = 0; g < gateways; ++g) {
-      const std::size_t actor = topo->sites + g;
-      std::vector<TaskId> child_collects;
-      for (std::size_t c = topo->child_begin(g); c < topo->child_end(g); ++c) {
-        child_collects.push_back(graph.add(
-            {TaskKind::kCollect, actor, "disSS/gw-collect-cost",
-             [&, g, c] {
-               const double cutoff =
-                   topo->level0_deadline(cost_deadline, opts.round_deadline_s);
-               auto frames = receive_frames_by(net.uplink(c), 1, cost_round,
-                                               cutoff);
-               if (!frames.has_value()) return;
-               gw_cost[g].emplace_back(c, decode_scalar((*frames)[0]));
-             },
-             {cost_uplinks[c]}}));
-      }
-      const TaskId forward = graph.add(
-          {TaskKind::kUplink, actor, "disSS/gw-forward-cost",
-           [&, g, actor] {
-             // The forward hop departs only after the last child frame
-             // resolved on the gateway's own timeline.
-             double ready = 0.0;
-             for (std::size_t c = topo->child_begin(g);
-                  c < topo->child_end(g); ++c) {
-               ready = std::max(ready, net.uplink_consumed_at_s(c));
-             }
-             net.wait_until(actor, ready);
-             Matrix rows(gw_cost[g].size(), 2);
-             for (std::size_t r = 0; r < gw_cost[g].size(); ++r) {
-               rows(r, 0) = static_cast<double>(gw_cost[g][r].first);
-               rows(r, 1) = gw_cost[g][r].second;
-             }
-             net.uplink(actor).send(encode_matrix(rows));
-           },
-           std::move(child_collects)});
-      cost_collects[g] = graph.add(
-          {TaskKind::kCollect, kServerActor, "disSS/collect-cost-gateway",
-           [&, g] {
-             auto frames = receive_frames_by(net.uplink(topo->sites + g), 1,
-                                             cost_round);
-             if (!frames.has_value()) return;
-             const Matrix rows = decode_matrix((*frames)[0]);
-             for (std::size_t r = 0; r < rows.rows(); ++r) {
-               const auto site =
-                   static_cast<std::size_t>(std::llround(rows(r, 0)));
-               in_round[site] = 1;
-               cost_responders += 1;
-               total_cost += rows(r, 1);
-             }
-           },
-           {forward}});
-    }
+  std::vector<TaskId> cost_collects(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    cost_collects[i] = graph.add(
+        {TaskKind::kCollect, kServerActor, "disSS/collect-cost",
+         [&, i] {
+           auto frames = receive_frames_by(net.uplink(i), 1, cost_round);
+           if (!frames.has_value()) return;
+           in_round[i] = 1;
+           cost_responders += 1;
+           total_cost += decode_scalar((*frames)[0]);
+         },
+         {cost_uplinks[i]}});
   }
   const TaskId budget_split = graph.add(
       {TaskKind::kBarrier, kServerActor, "disSS/budget-split",
@@ -447,16 +356,8 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
            // points are quantized on-device (billed as device work);
            // the server's re-check at the configured width is exact
            // because s-bit values are representable at every width >= s.
-           // Under a tree the site's real cutoff is the gateway's
-           // level-0 deadline, not the server's (inf stays inf, so the
-           // fixed/unbounded paths are untouched).
-           const double site_cutoff =
-               topo == nullptr
-                   ? summary_deadline
-                   : topo->level0_deadline(summary_deadline,
-                                           opts.round_deadline_s);
            const int wire_s =
-               pick_significant_bits(local, opts, net, i, site_cutoff);
+               pick_significant_bits(local, opts, net, i, summary_deadline);
            // The committed width is an observability signal (the
            // "graceful degradation" column): note it on the recorder,
            // if one rides the fabric. Reads only, after the decision.
@@ -482,96 +383,23 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   // shard's mass (the per-cluster top-up in step 3 guarantees it), so
   // a dropped source costs only its mass — the union stays a valid
   // weighted summary of the responders' data. ---
-  std::vector<TaskId> summary_collects;
-  if (topo == nullptr) {
-    summary_collects.resize(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      summary_collects[i] = graph.add(
-          {TaskKind::kCollect, kServerActor, "disSS/collect-summary",
-           [&, i] {
-             if (!sent[i]) return;
-             // The first-wave split (wave1_deadline) caps the round's
-             // cutoff when a reallocation reserve is scheduled.
-             auto frames =
-                 receive_frames_by(net.uplink(i), 1, summary_round,
-                                   wave1_deadline);
-             if (!frames.has_value()) return;
-             got[i] = 1;
-             summary_responders += 1;
-             Coreset local = decode_coreset((*frames)[0]);
-             if (local.size() > 0) piece[i] = std::move(local.points);
-           },
-           {summary_uplinks[i]}});
-    }
-  } else {
-    // Gateway merge barriers: gateway g collects its children's
-    // coresets by the level-0 cutoff, folds the delivered ones through
-    // merge_union in ascending child order (the server's own union
-    // operator), and forwards one (responder count, merged coreset)
-    // pair. Codec payloads are value-exact, so the re-encode loses
-    // nothing; billing uses the configured full width.
-    const std::size_t gateways = topo->gateways();
-    gw_piece.assign(gateways, Dataset{});
-    gw_responders.assign(gateways, 0);
-    summary_collects.resize(gateways);
-    for (std::size_t g = 0; g < gateways; ++g) {
-      const std::size_t actor = topo->sites + g;
-      std::vector<TaskId> child_collects;
-      for (std::size_t c = topo->child_begin(g); c < topo->child_end(g); ++c) {
-        child_collects.push_back(graph.add(
-            {TaskKind::kCollect, actor, "disSS/gw-collect-summary",
-             [&, g, c] {
-               if (!sent[c]) return;
-               const double cutoff = topo->level0_deadline(
-                   summary_deadline, opts.round_deadline_s);
-               auto frames = receive_frames_by(net.uplink(c), 1, summary_round,
-                                               cutoff);
-               if (!frames.has_value()) return;
-               got[c] = 1;
-               gw_responders[g] += 1;
-               Coreset local = decode_coreset((*frames)[0]);
-               if (local.size() > 0) piece[c] = std::move(local.points);
-             },
-             {summary_uplinks[c]}}));
-      }
-      const TaskId forward = graph.add(
-          {TaskKind::kUplink, actor, "disSS/gw-forward-summary",
-           [&, g, actor] {
-             double ready = 0.0;
-             for (std::size_t c = topo->child_begin(g);
-                  c < topo->child_end(g); ++c) {
-               ready = std::max(ready, net.uplink_consumed_at_s(c));
-             }
-             net.wait_until(actor, ready);
-             if (Recorder* rec = net.recorder()) {
-               rec->note_gateway_fanin(g, gw_responders[g]);
-             }
-             std::vector<Dataset> kids;
-             for (std::size_t c = topo->child_begin(g);
-                  c < topo->child_end(g); ++c) {
-               if (piece[c].size() > 0) kids.push_back(std::move(piece[c]));
-             }
-             Coreset merged_g;
-             merged_g.points = merge_union(std::move(kids));
-             net.uplink(actor).send(
-                 encode_scalar(static_cast<double>(gw_responders[g])));
-             net.uplink(actor).send(
-                 encode_coreset(merged_g, opts.significant_bits));
-           },
-           std::move(child_collects)});
-      summary_collects[g] = graph.add(
-          {TaskKind::kCollect, kServerActor, "disSS/collect-gateway",
-           [&, g] {
-             auto frames = receive_frames_by(net.uplink(topo->sites + g), 2,
-                                             summary_round);
-             if (!frames.has_value()) return;
-             summary_responders += static_cast<std::size_t>(
-                 std::llround(decode_scalar((*frames)[0])));
-             Coreset merged_g = decode_coreset((*frames)[1]);
-             if (merged_g.size() > 0) gw_piece[g] = std::move(merged_g.points);
-           },
-           {forward}});
-    }
+  std::vector<TaskId> summary_collects(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    summary_collects[i] = graph.add(
+        {TaskKind::kCollect, kServerActor, "disSS/collect-summary",
+         [&, i] {
+           if (!sent[i]) return;
+           // The first-wave split (wave1_deadline) caps the round's
+           // cutoff when a reallocation reserve is scheduled.
+           auto frames = receive_frames_by(net.uplink(i), 1, summary_round,
+                                           wave1_deadline);
+           if (!frames.has_value()) return;
+           got[i] = 1;
+           summary_responders += 1;
+           Coreset local = decode_coreset((*frames)[0]);
+           if (local.size() > 0) piece[i] = std::move(local.points);
+         },
+         {summary_uplinks[i]}});
   }
 
   // The union task is appended by the barrier below — after the wave's
@@ -584,15 +412,8 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
     (void)graph.add({TaskKind::kBarrier, kServerActor, "disSS/union",
                      [&] {
                        // merge_union (cr/merge.hpp) skips empty pieces
-                       // and concatenates the rest in order — exactly
-                       // the loop this task used to inline, now shared
-                       // with the gateways' in-flight reduce. On a tree
-                       // the operands are the per-gateway unions, whose
-                       // ascending concatenation equals the star union
-                       // row for row.
-                       merged.points =
-                           merge_union(topo == nullptr ? std::move(piece)
-                                                       : std::move(gw_piece));
+                       // and concatenates the rest in site order.
+                       merged.points = merge_union(std::move(piece));
                        EKM_ENSURES_MSG(merged.size() > 0,
                                        "disSS produced an empty coreset");
                      },

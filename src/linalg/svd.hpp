@@ -64,11 +64,8 @@ struct Svd {
 /// disPCA's associative summary merge (§5.1 step 2): appends the rows
 /// Y_i = Σ_i^(t1) V_i^(t1)^T of one local SVD summary — row j is
 /// sigma_row(0, j) · (column j of v)^T — onto the stacked Y matrix.
-/// Both the server (star) and a gateway (tree) fold summaries through
-/// this one function, in ascending source order, so the stacked Y — and
-/// everything downstream of its global SVD — is identical whichever
-/// topology carried the frames (src/cr/merge.hpp has the layer-wide
-/// contract). A summary with an empty sigma row contributes nothing.
+/// The server folds summaries through it in ascending source order. A
+/// summary with an empty sigma row contributes nothing.
 void append_pca_summary(Matrix& y, const Matrix& sigma_row, const Matrix& v);
 
 }  // namespace ekm

@@ -33,7 +33,6 @@
 namespace ekm {
 
 class Recorder;  // src/obs/recorder.hpp — the optional flight recorder
-struct TreeTopology;  // net/topology.hpp — sites → gateways → server
 
 /// Absolute deadline meaning "wait forever" — the paper's synchronous
 /// protocol, and the default cap for every deadline-aware receive.
@@ -131,8 +130,8 @@ class Port {
   /// Round-scoped deadline-aware receive: hands back the next frame if
   /// it is (or will be) delivered no later than round `round`'s cutoff
   /// — further capped by `deadline_cap` (absolute virtual seconds; the
-  /// tighter of the two applies, e.g. a tree's level-0 cutoff or a
-  /// reallocation wave's first-wave deadline) — and nullopt if the
+  /// tighter of the two applies, e.g. a reallocation wave's first-wave
+  /// deadline) — and nullopt if the
   /// frame misses, in which case the frame is *consumed* (abandoned):
   /// the round has moved on and a late arrival must not alias the next
   /// round's frame. kNoRound scopes to no round (cutoff kNoDeadline):
@@ -216,7 +215,7 @@ class Fabric {
   /// Absolute cutoff of round `round`: the deadline its receives
   /// resolve against, kNoDeadline for kNoRound or on fabrics without
   /// time. Protocols use it to derive schedule values (a wave's
-  /// first-wave deadline, a tree's level-0 split) from the handle.
+  /// first-wave deadline) from the handle.
   [[nodiscard]] virtual double round_cutoff(RoundId round) const {
     (void)round;
     return kNoDeadline;
@@ -271,37 +270,6 @@ class Fabric {
   /// hand to enforce_availability_floor for attribution. 0 on fabrics
   /// that never count rounds (the synchronous star).
   [[nodiscard]] virtual std::uint64_t rounds_opened() const { return 0; }
-
-  /// The aggregation tree this fabric routes uplinks through, or null —
-  /// the default, and the only possibility on a star. When non-null,
-  /// sources [0, topology()->sites) are the data sites and uplink(
-  /// sites + g) is gateway g's forward hop to the server; the protocols
-  /// in src/distributed collect per gateway instead of per site. A
-  /// num_sources() of topology()->sites keeps total_uplink() measuring
-  /// the paper's site-level communication metric on either topology.
-  [[nodiscard]] virtual const TreeTopology* topology() const {
-    return nullptr;
-  }
-
-  /// Advances actor `source`'s virtual clock to at least `t` (no-op on
-  /// clock-less fabrics, and never moves a clock backwards). A gateway
-  /// blocks on its children's frames before merging; this is how the
-  /// merge barrier charges that wait to the gateway's own timeline so
-  /// its forward hop cannot depart before its inputs existed.
-  virtual void wait_until(std::size_t source, double t) {
-    (void)source;
-    (void)t;
-  }
-
-  /// Virtual time at which the most recent receive on `source`'s uplink
-  /// resolved — the frame's arrival on a hit, the moment the miss
-  /// became known on a miss. 0 on clock-less fabrics and before any
-  /// receive. Gateways take max over their children to find the instant
-  /// their merged summary is complete.
-  [[nodiscard]] virtual double uplink_consumed_at_s(std::size_t source) const {
-    (void)source;
-    return 0.0;
-  }
 
   /// The attached flight recorder (src/obs/), or null — the default,
   /// and the only possibility on fabrics without one. Protocol code

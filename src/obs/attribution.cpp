@@ -12,8 +12,6 @@
 namespace ekm {
 namespace {
 
-constexpr std::size_t kNoTopology = static_cast<std::size_t>(-1);
-
 /// %.17g — the round-trip-exact double format every obs writer uses.
 void append_double(std::string& out, double v) {
   char buf[40];
@@ -110,10 +108,6 @@ RunAttribution attribute_segment(const Recorder& recorder, Segment segment) {
     switch (op.kind) {
       case ServerOpKind::kBeginRun:
         continue;  // never inside a segment, but harmless
-      case ServerOpKind::kTopology:
-        run.data_sites = op.site;
-        run.gateways = static_cast<std::size_t>(op.frame);
-        continue;
       case ServerOpKind::kRoundOpen: {
         // Stamp the closing round's clocks before switching context.
         if (current_round > 0) {
@@ -166,8 +160,6 @@ RunAttribution attribute_segment(const Recorder& recorder, Segment segment) {
         double remaining = delta;
         if (op.frame != kNoCausalFrame && op.frame < causals.size()) {
           const FrameCausal& fc = causals[op.frame];
-          const bool gateway =
-              run.data_sites != kNoTopology && fc.site >= run.data_sites;
           // Backward from the arrival: the delivering attempt's
           // airtime, earlier attempts, the link-busy wait, the
           // sender's own compute, and finally whatever the sender was
@@ -179,11 +171,8 @@ RunAttribution attribute_segment(const Recorder& recorder, Segment segment) {
           charge(remaining, fc.first_start_s - fc.ready_s, row.blame,
                  BlameCategory::kPipelineStall);
           charge(remaining, fc.compute_s + fc.outage_s, row.blame,
-                 gateway ? BlameCategory::kGatewayFold
-                         : BlameCategory::kSiteCompute);
-          charge(remaining, remaining, row.blame,
-                 gateway ? BlameCategory::kGatewayFold
-                         : BlameCategory::kDownlink);
+                 BlameCategory::kSiteCompute);
+          charge(remaining, remaining, row.blame, BlameCategory::kDownlink);
         } else {
           charge(remaining, remaining, row.blame,
                  BlameCategory::kUplinkAirtime);
@@ -203,8 +192,6 @@ RunAttribution attribute_segment(const Recorder& recorder, Segment segment) {
     if (op.kind == ServerOpKind::kUplinkArrival ||
         op.kind == ServerOpKind::kMissLearn) {
       ActorAttribution& actor = actor_row(op.site);
-      actor.gateway =
-          run.data_sites != kNoTopology && op.site >= run.data_sites;
       if (op.kind == ServerOpKind::kUplinkArrival && cp > cp_before) {
         actor.cp_seconds += cp - cp_before;
         actor.cp_frames += 1;
@@ -274,28 +261,26 @@ std::vector<const ActorAttribution*> ranked_actors(const RunAttribution& run) {
   return ranked;
 }
 
-// Slack histogram over per-actor min slack, split sites vs gateways.
-// Fixed edges in seconds; the first bucket (<= 0) is the slack-free
-// count — those actors bound their rounds.
+// Slack histogram over per-site min slack. Fixed edges in seconds; the
+// first bucket (<= 0) is the slack-free count — those sites bound their
+// rounds.
 constexpr double kSlackEdges[] = {0.0, 0.01, 0.1, 0.5, 1.0, 5.0};
 constexpr std::size_t kSlackBuckets =
     sizeof(kSlackEdges) / sizeof(kSlackEdges[0]) + 1;
 
-void slack_histogram(const RunAttribution& run, bool gateways,
-                     std::uint64_t* counts) {
+void slack_histogram(const RunAttribution& run, std::uint64_t* counts) {
   for (std::size_t b = 0; b < kSlackBuckets; ++b) counts[b] = 0;
   for (const ActorAttribution& a : run.actors) {
-    if (!a.slack_measured || a.gateway != gateways) continue;
+    if (!a.slack_measured) continue;
     std::size_t b = 0;
     while (b < kSlackBuckets - 1 && a.min_slack_s > kSlackEdges[b]) b += 1;
     counts[b] += 1;
   }
 }
 
-void append_slack_histogram(std::string& out, const RunAttribution& run,
-                            bool gateways) {
+void append_slack_histogram(std::string& out, const RunAttribution& run) {
   std::uint64_t counts[kSlackBuckets];
-  slack_histogram(run, gateways, counts);
+  slack_histogram(run, counts);
   out += "{\"edges_s\": [";
   for (std::size_t b = 0; b < kSlackBuckets - 1; ++b) {
     if (b > 0) out += ", ";
@@ -307,10 +292,6 @@ void append_slack_histogram(std::string& out, const RunAttribution& run,
     append_u64(out, counts[b]);
   }
   out += "]}";
-}
-
-const char* actor_kind(const ActorAttribution& a) {
-  return a.gateway ? "gateway" : "site";
 }
 
 // --- diff-side mini scanner ------------------------------------------------
@@ -394,7 +375,6 @@ const char* blame_category_name(BlameCategory c) {
     case BlameCategory::kUplinkAirtime: return "uplink_airtime";
     case BlameCategory::kRetransmit: return "retransmit";
     case BlameCategory::kPipelineStall: return "pipeline_stall";
-    case BlameCategory::kGatewayFold: return "gateway_fold";
     case BlameCategory::kDeadlineWait: return "deadline_wait";
   }
   return "?";
@@ -458,49 +438,43 @@ std::string render_explain_text(const RunAttribution& run, std::size_t top_k) {
     const ActorAttribution& a = *ranked[i];
     if (a.slack_measured) {
       std::snprintf(buf, sizeof buf,
-                    "  %s %zu: min slack %.6fs, %.6fs on the critical path "
+                    "  site %zu: min slack %.6fs, %.6fs on the critical path "
                     "(%llu frame%s)\n",
-                    actor_kind(a), a.actor, a.min_slack_s, a.cp_seconds,
+                    a.actor, a.min_slack_s, a.cp_seconds,
                     static_cast<unsigned long long>(a.cp_frames),
                     a.cp_frames == 1 ? "" : "s");
     } else {
       std::snprintf(buf, sizeof buf,
-                    "  %s %zu: unbounded rounds, %.6fs on the critical path "
+                    "  site %zu: unbounded rounds, %.6fs on the critical path "
                     "(%llu frame%s)\n",
-                    actor_kind(a), a.actor, a.cp_seconds,
+                    a.actor, a.cp_seconds,
                     static_cast<unsigned long long>(a.cp_frames),
                     a.cp_frames == 1 ? "" : "s");
     }
     out += buf;
   }
 
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool gateways = pass == 1;
-    if (gateways && run.gateways == 0) continue;
-    std::uint64_t counts[kSlackBuckets];
-    slack_histogram(run, gateways, counts);
-    std::uint64_t total = 0;
-    for (std::size_t b = 0; b < kSlackBuckets; ++b) total += counts[b];
-    if (total == 0) continue;
-    std::snprintf(buf, sizeof buf, "slack histogram (%s):",
-                  gateways ? "gateways" : "sites");
-    out += buf;
-    for (std::size_t b = 0; b < kSlackBuckets; ++b) {
-      if (b == 0) {
-        std::snprintf(buf, sizeof buf, " <=0s: %llu",
-                      static_cast<unsigned long long>(counts[b]));
-      } else if (b < kSlackBuckets - 1) {
-        std::snprintf(buf, sizeof buf, "  <=%gs: %llu", kSlackEdges[b],
-                      static_cast<unsigned long long>(counts[b]));
-      } else {
-        std::snprintf(buf, sizeof buf, "  >%gs: %llu",
-                      kSlackEdges[kSlackBuckets - 2],
-                      static_cast<unsigned long long>(counts[b]));
-      }
-      out += buf;
+  std::uint64_t counts[kSlackBuckets];
+  slack_histogram(run, counts);
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < kSlackBuckets; ++b) total += counts[b];
+  if (total == 0) return out;
+  out += "slack histogram (sites):";
+  for (std::size_t b = 0; b < kSlackBuckets; ++b) {
+    if (b == 0) {
+      std::snprintf(buf, sizeof buf, " <=0s: %llu",
+                    static_cast<unsigned long long>(counts[b]));
+    } else if (b < kSlackBuckets - 1) {
+      std::snprintf(buf, sizeof buf, "  <=%gs: %llu", kSlackEdges[b],
+                    static_cast<unsigned long long>(counts[b]));
+    } else {
+      std::snprintf(buf, sizeof buf, "  >%gs: %llu",
+                    kSlackEdges[kSlackBuckets - 2],
+                    static_cast<unsigned long long>(counts[b]));
     }
-    out += "\n";
+    out += buf;
   }
+  out += "\n";
   return out;
 }
 
@@ -515,14 +489,6 @@ std::string render_explain_json(const RunAttribution& run,
   append_double(out, reported_critical_path_s);
   out += ", \"matches_reported\": ";
   out += run.critical_path_s == reported_critical_path_s ? "true" : "false";
-  out += ", \"data_sites\": ";
-  if (run.data_sites == kNoTopology) {
-    out += "null";  // star topology: every actor holds data
-  } else {
-    append_u64(out, run.data_sites);
-  }
-  out += ", \"gateways\": ";
-  append_u64(out, run.gateways);
   out += ", \"blame\": ";
   append_blame_object(out, run.blame_total);
   out += ", \"rounds\": [";
@@ -548,9 +514,7 @@ std::string render_explain_json(const RunAttribution& run,
     if (i > 0) out += ", ";
     out += "{\"actor\": ";
     append_u64(out, a.actor);
-    out += ", \"kind\": \"";
-    out += actor_kind(a);
-    out += "\", \"critical_path_seconds\": ";
+    out += ", \"critical_path_seconds\": ";
     append_double(out, a.cp_seconds);
     out += ", \"critical_path_frames\": ";
     append_u64(out, a.cp_frames);
@@ -562,11 +526,9 @@ std::string render_explain_json(const RunAttribution& run,
     }
     out += "}";
   }
-  out += "], \"slack_histogram\": {\"sites\": ";
-  append_slack_histogram(out, run, /*gateways=*/false);
-  out += ", \"gateways\": ";
-  append_slack_histogram(out, run, /*gateways=*/true);
-  out += "}}}";
+  out += "], \"slack_histogram\": ";
+  append_slack_histogram(out, run);
+  out += "}}";
   return out;
 }
 

@@ -23,10 +23,9 @@
 // deadline wait). A consumed uplink arrival's interval is walked
 // *backward* over its FrameCausal segments — delivering-attempt airtime,
 // then earlier attempts (retransmit), then the link-busy wait (pipeline
-// stall), then the sender's compute+outage (site compute, or gateway
-// fold when the sender is an aggregation gateway), with any remainder
-// charged to what the sender itself was waiting on (the broadcast /
-// the gateway's children). Every category is a deterministic function
+// stall), then the sender's compute+outage (site compute), with any
+// remainder charged to what the sender itself was waiting on (the
+// broadcast). Every category is a deterministic function
 // of recorded values, so the decomposition is bitwise stable at any
 // EKM_THREADS; the per-category sums equal server completion up to
 // float association (the bit-exact claims above are the fold itself).
@@ -50,11 +49,10 @@ enum class BlameCategory : std::uint8_t {
   kUplinkAirtime,   ///< delivering attempt's airtime + latency
   kRetransmit,      ///< earlier attempts: losses, backoff, ack timeouts
   kPipelineStall,   ///< frame ready but its link still busy (store&fwd)
-  kGatewayFold,     ///< gateway fold compute + waiting on its children
   kDeadlineWait,    ///< miss path: cutoff / NAK learn waits
 };
 
-inline constexpr std::size_t kBlameCategoryCount = 8;
+inline constexpr std::size_t kBlameCategoryCount = 7;
 
 [[nodiscard]] const char* blame_category_name(BlameCategory c);
 
@@ -85,7 +83,6 @@ struct CriticalHop {
 /// bounded round cutoff (misses have slack <= 0 by construction).
 struct ActorAttribution {
   std::size_t actor = 0;
-  bool gateway = false;
   double cp_seconds = 0.0;
   std::uint64_t cp_frames = 0;
   double min_slack_s = 0.0;
@@ -96,8 +93,6 @@ struct ActorAttribution {
 /// the op stream — one fabric attach, e.g. one bench cell).
 struct RunAttribution {
   bool valid = false;  ///< false when the segment held no ops at all
-  std::size_t data_sites = static_cast<std::size_t>(-1);  ///< SIZE_MAX: star
-  std::size_t gateways = 0;
   double server_completion_s = 0.0;  ///< == server_completion_seconds bitwise
   double critical_path_s = 0.0;  ///< == server_critical_path_seconds bitwise
   double blame_total[kBlameCategoryCount] = {};
@@ -120,7 +115,7 @@ struct RunAttribution {
 // --- renderers -------------------------------------------------------------
 
 /// Human-readable blame report: per-round table, totals, top-k
-/// zero-slack actors, per-site/per-gateway slack histograms.
+/// zero-slack actors, per-site slack histogram.
 [[nodiscard]] std::string render_explain_text(const RunAttribution& run,
                                               std::size_t top_k = 5);
 

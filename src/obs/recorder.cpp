@@ -33,10 +33,6 @@ Recorder::Recorder() {
   id_waves_ = registry_.counter("round.realloc_waves");
   id_narrowed_ = registry_.counter("round.quant_frames_narrowed");
   id_quant_bits_ = registry_.histogram("round.quant_bits", {8.0, 16.0, 24.0});
-  // Appended after the quantization metrics (PR order) so existing
-  // JSONL consumers see their columns unmoved.
-  id_gateway_fanin_ =
-      registry_.histogram("round.gateway_fan_in", {4.0, 16.0, 64.0, 256.0});
   id_queue_high_ = registry_.gauge("sim.queue_high_water");
   // Registered last (PR order): the server's committed clock when this
   // round closed — under cross-round pipelining the column that shrinks
@@ -79,11 +75,6 @@ void Recorder::note_quant_width(std::size_t site, int wire_bits,
   if (wire_bits < full_bits) quant_narrowed_round_ += 1;
 }
 
-void Recorder::note_gateway_fanin(std::size_t gateway, std::size_t fan_in) {
-  (void)gateway;
-  registry_.observe(id_gateway_fanin_, static_cast<double>(fan_in));
-}
-
 void Recorder::record_server_op(ServerOpKind kind, double value,
                                 std::uint32_t site, std::uint64_t frame,
                                 std::uint64_t round) {
@@ -98,18 +89,6 @@ std::uint64_t Recorder::record_frame_causal(const FrameCausal& causal) {
 void Recorder::record_flow(std::size_t from_actor, double from_s,
                            std::size_t to_actor, double to_s, bool critical) {
   flows_.push_back({from_actor, from_s, to_actor, to_s, critical});
-}
-
-void Recorder::note_topology(std::size_t data_sites, std::size_t gateways) {
-  if (data_sites_ == data_sites && gateway_count_ == gateways) return;
-  data_sites_ = data_sites;
-  gateway_count_ = gateways;
-  // Mirror into the op stream so attribution of an *earlier* run on a
-  // shared recorder (the bench sweeps) still sees that run's actor
-  // split — the members above only describe the latest run.
-  server_ops_.push_back({ServerOpKind::kTopology,
-                         static_cast<std::uint32_t>(data_sites),
-                         static_cast<std::uint64_t>(gateways), 0, 0.0});
 }
 
 void Recorder::snapshot_round(const RoundTotals& totals) {
@@ -162,12 +141,8 @@ void Recorder::begin_run() {
   prev_ = RoundTotals{};
   quant_narrowed_round_ = 0;
   registry_.reset_values();  // drop observations of a run that never closed
-  // Segment marker for attribution; the topology reverts to "all
-  // sites" until the new run's fabric declares otherwise (a tree run
-  // followed by a star run must not inherit the gateway split).
+  // Segment marker for attribution: one segment per run.
   server_ops_.push_back({ServerOpKind::kBeginRun, 0, kNoCausalFrame, 0, 0.0});
-  data_sites_ = static_cast<std::size_t>(-1);
-  gateway_count_ = 0;
 }
 
 Recorder* installed_recorder() { return g_recorder; }

@@ -80,7 +80,6 @@ inline constexpr std::uint64_t kNoCausalFrame = static_cast<std::uint64_t>(-1);
 /// computed; recording it draws nothing and advances nothing.
 enum class ServerOpKind : std::uint8_t {
   kBeginRun,          ///< run boundary marker (pushed by begin_run)
-  kTopology,          ///< site = data sites, frame = gateways (note_topology)
   kRoundOpen,         ///< value = the new round's cutoff, round = ordinal
   kCompute,           ///< server-side compute charge: clock += value
   kDownlinkForward,   ///< downlink settled: clock = max(clock, value)
@@ -174,10 +173,6 @@ class Recorder {
   /// quantization under deadline pressure). Full-width frames are noted
   /// too, so the histogram carries the whole width distribution.
   void note_quant_width(std::size_t site, int wire_bits, int full_bits);
-  /// A gateway merge barrier closed over `fan_in` delivered children
-  /// (hierarchical aggregation, net/tree_fabric.hpp). Folds into the
-  /// round's fan-in histogram; star-topology runs never call this.
-  void note_gateway_fanin(std::size_t gateway, std::size_t fan_in);
   /// Closes the round `totals.rounds_opened` (1-based): computes the
   /// per-round deltas against the previous snapshot, folds them into
   /// the registry, and serializes one JSONL line.
@@ -196,12 +191,6 @@ class Recorder {
   /// edges; attribution adds critical-path hops at export time).
   void record_flow(std::size_t from_actor, double from_s, std::size_t to_actor,
                    double to_s, bool critical = false);
-  /// Declares the actor split of the current run: actors < data_sites
-  /// hold data, actors >= data_sites are aggregation gateways
-  /// (net/tree_fabric.hpp). Star runs never call this; begin_run resets
-  /// to "every actor is a site". Blame categorization and gateway track
-  /// naming read it; idempotent, so per-round calls are fine.
-  void note_topology(std::size_t data_sites, std::size_t gateways);
   /// Re-arms the per-run delta baseline. A fabric calls this when the
   /// recorder is attached, so one Recorder can ride several runs in
   /// sequence (the bench sweeps) without the first round of a new run
@@ -229,10 +218,6 @@ class Recorder {
   [[nodiscard]] const std::vector<RecordedFlow>& flows() const {
     return flows_;
   }
-  /// Actors below this index hold data; SIZE_MAX when no topology was
-  /// declared (star runs: every actor is a site).
-  [[nodiscard]] std::size_t data_sites() const { return data_sites_; }
-  [[nodiscard]] std::size_t gateway_count() const { return gateway_count_; }
   [[nodiscard]] MetricsRegistry& registry() { return registry_; }
   [[nodiscard]] const MetricsRegistry& registry() const { return registry_; }
 
@@ -249,7 +234,6 @@ class Recorder {
   MetricsRegistry::Id id_waves_;
   MetricsRegistry::Id id_narrowed_;
   MetricsRegistry::Id id_quant_bits_;
-  MetricsRegistry::Id id_gateway_fanin_;
   MetricsRegistry::Id id_queue_high_;
   MetricsRegistry::Id id_server_commit_;
 
@@ -259,8 +243,6 @@ class Recorder {
   std::vector<ServerOp> server_ops_;
   std::vector<FrameCausal> frame_causals_;
   std::vector<RecordedFlow> flows_;
-  std::size_t data_sites_ = static_cast<std::size_t>(-1);
-  std::size_t gateway_count_ = 0;
   RoundTotals prev_;  ///< totals at the previous snapshot (zeros at start)
   std::uint64_t quant_narrowed_round_ = 0;  ///< narrowed frames this round
 };

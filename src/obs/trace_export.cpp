@@ -11,10 +11,9 @@ namespace ekm {
 namespace {
 
 // Track layout inside the virtual-time process (pid 1): tid 0 is the
-// server, tid 1+i is actor i (a data site, or — past the recorder's
-// data_sites() split — an aggregation gateway), the event queue rides
-// one past the highest actor track, and the critical path gets its own
-// track one past that. Wall-clock kernel spans live in their own
+// server, tid 1+i is site i, the event queue rides one past the
+// highest site track, and the critical path gets its own track one
+// past that. Wall-clock kernel spans live in their own
 // process (pid 2) so Perfetto never tries to align wall and virtual
 // timestamps on one timeline.
 constexpr int kVirtualPid = 1;
@@ -91,8 +90,6 @@ bool write_chrome_trace(const Recorder& recorder, const std::string& path) {
   bool first = true;
 
   // Metadata: name the processes and every track we will emit onto.
-  // Actors past the declared data-site split are aggregation gateways
-  // (tree runs; star runs have no split and name every actor a site).
   std::fprintf(f,
                "  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": %d, "
                "\"args\": {\"name\": \"virtual time (simulated fabric)\"}}",
@@ -104,12 +101,9 @@ bool write_chrome_trace(const Recorder& recorder, const std::string& path) {
                kHostPid);
   emit_thread_name(f, kVirtualPid, 0, "server", first);
   if (any_site) {
-    const std::size_t data_sites = recorder.data_sites();
     for (std::size_t i = 0; i <= max_site; ++i) {
-      const std::string name =
-          i < data_sites ? "site " + std::to_string(i)
-                         : "gateway " + std::to_string(i - data_sites);
-      emit_thread_name(f, kVirtualPid, 1 + i, name, first);
+      emit_thread_name(f, kVirtualPid, 1 + i, "site " + std::to_string(i),
+                       first);
     }
   }
   emit_thread_name(f, kVirtualPid, queue_tid, "event queue", first);

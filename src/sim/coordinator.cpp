@@ -5,7 +5,6 @@
 
 #include "kmeans/lloyd.hpp"
 #include "net/summary_codec.hpp"
-#include "net/tree_fabric.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ekm {
@@ -28,8 +27,7 @@ Dataset round_batch(const Dataset& shard, std::size_t round, std::size_t rounds)
 }
 
 SimReport make_report(const SimScenario& scenario, std::string pipeline,
-                      PipelineResult result, SimNetwork& net,
-                      const TreeTopology* topo = nullptr) {
+                      PipelineResult result, SimNetwork& net) {
   SimReport report;
   report.scenario = scenario.name;
   report.pipeline = std::move(pipeline);
@@ -50,23 +48,7 @@ SimReport make_report(const SimScenario& scenario, std::string pipeline,
   report.leaves = net.leaves();
   report.orphaned_frames = net.orphaned_frames();
   report.queue_high_water = net.queue_high_water();
-  // On a tree, `net` is the inner fabric carrying sites + gateways: the
-  // site census below covers data sites only, and the gateway hops'
-  // traffic is broken out per level.
-  const std::size_t data_sites = topo != nullptr ? topo->sites
-                                                 : net.num_sources();
-  if (topo != nullptr) {
-    report.gateways = topo->gateways();
-    report.branching = topo->branching;
-    report.server_fan_in = topo->gateways();
-    for (std::size_t g = 0; g < topo->gateways(); ++g) {
-      report.gateway_uplink_bits +=
-          net.uplink_view(topo->sites + g).ledger().bits;
-    }
-  } else {
-    report.server_fan_in = net.num_sources();
-  }
-  for (std::size_t i = 0; i < data_sites; ++i) {
+  for (std::size_t i = 0; i < net.num_sources(); ++i) {
     // A site is dropped if any round abandoned one of its uplink
     // frames, or if it lost a broadcast (basis/allocation/centers) and
     // therefore sat a round out without its data reaching the model.
@@ -121,60 +103,6 @@ SimReport Coordinator::run(PipelineKind kind, std::span<const Dataset> parts,
                            const PipelineConfig& cfg) const {
   EKM_EXPECTS(!parts.empty());
   const PipelineConfig effective = apply_round_policy(cfg, scenario_);
-  // A tree with branching >= fleet size is a star with extra steps:
-  // every gateway would have one child. Degenerate to the star path,
-  // which the contract pins bitwise to `topology=star`.
-  const bool tree = scenario_.topology == SimTopology::kTree &&
-                    scenario_.branching < parts.size();
-  if (tree) {
-    TreeTopology topo;
-    topo.sites = parts.size();
-    topo.branching = scenario_.branching;
-    topo.level_split = scenario_.level_split;
-    const std::size_t gateways = topo.gateways();
-    EKM_EXPECTS_MSG(kind != PipelineKind::kNoReduction,
-                    "topology=tree supports the coreset pipelines only "
-                    "(bklw | jl+bklw): no-reduction ships raw points, which "
-                    "a gateway cannot merge");
-    EKM_EXPECTS_MSG(effective.refine_iters == 0,
-                    "topology=tree does not support device refinement "
-                    "(refine_iters > 0): refinement collects per-site stats "
-                    "over direct links");
-    // Validate both override groups against the *split* fleet before
-    // building the inner network: the inner fabric carries sites +
-    // gateways sources, so without this check a siteN override naming
-    // [sites, sites + gateways) would silently land on a gateway.
-    for (const SiteOverride& o : scenario_.site_overrides) {
-      EKM_EXPECTS_MSG(o.site < parts.size(),
-                      "scenario override '" + o.key + "' names site " +
-                          std::to_string(o.site) + " but the fleet has only " +
-                          std::to_string(parts.size()) + " site(s)");
-    }
-    for (const SiteOverride& o : scenario_.gateway_overrides) {
-      EKM_EXPECTS_MSG(o.site < gateways,
-                      "scenario override '" + o.key + "' names gateway " +
-                          std::to_string(o.site) + " but the tree has only " +
-                          std::to_string(gateways) + " gateway(s)");
-    }
-    // Gateway g is inner device sites + g; its overrides ride the
-    // ordinary per-site application path of the inner network.
-    SimScenario inner = scenario_;
-    for (const SiteOverride& o : scenario_.gateway_overrides) {
-      SiteOverride mapped = o;
-      mapped.site = topo.sites + o.site;
-      inner.site_overrides.push_back(std::move(mapped));
-    }
-    inner.gateway_overrides.clear();
-    SimNetwork net(topo.sites + gateways, inner);
-    TreeFabric fabric(net, topo);
-    net.set_phase_overlap(effective.overlap_phases);
-    net.set_round_pipelining(effective.pipeline_rounds);
-    net.set_recorder(effective.recorder);
-    PipelineResult result =
-        run_distributed_pipeline(kind, parts, effective, fabric);
-    return make_report(scenario_, pipeline_name(kind), std::move(result), net,
-                       &topo);
-  }
   SimNetwork net(parts.size(), scenario_);
   // The overlap commit rule lives on the fabric (expiry NAKs change
   // when the server *learns*, not what the protocol does), so the
@@ -199,11 +127,6 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
                                      std::size_t rounds) const {
   EKM_EXPECTS(!parts.empty());
   EKM_EXPECTS(rounds >= 1);
-  EKM_EXPECTS_MSG(scenario_.topology != SimTopology::kTree ||
-                      scenario_.branching >= parts.size(),
-                  "streaming deployment supports topology=star only (each "
-                  "site's summary must reach the server unmerged to stay "
-                  "individually replaceable next round)");
   const std::size_t m = parts.size();
   SimNetwork net(m, scenario_);
 

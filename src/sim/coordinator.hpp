@@ -83,22 +83,6 @@ struct SimReport {
                                       ///< waves opened (open_subround);
                                       ///< 0 on every miss-free run
 
-  // --- hierarchical aggregation (`topology=tree`) -------------------------
-  /// Gateways in the aggregation tree; 0 on star runs. Gateway devices
-  /// live on the inner fabric (net/tree_fabric.hpp): their radio energy
-  /// is part of energy_joules (they are fleet hardware), but they are
-  /// not counted in sites_dropped / sites_data_dropped, which census
-  /// data sites only.
-  std::uint64_t gateways = 0;
-  std::uint64_t branching = 0;       ///< children per gateway; 0 on star
-  /// Uplink frames the server itself consumes per collection phase:
-  /// gateways on tree runs, every site on star. THE tentpole figure —
-  /// tree cuts it from O(sites) to O(sites / branching).
-  std::uint64_t server_fan_in = 0;
-  /// Bits on the gateway → server hops (level 1). Level-0 bits are
-  /// result.uplink.bits as always, so bits-per-level is read directly
-  /// off the report. 0 on star runs.
-  std::uint64_t gateway_uplink_bits = 0;
   /// Event-queue high-water mark — max events simultaneously pending.
   /// The memory-pressure gauge the 10k-site fleet sweeps track.
   std::uint64_t queue_high_water = 0;
@@ -126,14 +110,6 @@ class Coordinator {
   /// `deadline=` / `--deadline`) fills cfg's round_deadline_s /
   /// min_round_responders wherever cfg still holds the defaults — an
   /// explicit cfg setting wins.
-  ///
-  /// With `topology=tree` and branching < the fleet size, the pipeline
-  /// runs over a TreeFabric: an inner SimNetwork carries sites +
-  /// gateways and every site uplink is merged at its gateway before one
-  /// frame per gateway reaches the server. Tree supports the coreset
-  /// pipelines (kBklw, kJlBklw) without device refinement; branching >=
-  /// fleet size degenerates to the star path (bitwise identical to
-  /// `topology=star`).
   [[nodiscard]] SimReport run(PipelineKind kind, std::span<const Dataset> parts,
                               const PipelineConfig& cfg) const;
 

@@ -209,26 +209,20 @@ std::vector<TraceSegment> parse_trace(const std::string& key,
   return trace;
 }
 
-/// `siteN.key=value` / `gatewayN.key=value` per-device override.
-/// Appends one SiteOverride per token to `out`; SimNetwork applies
-/// them in order, so later tokens win. `prefix` is "site" or
-/// "gateway" — both spell the exact same fields, and the Coordinator
-/// maps gateway g onto inner device sites + g (net/tree_fabric.hpp),
-/// so one application path serves both levels.
-void apply_device_override(SimScenario& s, const std::string& prefix,
-                           std::vector<SiteOverride>& out,
-                           const std::string& key, const std::string& value) {
+/// `siteN.key=value` per-site override. Appends one SiteOverride per
+/// token; SimNetwork applies them in order, so later tokens win.
+void apply_site_override(SimScenario& s, const std::string& key,
+                         const std::string& value) {
+  constexpr std::size_t kPrefixLen = 4;  // "site"
   const std::size_t dot = key.find('.');
-  EKM_EXPECTS_MSG(
-      dot != std::string::npos && dot > prefix.size(),
-      "malformed per-" + prefix + " scenario key '" + key + "' (expected " +
-          prefix +
-          "N.radio|bandwidth|loss|dropout|speed|retry|"
-          "join|leave|trace)");
+  EKM_EXPECTS_MSG(dot != std::string::npos && dot > kPrefixLen,
+                  "malformed per-site scenario key '" + key +
+                      "' (expected siteN.radio|bandwidth|loss|dropout|speed|"
+                      "retry|join|leave|trace)");
   const long long index =
-      parse_int(key, key.substr(prefix.size(), dot - prefix.size()));
-  EKM_EXPECTS_MSG(index >= 0, prefix + " index must be >= 0 in scenario key '" +
-                                  key + "'");
+      parse_int(key, key.substr(kPrefixLen, dot - kPrefixLen));
+  EKM_EXPECTS_MSG(index >= 0,
+                  "site index must be >= 0 in scenario key '" + key + "'");
   const std::string field = key.substr(dot + 1);
 
   SiteOverride o;
@@ -268,55 +262,18 @@ void apply_device_override(SimScenario& s, const std::string& prefix,
     o.trace = parse_trace(key, value);
   } else {
     EKM_EXPECTS_MSG(false,
-                    "unknown per-" + prefix + " field '" + field +
+                    "unknown per-site field '" + field +
                         "' in scenario key '" + key +
                         "' (expected radio|bandwidth|loss|dropout|speed|retry|"
                         "join|leave|trace)");
   }
-  out.push_back(std::move(o));
+  s.site_overrides.push_back(std::move(o));
 }
 
-/// Keys the parser has seen, for the end-of-parse cross-checks: the
-/// tree-only keys are meaningless — and therefore rejected — unless
-/// `topology=tree` is in force, and a tree needs a branching factor.
-struct SeenKeys {
-  bool topology = false;
-  bool branching = false;
-  bool level_split = false;
-  std::string first_gateway_key;  ///< empty = none seen
-};
-
-void apply_override(SimScenario& s, SeenKeys& seen, const std::string& key,
+void apply_override(SimScenario& s, const std::string& key,
                     const std::string& value) {
   if (key.rfind("site", 0) == 0 && key.find('.') != std::string::npos) {
-    apply_device_override(s, "site", s.site_overrides, key, value);
-  } else if (key.rfind("gateway", 0) == 0 &&
-             key.find('.') != std::string::npos) {
-    if (seen.first_gateway_key.empty()) seen.first_gateway_key = key;
-    apply_device_override(s, "gateway", s.gateway_overrides, key, value);
-  } else if (key == "topology") {
-    seen.topology = true;
-    if (value == "star") {
-      s.topology = SimTopology::kStar;
-    } else if (value == "tree") {
-      s.topology = SimTopology::kTree;
-    } else {
-      EKM_EXPECTS_MSG(false, "unknown topology '" + value +
-                                 "' for scenario key 'topology' (expected "
-                                 "star|tree)");
-    }
-  } else if (key == "branching") {
-    seen.branching = true;
-    const long long v = parse_int(key, value);
-    EKM_EXPECTS_MSG(v >= 2, "branching must be >= 2 (children per gateway) in "
-                            "scenario key 'branching'");
-    s.branching = static_cast<std::size_t>(v);
-  } else if (key == "level-split") {
-    seen.level_split = true;
-    s.level_split = parse_double(key, value);
-    EKM_EXPECTS_MSG(s.level_split > 0.0 && s.level_split < 1.0,
-                    "level-split must be in (0, 1) (level-0 share of the "
-                    "round budget)");
+    apply_site_override(s, key, value);
   } else if (key == "radio") {
     s.radio = radio_by_name(key, value);
     // An explicit fleet-wide radio replaces a preset's mixed cycle
@@ -462,7 +419,6 @@ std::optional<SimScenario> sim_scenario_preset(const std::string& name) {
 
 SimScenario parse_scenario(const std::string& spec) {
   SimScenario s = ideal();
-  SeenKeys seen;
   bool named = false;
   std::size_t pos = 0;
   bool first = true;
@@ -484,27 +440,10 @@ SimScenario parse_scenario(const std::string& spec) {
       s = *preset;
       named = true;
     } else {
-      apply_override(s, seen, token.substr(0, eq), token.substr(eq + 1));
+      apply_override(s, token.substr(0, eq), token.substr(eq + 1));
       if (!named) s.name = "custom";
     }
     first = false;
-  }
-  // Cross-key checks after the whole spec is in, so token order never
-  // matters: tree-only keys are configuration errors under star (they
-  // would otherwise be silently inert — the exact failure mode the
-  // out-of-range site-override check exists for), and a tree without a
-  // branching factor has no shape.
-  if (s.topology == SimTopology::kTree) {
-    EKM_EXPECTS_MSG(seen.branching,
-                    "scenario key 'topology=tree' requires 'branching='");
-  } else {
-    EKM_EXPECTS_MSG(!seen.branching,
-                    "scenario key 'branching' requires 'topology=tree'");
-    EKM_EXPECTS_MSG(!seen.level_split,
-                    "scenario key 'level-split' requires 'topology=tree'");
-    EKM_EXPECTS_MSG(seen.first_gateway_key.empty(),
-                    "scenario key '" + seen.first_gateway_key +
-                        "' requires 'topology=tree'");
   }
   return s;
 }

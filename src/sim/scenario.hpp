@@ -56,12 +56,6 @@ struct SiteOverride {
   std::vector<TraceSegment> trace;       ///< siteN.trace=start:bw:loss[:drop];...
 };
 
-/// Aggregation topology (`topology=`): star is the paper's flat fan-in
-/// (every site uplinks straight to the server); tree routes uplinks
-/// through gateways that merge in flight (net/tree_fabric.hpp), cutting
-/// server fan-in from O(sites) to O(branching).
-enum class SimTopology : std::uint8_t { kStar, kTree };
-
 struct SimScenario {
   std::string name = "ideal";
 
@@ -154,26 +148,6 @@ struct SimScenario {
   /// default reproduces the paper's fixed-width billing bit for bit.
   QuantPolicy quant = QuantPolicy::kFixed;
 
-  // --- aggregation topology -----------------------------------------------
-  /// `topology=star|tree`. Star — the default — is the paper's flat
-  /// fan-in and reproduces it bit for bit. Tree engages hierarchical
-  /// aggregation when `branching` < fleet size: sites uplink to
-  /// gateways, gateways merge and forward one frame to the server.
-  SimTopology topology = SimTopology::kStar;
-  /// `branching=N` (tree only): children per gateway, >= 2; gateway g
-  /// serves sites [g*N, min((g+1)*N, sites)). 0 means unset — the
-  /// parser rejects `topology=tree` without it.
-  std::size_t branching = 0;
-  /// `level-split=F` (tree only, in (0, 1)): fraction of a finite round
-  /// budget granted to level 0 (sites → gateways); the remainder is the
-  /// gateways' forwarding window, so a gateway's cutoff always precedes
-  /// the server's. Irrelevant under the default no-deadline policy.
-  double level_split = 0.5;
-  /// `gatewayN.*` per-gateway deviations (same fields as `siteN.*`).
-  /// Gateway g is device sites + g on the inner fabric, so overrides
-  /// ride the exact same application path as site overrides.
-  std::vector<SiteOverride> gateway_overrides;
-
   std::uint64_t seed = 1;
 
   [[nodiscard]] bool fault_free() const {
@@ -181,21 +155,16 @@ struct SimScenario {
         churn_rate != 0.0) {
       return false;
     }
-    // Gateway overrides ride the same per-device path as site
-    // overrides, so the same fields make frames droppable.
-    for (const std::vector<SiteOverride>* group :
-         {&site_overrides, &gateway_overrides}) {
-      for (const SiteOverride& o : *group) {
-        if (o.loss_rate.value_or(0.0) != 0.0) return false;
-        if (o.dropout_rate.value_or(0.0) != 0.0) return false;
-        // A membership schedule makes frames orphan; a trace segment
-        // that injects loss or dropout makes them drop. (A
-        // bandwidth-only trace shifts timing but never a frame's fate.)
-        if (o.join_s.has_value() || o.leave_s.has_value()) return false;
-        for (const TraceSegment& seg : o.trace) {
-          if (seg.loss_rate != 0.0 || seg.dropout_rate.value_or(0.0) != 0.0) {
-            return false;
-          }
+    for (const SiteOverride& o : site_overrides) {
+      if (o.loss_rate.value_or(0.0) != 0.0) return false;
+      if (o.dropout_rate.value_or(0.0) != 0.0) return false;
+      // A membership schedule makes frames orphan; a trace segment that
+      // injects loss or dropout makes them drop. (A bandwidth-only trace
+      // shifts timing but never a frame's fate.)
+      if (o.join_s.has_value() || o.leave_s.has_value()) return false;
+      for (const TraceSegment& seg : o.trace) {
+        if (seg.loss_rate != 0.0 || seg.dropout_rate.value_or(0.0) != 0.0) {
+          return false;
         }
       }
     }
@@ -239,22 +208,16 @@ struct SimScenario {
 /// event-log (off|N: cap the retained event trace),
 /// retry (fixed|backoff|giveup), churn (leave/rejoin events per virtual
 /// second), quant (fixed|adaptive: per-frame quantization policy),
-/// topology (star|tree: aggregation shape), branching (tree only,
-/// children per gateway, >= 2), level-split (tree only, level-0 share
-/// of a finite round budget, in (0, 1)),
 /// backoff-base, backoff-cap, backoff-jitter, seed, plus per-site overrides
 /// siteN.radio, siteN.bandwidth, siteN.loss, siteN.dropout,
 /// siteN.speed, siteN.retry, siteN.join, siteN.leave, and
 /// siteN.trace=start:bw:loss[:dropout][;start:bw:loss[:dropout]...]
 /// (piecewise link-quality segments over virtual time, strictly
-/// increasing starts) — gatewayN.* accepts the same fields for gateway
-/// devices under topology=tree. Overrides apply on top of the preset
-/// (default: ideal). Throws precondition_error on unknown names/keys
-/// and on malformed values — empty, trailing garbage, or out of range
+/// increasing starts). Overrides apply on top of the preset (default:
+/// ideal). Throws precondition_error on unknown names/keys and on
+/// malformed values — empty, trailing garbage, or out of range
 /// (including finite-looking tokens that overflow double, e.g.
-/// `loss=1e999`) — naming the offending key; tree-only keys without
-/// `topology=tree` (and `topology=tree` without `branching=`) are
-/// rejected the same way.
+/// `loss=1e999`) — naming the offending key.
 [[nodiscard]] SimScenario parse_scenario(const std::string& spec);
 
 }  // namespace ekm

@@ -540,9 +540,9 @@ std::optional<Message> SimNetwork::do_receive_by(SimLink& link, RoundId round,
                   "receive on idle simulated network");
   // The effective deadline is the round's cutoff *as of now* (a wave
   // may have tightened it since the frame was sent), further capped by
-  // the caller (tree level-0 collects cap gateway-bound frames at an
-  // earlier hop deadline). kNoRound receives are uncapped unless the
-  // caller says otherwise.
+  // the caller (disSS's first-wave collects cap frames at the wave
+  // split). kNoRound receives are uncapped unless the caller says
+  // otherwise.
   const double deadline = std::min(round_cutoff(round), deadline_cap);
   SimFrame frame = std::move(link.in_flight_.front());
   link.in_flight_.pop_front();
@@ -607,7 +607,6 @@ std::optional<Message> SimNetwork::do_receive_by(SimLink& link, RoundId round,
       Site& s = sites_[link.site_];
       s.clock_s = std::max(s.clock_s, learn);
     }
-    link.consumed_at_ = learn;
     return std::nullopt;
   }
 
@@ -634,7 +633,6 @@ std::optional<Message> SimNetwork::do_receive_by(SimLink& link, RoundId round,
     Site& s = sites_[link.site_];
     s.clock_s = std::max(s.clock_s, frame.arrival);
   }
-  link.consumed_at_ = frame.arrival;
   return std::move(frame.msg);
 }
 

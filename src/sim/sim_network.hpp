@@ -155,8 +155,6 @@ class SimLink final : public Port {
   TrafficLedger ledger_;  ///< goodput, billed at send exactly like Channel
   LinkStats stats_;
   double busy_until_ = 0.0;  ///< the air is occupied until here
-  double consumed_at_ = 0.0;  ///< when the last receive on this link
-                              ///< resolved (arrival, or miss learned)
   Rng rng_;                  ///< per-link fault/jitter stream
   std::deque<SimFrame> in_flight_;  ///< sent, not yet consumed (FIFO)
   std::uint64_t deliveries_scheduled_ = 0;  ///< kDeliver events pushed
@@ -226,22 +224,6 @@ class SimNetwork final : public Fabric {
   /// site's membership schedule (a dedicated RNG stream — no draw ever
   /// touches the link streams, so protocol determinism is unaffected).
   [[nodiscard]] bool is_member(std::size_t source) override;
-
-  /// Advances site `source`'s clock to at least `t` (monotone max).
-  /// Used by gateway merge barriers (net/tree_fabric.hpp) to charge the
-  /// wait for children's frames to the gateway's own timeline; pure
-  /// clock bookkeeping — no event, no draw, no ledger.
-  void wait_until(std::size_t source, double t) override {
-    EKM_EXPECTS(source < sites_.size());
-    Site& s = sites_[source];
-    if (t > s.clock_s) s.clock_s = t;
-  }
-
-  /// When the last receive on `source`'s uplink resolved (see Fabric).
-  [[nodiscard]] double uplink_consumed_at_s(std::size_t source) const override {
-    EKM_EXPECTS(source < up_.size());
-    return up_[source].consumed_at_;
-  }
 
   /// Largest number of events ever simultaneously pending — the
   /// event-queue pressure gauge the fleet-scale sweeps report.

@@ -1,7 +1,7 @@
 // Tests for src/obs/attribution: the causal replay must reproduce the
 // simulator's server clocks BIT FOR BIT — the attribution engine's one
-// hard claim — across the bench's overlap and pipeline grids, star and
-// tree, at any thread count; the blame decomposition must account for
+// hard claim — across the bench's overlap and pipeline grids, at any
+// thread count; the blame decomposition must account for
 // every second of server completion; and the render/diff surfaces
 // (`--explain`, `--explain-diff`) must emit well-formed, stable output.
 #include <gtest/gtest.h>
@@ -60,10 +60,6 @@ std::string straggler_spec(std::size_t slow, const char* knob, bool on,
   return spec;
 }
 
-constexpr const char* kPipelinedTreeScenario =
-    "radio=wifi,deadline=3,retry=giveup,topology=tree,branching=4,"
-    "gateway0.bandwidth=2000,pipeline=on,event-log=off,seed=5";
-
 double blame_sum(const double (&blame)[kBlameCategoryCount]) {
   double sum = 0.0;
   for (std::size_t c = 0; c < kBlameCategoryCount; ++c) sum += blame[c];
@@ -104,45 +100,9 @@ TEST(Attribution, ReplaysCriticalPathBitForBitAcrossSweepGrids) {
         SCOPED_TRACE(std::string(knob) + (on ? "=on" : "=off") +
                      " slow=" + std::to_string(slow));
         expect_accounts_for_completion(a, report);
-        // Star topology: no gateway split declared, no gateway blame.
-        EXPECT_EQ(a.data_sites, static_cast<std::size_t>(-1));
-        EXPECT_EQ(a.blame_total[static_cast<std::size_t>(
-                      BlameCategory::kGatewayFold)],
-                  0.0);
       }
     }
   }
-}
-
-TEST(Attribution, TreeRunsAttributeGatewayWorkAndMatchBitForBit) {
-  const auto parts = make_parts(12, 1200, 16, 5);
-  const Coordinator coord(parse_scenario(kPipelinedTreeScenario));
-  PipelineConfig cfg = base_config(5);
-  Recorder rec;
-  cfg.recorder = &rec;
-  const SimReport report = coord.run(PipelineKind::kBklw, parts, cfg);
-  const RunAttribution a = attribute_run(rec);
-  expect_accounts_for_completion(a, report);
-  // The tree declared its actor split, and the gateway hop's airtime /
-  // fold showed up under a gateway actor.
-  EXPECT_EQ(a.data_sites, 12u);
-  EXPECT_EQ(a.gateways, 3u);
-  bool saw_gateway_actor = false;
-  for (const ActorAttribution& actor : a.actors) {
-    if (actor.gateway) {
-      saw_gateway_actor = true;
-      EXPECT_GE(actor.actor, 12u);
-    }
-  }
-  EXPECT_TRUE(saw_gateway_actor);
-  // The critical path routes through consumed uplink arrivals; on this
-  // straggling-gateway scenario at least one hop must be one.
-  bool saw_uplink_hop = false;
-  for (const CriticalHop& hop : a.hops) {
-    EXPECT_GE(hop.cp_after_s, hop.cp_before_s);
-    if (hop.kind == ServerOpKind::kUplinkArrival) saw_uplink_hop = true;
-  }
-  EXPECT_TRUE(saw_uplink_hop);
 }
 
 TEST(Attribution, IsBitwiseDeterministicAcrossThreadCounts) {
@@ -171,10 +131,12 @@ TEST(Attribution, IsBitwiseDeterministicAcrossThreadCounts) {
 TEST(Attribution, RecordingForAttributionIsBitwiseNeutral) {
   // The attribution capture (server ops, frame causal timelines, flows)
   // rides the same recorder contract as every other obs producer: a
-  // pipelined tree run with the recorder attached must match the bare
-  // run bit for bit on everything the run reports.
+  // pipelined fleet with one straggling site and the recorder attached
+  // must match the bare run bit for bit on everything the run reports.
   const auto parts = make_parts(12, 1200, 16, 5);
-  const Coordinator coord(parse_scenario(kPipelinedTreeScenario));
+  const Coordinator coord(parse_scenario(
+      "radio=wifi,deadline=3,retry=giveup,site0.bandwidth=2000,pipeline=on,"
+      "seed=5"));
   PipelineConfig cfg = base_config(5);
 
   const SimReport plain = coord.run(PipelineKind::kBklw, parts, cfg);
@@ -204,6 +166,16 @@ TEST(Attribution, RecordingForAttributionIsBitwiseNeutral) {
   // And the capture actually happened.
   EXPECT_FALSE(rec.server_ops().empty());
   EXPECT_FALSE(rec.frame_causals().empty());
+  // The critical path routes through consumed uplink arrivals; on this
+  // straggler scenario at least one hop must be one.
+  const RunAttribution a = attribute_run(rec);
+  expect_accounts_for_completion(a, recorded);
+  bool saw_uplink_hop = false;
+  for (const CriticalHop& hop : a.hops) {
+    EXPECT_GE(hop.cp_after_s, hop.cp_before_s);
+    if (hop.kind == ServerOpKind::kUplinkArrival) saw_uplink_hop = true;
+  }
+  EXPECT_TRUE(saw_uplink_hop);
 }
 
 TEST(Attribution, SegmentsMultiRunRecordersPerRun) {

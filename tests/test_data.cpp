@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "data/dataset.hpp"
 #include "data/generators.hpp"
@@ -241,18 +242,30 @@ TEST(Generators, NeuripsLikeIsSparseNonNegativeBeforeNormalization) {
 }
 
 TEST(Loaders, CsvRoundTrip) {
+  // Commas and whitespace both separate cells, separator runs collapse,
+  // and blank, separator-only and '#' lines are skipped.
   const auto path = std::filesystem::temp_directory_path() / "ekm_test.csv";
   {
     std::ofstream out(path);
     out << "# comment line\n";
     out << "1.5, 2.5, -3\n";
-    out << "0, 1e3, 4.25\n";
+    out << "0, 1e3, 4.25\r\n";
+    out << "\n  ,, \n";
+    out << "\t4 ,, 5e-1\t,+6\n";
+    out << ".25 1E2 -0\n";
   }
   const Dataset d = load_csv(path);
-  EXPECT_EQ(d.size(), 2u);
-  EXPECT_EQ(d.dim(), 3u);
-  EXPECT_DOUBLE_EQ(d.point(0)[2], -3.0);
-  EXPECT_DOUBLE_EQ(d.point(1)[1], 1000.0);
+  const Matrix expected{{1.5, 2.5, -3.0},
+                        {0.0, 1000.0, 4.25},
+                        {4.0, 0.5, 6.0},
+                        {0.25, 100.0, -0.0}};
+  ASSERT_EQ(d.size(), expected.rows());
+  ASSERT_EQ(d.dim(), expected.cols());
+  for (std::size_t i = 0; i < expected.rows(); ++i) {
+    for (std::size_t j = 0; j < expected.cols(); ++j) {
+      EXPECT_EQ(d.point(i)[j], expected(i, j)) << i << "," << j;
+    }
+  }
   std::filesystem::remove(path);
 }
 
@@ -263,6 +276,37 @@ TEST(Loaders, CsvRaggedThrows) {
     out << "1, 2\n1, 2, 3\n";
   }
   EXPECT_THROW((void)load_csv(path), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+TEST(Loaders, CsvRejectsNonNumericAndNonFiniteCells) {
+  // The error names the file, the 1-based row (line) and column, and the
+  // token — a nan cell used to surface as a misleading "ragged CSV row",
+  // and a non-numeric first cell silently dropped its whole row.
+  const auto path = std::filesystem::temp_directory_path() / "ekm_cells.csv";
+  const auto expect_rejected = [&](const std::string& content,
+                                   const std::string& token,
+                                   const std::string& where) {
+    {
+      std::ofstream out(path);
+      out << content;
+    }
+    try {
+      (void)load_csv(path);
+      ADD_FAILURE() << "accepted cell '" << token << "'";
+    } catch (const precondition_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find(path.string()), std::string::npos) << what;
+      EXPECT_NE(what.find(where), std::string::npos) << what;
+    }
+  };
+  for (const std::string token : {"nan", "inf", "-inf", "1e999", "abc", "1.5x"}) {
+    expect_rejected("# comment\n1,2\n3," + token + "\n", token,
+                    "row 3, column 2");
+  }
+  expect_rejected("x,y\n1,2\n", "x", "row 1, column 1");
+  expect_rejected("1,2\nnan,4\n", "nan", "row 2, column 1");
   std::filesystem::remove(path);
 }
 

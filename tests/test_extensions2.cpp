@@ -1,5 +1,5 @@
 // Tests for the second wave of extensions: alias-method sampling,
-// k-means|| seeding, Frequent Directions sketching, and k-median.
+// k-means|| seeding, and k-median.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,8 +12,6 @@
 #include "kmeans/kmedian.hpp"
 #include "kmeans/lloyd.hpp"
 #include "kmeans/parallel_seed.hpp"
-#include "linalg/frequent_directions.hpp"
-#include "linalg/svd.hpp"
 
 namespace ekm {
 namespace {
@@ -110,65 +108,6 @@ TEST(ParallelSeed, ScalableSolverMatchesLloydQuality) {
   EXPECT_LT(scalable.cost, 1.2 * classic.cost);
   EXPECT_THROW((void)kmeans_scalable(d, kopts, ParallelSeedOptions{.k = 3}),
                precondition_error);
-}
-
-TEST(FrequentDirections, CovarianceErrorBound) {
-  // FD guarantee: 0 <= ||A x||² - ||B x||² <= ||A||_F² / l for unit x.
-  Rng rng = make_rng(820);
-  const Matrix a = Matrix::gaussian(300, 24, rng);
-  const std::size_t l = 12;
-  FrequentDirections fd(l, 24);
-  for (std::size_t i = 0; i < a.rows(); ++i) fd.insert(a.row(i));
-  const Matrix b = fd.sketch();
-  EXPECT_LE(b.rows(), 2 * l);
-
-  const double bound =
-      a.frobenius_norm() * a.frobenius_norm() / static_cast<double>(l);
-  for (int trial = 0; trial < 20; ++trial) {
-    Matrix x = Matrix::gaussian(1, 24, rng);
-    const double nrm = norm2(x.row(0));
-    for (double& v : x.row(0)) v /= nrm;
-    double ax = 0.0;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const double dp = dot(a.row(i), x.row(0));
-      ax += dp * dp;
-    }
-    double bx = 0.0;
-    for (std::size_t i = 0; i < b.rows(); ++i) {
-      const double dp = dot(b.row(i), x.row(0));
-      bx += dp * dp;
-    }
-    EXPECT_GE(ax - bx, -1e-6 * (1.0 + ax));
-    EXPECT_LE(ax - bx, bound * (1.0 + 1e-9));
-  }
-}
-
-TEST(FrequentDirections, PrincipalBasisCapturesDominantSubspace) {
-  // Data on a 3-dimensional subspace plus tiny noise: the FD basis with
-  // t = 3 captures almost all energy.
-  Rng rng = make_rng(821);
-  const Matrix latent = Matrix::gaussian(400, 3, rng);
-  const Matrix decoder = Matrix::gaussian(3, 32, rng);
-  Matrix a = matmul(latent, decoder);
-  std::normal_distribution<double> noise(0.0, 1e-3);
-  for (double& v : a.flat()) v += noise(rng);
-
-  FrequentDirections fd(8, 32);
-  for (std::size_t i = 0; i < a.rows(); ++i) fd.insert(a.row(i));
-  const Matrix basis = fd.principal_basis(3);
-  ASSERT_EQ(basis.cols(), 3u);
-
-  const Matrix coords = matmul(a, basis);
-  const double captured = std::pow(coords.frobenius_norm(), 2);
-  const double total = std::pow(a.frobenius_norm(), 2);
-  EXPECT_GT(captured / total, 0.99);
-}
-
-TEST(FrequentDirections, ValidatesDimensions) {
-  FrequentDirections fd(4, 8);
-  const std::vector<double> wrong(5, 1.0);
-  EXPECT_THROW(fd.insert(std::span<const double>(wrong)), precondition_error);
-  EXPECT_THROW(FrequentDirections(0, 8), precondition_error);
 }
 
 TEST(KMedian, CostUsesFirstPowerDistances) {

@@ -344,24 +344,24 @@ TEST(Obs, ExportersWriteValidArtifacts) {
   EXPECT_FALSE(write_metrics_jsonl(rec, "no-such-dir/x/m.jsonl"));
 }
 
-TEST(Obs, ExportersEmitValidJsonOnChurnPipelineTreeScenario) {
+TEST(Obs, ExportersEmitValidJsonOnChurnPipelineStragglerScenario) {
   // The heaviest export shape all at once — churn, cross-round
-  // pipelining, a straggling gateway, hierarchical aggregation — and
-  // both artifacts must still parse end to end (CI re-checks the same
+  // pipelining, a straggling site under a give-up deadline — and both
+  // artifacts must still parse end to end (CI re-checks the same
   // property with python3 -m json.tool): the trace with its flow
   // arrows, counter tracks, and critical-path spans, the metrics JSONL
   // with an attribution member on every line.
   const auto parts = make_parts(12, 1200, 16, 5);
   const Coordinator coord(parse_scenario(
-      "radio=wifi,deadline=3,retry=giveup,topology=tree,branching=4,"
-      "gateway0.bandwidth=2000,pipeline=on,churn=0.01,event-log=off,seed=5"));
+      "radio=wifi,deadline=3,retry=giveup,site0.bandwidth=2000,pipeline=on,"
+      "churn=0.01,event-log=off,seed=5"));
   PipelineConfig cfg = base_config(5);
   Recorder rec;
   cfg.recorder = &rec;
   const SimReport report = coord.run(PipelineKind::kBklw, parts, cfg);
 
-  const std::string trace_path = "test_obs_tree_trace.json";
-  const std::string metrics_path = "test_obs_tree_metrics.jsonl";
+  const std::string trace_path = "test_obs_straggler_trace.json";
+  const std::string metrics_path = "test_obs_straggler_metrics.jsonl";
   ASSERT_TRUE(write_chrome_trace(rec, trace_path));
   ASSERT_TRUE(write_metrics_jsonl(rec, metrics_path));
 
@@ -378,7 +378,7 @@ TEST(Obs, ExportersEmitValidJsonOnChurnPipelineTreeScenario) {
   EXPECT_NE(t.find("\"sim.queue_high_water\""), std::string::npos);
   EXPECT_NE(t.find("\"critical path\""), std::string::npos);
   EXPECT_NE(t.find("\"cp\": 1"), std::string::npos);
-  EXPECT_NE(t.find("\"gateway 0\""), std::string::npos);
+  EXPECT_NE(t.find("\"site 0\""), std::string::npos);
 
   std::ifstream mf(metrics_path);
   std::string line;

@@ -101,6 +101,25 @@ TEST(Scenario, ParserRejectsMalformedValues) {
   }
 }
 
+TEST(Scenario, ParserRejectsAggregationTreeKeysAsUnknown) {
+  // Star is the only aggregation topology: the keys of the removed
+  // two-level aggregation tree are unknown keys like any typo, and the
+  // error names the key.
+  const std::string tokens[] = {"topology=tree", "branching=4",
+                                "level-split=0.5", "gateway0.loss=0.1"};
+  for (const std::string& token : tokens) {
+    const std::string key = token.substr(0, token.find('='));
+    try {
+      (void)parse_scenario("ideal," + token);
+      FAIL() << "expected precondition_error for " << token;
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown scenario key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Scenario, ParserHandlesDeadlineAndSiteOverrides) {
   const SimScenario s = parse_scenario(
       "radio=wifi,deadline=2.5,min-responders=3,"
@@ -1230,6 +1249,63 @@ TEST(Pipeline, StreamingStragglerKeepsSummariesAndCommitsEarlier) {
   EXPECT_EQ(b.energy_joules, a.energy_joules);
   EXPECT_LT(b.server_completion_seconds, a.server_completion_seconds);
   EXPECT_GE(b.server_completion_seconds, b.server_critical_path_seconds);
+}
+
+TEST(Pipeline, LateFrameNeverAliasesTheNextRound) {
+  // Site 2 sits behind a 1 kbps link: its round-r frame is still on the
+  // air when round r+1 opens. Round r's receive consumes the late frame
+  // (abandoning it); an r+1-scoped receive reaching the same link while
+  // the r frame is queued is cross-round aliasing and must trip the
+  // fabric's assert rather than hand round r's data to round r+1.
+  SimNetwork net(3, parse_scenario("radio=wifi,site2.bandwidth=1000"));
+  net.set_round_pipelining(true);
+  const auto send_late = [&] {
+    Message msg;
+    msg.payload.resize(1 << 14);
+    msg.wire_bits = 100'000;  // ~100 s at 1 kbps: late for any 2 s round
+    msg.scalars = 4;
+    net.uplink(2).send(std::move(msg));
+  };
+
+  // Correct lifecycle: the round that sent the frame receives it.
+  const RoundId r1 = net.open_round(2.0);
+  send_late();
+  const RoundId r2 = net.open_round(2.0);  // pipelined round r+1 opens
+  EXPECT_FALSE(net.uplink(2).receive_by(r1).has_value());  // late → miss
+  send_late();
+  EXPECT_FALSE(net.uplink(2).receive_by(r2).has_value());
+
+  // Violation: a frame sent under r3 but reached for with r4's handle.
+  const RoundId r3 = net.open_round(2.0);
+  send_late();
+  const RoundId r4 = net.open_round(2.0);
+  EXPECT_GT(r4, r3);
+  EXPECT_THROW((void)net.uplink(2).receive_by(r4), precondition_error);
+}
+
+TEST(Pipeline, DeterministicAcrossThreadCounts) {
+  const auto parts = make_parts(12, 1800, 16, 23);
+  const PipelineConfig cfg = base_config(23);
+  const Coordinator coord(parse_scenario(
+      "lossy-mesh,seed=23,deadline=4,retry=giveup,pipeline=on"));
+
+  set_parallel_threads(1);
+  const SimReport one = coord.run(PipelineKind::kBklw, parts, cfg);
+  set_parallel_threads(8);
+  const SimReport eight = coord.run(PipelineKind::kBklw, parts, cfg);
+  set_parallel_threads(0);
+
+  ASSERT_EQ(one.event_log.size(), eight.event_log.size());
+  for (std::size_t i = 0; i < one.event_log.size(); ++i) {
+    EXPECT_EQ(one.event_log[i], eight.event_log[i]) << "event " << i;
+  }
+  EXPECT_EQ(one.completion_seconds, eight.completion_seconds);
+  EXPECT_EQ(one.server_completion_seconds, eight.server_completion_seconds);
+  EXPECT_EQ(one.server_critical_path_seconds,
+            eight.server_critical_path_seconds);
+  EXPECT_EQ(one.energy_joules, eight.energy_joules);
+  EXPECT_EQ(one.result.uplink, eight.result.uplink);
+  EXPECT_EQ(one.result.centers, eight.result.centers);
 }
 
 // --- event-log cap (scenario `event-log=off|N`) ---------------------------

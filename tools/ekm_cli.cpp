@@ -62,6 +62,13 @@
 // Every numeric flag goes through a checked parse: trailing garbage,
 // empty values, and out-of-range numbers exit 2 with a message naming
 // the flag, instead of the silent atoi-zero they once produced.
+//
+// Exit codes: 0 success; 2 bad input — a flag, a scenario spec, a
+// siteN.* override beyond --sources, a CSV cell, or any other
+// precondition_error; 1 a run that failed on valid input
+// (invariant_error, e.g. a round deadline so tight it fell below
+// min-responders) or an I/O error (std::runtime_error). No input
+// aborts the process.
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -71,6 +78,7 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -203,6 +211,10 @@ std::optional<CliArgs> parse(int argc, char** argv) {
     } else if (want("--k")) {
       const char* v = next(i);
       if (v == nullptr || !parse_size(flag, v, a.k)) return std::nullopt;
+      if (a.k < 1) {
+        std::fprintf(stderr, "--k must be >= 1, got %s\n", v);
+        return std::nullopt;
+      }
     } else if (want("--sources")) {
       const char* v = next(i);
       if (v == nullptr || !parse_size(flag, v, a.sources)) return std::nullopt;
@@ -369,6 +381,8 @@ void write_centers_csv(const std::string& path, const Matrix& centers) {
       out << row[j] << (j + 1 < row.size() ? ',' : '\n');
     }
   }
+  out.close();
+  if (!out) throw std::runtime_error("cannot write centers to " + path);
 }
 
 constexpr const char* kUsage =
@@ -383,12 +397,8 @@ constexpr const char* kUsage =
     "    stragglers slowdown skew sps server-speed deadline\n"
     "    min-responders realloc realloc-reserve overlap pipeline event-log\n"
     "    retry churn quant backoff-base backoff-cap backoff-jitter seed\n"
-    "    topology (star|tree) branching (tree: children per gateway, >= 2)\n"
-    "    level-split (tree: level-0 share of a finite round budget)\n"
-    "    siteN.{radio,bandwidth,loss,dropout,speed,retry,join,leave,trace}\n"
-    "    gatewayN.{same fields} (tree: per-gateway device overrides);\n"
-    "    sim algorithms: nr bklw jl+bklw stream — topology=tree supports\n"
-    "    bklw and jl+bklw only)\n"
+    "    siteN.{radio,bandwidth,loss,dropout,speed,retry,join,leave,trace};\n"
+    "    sim algorithms: nr bklw jl+bklw stream)\n"
     "  --rounds R   uplink rounds for --algorithm stream (default 4)\n"
     "  --deadline SECONDS   per-round deadline on the virtual clock (sim\n"
     "    only): sites that miss it are dropped from that round and the\n"
@@ -411,18 +421,22 @@ constexpr const char* kUsage =
     "    each round's critical-path attribution\n"
     "  --explain[=text|json]   critical-path attribution report (sim\n"
     "    only): per-round blame table (server/site compute, airtime,\n"
-    "    retransmits, stalls, gateway folds, deadline waits), tightest-\n"
-    "    slack actors, slack histograms. =json prints one JSON object as\n"
-    "    the final stdout line; default is the text table\n"
+    "    retransmits, stalls, deadline waits), tightest-slack sites, slack\n"
+    "    histogram. =json prints one JSON object as the final stdout\n"
+    "    line; default is the text table\n"
     "  --explain-diff A.jsonl B.jsonl   standalone: compare two\n"
     "    --metrics-out files per blame category; exit 0 = no regression,\n"
     "    1 = B regressed past thresholds, 2 = unusable input\n"
     "  --event-log off|N    cap the retained simulator event trace (same\n"
     "    as scenario key event-log=; the default keeps every event)\n";
 
-}  // namespace
+bool is_single_source(PipelineKind kind) {
+  return kind != PipelineKind::kNoReduction && !pipeline_is_distributed(kind);
+}
 
-int main(int argc, char** argv) {
+/// The whole CLI run. Usage errors it detects itself return 2; errors
+/// raised below it propagate to main's single error boundary.
+int run_cli(int argc, char** argv) {
   const auto args = parse(argc, argv);
   if (!args || args->help) {
     std::fputs(kUsage, args ? stdout : stderr);
@@ -453,6 +467,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s needs --sources >= 2\n", args->algorithm.c_str());
       return 2;
     }
+    if (is_single_source(*kind) && args->sources > 1) {
+      std::fprintf(stderr,
+                   "%s runs on a single source: --sources must be 1, got %zu\n",
+                   args->algorithm.c_str(), args->sources);
+      return 2;
+    }
   }
   if (streaming && args->sim.empty()) {
     std::fprintf(stderr, "--algorithm stream needs --sim\n");
@@ -466,50 +486,40 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--rounds must be >= 1\n");
     return 2;
   }
-  if (!args->sim.empty() && !streaming && *kind != PipelineKind::kNoReduction &&
-      !pipeline_is_distributed(*kind)) {
+  if (!args->sim.empty() && !streaming && is_single_source(*kind)) {
     std::fprintf(stderr, "--sim supports nr|bklw|jl+bklw|stream\n");
     return 2;
   }
-  if (args->deadline_set && args->sim.empty()) {
-    std::fprintf(stderr, "--deadline needs --sim (deadlines live on the "
-                         "simulator's virtual clock)\n");
-    return 2;
-  }
-  if (!args->retry.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--retry needs --sim (retransmission policies live "
-                         "on the simulated radio)\n");
-    return 2;
-  }
-  if (args->overlap && args->sim.empty()) {
-    std::fprintf(stderr, "--overlap needs --sim (phase overlap lives on the "
-                         "simulator's virtual clock)\n");
-    return 2;
-  }
-  if (args->pipeline && args->sim.empty()) {
-    std::fprintf(stderr, "--pipeline needs --sim (cross-round pipelining "
-                         "lives on the simulator's virtual clock)\n");
-    return 2;
-  }
-  if (!args->trace_out.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--trace-out needs --sim (the trace's timelines are "
-                         "the simulator's virtual clocks)\n");
-    return 2;
-  }
-  if (!args->metrics_out.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--metrics-out needs --sim (metric snapshots close "
-                         "with the simulator's collection rounds)\n");
-    return 2;
-  }
-  if (args->event_log_set && args->sim.empty()) {
-    std::fprintf(stderr, "--event-log needs --sim (it caps the simulator's "
-                         "retained event trace)\n");
-    return 2;
-  }
-  if (!args->explain.empty() && args->sim.empty()) {
-    std::fprintf(stderr, "--explain needs --sim (attribution replays the "
-                         "simulator's recorded server-clock operations)\n");
-    return 2;
+  // Flags whose effect lives on the simulator: each needs --sim.
+  struct SimOnlyFlag {
+    const char* flag;
+    bool set;
+    const char* reason;
+  };
+  const SimOnlyFlag sim_only[] = {
+      {"--deadline", args->deadline_set,
+       "deadlines live on the simulator's virtual clock"},
+      {"--retry", !args->retry.empty(),
+       "retransmission policies live on the simulated radio"},
+      {"--overlap", args->overlap,
+       "phase overlap lives on the simulator's virtual clock"},
+      {"--pipeline", args->pipeline,
+       "cross-round pipelining lives on the simulator's virtual clock"},
+      {"--trace-out", !args->trace_out.empty(),
+       "the trace's timelines are the simulator's virtual clocks"},
+      {"--metrics-out", !args->metrics_out.empty(),
+       "metric snapshots close with the simulator's collection rounds"},
+      {"--event-log", args->event_log_set,
+       "it caps the simulator's retained event trace"},
+      {"--explain", !args->explain.empty(),
+       "attribution replays the simulator's recorded server-clock "
+       "operations"},
+  };
+  for (const SimOnlyFlag& f : sim_only) {
+    if (f.set && args->sim.empty()) {
+      std::fprintf(stderr, "%s needs --sim (%s)\n", f.flag, f.reason);
+      return 2;
+    }
   }
 
   const Dataset data = make_input(*args);
@@ -528,13 +538,7 @@ int main(int argc, char** argv) {
   PipelineResult res;
   std::string explain_out;  // --explain report; printed last (see below)
   if (!args->sim.empty()) {
-    SimScenario scenario;
-    try {
-      scenario = parse_scenario(args->sim);
-    } catch (const precondition_error& e) {
-      std::fprintf(stderr, "bad --sim spec: %s\n", e.what());
-      return 2;
-    }
+    SimScenario scenario = parse_scenario(args->sim);
     // The master seed drives the scenario too unless the spec pins one.
     if (args->sim.find("seed=") == std::string::npos) scenario.seed = args->seed;
     // --deadline overrides whatever the scenario string or preset set.
@@ -572,27 +576,14 @@ int main(int argc, char** argv) {
     }
     const Coordinator coord(scenario);
     SimReport report;
-    try {
-      if (streaming) {
-        StreamingCoresetOptions sopts;
-        sopts.k = args->k;
-        sopts.coreset_size = args->coreset_size;
-        sopts.seed = derive_seed(args->seed, 0x57ea3ULL);
-        report = coord.run_streaming(parts, sopts, cfg, args->rounds);
-      } else {
-        report = coord.run(*kind, parts, cfg);
-      }
-    } catch (const invariant_error& e) {
-      // E.g. a round deadline so tight it fell below min-responders.
-      std::fprintf(stderr, "simulation failed: %s\n", e.what());
-      return 1;
-    } catch (const precondition_error& e) {
-      // Configuration errors surfacing at fleet construction — e.g. a
-      // siteN.* override naming a site beyond --sources, or a join and
-      // leave pinned to the same instant. These are usage errors, so
-      // they exit 2 like every other bad flag/spec.
-      std::fprintf(stderr, "bad simulation setup: %s\n", e.what());
-      return 2;
+    if (streaming) {
+      StreamingCoresetOptions sopts;
+      sopts.k = args->k;
+      sopts.coreset_size = args->coreset_size;
+      sopts.seed = derive_seed(args->seed, 0x57ea3ULL);
+      report = coord.run_streaming(parts, sopts, cfg, args->rounds);
+    } else {
+      report = coord.run(*kind, parts, cfg);
     }
     res = std::move(report.result);
     const LinkStats& up = report.uplink_stats;
@@ -713,4 +704,19 @@ int main(int argc, char** argv) {
   }
   if (!explain_out.empty()) std::fputs(explain_out.c_str(), stdout);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // The one error boundary (exit codes: see the header comment).
+  try {
+    return run_cli(argc, argv);
+  } catch (const precondition_error& e) {
+    std::fprintf(stderr, "ekm: %s\n", e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ekm: %s\n", e.what());
+    return 1;
+  }
 }
