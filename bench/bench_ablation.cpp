@@ -1,4 +1,4 @@
-// Ablation bench for the design choices called out in DESIGN.md:
+// Ablation bench for four design choices of the reproduction:
 //  1. JL family (Gaussian vs Rademacher vs sparse Achlioptas) — same
 //     accuracy, different device cost;
 //  2. sensitivity sampling vs uniform sampling inside the coreset step;
@@ -16,12 +16,8 @@
 #include "core/experiment.hpp"
 #include "dr/jl.hpp"
 #include "kmeans/cost.hpp"
-#include "kmeans/elkan.hpp"
 #include "kmeans/lloyd.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/svd.hpp"
-#include "qt/quantizer.hpp"
-#include "qt/vq.hpp"
 
 using namespace ekm;
 using namespace ekm::bench;
@@ -119,78 +115,6 @@ void ablate_topup(const Dataset& data, std::uint64_t seed) {
   }
 }
 
-void ablate_sparse_jl(const BenchArgs& args) {
-  std::printf("# Ablation 5 — sparse vs dense JL application (NeurIPS-like)\n");
-  Rng rng = make_rng(args.seed, 0x51ULL);
-  NeuripsLikeSpec spec;
-  spec.n = 3000;
-  spec.dim = 1500;
-  // Measure on the RAW counts (pre-normalization zeros intact): build the
-  // counts, sparsify, then compare kernel times.
-  spec.density = 0.04;
-  const Dataset d = make_neurips_like(spec, rng);
-  // Normalization densifies; recover the sparse structure against the
-  // per-column shift by thresholding deviations from the column mode.
-  const SparseMatrix sparse = SparseMatrix::from_dense(d.points(), 1e-12);
-  const LinearMap jl = make_jl_projection(spec.dim, 96, args.seed);
-
-  Timer dense_t;
-  const Matrix dense_out = jl.apply(d.points());
-  const double dense_s = dense_t.seconds();
-  Timer sparse_t;
-  const Matrix sparse_out = sparse.multiply_dense(jl.projection());
-  const double sparse_s = sparse_t.seconds();
-  std::printf("density=%.3f  dense=%.4fs  sparse=%.4fs  speedup=%.2fx  "
-              "(results equal: %s)\n",
-              sparse.density(), dense_s, sparse_s, dense_s / sparse_s,
-              subtract(dense_out, sparse_out).frobenius_norm() < 1e-9 ? "yes"
-                                                                      : "NO");
-}
-
-void ablate_elkan(const Dataset& data, std::uint64_t seed) {
-  std::printf("# Ablation 6 — plain Lloyd vs Elkan (server-side solve)\n");
-  for (std::size_t k : {2, 8, 16}) {
-    KMeansOptions opts;
-    opts.k = k;
-    opts.max_iters = 60;
-    opts.restarts = 1;
-    opts.seed = seed;
-    Rng rng = make_rng(seed, k);
-    const Matrix seeds = kmeanspp_seed(data, k, rng);
-    Timer lt;
-    const KMeansResult l = lloyd(data, seeds, opts);
-    const double lloyd_s = lt.seconds();
-    std::uint64_t evals = 0;
-    Timer et;
-    const KMeansResult e = elkan(data, seeds, opts, &evals);
-    const double elkan_s = et.seconds();
-    std::printf("k=%-3zu lloyd=%.4fs elkan=%.4fs (%.2fx) cost-delta=%.2e\n", k,
-                lloyd_s, elkan_s, lloyd_s / std::max(elkan_s, 1e-9),
-                std::fabs(l.cost - e.cost) / l.cost);
-  }
-}
-
-void ablate_quantizers(const Dataset& data, std::uint64_t seed) {
-  std::printf("# Ablation 7 — rounding (§6.1) vs trained Lloyd–Max "
-              "quantizer [13]\n");
-  const Matrix& pts = data.points();
-  for (int bits : {2, 4, 6}) {
-    const RoundingQuantizer rounding(bits);
-    const ScalarLloydMaxQuantizer trained(pts, std::size_t{1} << bits, 4096,
-                                          seed);
-    double r_mse = 0.0;
-    double t_mse = 0.0;
-    for (double v : pts.flat()) {
-      r_mse += std::pow(v - rounding.quantize(v), 2);
-      t_mse += std::pow(v - trained.quantize(v), 2);
-    }
-    const auto n = static_cast<double>(pts.size());
-    std::printf("bits=%d rounding-mse=%.3e trained-mse=%.3e "
-                "(codebook %zu doubles of side info)\n",
-                bits, r_mse / n, t_mse / n, trained.codebook_scalars());
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -202,8 +126,5 @@ int main(int argc, char** argv) {
   ablate_sampling(data, args.seed);
   ablate_svd(data, args.seed);
   ablate_topup(data, args.seed);
-  ablate_sparse_jl(args);
-  ablate_elkan(data, args.seed);
-  ablate_quantizers(data, args.seed);
   return 0;
 }

@@ -10,7 +10,6 @@
 #include "dr/jl.hpp"
 #include "dr/pca.hpp"
 #include "kmeans/lloyd.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/svd.hpp"
 #include "net/summary_codec.hpp"
 #include "qt/quantizer.hpp"
@@ -65,21 +64,6 @@ void BM_JlGenerate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JlGenerate)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_SparseJlApply(benchmark::State& state) {
-  Rng rng = make_rng(21);
-  NeuripsLikeSpec spec;
-  spec.n = 1024;
-  spec.dim = 1024;
-  spec.density = 0.05;
-  const Dataset d = make_neurips_like(spec, rng);
-  const SparseMatrix sparse = SparseMatrix::from_dense(d.points(), 1e-12);
-  const LinearMap jl = make_jl_projection(1024, 64, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sparse.multiply_dense(jl.projection()));
-  }
-}
-BENCHMARK(BM_SparseJlApply);
 
 void BM_PcaProject(benchmark::State& state) {
   const Dataset data = bench_data(1024, 256);

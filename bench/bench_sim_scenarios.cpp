@@ -5,23 +5,21 @@
 // from infinity down to aggressive, tracing the responders-vs-accuracy
 // trade of partial aggregation — and a realloc sweep, comparing the
 // server-side coreset size and cost ratio with deadline-aware budget
-// reallocation off vs on across a fault grid — and an overlap sweep:
+// reallocation off vs on across a fault grid — and a pipeline sweep:
 // a deadline-bound fleet with a growing set of link-constrained
-// stragglers, run with phase-overlap scheduling off vs on, tracing the
-// server time-to-model the expiry-NAK commit rule buys (event logging
-// off: a sweep of lossy multi-round runs has no use for full traces in
-// memory) — and a pipeline sweep: the same straggler shape run with
-// cross-round pipelining off vs on, tracing how close predicted-arrival
-// NAKs plus committed-barrier round edges push server completion to the
-// per-run critical-path lower bound (`server_critical_path_seconds`,
-// also emitted for every overlap cell) — and a churn sweep: two sites behind an 8 kbps trace link
+// stragglers, run with cross-round pipelining off vs on, tracing how
+// close predicted-arrival NAKs plus committed-barrier round edges push
+// server completion to the per-run critical-path lower bound
+// (`server_critical_path_seconds`; event logging off: a sweep of lossy
+// multi-round runs has no use for full traces in memory) — and a churn
+// sweep: two sites behind an 8 kbps trace link
 // under (deadline × churn-rate) pressure, run with fixed vs adaptive
 // per-frame quantization, tracing the misses-vs-accuracy trade of
 // graceful degradation — and a fleet scale sweep: fault-free star
 // fleets from 256 up to 10240 sites, tracing time-to-fresh-model,
 // uplink bits and energy against the event-queue high-water mark the
-// 10k-site runs exercise — and an attribution section: the overlap and
-// pipeline grids re-run under a flight recorder, each cell's recorded
+// 10k-site runs exercise — and an attribution section: the pipeline
+// grid re-run under a flight recorder, each cell's recorded
 // server-clock op stream replayed into a critical-path blame
 // decomposition (src/obs/attribution.hpp) with a per-cell
 // `critical_path_matches` verdict asserting the replay reproduces
@@ -44,7 +42,7 @@
 // --list prints the splice-able section names, one per line, and exits
 // (the single source of truth tools/run_bench.sh --list defers to).
 // --only runs a single sweep section (cells | deadline_sweep |
-// realloc_sweep | overlap_sweep | pipeline_sweep | churn_sweep |
+// realloc_sweep | pipeline_sweep | churn_sweep |
 // fleet_scale_sweep | attribution) and
 // emits a JSON holding just that section — still valid JSON with the
 // full header/provenance, so tools/run_bench.sh can splice it into an
@@ -120,8 +118,8 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<std::string> kSections = {
-      "cells",          "deadline_sweep", "realloc_sweep",    "overlap_sweep",
-      "pipeline_sweep", "churn_sweep",    "fleet_scale_sweep", "attribution"};
+      "cells",       "deadline_sweep",    "realloc_sweep", "pipeline_sweep",
+      "churn_sweep", "fleet_scale_sweep", "attribution"};
   if (list_sections) {
     for (const std::string& s : kSections) std::printf("%s\n", s.c_str());
     return 0;
@@ -347,79 +345,15 @@ int main(int argc, char** argv) {
   }
   }  // selected("realloc_sweep")
 
-  // --- overlap sweep: phase-overlap scheduling vs the lock-step
-  // barriers. A 3-second-round give-up fleet where 0/1/2 sites sit
-  // behind 2 kbps links: their multi-kilobit summaries can never make
-  // a round, so they expire at compute-ready time — with overlap off
-  // the server still waits every round out; with overlap on the expiry
-  // NAK commits each merge barrier at its last final input and the
-  // fast sites' next phase starts early. The protocol actions are
-  // identical either way (same frames, responders, RNG draws), so the
-  // columns to watch are pure timing: server_completion_seconds and
-  // completion_seconds. The 0-straggler rows are the control: overlap
-  // must change nothing there.
-  struct OverlapCell {
-    std::size_t slow_sites = 0;
-    bool overlap = false;
-    SimReport report;
-    double cost_ratio = 0.0;
-    bool feasible = true;
-  };
-  constexpr const char* kOverlapBase =
-      "radio=wifi,sps=1e-4,deadline=3,retry=giveup,event-log=off";
-  std::vector<OverlapCell> ocells;
-  if (selected("overlap_sweep")) {
-  std::printf("\noverlap sweep  scenario=wifi+2kbps-stragglers,deadline=3 "
-              "pipeline=BKLW\n");
-  std::printf("%-6s %-8s %14s %12s %14s %12s %9s %7s %10s\n", "slow",
-              "overlap", "server_done_s", "cp_bound_s", "completion_s",
-              "energy_J", "misses", "suppl", "cost_ratio");
-  for (std::size_t slow = 0; slow <= 2; ++slow) {
-    for (int overlap_on = 0; overlap_on <= 1; ++overlap_on) {
-      std::string spec = kOverlapBase;
-      for (std::size_t j = 0; j < slow; ++j) {
-        spec += ",site" + std::to_string(j) + ".bandwidth=2000";
-      }
-      spec += std::string(",overlap=") + (overlap_on ? "on" : "off");
-      spec += ",seed=" + std::to_string(seed);
-      const Coordinator coord(parse_scenario(spec));
-      OverlapCell cell;
-      cell.slow_sites = slow;
-      cell.overlap = overlap_on != 0;
-      try {
-        cell.report = coord.run(PipelineKind::kBklw, parts, cfg);
-        cell.cost_ratio =
-            kmeans_cost(data, cell.report.result.centers) / nr_cost;
-      } catch (const invariant_error&) {
-        cell.feasible = false;
-      }
-      if (!cell.feasible) {
-        std::printf("%-6zu %-8s %14s\n", slow, overlap_on ? "on" : "off",
-                    "infeasible");
-        ocells.push_back(std::move(cell));
-        continue;
-      }
-      std::printf("%-6zu %-8s %14.4f %12.4f %14.4f %12.4e %9llu %7llu %10.4f\n",
-                  slow, overlap_on ? "on" : "off",
-                  cell.report.server_completion_seconds,
-                  cell.report.server_critical_path_seconds,
-                  cell.report.completion_seconds, cell.report.energy_joules,
-                  static_cast<unsigned long long>(cell.report.deadline_misses),
-                  static_cast<unsigned long long>(
-                      cell.report.supplemental_misses),
-                  cell.cost_ratio);
-      ocells.push_back(std::move(cell));
-    }
-  }
-  }  // selected("overlap_sweep")
-
-  // --- pipeline sweep: cross-round pipelining vs lock-step rounds on
-  // the overlap sweep's straggler shape. The give-up stragglers' frames
-  // expire at compute-ready time without keying the radio, so centers,
-  // ledgers, and energy are identical pipelined or not; what pipelining
-  // changes is when the server *learns*: predicted-arrival NAKs prove
-  // the miss at scheduled-send time and round r+1's task graph hangs
-  // off round r's committed barrier instead of its cutoff. The column
+  // --- pipeline sweep: cross-round pipelining vs lock-step rounds. A
+  // 3-second-round give-up fleet where 0/1/2 sites sit behind 2 kbps
+  // links: their multi-kilobit summaries can never make a round, so
+  // they expire at compute-ready time without keying the radio.
+  // Centers, ledgers, and energy are therefore identical pipelined or
+  // not; what pipelining changes is when the server *learns*:
+  // predicted-arrival NAKs prove the miss at scheduled-send time and
+  // round r+1's task graph hangs off round r's committed barrier
+  // instead of its cutoff. The column
   // to watch is server_completion_seconds against
   // server_critical_path_seconds — the per-run lower bound (server
   // compute + downlink sends + consumed uplink arrivals only); the
@@ -620,9 +554,9 @@ int main(int argc, char** argv) {
   }
   }  // selected("fleet_scale_sweep")
 
-  // --- attribution: the causal-replay audit over the overlap and
-  // pipeline grids. Every (slow × knob × on/off) cell of the two timing
-  // sweeps is re-run with its own flight recorder attached, the
+  // --- attribution: the causal-replay audit over the pipeline grid.
+  // Every (slow × on/off) cell of the timing sweep is re-run with its
+  // own flight recorder attached, the
   // recorded server-clock op stream is replayed (src/obs/attribution),
   // and the cell reports whether the replayed critical path reproduces
   // the run's server_critical_path_seconds BIT FOR BIT (`cp_match`) —
@@ -630,11 +564,10 @@ int main(int argc, char** argv) {
   // Each cell builds its own Coordinator and Recorder, so the section
   // is bitwise independent of which other sections ran (the splice
   // contract), and recording never changes a reported number (the
-  // recorder contract) — the runs here ARE the overlap_sweep /
-  // pipeline_sweep runs, re-observed.
+  // recorder contract) — the runs here ARE the pipeline_sweep runs,
+  // re-observed.
   struct AttrCell {
     std::size_t slow_sites = 0;
-    const char* knob = "overlap";
     bool on = false;
     bool feasible = true;
     bool cp_match = false;
@@ -647,52 +580,49 @@ int main(int argc, char** argv) {
   if (selected("attribution")) {
   std::printf("\nattribution  scenario=wifi+2kbps-stragglers,deadline=3 "
               "pipeline=BKLW\n");
-  std::printf("%-6s %-9s %-4s %9s %12s %14s %12s %12s %12s\n", "slow", "knob",
-              "on", "cp_match", "cp_s", "server_done_s", "site_cmp_s",
+  std::printf("%-6s %-9s %9s %12s %14s %12s %12s %12s\n", "slow",
+              "pipeline", "cp_match", "cp_s", "server_done_s", "site_cmp_s",
               "airtime_s", "dl_wait_s");
-  for (const char* knob : {"overlap", "pipeline"}) {
-    for (std::size_t slow = 0; slow <= 2; ++slow) {
-      for (int knob_on = 0; knob_on <= 1; ++knob_on) {
-        std::string spec = kAttrBase;
-        for (std::size_t j = 0; j < slow; ++j) {
-          spec += ",site" + std::to_string(j) + ".bandwidth=2000";
-        }
-        spec += std::string(",") + knob + "=" + (knob_on ? "on" : "off");
-        spec += ",seed=" + std::to_string(seed);
-        const Coordinator coord(parse_scenario(spec));
-        AttrCell cell;
-        cell.slow_sites = slow;
-        cell.knob = knob;
-        cell.on = knob_on != 0;
-        Recorder cell_recorder;
-        PipelineConfig attr_cfg = cfg;
-        attr_cfg.recorder = &cell_recorder;
-        try {
-          cell.report = coord.run(PipelineKind::kBklw, parts, attr_cfg);
-        } catch (const invariant_error&) {
-          cell.feasible = false;
-        }
-        if (!cell.feasible) {
-          std::printf("%-6zu %-9s %-4s %9s\n", slow, knob,
-                      knob_on ? "on" : "off", "infeasible");
-          acells.push_back(std::move(cell));
-          continue;
-        }
-        cell.attribution = attribute_run(cell_recorder);
-        cell.cp_match = cell.attribution.valid &&
-                        cell.attribution.critical_path_s ==
-                            cell.report.server_critical_path_seconds;
-        const double* blame = cell.attribution.blame_total;
-        std::printf(
-            "%-6zu %-9s %-4s %9s %12.4f %14.4f %12.4f %12.4f %12.4f\n", slow,
-            knob, knob_on ? "on" : "off", cell.cp_match ? "yes" : "NO",
-            cell.attribution.critical_path_s,
-            cell.attribution.server_completion_s,
-            blame[static_cast<std::size_t>(BlameCategory::kSiteCompute)],
-            blame[static_cast<std::size_t>(BlameCategory::kUplinkAirtime)],
-            blame[static_cast<std::size_t>(BlameCategory::kDeadlineWait)]);
-        acells.push_back(std::move(cell));
+  for (std::size_t slow = 0; slow <= 2; ++slow) {
+    for (int pipeline_on = 0; pipeline_on <= 1; ++pipeline_on) {
+      std::string spec = kAttrBase;
+      for (std::size_t j = 0; j < slow; ++j) {
+        spec += ",site" + std::to_string(j) + ".bandwidth=2000";
       }
+      spec += std::string(",pipeline=") + (pipeline_on ? "on" : "off");
+      spec += ",seed=" + std::to_string(seed);
+      const Coordinator coord(parse_scenario(spec));
+      AttrCell cell;
+      cell.slow_sites = slow;
+      cell.on = pipeline_on != 0;
+      Recorder cell_recorder;
+      PipelineConfig attr_cfg = cfg;
+      attr_cfg.recorder = &cell_recorder;
+      try {
+        cell.report = coord.run(PipelineKind::kBklw, parts, attr_cfg);
+      } catch (const invariant_error&) {
+        cell.feasible = false;
+      }
+      if (!cell.feasible) {
+        std::printf("%-6zu %-9s %9s\n", slow, pipeline_on ? "on" : "off",
+                    "infeasible");
+        acells.push_back(std::move(cell));
+        continue;
+      }
+      cell.attribution = attribute_run(cell_recorder);
+      cell.cp_match = cell.attribution.valid &&
+                      cell.attribution.critical_path_s ==
+                          cell.report.server_critical_path_seconds;
+      const double* blame = cell.attribution.blame_total;
+      std::printf(
+          "%-6zu %-9s %9s %12.4f %14.4f %12.4f %12.4f %12.4f\n", slow,
+          pipeline_on ? "on" : "off", cell.cp_match ? "yes" : "NO",
+          cell.attribution.critical_path_s,
+          cell.attribution.server_completion_s,
+          blame[static_cast<std::size_t>(BlameCategory::kSiteCompute)],
+          blame[static_cast<std::size_t>(BlameCategory::kUplinkAirtime)],
+          blame[static_cast<std::size_t>(BlameCategory::kDeadlineWait)]);
+      acells.push_back(std::move(cell));
     }
   }
   }  // selected("attribution")
@@ -833,50 +763,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "    ]\n  }");
     }  // selected("realloc_sweep")
-    if (selected("overlap_sweep")) {
-    std::fprintf(f,
-                 ",\n"
-                 "  \"overlap_sweep\": {\n"
-                 "    \"scenario\": \"%s\",\n"
-                 "    \"pipeline\": \"bklw\",\n"
-                 "    \"straggler_bandwidth_bps\": 2000,\n"
-                 "    \"cells\": [\n",
-                 kOverlapBase);
-    for (std::size_t i = 0; i < ocells.size(); ++i) {
-      const OverlapCell& c = ocells[i];
-      if (!c.feasible) {
-        std::fprintf(f,
-                     "      {\"slow_sites\": %zu, \"overlap\": %s,"
-                     " \"feasible\": false}%s\n",
-                     c.slow_sites, c.overlap ? "true" : "false",
-                     i + 1 < ocells.size() ? "," : "");
-        continue;
-      }
-      std::fprintf(
-          f,
-          "      {\"slow_sites\": %zu, \"overlap\": %s, \"feasible\": true,\n"
-          "       \"server_completion_seconds\": %.17g,\n"
-          "       \"server_critical_path_seconds\": %.17g,\n"
-          "       \"completion_seconds\": %.17g,\n"
-          "       \"energy_joules\": %.17g,\n"
-          "       \"deadline_misses\": %llu, \"supplemental_misses\": %llu,\n"
-          "       \"sites_dropped\": %llu, \"sites_data_dropped\": %llu,\n"
-          "       \"rounds\": %llu, \"events\": %zu,\n"
-          "       \"cost_ratio_vs_nr\": %.17g}%s\n",
-          c.slow_sites, c.overlap ? "true" : "false",
-          c.report.server_completion_seconds,
-          c.report.server_critical_path_seconds, c.report.completion_seconds,
-          c.report.energy_joules,
-          static_cast<unsigned long long>(c.report.deadline_misses),
-          static_cast<unsigned long long>(c.report.supplemental_misses),
-          static_cast<unsigned long long>(c.report.sites_dropped),
-          static_cast<unsigned long long>(c.report.sites_data_dropped),
-          static_cast<unsigned long long>(c.report.rounds),
-          c.report.event_log.size(), c.cost_ratio,
-          i + 1 < ocells.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  }");
-    }  // selected("overlap_sweep")
     if (selected("pipeline_sweep")) {
     std::fprintf(f,
                  ",\n"
@@ -1005,27 +891,28 @@ int main(int argc, char** argv) {
                  "    \"scenario\": \"%s\",\n"
                  "    \"pipeline\": \"bklw\",\n"
                  "    \"straggler_bandwidth_bps\": 2000,\n"
+                 "    \"knob\": \"pipeline\",\n"
                  "    \"cells\": [\n",
                  kAttrBase);
     for (std::size_t i = 0; i < acells.size(); ++i) {
       const AttrCell& c = acells[i];
       if (!c.feasible) {
         std::fprintf(f,
-                     "      {\"slow_sites\": %zu, \"knob\": \"%s\","
-                     " \"on\": %s, \"feasible\": false}%s\n",
-                     c.slow_sites, c.knob, c.on ? "true" : "false",
+                     "      {\"slow_sites\": %zu, \"on\": %s,"
+                     " \"feasible\": false}%s\n",
+                     c.slow_sites, c.on ? "true" : "false",
                      i + 1 < acells.size() ? "," : "");
         continue;
       }
       std::fprintf(
           f,
-          "      {\"slow_sites\": %zu, \"knob\": \"%s\", \"on\": %s,\n"
+          "      {\"slow_sites\": %zu, \"on\": %s,\n"
           "       \"feasible\": true, \"critical_path_matches\": %s,\n"
           "       \"critical_path_seconds\": %.17g,\n"
           "       \"reported_server_critical_path_seconds\": %.17g,\n"
           "       \"server_completion_seconds\": %.17g,\n"
           "       \"blame\": {",
-          c.slow_sites, c.knob, c.on ? "true" : "false",
+          c.slow_sites, c.on ? "true" : "false",
           c.cp_match ? "true" : "false", c.attribution.critical_path_s,
           c.report.server_critical_path_seconds,
           c.attribution.server_completion_s);

@@ -53,14 +53,6 @@ std::size_t AliasTable::sample(Rng& rng) const {
   return unif(rng) < prob_[b] ? b : alias_[b];
 }
 
-std::vector<std::size_t> sample_indices(std::span<const double> weights,
-                                        std::size_t count, Rng& rng) {
-  const AliasTable table(weights);
-  std::vector<std::size_t> out(count);
-  for (std::size_t& idx : out) idx = table.sample(rng);
-  return out;
-}
-
 std::size_t sample_from_prefix(std::span<const double> cum, Rng& rng) {
   EKM_EXPECTS(!cum.empty() && cum.back() > 0.0);
   std::uniform_real_distribution<double> unif(0.0, cum.back());

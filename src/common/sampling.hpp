@@ -34,11 +34,6 @@ class AliasTable {
   double total_ = 0.0;
 };
 
-/// Draws `count` i.i.d. indices ∝ weights (convenience wrapper; builds
-/// the table once).
-[[nodiscard]] std::vector<std::size_t> sample_indices(
-    std::span<const double> weights, std::size_t count, Rng& rng);
-
 /// Draws an index with probability (cum[i] - cum[i-1]) / cum.back() from
 /// unnormalized non-decreasing prefix sums (cum.back() > 0 required):
 /// O(log n) per draw via binary search. The right tool when the

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/expects.hpp"
@@ -40,14 +39,6 @@ class ByteWriter {
     const auto old = buf_.size();
     buf_.resize(old + vals.size_bytes());
     std::memcpy(buf_.data() + old, vals.data(), vals.size_bytes());
-  }
-
-  void put_string(const std::string& s) {
-    put_u64(s.size());
-    if (s.empty()) return;
-    const auto old = buf_.size();
-    buf_.resize(old + s.size());
-    std::memcpy(buf_.data() + old, s.data(), s.size());
   }
 
   [[nodiscard]] std::size_t size_bytes() const { return buf_.size(); }
@@ -89,14 +80,6 @@ class ByteReader {
       pos_ += n * sizeof(double);
     }
     return vals;
-  }
-
-  [[nodiscard]] std::string get_string() {
-    const auto n = get_u64();
-    EKM_EXPECTS_MSG(n <= data_.size() - pos_, "ByteReader overrun (string)");
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return s;
   }
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }

@@ -100,20 +100,6 @@ struct PipelineConfig {
   /// unbounded rounds; the scenario (`realloc-reserve=`, or the
   /// deadline-fleet preset) schedules a positive reserve explicitly.
   double realloc_reserve = 0.0;
-  /// Phase-overlap scheduling (RoundPolicy::overlap; scenario key
-  /// `overlap=`, CLI `--overlap`). The protocols are already built as
-  /// task graphs (src/sched/) whose merge barriers commit on *final*
-  /// inputs; this flag only changes when a time-aware fabric lets the
-  /// server learn that a straggler's frame expired (an out-of-band
-  /// expiry NAK instead of waiting the round deadline out), so
-  /// downstream phases start earlier on the virtual clock. Barriers
-  /// never speculate, which keeps every fault-free or
-  /// infinite-deadline run bitwise identical with this on or off; the
-  /// Coordinator pushes the resolved setting onto the SimNetwork, and
-  /// the synchronous Network ignores it (no clocks, nothing to
-  /// overlap). Default off = PR 4's wait-out-the-round timing.
-  bool overlap_phases = false;
-
   /// Cross-round pipelining (RoundPolicy::pipeline; scenario key
   /// `pipeline=`, CLI `--pipeline`). Two coupled changes: the task
   /// graphs let round r+1 depend only on round r's *committed* merge

@@ -28,11 +28,6 @@ struct Coreset {
 
   [[nodiscard]] std::size_t size() const { return points.size(); }
 
-  /// Dimension of the space the coreset's *ambient* points live in.
-  [[nodiscard]] std::size_t ambient_dim() const {
-    return basis ? basis->cols() : points.dim();
-  }
-
   /// Materializes ambient points (identity if there is no basis).
   [[nodiscard]] Dataset to_ambient() const;
 

@@ -34,9 +34,6 @@ class Dataset {
   [[nodiscard]] std::span<const double> point(std::size_t i) const {
     return points_.row(i);
   }
-  [[nodiscard]] std::span<double> mutable_point(std::size_t i) {
-    return points_.row(i);
-  }
 
   [[nodiscard]] double weight(std::size_t i) const {
     return weights_ ? (*weights_)[i] : 1.0;

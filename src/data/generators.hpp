@@ -5,9 +5,8 @@
 // heavy-tailed). Neither is shipped with this repository, so we generate
 // deterministic synthetic stand-ins that match the structural properties
 // the algorithms are sensitive to — cardinality/dimension regime, cluster
-// structure, intrinsic dimension, sparsity, and spectral decay. See
-// DESIGN.md §3 for the substitution argument. `load_or_generate_*` in
-// loaders.hpp prefers real files when present.
+// structure, intrinsic dimension, sparsity, and spectral decay.
+// `load_or_generate_*` in loaders.hpp prefers real files when present.
 #pragma once
 
 #include <cstddef>

@@ -2,7 +2,7 @@
 //
 // If real dataset files are present (MNIST IDX images, or a dense CSV),
 // experiments run on them; otherwise the deterministic generators from
-// generators.hpp provide structurally equivalent stand-ins (DESIGN.md §3).
+// generators.hpp provide structurally equivalent stand-ins.
 #pragma once
 
 #include <filesystem>

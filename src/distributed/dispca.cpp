@@ -14,9 +14,9 @@ namespace ekm {
 // the program order of the PR 4 loop, so the scheduler's execution is
 // bitwise identical to it; what the graph buys is the explicit
 // dependency structure — the merge barrier commits on *final* inputs,
-// which under phase overlap (SimNetwork expiry NAKs) happens as soon
-// as every site's frames are delivered or known-expired instead of at
-// the round cutoff.
+// which under round pipelining (SimNetwork predicted-arrival NAKs)
+// happens as soon as every site's frames are delivered or provably
+// late instead of at the round cutoff.
 DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
                     Fabric& net, Stopwatch& device_work) {
   EKM_EXPECTS(!parts.empty());

@@ -150,7 +150,7 @@ int pick_significant_bits(const Coreset& cs, const DisSsOptions& opts,
 // appended to the running graph by the barrier's action. Creation
 // order mirrors the PR 4 loops statement for statement, so execution
 // (lowest-ready-id) is bitwise identical to them; barriers commit on
-// final inputs, which is what the overlap commit rule accelerates.
+// final inputs, which is what the predicted-arrival NAK accelerates.
 Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
               Fabric& net, Stopwatch& device_work, std::uint64_t seed) {
   EKM_EXPECTS(!parts.empty());

@@ -279,30 +279,4 @@ void update_min_sq_dist(const Matrix& points, const Matrix& centers,
   });
 }
 
-void pairwise_sq_dist_into(const Matrix& points, const Matrix& centers,
-                           Matrix& out) {
-  check_shapes(points, centers);
-  const std::size_t n = points.rows();
-  const std::size_t k = centers.rows();
-  const std::size_t d = points.cols();
-  EKM_EXPECTS(out.rows() == n && out.cols() == k);
-  if (n == 0) return;
-  const std::vector<double> pn = row_sq_norms(points);
-  const PackedCenters pc(centers);
-  parallel_for(n, kPointTile, [&](std::size_t begin, std::size_t end) {
-    double d2[kLanes];
-    for (std::size_t i = begin; i < end; ++i) {
-      const double* p = points.row_ptr(i);
-      double* row = out.row_ptr(i);
-      for (std::size_t block = 0; block < pc.blocks; ++block) {
-        block_sq_dists(p, pn[i], pc.tile(block),
-                       pc.norms.data() + block * kLanes, d, d2);
-        const std::size_t c0 = block * kLanes;
-        const std::size_t bc = std::min(kLanes, k - c0);
-        for (std::size_t b = 0; b < bc; ++b) row[c0 + b] = d2[b];
-      }
-    }
-  });
-}
-
 }  // namespace ekm

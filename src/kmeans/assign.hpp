@@ -70,12 +70,4 @@ void update_min_sq_dist(const Matrix& points, const Matrix& centers,
                         std::span<double> d2,
                         std::span<const double> point_sq_norms = {});
 
-/// out(i, c) = d²(points.row(i), centers.row(c)) for all pairs; `out`
-/// must be preallocated points.rows() x centers.rows(). Note the values
-/// carry the identity form's O(eps·‖p‖‖c‖) error in both directions —
-/// don't use them where a one-sided bound is required (Elkan's pruning
-/// invariants need the subtract form).
-void pairwise_sq_dist_into(const Matrix& points, const Matrix& centers,
-                           Matrix& out);
-
 }  // namespace ekm

@@ -75,12 +75,6 @@ class Matrix {
   [[nodiscard]] const double* row_ptr(std::size_t i) const noexcept {
     return data_.data() + i * cols_;
   }
-  [[nodiscard]] double& at_unchecked(std::size_t i, std::size_t j) noexcept {
-    return data_[i * cols_ + j];
-  }
-  [[nodiscard]] double at_unchecked(std::size_t i, std::size_t j) const noexcept {
-    return data_[i * cols_ + j];
-  }
 
   [[nodiscard]] Matrix transposed() const;
 

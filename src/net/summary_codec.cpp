@@ -1,5 +1,9 @@
 #include "net/summary_codec.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
 #include "common/serial.hpp"
 
 namespace ekm {
@@ -9,22 +13,44 @@ constexpr std::uint32_t kTagCoreset = 0x434f5245;  // "CORE"
 constexpr std::uint32_t kTagMatrix = 0x4d415452;   // "MATR"
 constexpr std::uint32_t kTagScalar = 0x53434c52;   // "SCLR"
 
+// Decoders treat every payload as if it came off a real wire: a frame
+// decodes only if each field is well-formed, every value is finite and
+// nothing trails the last field. Failures name the frame kind and the
+// field.
+std::string frame_error(const char* frame, const char* field,
+                        const char* problem) {
+  return std::string(frame) + " frame: " + field + " " + problem;
+}
+
+bool all_finite(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return std::isfinite(v); });
+}
+
 void put_matrix(ByteWriter& w, const Matrix& m) {
   w.put_u64(m.rows());
   w.put_u64(m.cols());
   w.put_doubles(m.flat());
 }
 
-Matrix get_matrix(ByteReader& r) {
+Matrix get_matrix(ByteReader& r, const char* frame, const char* field) {
   const auto rows = r.get_u64();
   const auto cols = r.get_u64();
   std::vector<double> data = r.get_doubles();
   // Guard the product against wrap-around from hostile headers before
   // trusting rows x cols as a shape.
   EKM_EXPECTS_MSG(rows == 0 || cols == data.size() / rows,
-                  "matrix frame corrupt");
-  EKM_EXPECTS_MSG(data.size() == rows * cols, "matrix frame corrupt");
+                  frame_error(frame, field, "shape does not match its cells"));
+  EKM_EXPECTS_MSG(data.size() == rows * cols,
+                  frame_error(frame, field, "shape does not match its cells"));
+  EKM_EXPECTS_MSG(all_finite(data),
+                  frame_error(frame, field, "holds a non-finite value"));
   return Matrix(rows, cols, std::move(data));
+}
+
+void expect_consumed(const ByteReader& r, const char* frame) {
+  EKM_EXPECTS_MSG(r.exhausted(),
+                  frame_error(frame, "payload", "has trailing bytes"));
 }
 
 }  // namespace
@@ -69,14 +95,28 @@ Message encode_coreset(const Coreset& coreset, int significant_bits) {
 Coreset decode_coreset(const Message& msg) {
   ByteReader r(msg.payload);
   EKM_EXPECTS_MSG(r.get_u32() == kTagCoreset, "not a coreset frame");
-  Matrix pts = get_matrix(r);
+  Matrix pts = get_matrix(r, "coreset", "points");
   const double delta = r.get_f64();
+  EKM_EXPECTS_MSG(std::isfinite(delta),
+                  frame_error("coreset", "delta", "is not finite"));
   std::vector<double> weights = r.get_doubles();
-  EKM_EXPECTS_MSG(weights.size() == pts.rows(), "coreset frame corrupt");
+  EKM_EXPECTS_MSG(weights.size() == pts.rows(),
+                  frame_error("coreset", "weights", "count does not match "
+                                                    "the points"));
+  EKM_EXPECTS_MSG(std::all_of(weights.begin(), weights.end(),
+                              [](double w) {
+                                return std::isfinite(w) && w >= 0.0;
+                              }),
+                  frame_error("coreset", "weights",
+                              "must be finite and non-negative"));
+  const std::uint32_t has_basis = r.get_u32();
+  EKM_EXPECTS_MSG(has_basis <= 1,
+                  frame_error("coreset", "basis flag", "is neither 0 nor 1"));
   Coreset cs;
   cs.points = Dataset(std::move(pts), std::move(weights));
   cs.delta = delta;
-  if (r.get_u32() == 1) cs.basis = get_matrix(r);
+  if (has_basis == 1) cs.basis = get_matrix(r, "coreset", "basis");
+  expect_consumed(r, "coreset");
   return cs;
 }
 
@@ -94,7 +134,9 @@ Message encode_matrix(const Matrix& m, int significant_bits) {
 Matrix decode_matrix(const Message& msg) {
   ByteReader r(msg.payload);
   EKM_EXPECTS_MSG(r.get_u32() == kTagMatrix, "not a matrix frame");
-  return get_matrix(r);
+  Matrix m = get_matrix(r, "matrix", "cells");
+  expect_consumed(r, "matrix");
+  return m;
 }
 
 Message encode_scalar(double value) {
@@ -111,7 +153,11 @@ Message encode_scalar(double value) {
 double decode_scalar(const Message& msg) {
   ByteReader r(msg.payload);
   EKM_EXPECTS_MSG(r.get_u32() == kTagScalar, "not a scalar frame");
-  return r.get_f64();
+  const double value = r.get_f64();
+  EKM_EXPECTS_MSG(std::isfinite(value),
+                  frame_error("scalar", "value", "is not finite"));
+  expect_consumed(r, "scalar");
+  return value;
 }
 
 }  // namespace ekm

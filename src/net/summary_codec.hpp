@@ -4,7 +4,10 @@
 // encoding width: coreset/ matrix *data* scalars quantized to s
 // significand bits are billed 12 + s bits each, everything else (weights,
 // Δ, headers, dimensions) at full 64-bit width. Decoders reverse the
-// framing; round-trip tests assert exactness.
+// framing; round-trip tests assert exactness. Decoders validate each
+// frame as if it came off a real wire: a wrong tag, a malformed shape,
+// a non-finite value, a negative weight or trailing bytes throw
+// precondition_error naming the frame kind and the field.
 #pragma once
 
 #include <cstdint>

@@ -145,8 +145,6 @@ void Recorder::begin_run() {
   server_ops_.push_back({ServerOpKind::kBeginRun, 0, kNoCausalFrame, 0, 0.0});
 }
 
-Recorder* installed_recorder() { return g_recorder; }
-
 void install_recorder(Recorder* recorder) { g_recorder = recorder; }
 
 double timed_section(const char* label, const std::function<void()>& fn) {

@@ -21,7 +21,7 @@
 // clock, and every producer guards its recording with a single
 // `if (recorder)` branch — so centers, ledgers, energy, and the
 // SimEvent log are bitwise identical with recording on or off, at any
-// EKM_THREADS, under churn and overlap alike. Wall-clock kernel spans
+// EKM_THREADS, under churn and pipelining alike. Wall-clock kernel spans
 // are the one nondeterministic signal, and they exist only inside the
 // trace output.
 //
@@ -252,7 +252,6 @@ class Recorder {
 /// the only cost of an uninstalled recorder is one pointer load and
 /// branch per kernel entry. Install/uninstall from the main thread
 /// around a run; producers must call it from the protocol thread only.
-[[nodiscard]] Recorder* installed_recorder();
 void install_recorder(Recorder* recorder);
 
 /// Runs `fn` inside a wall-clock kernel span recorded to the installed

@@ -23,14 +23,6 @@ enum class QuantPolicy {
   kAdaptive,  ///< narrow per frame when the round budget demands it
 };
 
-[[nodiscard]] constexpr const char* quant_policy_name(QuantPolicy p) {
-  switch (p) {
-    case QuantPolicy::kFixed: return "fixed";
-    case QuantPolicy::kAdaptive: return "adaptive";
-  }
-  return "?";
-}
-
 /// Single source of truth for the `quant=` grammar, shared by the
 /// scenario parser and the CLI: "fixed" | "adaptive", nullopt otherwise.
 [[nodiscard]] inline std::optional<QuantPolicy> quant_policy_from_name(

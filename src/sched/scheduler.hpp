@@ -10,25 +10,28 @@
 // ready the moment its predecessors finish, so the pop sequence is the
 // creation sequence. Host-side behavior (sends, receives, RNG draws,
 // ledgers) is therefore bitwise identical to the loops it replaced, at
-// any overlap setting.
+// any pipelining setting.
 //
 // Where, then, does phase overlap live? On the fabric's virtual clock.
 // In the discrete-event simulator each frame's fate is sealed at send
 // time, and a *barrier* (kBarrier task collecting a round) commits once
-// every input is final: delivered, or known-expired. With overlap off
-// the server learns of a miss only when the round deadline passes —
-// the PR 3/4 behavior — so one straggler pins every barrier to its
-// full deadline. With overlap on (SimNetwork::set_phase_overlap,
-// scenario key `overlap=`), a sender-side expiry is NAK'd to the
-// server out-of-band (one control-frame latency, no payload airtime,
-// nothing billed), the barrier commits at the last *final* input
-// instead of the cutoff, and every downstream task — the broadcast,
-// the fast sites' next-phase compute, their uplinks — starts that much
-// earlier in virtual time while the straggler's own timeline still
-// runs. Merge barriers stay committed-only: nothing is aggregated
-// speculatively, so a fault-free or infinite-deadline run is bitwise
-// identical with overlap on or off (there the server already learns of
-// an expiry the moment the sender gives up).
+// every input is final: delivered, or known to miss. Without
+// pipelining the server learns of a miss in a finite round only when
+// the round deadline passes, so one straggler pins every barrier to
+// its full deadline. With pipelining on (SimNetwork::
+// set_round_pipelining, scenario key `pipeline=`) one NAK rule
+// applies: the sender NAKs the server out-of-band (one control-frame
+// latency, no payload airtime, nothing billed) at the first moment it
+// can prove the miss — an attempt whose best-case airtime overshoots
+// the cutoff, or the abandonment itself, whichever comes first. The
+// barrier then commits at the last *final* input instead of the
+// cutoff, and every downstream task — the broadcast, the fast sites'
+// next-phase compute, their uplinks — starts that much earlier in
+// virtual time while the straggler's own timeline still runs. Merge
+// barriers stay committed-only: nothing is aggregated speculatively,
+// so a fault-free or infinite-deadline run is bitwise identical with
+// pipelining on or off (there the server already learns of an expiry
+// the moment the sender gives up).
 //
 // The trace doubles as the per-site timeline: site_timeline(i) is the
 // sequence of spans actor i executed, on its own virtual clock.

@@ -20,8 +20,8 @@
 //     lowest-ready-id execution (see scheduler.hpp) replays that order
 //     verbatim — host-side execution is bitwise identical to the
 //     lock-step code, and phase *overlap* is purely a virtual-time
-//     commit rule on the fabric (SimNetwork expiry NAKs), never a
-//     reordering of protocol actions.
+//     commit rule on the fabric (SimNetwork predicted-arrival NAKs),
+//     never a reordering of protocol actions.
 //
 // Tasks may be added while the graph is running: a barrier's action can
 // append a continuation (disSS uses this for the budget-reallocation

@@ -83,11 +83,8 @@ PipelineConfig apply_round_policy(PipelineConfig cfg,
   if (cfg.realloc_reserve <= 0.0) {
     cfg.realloc_reserve = round.realloc_reserve;
   }
-  // Overlap defaults off on both sides; either side opting in wins
-  // (scenario `overlap=` / CLI `--overlap`, or an explicit config).
-  cfg.overlap_phases = cfg.overlap_phases || round.overlap;
-  // Pipelining follows the same opt-in rule (scenario `pipeline=` /
-  // CLI `--pipeline`, or an explicit config).
+  // Pipelining defaults off on both sides; either side opting in wins
+  // (scenario `pipeline=` / CLI `--pipeline`, or an explicit config).
   cfg.pipeline_rounds = cfg.pipeline_rounds || round.pipeline;
   // Quantization policy defaults to fixed on both sides; the scenario's
   // `quant=` fills the config wherever it still holds the default.
@@ -104,14 +101,11 @@ SimReport Coordinator::run(PipelineKind kind, std::span<const Dataset> parts,
   EKM_EXPECTS(!parts.empty());
   const PipelineConfig effective = apply_round_policy(cfg, scenario_);
   SimNetwork net(parts.size(), scenario_);
-  // The overlap commit rule lives on the fabric (expiry NAKs change
-  // when the server *learns*, not what the protocol does), so the
+  // Predicted-arrival NAKs live on the fabric: they change when the
+  // server *learns* of a miss, not what the protocol does, and only the
+  // network sees the sender's schedule that proves the miss. The
   // Coordinator pushes the resolved setting down to the network that
   // the phase scheduler will drive.
-  net.set_phase_overlap(effective.overlap_phases);
-  // Predicted-arrival NAKs live on the fabric for the same reason: the
-  // sender's schedule proves a miss long before the cutoff passes, and
-  // only the network sees that schedule.
   net.set_round_pipelining(effective.pipeline_rounds);
   // The flight recorder (if any) rides the same path: the network owns
   // the attachment point, and the scheduler/protocols reach it through
@@ -149,7 +143,6 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
   // rounds (a round with zero fresh summaries just serves stale ones).
   const PipelineConfig effective = apply_round_policy(cfg, scenario_);
   const double deadline_s = effective.round_deadline_s;
-  net.set_phase_overlap(effective.overlap_phases);
   net.set_round_pipelining(effective.pipeline_rounds);
   net.set_recorder(effective.recorder);
   std::vector<Coreset> latest(m);

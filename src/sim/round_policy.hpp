@@ -113,40 +113,25 @@ struct RoundPolicy {
   /// budget re-split (the `deadline-fleet` preset schedules 0.5).
   double realloc_reserve = 0.0;
 
-  /// Phase-overlap scheduling (scenario key `overlap=`, CLI
-  /// `--overlap`; src/sched/scheduler.hpp has the full story): when a
-  /// site abandons an uplink frame inside a finite round — retry
-  /// budget spent, or a give-up/cancelation at the radio — it NAKs the
-  /// server out-of-band (one control-frame latency, no payload
-  /// airtime, nothing billed), so the round's merge barrier commits
-  /// the moment every frame's fate is final instead of waiting the
-  /// deadline out. Downstream phases then start earlier on the virtual
-  /// clock: a fast site runs its disSS round while a straggler's
-  /// abandoned disPCA frame would still have pinned the old barrier.
-  /// Barriers stay committed-only (no speculation), so fault-free and
-  /// infinite-deadline runs are bitwise identical with this on or off
-  /// — with no deadline the server already learns of an expiry when
-  /// the sender gives up. Off (the default) is PR 4's wait-out-the-
-  /// round behavior, bit for bit.
-  bool overlap = false;
-
   /// Cross-round pipelining (scenario key `pipeline=`, CLI
-  /// `--pipeline`): two mechanisms behind one switch. On the fabric,
-  /// sender-side *predicted-arrival* NAKs fire the moment a site's
-  /// scheduled airtime provably overshoots its round's cutoff — at the
-  /// attempt start whose best-case (minimum-jitter) airtime cannot
-  /// finish in time — instead of at abandon time, so merge barriers
-  /// commit as early as the physics allows (strictly no later than the
-  /// `overlap` NAK, and covering delivered-but-late frames overlap
-  /// never sees). In the task graphs, round r+1's tasks depend only on
-  /// round r's *committed* barrier, so the next round's downlink
-  /// broadcast rides the fabric while round r's stragglers resolve
-  /// (per-round RoundContext state in SimNetwork keeps their frames
-  /// from aliasing). Barriers stay committed-only, so fault-free and
-  /// infinite-deadline runs are bitwise identical with this on or off;
-  /// straggler fleets keep identical centers/ledgers/energy with a
-  /// strictly earlier server completion. Off (the default) is PR 8's
-  /// round-serial behavior, bit for bit.
+  /// `--pipeline`; src/sched/scheduler.hpp has the full story): two
+  /// mechanisms behind one switch. On the fabric, the one NAK rule:
+  /// a sender NAKs an uplink frame of a finite round out-of-band (one
+  /// control-frame latency, no payload airtime, nothing billed) at the
+  /// first moment it can *prove* the miss — the attempt start whose
+  /// best-case (minimum-jitter) airtime overshoots the cutoff, or the
+  /// abandonment itself (retry budget spent, give-up, cancelation,
+  /// orphaning), whichever comes first. Merge barriers therefore
+  /// commit as early as the physics allows, for abandoned and
+  /// delivered-but-late frames alike. In the task graphs, round r+1's
+  /// tasks depend only on round r's *committed* barrier, so the next
+  /// round's downlink broadcast rides the fabric while round r's
+  /// stragglers resolve (per-round RoundContext state in SimNetwork
+  /// keeps their frames from aliasing). Barriers stay committed-only,
+  /// so fault-free and infinite-deadline runs are bitwise identical
+  /// with this on or off; straggler fleets keep identical
+  /// centers/ledgers/energy with a strictly earlier server completion.
+  /// Off (the default) is PR 8's round-serial behavior, bit for bit.
   bool pipeline = false;
 
   /// True when rounds can actually drop sites.

@@ -338,8 +338,6 @@ void apply_override(SimScenario& s, const std::string& key,
     EKM_EXPECTS_MSG(s.round.realloc_reserve >= 0.0 &&
                         s.round.realloc_reserve < 1.0,
                     "realloc-reserve must be in [0, 1)");
-  } else if (key == "overlap") {
-    s.round.overlap = bool_by_name(key, value);
   } else if (key == "pipeline") {
     s.round.pipeline = bool_by_name(key, value);
   } else if (key == "event-log") {

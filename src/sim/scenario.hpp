@@ -135,7 +135,7 @@ struct SimScenario {
   /// the simulator records the first N events processed and drops the
   /// rest (0 = record nothing, the `off` spelling). Metrics, clocks
   /// and ledgers are unaffected — only SimReport::event_log shrinks.
-  /// Sweep workloads (the overlap sweep in bench_sim_scenarios) turn
+  /// Sweep workloads (the pipeline sweep in bench_sim_scenarios) turn
   /// this off so a grid of lossy multi-round runs does not hold tens
   /// of thousands of trace entries per cell in memory. The default
   /// (unlimited) keeps PR 2–4 behavior bit for bit.
@@ -203,8 +203,8 @@ struct SimScenario {
 /// deadline (virtual seconds per collection round, or inf),
 /// min-responders, realloc (on|off: deadline-aware budget
 /// reallocation), realloc-reserve (fraction of a finite round budget
-/// scheduled for the reallocation wave), overlap (on|off: phase-overlap
-/// scheduling — expiry NAKs commit merge barriers early),
+/// scheduled for the reallocation wave), pipeline (on|off: cross-round
+/// pipelining — predicted-arrival NAKs commit merge barriers early),
 /// event-log (off|N: cap the retained event trace),
 /// retry (fixed|backoff|giveup), churn (leave/rejoin events per virtual
 /// second), quant (fixed|adaptive: per-frame quantization policy),

@@ -42,9 +42,7 @@ std::optional<Message> SimLink::receive_by(RoundId round, double deadline_cap) {
 }
 
 SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
-    : scenario_(scenario),
-      overlap_(scenario.round.overlap),
-      pipelining_(scenario.round.pipeline) {
+    : scenario_(scenario), pipelining_(scenario.round.pipeline) {
   EKM_EXPECTS(num_sites >= 1);
   EKM_EXPECTS(scenario_.radio.bandwidth_bps > 0.0);
   EKM_EXPECTS(scenario_.seconds_per_scalar >= 0.0);
@@ -569,24 +567,11 @@ std::optional<Message> SimNetwork::do_receive_by(SimLink& link, RoundId round,
     // The receiver waits the round out (or, with no deadline, learns
     // of the expiry when the sender gives up).
     double learn = std::isfinite(deadline) ? deadline : frame.arrival;
-    if (overlap_ && std::isfinite(deadline) && frame.expired &&
-        link.uplink_) {
-      // Phase overlap: the sender NAKs its give-up out-of-band — a
-      // control frame of one per-frame latency, no payload airtime,
-      // nothing billed — so the server's barrier can commit the moment
-      // this frame's fate is final instead of waiting the round out.
-      // An expiry later than the cutoff still resolves at the cutoff
-      // (the server can never learn less than the deadline tells it).
-      learn = std::min(
-          deadline,
-          frame.arrival + sites_[link.site_].radio.per_message_latency_s);
-    }
     if (pipelining_ && std::isfinite(deadline) && link.uplink_) {
       // Predicted-arrival NAK (round pipelining): the sender proved the
-      // miss — possibly attempts before abandoning, possibly before a
-      // late delivery the overlap NAK never covers — and the server
-      // learned of it one control-frame latency later. Strictly no
-      // later than the overlap NAK's resolution, often much earlier.
+      // miss — at the first provably-late attempt or at abandonment,
+      // whichever came first, so a late delivery is covered too — and
+      // the server learned of it one control-frame latency later.
       // frame.nak_at is kNoDeadline when no miss was provable, making
       // the clamp a no-op.
       learn = std::min(learn, frame.nak_at);

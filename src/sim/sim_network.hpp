@@ -231,18 +231,6 @@ class SimNetwork final : public Fabric {
     return queue_.high_water();
   }
 
-  /// Phase-overlap scheduling (RoundPolicy::overlap; scheduler.hpp has
-  /// the model): when on, a sender-side uplink expiry inside a finite
-  /// round is NAK'd to the server out-of-band — the server learns of
-  /// the miss at `abandon + per-frame latency` (clamped to the round
-  /// cutoff) instead of waiting the round out, so merge barriers
-  /// commit the moment every frame's fate is final. The NAK is a
-  /// control-plane frame: no payload airtime, no energy, nothing on
-  /// any ledger. Initialized from the scenario; the Coordinator may
-  /// override it from PipelineConfig::overlap_phases.
-  void set_phase_overlap(bool on) { overlap_ = on; }
-  [[nodiscard]] bool phase_overlap() const { return overlap_; }
-
   /// Misses of reallocation-wave frames (see LinkStats::supplemental):
   /// counted inside missed_frames() but losing no data. Exact data
   /// loss is missed_frames() - supplemental_misses().
@@ -263,14 +251,14 @@ class SimNetwork final : public Fabric {
 
   /// Cross-round pipelining (RoundPolicy::pipeline, scenario
   /// `pipeline=`, CLI `--pipeline`): when on, sender-side
-  /// predicted-arrival NAKs fire the moment a site's scheduled airtime
-  /// *provably* overshoots its round's cutoff — at the attempt start
+  /// predicted-arrival NAKs fire the moment a site's uplink frame
+  /// *provably* misses its round's cutoff — at the attempt start
   /// whose minimum-possible (best-jitter) airtime cannot finish in
-  /// time, not at abandon time — so the server learns of a miss (and
-  /// commits the round's barrier) as early as the physics allows, and
-  /// the next round's downlink broadcast rides the fabric while the
-  /// straggler's timeline still runs. Like the overlap NAK this is a
-  /// control-plane frame: no payload airtime, no energy, nothing on
+  /// time, or at abandonment, whichever comes first — so the server
+  /// learns of a miss (and commits the round's barrier) as early as
+  /// the physics allows, and the next round's downlink broadcast rides
+  /// the fabric while the straggler's timeline still runs. The NAK is
+  /// a control-plane frame: no payload airtime, no energy, nothing on
   /// any ledger, no event pushed — which is why fault-free and
   /// infinite-deadline runs are bitwise identical with this on or off
   /// (the miss path never consults nak_at). Initialized from the
@@ -401,7 +389,6 @@ class SimNetwork final : public Fabric {
   RoundId current_round_ = kNoRound;  ///< latest open_round handle;
                                       ///< tags new uplink frames
 
-  bool overlap_ = false;     ///< phase-overlap commit rule (see above)
   bool pipelining_ = false;  ///< predicted-arrival NAKs (see above)
   std::uint64_t missed_frames_ = 0;
   std::uint64_t supplemental_misses_ = 0;

@@ -113,21 +113,6 @@ TEST(AssignKernel, UpdateMinSqDistMatchesNaive) {
   }
 }
 
-TEST(AssignKernel, PairwiseMatchesSquaredDistance) {
-  const Dataset data = random_weighted(40, 13, 21);
-  Rng rng = make_rng(22);
-  const Matrix centers = Matrix::gaussian(11, 13, rng);
-  Matrix out(data.size(), centers.rows());
-  pairwise_sq_dist_into(data.points(), centers, out);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    for (std::size_t c = 0; c < centers.rows(); ++c) {
-      const double naive = squared_distance(data.point(i), centers.row(c));
-      EXPECT_NEAR(out(i, c), naive, 1e-9 * (1.0 + naive));
-      EXPECT_GE(out(i, c), 0.0);
-    }
-  }
-}
-
 TEST(AssignKernel, RejectsShapeMismatch) {
   const Dataset data = random_weighted(4, 3, 5);
   EXPECT_THROW((void)assign_batch(data.points(), Matrix()),

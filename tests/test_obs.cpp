@@ -3,8 +3,8 @@
 // contract of the whole layer: recording is side-effect-free. A run
 // with a recorder attached must be bitwise identical to the same run
 // without one — centers, ledgers, energy, and the SimEvent log — at
-// any EKM_THREADS, under churn, adaptive quantization, and phase
-// overlap all at once.
+// any EKM_THREADS, under churn, adaptive quantization, and cross-round
+// pipelining all at once.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -50,10 +50,10 @@ PipelineConfig base_config(std::uint64_t seed = 11) {
 }
 
 // The CI churn smoke's fleet shape: scheduled leave/join, stochastic
-// churn, a trace-pinned site, adaptive quantization, phase overlap —
+// churn, a trace-pinned site, adaptive quantization, pipelining —
 // every recording call site fires at least once on this scenario.
 constexpr const char* kBusyScenario =
-    "deadline-fleet,churn=0.02,quant=adaptive,overlap=on,"
+    "deadline-fleet,churn=0.02,quant=adaptive,pipeline=on,"
     "site2.leave=9,site5.join=3,site0.trace=0:8000:0.05;20:2e6:0,seed=1";
 
 void expect_bitwise_equal(const SimReport& a, const SimReport& b) {
@@ -254,7 +254,7 @@ TEST(Obs, BeginRunReArmsDeltaBaselinesAcrossThreeRuns) {
   }
 }
 
-TEST(Obs, RecordingIsBitwiseNeutralUnderChurnOverlapAndThreads) {
+TEST(Obs, RecordingIsBitwiseNeutralUnderChurnPipelineAndThreads) {
   const auto parts = make_parts(8, 1600, 16, 31);
   const Coordinator coord(parse_scenario(kBusyScenario));
   PipelineConfig cfg = base_config(31);

@@ -991,14 +991,24 @@ TEST(Realloc, WaveIsDeterministicAcrossThreadCounts) {
   EXPECT_GT(one.result.summary_points, pr3.result.summary_points);
 }
 
-// --- phase-overlap scheduling (src/sched/ + expiry NAKs) ------------------
+// --- scenario keys of the round scheduler (src/sched/) -------------------
 
-TEST(Scenario, ParserHandlesOverlapAndEventLog) {
-  EXPECT_FALSE(parse_scenario("ideal").round.overlap);
-  EXPECT_TRUE(parse_scenario("overlap=on").round.overlap);
-  EXPECT_FALSE(parse_scenario("deadline-fleet,overlap=off").round.overlap);
-  EXPECT_THROW((void)parse_scenario("overlap=2"), precondition_error);
-  EXPECT_THROW((void)parse_scenario("overlap="), precondition_error);
+TEST(Scenario, ParserHandlesPipelineEventLogRejectsOverlap) {
+  EXPECT_FALSE(parse_scenario("ideal").round.pipeline);
+  EXPECT_TRUE(parse_scenario("pipeline=on").round.pipeline);
+  EXPECT_FALSE(parse_scenario("deadline-fleet,pipeline=off").round.pipeline);
+  EXPECT_THROW((void)parse_scenario("pipeline=2"), precondition_error);
+  EXPECT_THROW((void)parse_scenario("pipeline="), precondition_error);
+  // One NAK rule: the expiry-NAK switch is gone, and its key is an
+  // unknown key like any typo, named in the error.
+  try {
+    (void)parse_scenario("ideal,overlap=on");
+    FAIL() << "expected precondition_error for overlap=on";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown scenario key 'overlap'"),
+              std::string::npos)
+        << e.what();
+  }
 
   EXPECT_EQ(parse_scenario("event-log=off").event_log_limit, 0u);
   EXPECT_EQ(parse_scenario("event-log=0").event_log_limit, 0u);
@@ -1010,120 +1020,6 @@ TEST(Scenario, ParserHandlesOverlapAndEventLog) {
   EXPECT_THROW((void)parse_scenario("event-log=-1"), precondition_error);
   EXPECT_THROW((void)parse_scenario("event-log=2.5"), precondition_error);
   EXPECT_THROW((void)parse_scenario("event-log=x"), precondition_error);
-}
-
-TEST(Overlap, FaultFreeFiniteDeadlineRunsBitIdentical) {
-  // Overlap must be unobservable when nothing misses: barriers stay
-  // committed-only, and with every frame delivered in time there is
-  // nothing to NAK — events, clocks, energy, ledgers and centers all
-  // reproduce the overlap=off run bit for bit.
-  const auto parts = make_parts(5, 1500, 24, 11);
-  const PipelineConfig cfg = base_config();
-  const Coordinator off(parse_scenario("ideal,deadline=1e6"));
-  const Coordinator on(parse_scenario("ideal,deadline=1e6,overlap=on"));
-  for (const PipelineKind kind :
-       {PipelineKind::kNoReduction, PipelineKind::kBklw,
-        PipelineKind::kJlBklw}) {
-    const SimReport a = off.run(kind, parts, cfg);
-    const SimReport b = on.run(kind, parts, cfg);
-    EXPECT_EQ(b.result.uplink, a.result.uplink) << pipeline_name(kind);
-    EXPECT_EQ(b.result.centers, a.result.centers) << pipeline_name(kind);
-    EXPECT_EQ(b.completion_seconds, a.completion_seconds);
-    EXPECT_EQ(b.server_completion_seconds, a.server_completion_seconds);
-    EXPECT_EQ(b.energy_joules, a.energy_joules);
-    ASSERT_EQ(b.event_log.size(), a.event_log.size());
-    for (std::size_t i = 0; i < a.event_log.size(); ++i) {
-      EXPECT_EQ(b.event_log[i], a.event_log[i]) << "event " << i;
-    }
-  }
-}
-
-TEST(Overlap, InfiniteDeadlineStragglerRunsBitIdentical) {
-  // With no deadline the server already learns of an expiry the moment
-  // the sender gives up, so the overlap commit rule changes nothing —
-  // even on a fleet with a hard straggler and retry-budget expiries.
-  const auto parts = make_parts(4, 1200, 16, 47);
-  const PipelineConfig cfg = base_config(47);
-  const Coordinator off(
-      parse_scenario("radio=wifi,loss=0.5,retries=2,site2.speed=0.02,seed=47"));
-  const Coordinator on(parse_scenario(
-      "radio=wifi,loss=0.5,retries=2,site2.speed=0.02,seed=47,overlap=on"));
-  const SimReport a = off.run(PipelineKind::kBklw, parts, cfg);
-  const SimReport b = on.run(PipelineKind::kBklw, parts, cfg);
-  EXPECT_GT(a.deadline_misses, 0u);  // expiries actually happened
-  EXPECT_EQ(b.deadline_misses, a.deadline_misses);
-  EXPECT_EQ(b.result.centers, a.result.centers);
-  EXPECT_EQ(b.result.uplink, a.result.uplink);
-  EXPECT_EQ(b.completion_seconds, a.completion_seconds);
-  EXPECT_EQ(b.server_completion_seconds, a.server_completion_seconds);
-  EXPECT_EQ(b.energy_joules, a.energy_joules);
-  ASSERT_EQ(b.event_log.size(), a.event_log.size());
-  for (std::size_t i = 0; i < a.event_log.size(); ++i) {
-    EXPECT_EQ(b.event_log[i], a.event_log[i]) << "event " << i;
-  }
-}
-
-TEST(Overlap, ExpiryNaksSpeedUpServerCompletion) {
-  // One site behind a 2 kbps link in a 3-second-round fleet with
-  // give-up retries: its disPCA V frame and its summary coreset can
-  // never fit the round, so it expires them at compute-ready time —
-  // seconds before the cutoff. With overlap off the server still waits
-  // each round out; with overlap on the expiry NAK commits the merge
-  // barrier at the last *final* input, the basis broadcast goes out
-  // early, and the fast sites run their disSS phases while the old
-  // schedule would still have been waiting on the straggler's round.
-  // The protocol actions are identical either way — same frames, same
-  // responders, same RNG draws — so ledgers and centers must match
-  // bitwise while the server's time-to-model strictly improves.
-  const auto parts = make_parts(4, 2000, 16, 5);
-  const PipelineConfig cfg = base_config(5);
-  const char* base =
-      "radio=wifi,sps=1e-4,deadline=3,retry=giveup,site0.bandwidth=2000,"
-      "seed=5";
-  const Coordinator off(parse_scenario(base));
-  const Coordinator on(parse_scenario(std::string(base) + ",overlap=on"));
-  const SimReport a = off.run(PipelineKind::kBklw, parts, cfg);
-  const SimReport b = on.run(PipelineKind::kBklw, parts, cfg);
-
-  // The straggler actually missed rounds, identically in both runs.
-  EXPECT_GT(a.deadline_misses, 0u);
-  EXPECT_EQ(b.deadline_misses, a.deadline_misses);
-  EXPECT_EQ(b.sites_dropped, a.sites_dropped);
-  // Same protocol, same model, same paper metrics...
-  EXPECT_EQ(b.result.centers, a.result.centers);
-  EXPECT_EQ(b.result.uplink, a.result.uplink);
-  EXPECT_EQ(b.result.summary_points, a.result.summary_points);
-  EXPECT_EQ(b.energy_joules, a.energy_joules);
-  // ...but the server finishes strictly earlier, and the deployment
-  // quiesces no later.
-  EXPECT_LT(b.server_completion_seconds, a.server_completion_seconds);
-  EXPECT_LE(b.completion_seconds, a.completion_seconds);
-}
-
-TEST(Overlap, DeterministicAcrossThreadCounts) {
-  // The determinism contract extends to overlapped schedules: the NAK
-  // learn-time rule draws nothing, and the task graphs execute in
-  // creation order on the protocol thread at any pool size.
-  const auto parts = make_parts(4, 1200, 16, 29);
-  const PipelineConfig cfg = base_config(29);
-  const Coordinator coord(parse_scenario(
-      "lossy-mesh,stragglers=0.25,slowdown=64,sps=1e-5,deadline=1,"
-      "retry=giveup,overlap=on,seed=29"));
-
-  set_parallel_threads(1);
-  const SimReport one = coord.run(PipelineKind::kBklw, parts, cfg);
-  set_parallel_threads(8);
-  const SimReport eight = coord.run(PipelineKind::kBklw, parts, cfg);
-  set_parallel_threads(0);
-
-  ASSERT_EQ(one.event_log.size(), eight.event_log.size());
-  for (std::size_t i = 0; i < one.event_log.size(); ++i) {
-    EXPECT_EQ(one.event_log[i], eight.event_log[i]) << "event " << i;
-  }
-  EXPECT_EQ(one.deadline_misses, eight.deadline_misses);
-  EXPECT_EQ(one.completion_seconds, eight.completion_seconds);
-  EXPECT_EQ(one.server_completion_seconds, eight.server_completion_seconds);
-  EXPECT_EQ(one.result.centers, eight.result.centers);
 }
 
 // --- cross-round pipelining (RoundPolicy::pipeline) -----------------------
@@ -1192,34 +1088,67 @@ TEST(Pipeline, InfiniteDeadlineStragglerRunsBitIdentical) {
   }
 }
 
+TEST(Pipeline, GiveUpStragglerNaksSpeedUpServerCompletion) {
+  // One site behind a 2 kbps link in a 3-second-round fleet with
+  // give-up retries: its disPCA V frame and its summary coreset can
+  // never fit the round, so it expires them at compute-ready time —
+  // seconds before the cutoff, without keying the radio. Unpipelined,
+  // the server still waits each round out; pipelined, the abandonment
+  // NAK commits the merge barrier at the last *final* input, the basis
+  // broadcast goes out early, and the fast sites run their disSS
+  // phases while the old schedule would still have been waiting on the
+  // straggler's round.
+  // The protocol actions are identical either way — same frames, same
+  // responders, same RNG draws — so ledgers and centers must match
+  // bitwise while the server's time-to-model strictly improves.
+  const auto parts = make_parts(4, 2000, 16, 5);
+  const PipelineConfig cfg = base_config(5);
+  const char* base =
+      "radio=wifi,sps=1e-4,deadline=3,retry=giveup,site0.bandwidth=2000,"
+      "seed=5";
+  const Coordinator off(parse_scenario(base));
+  const Coordinator on(parse_scenario(std::string(base) + ",pipeline=on"));
+  const SimReport a = off.run(PipelineKind::kBklw, parts, cfg);
+  const SimReport b = on.run(PipelineKind::kBklw, parts, cfg);
+
+  // The straggler actually missed rounds, identically in both runs.
+  EXPECT_GT(a.deadline_misses, 0u);
+  EXPECT_EQ(b.deadline_misses, a.deadline_misses);
+  EXPECT_EQ(b.sites_dropped, a.sites_dropped);
+  // Same protocol, same model, same paper metrics...
+  EXPECT_EQ(b.result.centers, a.result.centers);
+  EXPECT_EQ(b.result.uplink, a.result.uplink);
+  EXPECT_EQ(b.result.summary_points, a.result.summary_points);
+  EXPECT_EQ(b.energy_joules, a.energy_joules);
+  // ...but the server finishes strictly earlier, and the deployment
+  // quiesces no later.
+  EXPECT_LT(b.server_completion_seconds, a.server_completion_seconds);
+  EXPECT_LE(b.completion_seconds, a.completion_seconds);
+}
+
 TEST(Pipeline, PredictedNaksFireBeforeAbandonTime) {
-  // The case overlap's expiry NAKs cannot touch: a lossless fleet whose
-  // straggler *delivers* its frames — hundreds of seconds late. The
-  // sender never gives up, so there is no expiry to NAK and overlap
-  // learns nothing before the cutoff; the predicted-arrival NAK fires
-  // at the first attempt whose best-case airtime already overshoots the
-  // round, and the server commits each round at that NAK instead.
+  // A lossless fleet whose straggler *delivers* its frames — hundreds
+  // of seconds late. The sender never gives up, so there is no
+  // abandonment to NAK; the predicted-arrival NAK fires at the first
+  // attempt whose best-case airtime already overshoots the round, and
+  // the server commits each round at that NAK instead of the cutoff.
   const auto parts = make_parts(4, 2000, 16, 5);
   const PipelineConfig cfg = base_config(5);
   const char* base =
       "radio=wifi,loss=0,sps=1e-4,deadline=3,site0.bandwidth=2000,seed=5";
   const Coordinator off(parse_scenario(base));
-  const Coordinator overlap(parse_scenario(std::string(base) + ",overlap=on"));
   const Coordinator piped(parse_scenario(std::string(base) + ",pipeline=on"));
   const SimReport a = off.run(PipelineKind::kBklw, parts, cfg);
-  const SimReport o = overlap.run(PipelineKind::kBklw, parts, cfg);
   const SimReport b = piped.run(PipelineKind::kBklw, parts, cfg);
 
-  // The straggler missed rounds by late delivery, identically everywhere.
+  // The straggler missed rounds by late delivery, identically in both.
   EXPECT_GT(a.deadline_misses, 0u);
   EXPECT_EQ(b.deadline_misses, a.deadline_misses);
   EXPECT_EQ(b.result.centers, a.result.centers);
   EXPECT_EQ(b.result.uplink, a.result.uplink);
   EXPECT_EQ(b.energy_joules, a.energy_joules);
-  // Delivered-late frames give overlap nothing...
-  EXPECT_EQ(o.server_completion_seconds, a.server_completion_seconds);
-  // ...while the sender-side schedule proves the miss well before the
-  // cutoff, and the critical-path bound brackets the result.
+  // The sender-side schedule proves the miss well before the cutoff,
+  // and the critical-path bound brackets the result.
   EXPECT_LT(b.server_completion_seconds, a.server_completion_seconds);
   EXPECT_GE(b.server_completion_seconds, b.server_critical_path_seconds);
 }

@@ -35,13 +35,6 @@
 //                         backoff (exponential + jitter), or giveup
 //                         (deadline-aware: skip attempts that cannot finish
 //                         before the round cutoff).
-//   --overlap             phase-overlap scheduling (sim only): a site that
-//                         abandons an uplink frame NAKs the server, so a
-//                         round's merge barrier commits as soon as every
-//                         frame's fate is final instead of waiting out the
-//                         deadline — fast sites start the next phase while
-//                         stragglers' timelines still run. Equivalent to
-//                         scenario key overlap=on.
 //   --pipeline            cross-round pipelining (sim only): round r+1's
 //                         task graph depends only on round r's committed
 //                         barrier, and the sender's schedule NAKs a frame
@@ -117,7 +110,6 @@ struct CliArgs {
   double deadline = std::numeric_limits<double>::infinity();
   bool deadline_set = false;
   std::string retry;  // empty = keep the scenario's strategy
-  bool overlap = false;
   bool pipeline = false;
   std::string trace_out;    // empty = no trace export
   std::string metrics_out;  // empty = no metrics export
@@ -180,6 +172,42 @@ bool parse_f64(const char* flag, const char* value, double& out) {
   return true;
 }
 
+// Flags that take a bare string or a size, one table per family; the
+// checks some of them need after the value sit in parse() below.
+template <typename T>
+struct FlagMember {
+  const char* flag;
+  T CliArgs::*member;
+};
+
+constexpr FlagMember<std::string> kStringFlags[] = {
+    {"--input", &CliArgs::input},
+    {"--synthetic", &CliArgs::synthetic},
+    {"--algorithm", &CliArgs::algorithm},
+    {"--output", &CliArgs::output},
+    {"--sim", &CliArgs::sim},
+};
+
+constexpr FlagMember<std::size_t> kSizeFlags[] = {
+    {"--n", &CliArgs::n},
+    {"--d", &CliArgs::d},
+    {"--k", &CliArgs::k},
+    {"--sources", &CliArgs::sources},
+    {"--coreset-size", &CliArgs::coreset_size},
+    {"--jl-dim", &CliArgs::jl_dim},
+    {"--pca-dim", &CliArgs::pca_dim},
+    {"--rounds", &CliArgs::rounds},
+};
+
+/// The member `flag` names in `table`, or nullptr.
+template <typename T, std::size_t N>
+T CliArgs::*member_for(const FlagMember<T> (&table)[N], const char* flag) {
+  for (const FlagMember<T>& entry : table) {
+    if (std::strcmp(flag, entry.flag) == 0) return entry.member;
+  }
+  return nullptr;
+}
+
 std::optional<CliArgs> parse(int argc, char** argv) {
   CliArgs a;
   auto next = [&](int& i) -> const char* {
@@ -194,39 +222,17 @@ std::optional<CliArgs> parse(int argc, char** argv) {
     const auto want = [&](const char* name) { return std::strcmp(flag, name) == 0; };
     if (want("--help") || want("-h")) {
       a.help = true;
-    } else if (want("--input")) {
-      if (const char* v = next(i)) a.input = v; else return std::nullopt;
-    } else if (want("--synthetic")) {
-      if (const char* v = next(i)) a.synthetic = v; else return std::nullopt;
-    } else if (want("--algorithm")) {
-      if (const char* v = next(i)) a.algorithm = v; else return std::nullopt;
-    } else if (want("--output")) {
-      if (const char* v = next(i)) a.output = v; else return std::nullopt;
-    } else if (want("--n")) {
+    } else if (const auto text = member_for(kStringFlags, flag)) {
       const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.n)) return std::nullopt;
-    } else if (want("--d")) {
+      if (v == nullptr) return std::nullopt;
+      a.*text = v;
+    } else if (const auto size = member_for(kSizeFlags, flag)) {
       const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.d)) return std::nullopt;
-    } else if (want("--k")) {
-      const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.k)) return std::nullopt;
-      if (a.k < 1) {
+      if (v == nullptr || !parse_size(flag, v, a.*size)) return std::nullopt;
+      if (size == &CliArgs::k && a.k < 1) {
         std::fprintf(stderr, "--k must be >= 1, got %s\n", v);
         return std::nullopt;
       }
-    } else if (want("--sources")) {
-      const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.sources)) return std::nullopt;
-    } else if (want("--coreset-size")) {
-      const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.coreset_size)) return std::nullopt;
-    } else if (want("--jl-dim")) {
-      const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.jl_dim)) return std::nullopt;
-    } else if (want("--pca-dim")) {
-      const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.pca_dim)) return std::nullopt;
     } else if (want("--qt-bits")) {
       const char* v = next(i);
       if (v == nullptr || !parse_i32(flag, v, a.qt_bits)) return std::nullopt;
@@ -245,11 +251,6 @@ std::optional<CliArgs> parse(int argc, char** argv) {
     } else if (want("--seed")) {
       const char* v = next(i);
       if (v == nullptr || !parse_u64(flag, v, a.seed)) return std::nullopt;
-    } else if (want("--sim")) {
-      if (const char* v = next(i)) a.sim = v; else return std::nullopt;
-    } else if (want("--rounds")) {
-      const char* v = next(i);
-      if (v == nullptr || !parse_size(flag, v, a.rounds)) return std::nullopt;
     } else if (want("--deadline")) {
       const char* v = next(i);
       if (v == nullptr || !parse_f64(flag, v, a.deadline)) return std::nullopt;
@@ -268,8 +269,6 @@ std::optional<CliArgs> parse(int argc, char** argv) {
                      a.retry.c_str());
         return std::nullopt;
       }
-    } else if (want("--overlap")) {
-      a.overlap = true;
     } else if (want("--pipeline")) {
       a.pipeline = true;
     } else if (want("--trace-out")) {
@@ -395,7 +394,7 @@ constexpr const char* kUsage =
     "    ble-swarm lora-field nr5g-fleet lossy-mesh hetero-mesh\n"
     "    deadline-fleet; keys: radio loss dropout outage retries jitter\n"
     "    stragglers slowdown skew sps server-speed deadline\n"
-    "    min-responders realloc realloc-reserve overlap pipeline event-log\n"
+    "    min-responders realloc realloc-reserve pipeline event-log\n"
     "    retry churn quant backoff-base backoff-cap backoff-jitter seed\n"
     "    siteN.{radio,bandwidth,loss,dropout,speed,retry,join,leave,trace};\n"
     "    sim algorithms: nr bklw jl+bklw stream)\n"
@@ -407,9 +406,6 @@ constexpr const char* kUsage =
     "    fixed ack-timeout, exponential backoff + jitter, or\n"
     "    deadline-aware give-up that keeps the radio off for attempts\n"
     "    that cannot complete before the round cutoff\n"
-    "  --overlap    phase-overlap scheduling (sim only): expiry NAKs let\n"
-    "    round barriers commit as soon as every frame's fate is final,\n"
-    "    so fast sites start the next phase early (= overlap=on)\n"
     "  --pipeline   cross-round pipelining (sim only): round r+1 opens on\n"
     "    round r's committed barrier and predicted-arrival NAKs fire when\n"
     "    a frame's schedule provably overshoots the cutoff (= pipeline=on)\n"
@@ -501,8 +497,6 @@ int run_cli(int argc, char** argv) {
        "deadlines live on the simulator's virtual clock"},
       {"--retry", !args->retry.empty(),
        "retransmission policies live on the simulated radio"},
-      {"--overlap", args->overlap,
-       "phase overlap lives on the simulator's virtual clock"},
       {"--pipeline", args->pipeline,
        "cross-round pipelining lives on the simulator's virtual clock"},
       {"--trace-out", !args->trace_out.empty(),
@@ -548,11 +542,9 @@ int run_cli(int argc, char** argv) {
     if (!args->retry.empty()) {
       scenario.retry.strategy = *retry_strategy_from_name(args->retry);
     }
-    // --overlap turns phase-overlap scheduling on; it never turns a
-    // scenario's `overlap=on` off (same either-side-opts-in layering
+    // --pipeline turns cross-round pipelining on; it never turns a
+    // scenario's `pipeline=on` off (same either-side-opts-in layering
     // as the Coordinator's config merge).
-    if (args->overlap) scenario.round.overlap = true;
-    // --pipeline layers the same way: either side opting in wins.
     if (args->pipeline) scenario.round.pipeline = true;
     // --event-log overrides the scenario's retention cap, like --deadline.
     if (args->event_log_set) scenario.event_log_limit = args->event_log_limit;
@@ -622,10 +614,6 @@ int run_cli(int argc, char** argv) {
     if (scenario.quant == QuantPolicy::kAdaptive) {
       std::printf("quantization   : adaptive (frames narrow under deadline "
                   "pressure)\n");
-    }
-    if (scenario.round.overlap) {
-      std::printf("phase overlap  : on (server done at %.6g virtual s)\n",
-                  report.server_completion_seconds);
     }
     if (scenario.round.pipeline) {
       std::printf("pipelining     : on (server done at %.6g virtual s, "

@@ -12,8 +12,8 @@
 #   and exits (it asks the bench binary itself, so the list can never
 #   drift from what --only accepts).
 #   --only SWEEP re-runs a single BENCH_sim.json sweep (cells |
-#   deadline_sweep | realloc_sweep | overlap_sweep | pipeline_sweep |
-#   churn_sweep | fleet_scale_sweep | attribution) and splices that section — plus fresh
+#   deadline_sweep | realloc_sweep | pipeline_sweep | churn_sweep |
+#   fleet_scale_sweep | attribution) and splices that section — plus fresh
 #   provenance — into the existing BENCH_sim.json, leaving every other
 #   section's bytes untouched (each bench cell is independent of which
 #   other sections ran, so the splice equals a full run byte for
