@@ -1,11 +1,8 @@
-// Ablation bench for four design choices of the reproduction:
+// Ablation bench for three design choices of the reproduction:
 //  1. JL family (Gaussian vs Rademacher vs sparse Achlioptas) — same
 //     accuracy, different device cost;
 //  2. sensitivity sampling vs uniform sampling inside the coreset step;
-//  3. exact vs randomized SVD inside FSS's PCA stage (the paper charges
-//     FSS with exact-SVD complexity; randomized SVD is the obvious
-//     engineering escape hatch and this quantifies what it buys);
-//  4. with vs without the bicriteria-center weight top-up in sensitivity
+//  3. with vs without the bicriteria-center weight top-up in sensitivity
 //     sampling (the [4] variant the QT analysis relies on).
 #include <cstdio>
 
@@ -17,7 +14,6 @@
 #include "dr/jl.hpp"
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
-#include "linalg/svd.hpp"
 
 using namespace ekm;
 using namespace ekm::bench;
@@ -74,28 +70,8 @@ void ablate_sampling(const Dataset& data, std::uint64_t seed) {
   }
 }
 
-void ablate_svd(const Dataset& data, std::uint64_t seed) {
-  std::printf("# Ablation 3 — exact vs randomized SVD for the PCA stage\n");
-  Timer exact_t;
-  const Svd exact = truncated_svd(data.points(), 16);
-  const double exact_s = exact_t.seconds();
-  Timer rand_t;
-  Rng rng = make_rng(seed);
-  const Svd approx = randomized_svd(data.points(), 16, rng);
-  const double rand_s = rand_t.seconds();
-  double exact_energy = 0.0;
-  double approx_energy = 0.0;
-  for (std::size_t j = 0; j < 16; ++j) {
-    exact_energy += exact.sigma[j] * exact.sigma[j];
-    approx_energy += approx.sigma[j] * approx.sigma[j];
-  }
-  std::printf("exact      %.4fs  captured-energy=%.6g\n", exact_s, exact_energy);
-  std::printf("randomized %.4fs  captured-energy=%.6g (%.4f of exact)\n",
-              rand_s, approx_energy, approx_energy / exact_energy);
-}
-
 void ablate_topup(const Dataset& data, std::uint64_t seed) {
-  std::printf("# Ablation 4 — bicriteria-center weight top-up\n");
+  std::printf("# Ablation 3 — bicriteria-center weight top-up\n");
   for (bool topup : {true, false}) {
     double worst_weight_err = 0.0;
     for (std::uint64_t r = 0; r < 5; ++r) {
@@ -124,7 +100,6 @@ int main(int argc, char** argv) {
               data.dim());
   ablate_jl_family(data, args.seed);
   ablate_sampling(data, args.seed);
-  ablate_svd(data, args.seed);
   ablate_topup(data, args.seed);
   return 0;
 }

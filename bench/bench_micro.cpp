@@ -37,16 +37,6 @@ void BM_ThinSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_ThinSvd)->Arg(64)->Arg(128)->Arg(256)->Complexity();
 
-void BM_RandomizedSvd(benchmark::State& state) {
-  const auto d = static_cast<std::size_t>(state.range(0));
-  const Dataset data = bench_data(1024, d);
-  Rng rng = make_rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(randomized_svd(data.points(), 16, rng));
-  }
-}
-BENCHMARK(BM_RandomizedSvd)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_JlApply(benchmark::State& state) {
   const auto d_out = static_cast<std::size_t>(state.range(0));
   const Dataset data = bench_data(1024, 512);

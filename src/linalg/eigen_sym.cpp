@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <span>
+
+#include "common/rng.hpp"
 
 namespace ekm {
 namespace {
@@ -90,10 +95,19 @@ void tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
   }
 }
 
-// Implicit-shift QL with eigenvector accumulation (tql2). `d` in/out:
-// diagonal -> eigenvalues; `e`: subdiagonal (destroyed); `z`: transform
-// from tred2 -> eigenvectors in columns. Returns false on non-convergence.
-bool tql2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
+// True when the off-diagonal e coupling diagonal entries d0 and d1 is
+// negligible: QL deflates there, and the top-t solver splits there.
+bool negligible(double e, double d0, double d1) {
+  return std::fabs(e) <= 1e-300 ||
+         std::fabs(e) <= 2.3e-16 * (std::fabs(d0) + std::fabs(d1));
+}
+
+// Implicit-shift QL (tql2). `d` in/out: diagonal -> eigenvalues
+// (unsorted); `e`: subdiagonal with e[i] coupling rows i-1 and i, e[0]
+// unused (destroyed). With `z` (the transform from tred2) the rotations
+// accumulate the eigenvectors into its columns; without it only the
+// values are computed. Returns false on non-convergence.
+bool tql2(std::span<double> d, std::span<double> e, Matrix* z) {
   const std::size_t n = d.size();
   if (n <= 1) return true;
 
@@ -105,8 +119,7 @@ bool tql2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
     std::size_t m;
     do {
       for (m = l; m + 1 < n; ++m) {
-        const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= 1e-300 || std::fabs(e[m]) <= 2.3e-16 * dd) break;
+        if (negligible(e[m], d[m], d[m + 1])) break;
       }
       if (m != l) {
         if (++iter == 64) return false;
@@ -133,10 +146,11 @@ bool tql2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
+          if (z == nullptr) continue;
           for (std::size_t k = 0; k < n; ++k) {
-            f = z(k, i + 1);
-            z(k, i + 1) = s * z(k, i) + c * f;
-            z(k, i) = c * z(k, i) - s * f;
+            f = (*z)(k, i + 1);
+            (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
+            (*z)(k, i) = c * (*z)(k, i) - s * f;
           }
         }
         if (r == 0.0 && m > l + 1) continue;
@@ -166,6 +180,262 @@ void sort_descending(SymmetricEigen& eig) {
   eig.vectors = std::move(vecs);
 }
 
+// Dot product with eight independent partial sums folded in a fixed
+// order, so the compiler can vectorize it without reassociating.
+double dot_lanes(const double* x, const double* y, std::size_t n) {
+  double acc[8] = {};
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    for (std::size_t l = 0; l < 8; ++l) acc[l] += x[j + l] * y[j + l];
+  }
+  double tail = 0.0;
+  for (; j < n; ++j) tail += x[j] * y[j];
+  return ((acc[0] + acc[4]) + (acc[1] + acc[5])) +
+         ((acc[2] + acc[6]) + (acc[3] + acc[7])) + tail;
+}
+
+// Householder reduction to tridiagonal form that keeps the reflectors
+// instead of accumulating Q (the reduction of LAPACK's dsytrd). Only the
+// upper triangle of `w` is read and updated. On exit d is the diagonal,
+// e[i] couples rows i and i+1 (e[n-1] = 0), and for k < n-2 row k of `w`
+// holds v_k in columns k+1..n-1 with v_k(k+1) = 1, where
+// H_k = I - tau[k] v_k v_kᵀ and Qᵀ A Q = T for Q = H_0 H_1 ... H_{n-3}.
+void tridiagonalize(Matrix& w, std::vector<double>& d, std::vector<double>& e,
+                    std::vector<double>& tau) {
+  const std::size_t n = w.rows();
+  d.assign(n, 0.0);
+  e.assign(n, 0.0);
+  tau.assign(n, 0.0);
+  std::vector<double> p(n);
+  std::vector<double> q(n);
+  for (std::size_t k = 0; k + 2 < n; ++k) {
+    const std::size_t m = n - k - 1;
+    double* v = w.row_ptr(k) + k + 1;
+    d[k] = w(k, k);
+    // Reflector with H x = beta e_1 for x = A(k, k+1..n-1) (dlarfg); the
+    // norm is taken scaled so it cannot overflow or underflow.
+    double scale = 0.0;
+    for (std::size_t j = 1; j < m; ++j) {
+      scale = std::max(scale, std::fabs(v[j]));
+    }
+    if (scale == 0.0) {
+      e[k] = v[0];  // row k is already tridiagonal: H_k = I
+      continue;
+    }
+    double ss = 0.0;
+    for (std::size_t j = 1; j < m; ++j) ss += (v[j] / scale) * (v[j] / scale);
+    const double alpha = v[0];
+    const double beta =
+        -std::copysign(std::hypot(alpha, scale * std::sqrt(ss)), alpha);
+    tau[k] = (beta - alpha) / beta;
+    const double inv = 1.0 / (alpha - beta);
+    for (std::size_t j = 1; j < m; ++j) v[j] *= inv;
+    v[0] = 1.0;
+    e[k] = beta;
+
+    // Two-sided update of the trailing block A22 <- H A22 H:
+    // p = tau A22 v, q = p - (tau/2)(pᵀv) v, A22 -= v qᵀ + q vᵀ.
+    std::fill(p.begin(), p.begin() + static_cast<std::ptrdiff_t>(m), 0.0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const double* row = w.row_ptr(k + 1 + i) + k + 1 + i;  // A22(i, i..)
+      const std::size_t len = m - i - 1;
+      const double vi = v[i];
+      p[i] += row[0] * vi + dot_lanes(row + 1, v + i + 1, len);
+      double* pt = p.data() + i + 1;
+      for (std::size_t j = 0; j < len; ++j) pt[j] += row[1 + j] * vi;
+    }
+    for (std::size_t i = 0; i < m; ++i) p[i] *= tau[k];
+    const double half = 0.5 * tau[k] * dot_lanes(p.data(), v, m);
+    for (std::size_t i = 0; i < m; ++i) q[i] = p[i] - half * v[i];
+    for (std::size_t i = 0; i < m; ++i) {
+      double* row = w.row_ptr(k + 1 + i) + k + 1 + i;
+      const double vi = v[i];
+      const double qi = q[i];
+      const double* vt = v + i;
+      const double* qt = q.data() + i;
+      for (std::size_t j = 0; j < m - i; ++j) row[j] -= vi * qt[j] + qi * vt[j];
+    }
+  }
+  if (n >= 2) {
+    d[n - 2] = w(n - 2, n - 2);
+    e[n - 2] = w(n - 2, n - 1);
+  }
+  if (n >= 1) d[n - 1] = w(n - 1, n - 1);
+}
+
+// LU factorization with partial pivoting of T - lambda I for one block of
+// a symmetric tridiagonal matrix (LAPACK dlagtf): U has diagonal `a` and
+// superdiagonals `b` and `b2`, L has multipliers `l`, and swap[k] marks a
+// row interchange at step k. Blocks have at least two rows.
+struct TridiagonalLu {
+  std::vector<double> a, b, b2, l;
+  std::vector<char> swap;
+
+  void factor(std::span<const double> d, std::span<const double> e,
+              double lambda) {
+    const std::size_t n = d.size();
+    a.resize(n);
+    for (std::size_t k = 0; k < n; ++k) a[k] = d[k] - lambda;
+    b.assign(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(n - 1));
+    l.assign(e.begin(), e.begin() + static_cast<std::ptrdiff_t>(n - 1));
+    b2.assign(n, 0.0);
+    swap.assign(n, 0);
+    double scale1 = std::fabs(a[0]) + std::fabs(b[0]);
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      double scale2 = std::fabs(l[k]) + std::fabs(a[k + 1]);
+      if (k + 2 < n) scale2 += std::fabs(b[k + 1]);
+      const double piv1 = a[k] == 0.0 ? 0.0 : std::fabs(a[k]) / scale1;
+      if (l[k] == 0.0 || std::fabs(l[k]) / scale2 <= piv1) {
+        scale1 = scale2;
+        if (l[k] == 0.0) continue;
+        l[k] /= a[k];
+        a[k + 1] -= l[k] * b[k];
+      } else {
+        swap[k] = 1;
+        const double mult = a[k] / l[k];
+        a[k] = l[k];
+        const double next = a[k + 1];
+        a[k + 1] = b[k] - mult * next;
+        if (k + 2 < n) {
+          b2[k] = b[k + 1];
+          b[k + 1] = -mult * b2[k];
+        }
+        b[k] = next;
+        l[k] = mult;
+      }
+    }
+  }
+
+  // Solves (T - lambda I) x = y in place (dlagts, job -1): a pivot too
+  // small to divide by without overflow is perturbed away from zero.
+  void solve(std::span<double> y) const {
+    constexpr double kEps = std::numeric_limits<double>::epsilon();
+    constexpr double kSafeMin = std::numeric_limits<double>::min();
+    constexpr double kBig = 1.0 / kSafeMin;
+    const std::size_t n = y.size();
+    double tol = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      tol = std::max(tol, std::fabs(a[k]));
+      if (k >= 1) tol = std::max(tol, std::fabs(b[k - 1]));
+      if (k >= 2) tol = std::max(tol, std::fabs(b2[k - 2]));
+    }
+    tol = tol > 0.0 ? tol * kEps : kEps;
+    for (std::size_t k = 1; k < n; ++k) {
+      if (swap[k - 1] == 0) {
+        y[k] -= l[k - 1] * y[k - 1];
+      } else {
+        const double prev = y[k - 1];
+        y[k - 1] = y[k];
+        y[k] = prev - l[k - 1] * y[k];
+      }
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      double rhs = y[k];
+      if (k + 1 < n) rhs -= b[k] * y[k + 1];
+      if (k + 2 < n) rhs -= b2[k] * y[k + 2];
+      double ak = a[k];
+      double pert = std::copysign(tol, ak);
+      for (;;) {
+        const double abs_ak = std::fabs(ak);
+        if (abs_ak >= 1.0) break;
+        if (abs_ak < kSafeMin) {
+          if (abs_ak != 0.0 && std::fabs(rhs) * kSafeMin <= abs_ak) {
+            rhs *= kBig;
+            ak *= kBig;
+            break;
+          }
+        } else if (std::fabs(rhs) <= abs_ak * kBig) {
+          break;
+        }
+        ak += pert;
+        pert *= 2.0;
+      }
+      y[k] = rhs / ak;
+    }
+  }
+};
+
+// Index of the largest-magnitude entry (the first one on ties).
+std::size_t argmax_abs(std::span<const double> y) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < y.size(); ++i) {
+    if (std::fabs(y[i]) > std::fabs(y[best])) best = i;
+  }
+  return best;
+}
+
+// Unit eigenvectors of the tridiagonal block (d, e) for its eigenvalues
+// `values` (descending), by inverse iteration (LAPACK dstein): each shift
+// is nudged off its predecessor, and each iterate is re-orthogonalized
+// against the earlier vectors of its cluster, the run of eigenvalues
+// each within 1e-3·‖T‖_1 of the one before. The vector for values[j]
+// lands in columns [b0, b0 + n) of row rows[j] of `z`, signed so that
+// its largest entry is positive.
+void inverse_iteration(std::span<const double> d, std::span<const double> e,
+                       std::span<const double> values,
+                       std::span<const std::size_t> rows, std::size_t b0,
+                       Matrix& z) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  constexpr int kMaxIters = 5;
+  constexpr int kExtraIters = 2;
+  const std::size_t n = d.size();
+  auto vec = [&](std::size_t j) {
+    return std::span<double>(z.row_ptr(rows[j]) + b0, n);
+  };
+  if (n == 1) {
+    vec(0)[0] = 1.0;
+    return;
+  }
+  double norm = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double col = std::fabs(d[i]);
+    if (i >= 1) col += std::fabs(e[i - 1]);
+    if (i + 1 < n) col += std::fabs(e[i]);
+    norm = std::max(norm, col);
+  }
+  const double cluster_gap = 1e-3 * norm;
+  const double grown = std::sqrt(0.1 / static_cast<double>(n));
+  TridiagonalLu lu;
+  std::uint64_t stream = 0;
+  std::size_t cluster = 0;
+  double prev = 0.0;
+  for (std::size_t j = 0; j < values.size(); ++j) {
+    double shift = values[j];
+    if (j > 0) {
+      const double pert = 10.0 * std::fabs(kEps * shift);
+      if (prev - shift < pert) shift = prev - pert;
+      if (std::fabs(prev - shift) > cluster_gap) cluster = j;
+    }
+    lu.factor(d, e, shift);
+    const std::span<double> y = vec(j);
+    for (double& yi : y) {
+      yi = static_cast<double>(splitmix64(stream++) >> 11) * 0x1.0p-52 - 1.0;
+    }
+    // Stop kExtraIters steps after the iterate first grows past `grown`;
+    // one that never does is accepted as is, as dstein does.
+    for (int its = 0, above = 0; its < kMaxIters; ++its) {
+      const double scale = static_cast<double>(n) * norm *
+                           std::max(kEps, std::fabs(lu.a[n - 1])) /
+                           std::fabs(y[argmax_abs(y)]);
+      for (double& yi : y) yi *= scale;
+      lu.solve(y);
+      for (std::size_t c = cluster; c < j; ++c) {
+        const std::span<double> zc = vec(c);
+        const double proj = dot_lanes(y.data(), zc.data(), n);
+        for (std::size_t i = 0; i < n; ++i) y[i] -= proj * zc[i];
+      }
+      if (std::fabs(y[argmax_abs(y)]) >= grown && ++above > kExtraIters) break;
+    }
+    const std::size_t top = argmax_abs(y);
+    const double big = std::fabs(y[top]);
+    double ss = 0.0;
+    for (const double yi : y) ss += (yi / big) * (yi / big);
+    const double inv = std::copysign(1.0 / (big * std::sqrt(ss)), y[top]);
+    for (double& yi : y) yi *= inv;
+    prev = shift;
+  }
+}
+
 }  // namespace
 
 SymmetricEigen eigen_symmetric(const Matrix& a) {
@@ -186,9 +456,92 @@ SymmetricEigen eigen_symmetric(const Matrix& a) {
 
   std::vector<double> d, e;
   tred2(eig.vectors, d, e);
-  EKM_ENSURES_MSG(tql2(eig.vectors, d, e), "tql2 failed to converge");
+  EKM_ENSURES_MSG(tql2(d, e, &eig.vectors), "tql2 failed to converge");
   eig.values = std::move(d);
   sort_descending(eig);
+  return eig;
+}
+
+SymmetricEigen eigen_symmetric_top(const Matrix& a, std::size_t t) {
+  EKM_EXPECTS_MSG(a.rows() == a.cols(),
+                  "eigen_symmetric_top needs a square matrix");
+  const std::size_t n = a.rows();
+  EKM_EXPECTS_MSG(t <= n, "eigen_symmetric_top: t exceeds the dimension");
+
+  Matrix w(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) w(i, j) = 0.5 * (a(i, j) + a(j, i));
+  }
+  std::vector<double> d, e, tau;
+  tridiagonalize(w, d, e, tau);
+
+  // Split T where an off-diagonal is negligible and take each block's
+  // eigenvalues by values-only QL, remembering the block of each.
+  struct Pair {
+    double value;
+    std::size_t block;  // index into `starts`
+  };
+  std::vector<std::size_t> starts;
+  std::vector<Pair> pairs;
+  pairs.reserve(n);
+  std::vector<double> bd, be;
+  for (std::size_t b0 = 0; b0 < n;) {
+    std::size_t b1 = b0 + 1;
+    while (b1 < n && !negligible(e[b1 - 1], d[b1 - 1], d[b1])) ++b1;
+    bd.assign(d.begin() + static_cast<std::ptrdiff_t>(b0),
+              d.begin() + static_cast<std::ptrdiff_t>(b1));
+    be.assign(b1 - b0, 0.0);  // tql2 layout: be[i] couples i-1 and i
+    for (std::size_t i = b0 + 1; i < b1; ++i) be[i - b0] = e[i - 1];
+    EKM_ENSURES_MSG(tql2(bd, be, nullptr), "tql2 failed to converge");
+    for (const double v : bd) pairs.push_back({v, starts.size()});
+    starts.push_back(b0);
+    b0 = b1;
+  }
+  starts.push_back(n);
+
+  // The t largest, descending; equal values keep block order.
+  std::stable_sort(
+      pairs.begin(), pairs.end(),
+      [](const Pair& x, const Pair& y) { return x.value > y.value; });
+  pairs.resize(t);
+
+  // Tridiagonal eigenvectors, one row of z per kept pair: inverse
+  // iteration block by block over that block's kept values.
+  Matrix z(t, n);
+  std::vector<double> values;
+  std::vector<std::size_t> rows;
+  for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+    values.clear();
+    rows.clear();
+    for (std::size_t j = 0; j < t; ++j) {
+      if (pairs[j].block != b) continue;
+      values.push_back(pairs[j].value);
+      rows.push_back(j);
+    }
+    if (values.empty()) continue;
+    const std::size_t b0 = starts[b];
+    const std::size_t len = starts[b + 1] - b0;
+    inverse_iteration(std::span<const double>(d).subspan(b0, len),
+                      std::span<const double>(e).subspan(b0, len), values,
+                      rows, b0, z);
+  }
+
+  // Back-transform x = Q z = H_0 (H_1 (... H_{n-3} z)).
+  for (std::size_t k = n < 3 ? 0 : n - 2; k-- > 0;) {
+    if (tau[k] == 0.0) continue;
+    const std::size_t m = n - k - 1;
+    const double* v = w.row_ptr(k) + k + 1;
+    for (std::size_t j = 0; j < t; ++j) {
+      double* x = z.row_ptr(j) + k + 1;
+      const double s = tau[k] * dot_lanes(v, x, m);
+      for (std::size_t i = 0; i < m; ++i) x[i] -= s * v[i];
+    }
+  }
+
+  SymmetricEigen eig;
+  eig.values.resize(t);
+  for (std::size_t j = 0; j < t; ++j) eig.values[j] = pairs[j].value;
+  eig.vectors = z.transposed();
   return eig;
 }
 

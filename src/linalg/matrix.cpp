@@ -2,38 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <random>
-#include <thread>
 #include <vector>
+
+#include "common/parallel.hpp"
 
 namespace ekm {
 namespace {
 
-// Deterministic row-sliced parallel for: each worker owns a contiguous
-// range of output rows, so every output cell is computed by exactly one
-// thread with the same accumulation order as the serial loop.
-void parallel_rows(std::size_t rows, std::size_t flops_per_row,
-                   const std::function<void(std::size_t, std::size_t)>& body) {
-  constexpr std::size_t kSerialFlops = 4u << 20;  // ~4 MFLOP: not worth threads
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t total = rows * std::max<std::size_t>(flops_per_row, 1);
-  if (hw == 1 || total < kSerialFlops) {
-    body(0, rows);
-    return;
-  }
-  const std::size_t workers =
-      std::min<std::size_t>({hw, rows, 1 + total / kSerialFlops});
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const std::size_t chunk = (rows + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(rows, begin + chunk);
-    if (begin >= end) break;
-    threads.emplace_back([&, begin, end] { body(begin, end); });
-  }
-  for (std::thread& t : threads) t.join();
+// Output rows per chunk of a product whose rows each cost `flops_per_row`.
+// Chunks carry about 4 MFLOP, so smaller products run as one inline
+// chunk, and there are at most 64 of them, because every chunk of
+// matmul_at_b streams both operands once. Products partition their
+// OUTPUT rows, so each cell keeps the serial accumulation order and the
+// result is bit-identical at any pool size.
+std::size_t row_grain(std::size_t rows, std::size_t flops_per_row) {
+  constexpr std::size_t kChunkFlops = 4u << 20;
+  constexpr std::size_t kMaxChunks = 64;
+  return std::max({std::size_t{1},
+                   kChunkFlops / std::max<std::size_t>(flops_per_row, 1),
+                   (rows + kMaxChunks - 1) / kMaxChunks});
 }
 
 }  // namespace
@@ -116,7 +104,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   EKM_EXPECTS_MSG(a.cols() == b.rows(), "matmul shape mismatch");
   Matrix c(a.rows(), b.cols());
   const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-  parallel_rows(n, 2 * k * m, [&](std::size_t r0, std::size_t r1) {
+  parallel_for(n, row_grain(n, 2 * k * m), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t i = r0; i < r1; ++i) {
       std::span<double> ci = c.row(i);
       std::span<const double> ai = a.row(i);
@@ -135,9 +123,7 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
   EKM_EXPECTS_MSG(a.rows() == b.rows(), "matmul_at_b shape mismatch");
   Matrix c(a.cols(), b.cols());
   const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
-  // Partition by OUTPUT rows so each cell keeps the serial accumulation
-  // order (p ascending) — results are bit-identical to the serial loop.
-  parallel_rows(k, 2 * n * m, [&](std::size_t r0, std::size_t r1) {
+  parallel_for(k, row_grain(k, 2 * n * m), [&](std::size_t r0, std::size_t r1) {
     for (std::size_t p = 0; p < n; ++p) {
       std::span<const double> ap = a.row(p);
       std::span<const double> bp = b.row(p);
@@ -155,14 +141,14 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   EKM_EXPECTS_MSG(a.cols() == b.cols(), "matmul_a_bt shape mismatch");
   Matrix c(a.rows(), b.rows());
-  parallel_rows(a.rows(), 2 * a.cols() * b.rows(),
-                [&](std::size_t r0, std::size_t r1) {
-                  for (std::size_t i = r0; i < r1; ++i) {
-                    for (std::size_t j = 0; j < b.rows(); ++j) {
-                      c(i, j) = dot(a.row(i), b.row(j));
-                    }
-                  }
-                });
+  parallel_for(a.rows(), row_grain(a.rows(), 2 * a.cols() * b.rows()),
+               [&](std::size_t r0, std::size_t r1) {
+                 for (std::size_t i = r0; i < r1; ++i) {
+                   for (std::size_t j = 0; j < b.rows(); ++j) {
+                     c(i, j) = dot(a.row(i), b.row(j));
+                   }
+                 }
+               });
   return c;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/rng.hpp"
 #include "linalg/eigen_sym.hpp"
 
 namespace ekm {
@@ -43,6 +44,52 @@ double gram_noise_floor(double lambda_max, std::size_t dim) {
          static_cast<double>(std::max<std::size_t>(dim, 1)) * lambda_max;
 }
 
+// The Gram matrix the SVD eigendecomposes: A^T A (d x d) when d <= n,
+// else A A^T (n x n).
+Matrix gram(const Matrix& a) {
+  return a.cols() <= a.rows() ? matmul_at_b(a, a) : matmul_a_bt(a, a);
+}
+
+// Completes an SVD of `a` from eigenpairs of gram(a): they give V and
+// sigma^2 when d <= n (U and sigma^2 when n < d), and the other factor's
+// columns are A V Sigma^{-1} (A^T U Sigma^{-1}) for those pairs only.
+// Components with sigma at the Gram noise floor become exact zeros whose
+// other-factor column is an orthonormalized fill-in.
+Svd svd_from_gram(const Matrix& a, SymmetricEigen eig) {
+  const std::size_t n = a.rows();
+  const std::size_t d = a.cols();
+  const bool tall = d <= n;
+  const std::size_t r = eig.values.size();
+  Rng rng = make_rng(0x5bdULL, n * 1315423911ULL + d);
+
+  Svd out;
+  out.sigma.resize(r);
+  const double smax2 = std::max(eig.values.empty() ? 0.0 : eig.values[0], 0.0);
+  for (std::size_t j = 0; j < r; ++j) {
+    out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
+  }
+  Matrix other = tall ? matmul(a, eig.vectors) : matmul_at_b(a, eig.vectors);
+  const double tol = std::max(1e-8 * std::sqrt(smax2),
+                              std::sqrt(gram_noise_floor(smax2, tall ? d : n)));
+  for (std::size_t j = 0; j < r; ++j) {
+    if (out.sigma[j] > tol) {
+      const double inv = 1.0 / out.sigma[j];
+      for (std::size_t i = 0; i < other.rows(); ++i) other(i, j) *= inv;
+    } else {
+      out.sigma[j] = 0.0;
+      orthonormalize_column(other, j, rng);
+    }
+  }
+  if (tall) {
+    out.v = std::move(eig.vectors);
+    out.u = std::move(other);
+  } else {
+    out.u = std::move(eig.vectors);
+    out.v = std::move(other);
+  }
+  return out;
+}
+
 }  // namespace
 
 Matrix Svd::reconstruct() const {
@@ -62,90 +109,13 @@ void Svd::truncate(std::size_t t) {
 
 Svd thin_svd(const Matrix& a) {
   EKM_EXPECTS_MSG(!a.empty(), "thin_svd of empty matrix");
-  const std::size_t n = a.rows();
-  const std::size_t d = a.cols();
-  const std::size_t r = std::min(n, d);
-  Svd out;
-  Rng rng = make_rng(0x5bdULL, n * 1315423911ULL + d);
-
-  if (d <= n) {
-    // Eigen-decompose A^T A (d x d): V and sigma^2.
-    const Matrix gram = matmul_at_b(a, a);
-    SymmetricEigen eig = eigen_symmetric(gram);
-    out.v = eig.vectors.first_cols(r);
-    out.sigma.resize(r);
-    const double smax2 = std::max(eig.values.empty() ? 0.0 : eig.values[0], 0.0);
-    for (std::size_t j = 0; j < r; ++j) {
-      out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
-    }
-    // U = A V Sigma^{-1}.
-    out.u = matmul(a, out.v);
-    const double tol = std::max(1e-8 * std::sqrt(smax2),
-                                std::sqrt(gram_noise_floor(smax2, d)));
-    for (std::size_t j = 0; j < r; ++j) {
-      if (out.sigma[j] > tol) {
-        const double inv = 1.0 / out.sigma[j];
-        for (std::size_t i = 0; i < n; ++i) out.u(i, j) *= inv;
-      } else {
-        out.sigma[j] = 0.0;
-        orthonormalize_column(out.u, j, rng);
-      }
-    }
-  } else {
-    // n < d: eigen-decompose A A^T (n x n): U and sigma^2, V = A^T U / s.
-    const Matrix gram = matmul_a_bt(a, a);
-    SymmetricEigen eig = eigen_symmetric(gram);
-    out.u = eig.vectors.first_cols(r);
-    out.sigma.resize(r);
-    const double smax2 = std::max(eig.values.empty() ? 0.0 : eig.values[0], 0.0);
-    for (std::size_t j = 0; j < r; ++j) {
-      out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
-    }
-    out.v = matmul_at_b(a, out.u);
-    const double tol = std::max(1e-8 * std::sqrt(smax2),
-                                std::sqrt(gram_noise_floor(smax2, n)));
-    for (std::size_t j = 0; j < r; ++j) {
-      if (out.sigma[j] > tol) {
-        const double inv = 1.0 / out.sigma[j];
-        for (std::size_t i = 0; i < d; ++i) out.v(i, j) *= inv;
-      } else {
-        out.sigma[j] = 0.0;
-        orthonormalize_column(out.v, j, rng);
-      }
-    }
-  }
-  return out;
+  return svd_from_gram(a, eigen_symmetric(gram(a)));
 }
 
 Svd truncated_svd(const Matrix& a, std::size_t t) {
-  Svd s = thin_svd(a);
-  s.truncate(std::min(t, s.rank()));
-  return s;
-}
-
-Svd randomized_svd(const Matrix& a, std::size_t rank, Rng& rng,
-                   std::size_t oversample, int power_iters) {
-  const std::size_t r = std::min(rank + oversample, std::min(a.rows(), a.cols()));
-  // Range finder: Y = A Omega, Q = orth(Y), with optional power iterations
-  // (A A^T)^q A Omega for spectra with slow decay.
-  Matrix omega = Matrix::gaussian(a.cols(), r, rng);
-  Matrix y = matmul(a, omega);
-  Matrix q = householder_q(y);
-  for (int it = 0; it < power_iters; ++it) {
-    Matrix z = matmul_at_b(a, q);   // d x r
-    Matrix qz = householder_q(z);
-    y = matmul(a, qz);              // n x r
-    q = householder_q(y);
-  }
-  // B = Q^T A is small (r x d): exact thin SVD of B.
-  Matrix b = matmul_at_b(q, a);
-  Svd bs = thin_svd(b);
-  Svd out;
-  out.u = matmul(q, bs.u);
-  out.sigma = std::move(bs.sigma);
-  out.v = std::move(bs.v);
-  out.truncate(std::min(rank, out.rank()));
-  return out;
+  EKM_EXPECTS_MSG(!a.empty(), "truncated_svd of empty matrix");
+  const std::size_t r = std::min(a.rows(), a.cols());
+  return svd_from_gram(a, eigen_symmetric_top(gram(a), std::min(t, r)));
 }
 
 Matrix pseudoinverse(const Matrix& a, double rcond) {
@@ -161,56 +131,6 @@ Matrix pseudoinverse(const Matrix& a, double rcond) {
     for (std::size_t i = 0; i < vs.rows(); ++i) vs(i, j) *= inv;
   }
   return matmul_a_bt(vs, s.u);
-}
-
-Matrix householder_q(const Matrix& a) {
-  const std::size_t n = a.rows();
-  const std::size_t d = a.cols();
-  const std::size_t r = std::min(n, d);
-
-  // Factorize in place. For each step j the Householder vector is
-  // v = (v0s[j], m(j+1..n-1, j)) and H_j = I - betas[j] * v v^T.
-  Matrix m = a;
-  std::vector<double> betas(r, 0.0);
-  std::vector<double> v0s(r, 0.0);
-  for (std::size_t j = 0; j < r; ++j) {
-    double nrm = 0.0;
-    for (std::size_t i = j; i < n; ++i) nrm += m(i, j) * m(i, j);
-    nrm = std::sqrt(nrm);
-    if (nrm < 1e-300) continue;
-    const double alpha = (m(j, j) >= 0.0) ? -nrm : nrm;
-    const double v0 = m(j, j) - alpha;
-    double vnorm2 = v0 * v0;
-    for (std::size_t i = j + 1; i < n; ++i) vnorm2 += m(i, j) * m(i, j);
-    if (vnorm2 < 1e-300) continue;
-    betas[j] = 2.0 / vnorm2;
-    v0s[j] = v0;
-    m(j, j) = alpha;  // R diagonal; the tail of column j stays as v's tail
-    for (std::size_t c = j + 1; c < d; ++c) {
-      double s = v0 * m(j, c);
-      for (std::size_t i = j + 1; i < n; ++i) s += m(i, j) * m(i, c);
-      s *= betas[j];
-      m(j, c) -= s * v0;
-      for (std::size_t i = j + 1; i < n; ++i) m(i, c) -= s * m(i, j);
-    }
-  }
-
-  // Accumulate Q = H_0 H_1 ... H_{r-1} applied to the first r columns of I
-  // (backward accumulation touches only the trailing block each step).
-  Matrix q(n, r);
-  for (std::size_t j = 0; j < r; ++j) q(j, j) = 1.0;
-  for (std::size_t j = r; j-- > 0;) {
-    if (betas[j] == 0.0) continue;
-    const double v0 = v0s[j];
-    for (std::size_t c = 0; c < r; ++c) {
-      double s = v0 * q(j, c);
-      for (std::size_t i = j + 1; i < n; ++i) s += m(i, j) * q(i, c);
-      s *= betas[j];
-      q(j, c) -= s * v0;
-      for (std::size_t i = j + 1; i < n; ++i) q(i, c) -= s * m(i, j);
-    }
-  }
-  return q;
 }
 
 void append_pca_summary(Matrix& y, const Matrix& sigma_row, const Matrix& v) {

@@ -2,13 +2,14 @@
 // pseudoinverse.
 //
 // Roles in the reproduction:
-//  * `thin_svd` — the "exact SVD" used by FSS (Theorem 3.2) and by each
-//    data source in disPCA (§5.1, step 1). Cost O(nd * min(n,d)),
-//    matching the complexity the paper charges those algorithms with.
-//  * `truncated_svd` — convenience wrapper keeping the top-t triple.
-//  * `randomized_svd` — Halko-style sketch SVD; not used by the paper's
-//    algorithms (that would change their complexity) but provided for the
-//    ablation bench comparing exact vs sketched PCA inside FSS.
+//  * `thin_svd` — the full "exact SVD" FSS uses (Theorem 3.2, through
+//    `pca_project`). Cost O(nd * min(n,d)), matching the complexity the
+//    paper charges FSS with.
+//  * `truncated_svd` — the exact top-t path: the same Gram route, but it
+//    solves only the t largest eigenpairs (`eigen_symmetric_top`) and
+//    forms only the t kept columns of the other factor. Each data source
+//    in disPCA (§5.1, step 1) and the server's merge use it; it is exact
+//    to roundoff and in the same O(nd * min(n,d)) class, not a sketch.
 //  * `pseudoinverse` — Π⁺ for lifting k-means centers back through a
 //    linear DR map (π⁻¹ in Algorithms 1–4, via the Moore–Penrose inverse
 //    as discussed under Table 1 of the paper).
@@ -16,7 +17,6 @@
 
 #include <vector>
 
-#include "common/rng.hpp"
 #include "linalg/matrix.hpp"
 
 namespace ekm {
@@ -45,21 +45,14 @@ struct Svd {
 /// sigma below ~1e-8 * sigma_max are orthogonalized rather than divided.
 [[nodiscard]] Svd thin_svd(const Matrix& a);
 
-/// Top-t SVD. Computes the thin SVD and truncates.
+/// Top-min(t, n, d) SVD by the same Gram route, solving only the kept
+/// eigenpairs: the leading columns of thin_svd's factors and values to
+/// roundoff (signs may differ), with the same zero-sigma fill-in.
 [[nodiscard]] Svd truncated_svd(const Matrix& a, std::size_t t);
-
-/// Randomized range-finder SVD (Halko–Martinsson–Tropp): rank + oversample
-/// Gaussian sketch, `power_iters` subspace iterations, small exact SVD.
-[[nodiscard]] Svd randomized_svd(const Matrix& a, std::size_t rank, Rng& rng,
-                                 std::size_t oversample = 8,
-                                 int power_iters = 2);
 
 /// Moore–Penrose pseudoinverse via thin SVD. Components with singular
 /// value <= rcond * sigma_max are treated as zero.
 [[nodiscard]] Matrix pseudoinverse(const Matrix& a, double rcond = 1e-12);
-
-/// Thin Householder QR; returns Q (n x min(n,d)) with orthonormal columns.
-[[nodiscard]] Matrix householder_q(const Matrix& a);
 
 /// disPCA's associative summary merge (§5.1 step 2): appends the rows
 /// Y_i = Σ_i^(t1) V_i^(t1)^T of one local SVD summary — row j is

@@ -1,10 +1,16 @@
 // Tests for src/linalg: matrix algebra, symmetric eigendecomposition,
-// SVD, pseudoinverse, QR. Property suites sweep shapes via TEST_P.
+// SVD and pseudoinverse. Property suites sweep shapes via TEST_P; the
+// top-t solvers are held to residual accuracy contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
@@ -51,6 +57,26 @@ TEST(Matrix, FusedTransposeProductsMatchExplicit) {
   EXPECT_LT(max_abs_diff(matmul_at_b(a, b), matmul(a.transposed(), b)), 1e-12);
   const Matrix c = Matrix::gaussian(5, 3, rng);
   EXPECT_LT(max_abs_diff(matmul_a_bt(a, c), matmul(a, c.transposed())), 1e-12);
+}
+
+TEST(Matrix, ProductsBitIdenticalAcrossPoolSizes) {
+  // Shapes well above the one-chunk threshold, with exact zeros so the
+  // zero skip runs, must not depend on the pool size.
+  Rng rng = make_rng(3);
+  Matrix a = Matrix::gaussian(300, 200, rng);
+  for (std::size_t i = 0; i < a.rows(); i += 7) a(i, i % a.cols()) = 0.0;
+  const Matrix b = Matrix::gaussian(300, 150, rng);
+  const Matrix c = Matrix::gaussian(200, 150, rng);
+  const Matrix d = Matrix::gaussian(250, 200, rng);
+  set_parallel_threads(1);
+  const Matrix at_b1 = matmul_at_b(a, b);
+  const Matrix ab1 = matmul(a, c);
+  const Matrix a_bt1 = matmul_a_bt(a, d);
+  set_parallel_threads(4);
+  EXPECT_EQ(matmul_at_b(a, b), at_b1);
+  EXPECT_EQ(matmul(a, c), ab1);
+  EXPECT_EQ(matmul_a_bt(a, d), a_bt1);
+  set_parallel_threads(0);
 }
 
 TEST(Matrix, RowRangeAndFirstCols) {
@@ -253,48 +279,199 @@ TEST(Svd, TruncationKeepsTopComponents) {
   EXPECT_NEAR(err * err, tail, 1e-6 * (1.0 + tail));
 }
 
-TEST(Svd, RandomizedSvdApproximatesDominantSpectrum) {
-  Rng rng = make_rng(6);
-  // Construct a matrix with fast spectral decay so the sketch is accurate.
-  Matrix a = Matrix::gaussian(80, 40, rng);
-  const Svd base = thin_svd(a);
-  Matrix scaled_u = base.u;
-  for (std::size_t i = 0; i < scaled_u.rows(); ++i) {
-    for (std::size_t j = 0; j < scaled_u.cols(); ++j) {
-      scaled_u(i, j) *= base.sigma[j] * std::pow(0.5, static_cast<double>(j));
-    }
-  }
-  const Matrix decayed = matmul_a_bt(scaled_u, base.v);
-  const Svd exact = thin_svd(decayed);
-  Rng rng2 = make_rng(7);
-  const Svd approx = randomized_svd(decayed, 5, rng2);
-  ASSERT_EQ(approx.rank(), 5u);
-  for (std::size_t j = 0; j < 5; ++j) {
-    EXPECT_NEAR(approx.sigma[j], exact.sigma[j], 1e-6 * (1.0 + exact.sigma[0]));
-  }
-}
-
-TEST(Svd, HouseholderQOrthonormal) {
-  Rng rng = make_rng(8);
-  for (auto [n, d] : {std::pair<std::size_t, std::size_t>{10, 4},
-                      {4, 10},
-                      {16, 16}}) {
-    const Matrix a = Matrix::gaussian(n, d, rng);
-    const Matrix q = householder_q(a);
-    const std::size_t r = std::min(n, d);
-    EXPECT_EQ(q.rows(), n);
-    EXPECT_EQ(q.cols(), r);
-    EXPECT_LT(max_abs_diff(matmul_at_b(q, q), Matrix::identity(r)), 1e-10);
-    // Q spans the column space: Q Q^T A = A when n <= d (full row rank).
-    if (n <= d) {
-      const Matrix qqta = matmul(q, matmul_at_b(q, a));
-      EXPECT_LT(max_abs_diff(qqta, a), 1e-9 * (1.0 + a.frobenius_norm()));
-    }
-  }
-}
-
 TEST(Svd, EmptyMatrixRejected) {
   EXPECT_THROW((void)thin_svd(Matrix()), precondition_error);
+  EXPECT_THROW((void)truncated_svd(Matrix(), 2), precondition_error);
+}
+
+// ---- Residual accuracy contracts for the top-t solvers --------------------
+//
+// One registered suite per solver, each run over the same named shapes:
+// the edge sizes, t = 1 and t = n, the n < d branch, rank deficiency
+// (zero sigma with fill-in columns), repeated eigenvalues and a graded
+// spectrum. Bounds are c·n·eps relative to the matrix's scale, the
+// backward error an exact-to-roundoff solver owes.
+
+constexpr double kEps = std::numeric_limits<double>::epsilon();
+constexpr double kC = 16.0;
+
+struct SpectrumCase {
+  std::string name;
+  Matrix a;       // truncated_svd input; eigen_symmetric_top gets gram(a)
+  std::size_t t;
+};
+
+Matrix gram(const Matrix& a) {
+  return a.cols() <= a.rows() ? matmul_at_b(a, a) : matmul_a_bt(a, a);
+}
+
+// Q diag(values) Qᵀ for a random orthogonal Q.
+Matrix rotated_diagonal(const std::vector<double>& values, Rng& rng) {
+  const std::size_t n = values.size();
+  const Matrix q = thin_svd(Matrix::gaussian(n, n, rng)).u;
+  Matrix qd = q;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) qd(i, j) *= values[j];
+  }
+  return matmul_a_bt(qd, q);
+}
+
+const std::vector<SpectrumCase>& spectrum_cases() {
+  static const std::vector<SpectrumCase> cases = [] {
+    Rng rng = make_rng(0x7e57);
+    std::vector<SpectrumCase> c;
+    c.push_back({"one_by_one", Matrix{{-3.0}}, 1});
+    const Matrix two = Matrix::gaussian(2, 2, rng);
+    c.push_back({"two_by_two_t1", two, 1});
+    c.push_back({"two_by_two_t2", two, 2});
+    const Matrix tall = Matrix::gaussian(40, 12, rng);
+    c.push_back({"t_is_one", tall, 1});
+    c.push_back({"t_is_n", tall, 12});
+    c.push_back({"wide", Matrix::gaussian(12, 40, rng), 5});
+    const Matrix left = Matrix::gaussian(30, 3, rng);
+    const Matrix right = Matrix::gaussian(3, 10, rng);
+    c.push_back({"rank_deficient", matmul(left, right), 6});
+    c.push_back({"identity", Matrix::identity(10), 4});
+    c.push_back({"multiplicities_5_and_3",
+                 rotated_diagonal({4.0, 4.0, 4.0, 4.0, 4.0, 2.0, 2.0, 2.0, 1.0,
+                                   0.5, 0.25, 0.125},
+                                  rng),
+                 9});
+    // 600 x 200 with singular values graded from 1 down to 1e-6.
+    const Matrix u = thin_svd(Matrix::gaussian(600, 200, rng)).u;
+    const Matrix v = thin_svd(Matrix::gaussian(200, 200, rng)).u;
+    Matrix us = u;
+    for (std::size_t i = 0; i < us.rows(); ++i) {
+      for (std::size_t j = 0; j < us.cols(); ++j) {
+        us(i, j) *= std::pow(10.0, -6.0 * static_cast<double>(j) / 199.0);
+      }
+    }
+    c.push_back({"graded_600x200", matmul_a_bt(us, v), 16});
+    return c;
+  }();
+  return cases;
+}
+
+std::string case_name(const ::testing::TestParamInfo<std::size_t>& info) {
+  return spectrum_cases()[info.param].name;
+}
+
+// Largest |entry| of VᵀV - I over the first k columns of v.
+double orthogonality_error(const Matrix& v, std::size_t k) {
+  const Matrix vk = v.first_cols(k);
+  const Matrix err = subtract(matmul_at_b(vk, vk), Matrix::identity(k));
+  double worst = 0.0;
+  for (const double x : err.flat()) worst = std::max(worst, std::fabs(x));
+  return worst;
+}
+
+// ‖M x_j - scale · y_j‖ for column j of x and of y.
+double column_residual(const Matrix& m, const Matrix& x, double scale,
+                       const Matrix& y, std::size_t j) {
+  double ss = 0.0;
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    double mx = 0.0;
+    for (std::size_t k = 0; k < m.cols(); ++k) mx += m(i, k) * x(k, j);
+    const double r = mx - scale * y(i, j);
+    ss += r * r;
+  }
+  return std::sqrt(ss);
+}
+
+class EigenTopContract : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(EigenTopContract, ResidualOrthogonalityAndValues) {
+  const SpectrumCase& c = spectrum_cases()[GetParam()];
+  const Matrix g = gram(c.a);
+  const std::size_t n = g.rows();
+  const SymmetricEigen top = eigen_symmetric_top(g, c.t);
+  const SymmetricEigen full = eigen_symmetric(g);
+  ASSERT_EQ(top.values.size(), c.t);
+  ASSERT_EQ(top.vectors.rows(), n);
+  ASSERT_EQ(top.vectors.cols(), c.t);
+
+  const double bound = kC * static_cast<double>(n) * kEps;
+  const double g_norm = std::max(std::fabs(full.values.front()),
+                                 std::fabs(full.values.back()));
+  for (std::size_t j = 0; j < c.t; ++j) {
+    EXPECT_LE(column_residual(g, top.vectors, top.values[j], top.vectors, j),
+              bound * g_norm)
+        << "pair " << j;
+    EXPECT_NEAR(top.values[j], full.values[j], bound * g_norm) << "value " << j;
+    if (j > 0) {
+      EXPECT_GE(top.values[j - 1], top.values[j]);
+    }
+  }
+  EXPECT_LE(orthogonality_error(top.vectors, c.t), bound);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, EigenTopContract,
+    ::testing::Range<std::size_t>(0, spectrum_cases().size()), case_name);
+
+class TruncatedSvdContract : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TruncatedSvdContract, ResidualsOrthogonalityAndThreadInvariance) {
+  const SpectrumCase& c = spectrum_cases()[GetParam()];
+  const Matrix& a = c.a;
+  const std::size_t k = std::min({c.t, a.rows(), a.cols()});
+  const Svd s = truncated_svd(a, c.t);
+  const Svd thin = thin_svd(a);
+  ASSERT_EQ(s.rank(), k);
+  ASSERT_EQ(s.u.rows(), a.rows());
+  ASSERT_EQ(s.u.cols(), k);
+  ASSERT_EQ(s.v.rows(), a.cols());
+  ASSERT_EQ(s.v.cols(), k);
+
+  // Through the Gram, sigma_j^2 carries an absolute error of eps·sigma_1^2,
+  // so the singular-vector residuals scale with sigma_1 / sigma_j.
+  const double bound =
+      kC * static_cast<double>(std::max(a.rows(), a.cols())) * kEps;
+  const double s1 = thin.sigma.front();
+  double kappa_max = 1.0;  // sigma_1 over the smallest nonzero sigma
+  for (std::size_t j = 0; j < k; ++j) {
+    EXPECT_GE(s.sigma[j], 0.0);
+    if (j > 0) {
+      EXPECT_GE(s.sigma[j - 1], s.sigma[j]);
+    }
+    EXPECT_NEAR(s.sigma[j] * s.sigma[j], thin.sigma[j] * thin.sigma[j],
+                bound * s1 * s1)
+        << "sigma " << j;
+    EXPECT_EQ(s.sigma[j] == 0.0, thin.sigma[j] == 0.0) << "sigma " << j;
+    if (s.sigma[j] == 0.0) continue;
+    const double kappa = s1 / s.sigma[j];
+    kappa_max = kappa;
+    EXPECT_LE(column_residual(a, s.v, s.sigma[j], s.u, j), bound * s1 * kappa)
+        << "A v - sigma u, " << j;
+    EXPECT_LE(column_residual(a.transposed(), s.u, s.sigma[j], s.v, j),
+              bound * s1 * kappa)
+        << "A^T u - sigma v, " << j;
+  }
+  // Zero sigma keeps thin_svd's orthonormalized fill-in, so every column
+  // is held to the bound.
+  const double orth_bound = bound * kappa_max * kappa_max;
+  EXPECT_LE(orthogonality_error(s.u, k), orth_bound);
+  EXPECT_LE(orthogonality_error(s.v, k), orth_bound);
+
+  set_parallel_threads(1);
+  const Svd one = truncated_svd(a, c.t);
+  set_parallel_threads(4);
+  const Svd four = truncated_svd(a, c.t);
+  set_parallel_threads(0);
+  EXPECT_EQ(one.u, four.u);
+  EXPECT_EQ(one.sigma, four.sigma);
+  EXPECT_EQ(one.v, four.v);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TruncatedSvdContract,
+    ::testing::Range<std::size_t>(0, spectrum_cases().size()), case_name);
+
+TEST(EigenSymTop, RejectsNonSquareAndOversizedT) {
+  EXPECT_THROW((void)eigen_symmetric_top(Matrix(2, 3), 1), precondition_error);
+  EXPECT_THROW((void)eigen_symmetric_top(Matrix::identity(3), 4),
+               precondition_error);
+  EXPECT_EQ(eigen_symmetric_top(Matrix::identity(3), 0).vectors.cols(), 0u);
 }
 
 }  // namespace
