@@ -1,8 +1,11 @@
-// google-benchmark microbenchmarks for the substrates: SVD, JL apply,
-// PCA, sensitivity sampling, FSS, quantizer, k-means, codec. These guard
-// the complexity claims of Table 2 at the kernel level (e.g. thin SVD
-// scaling with d vs JL apply scaling with d').
+// google-benchmark microbenchmarks for the substrates: the matrix
+// product kernel, SVD, JL apply, PCA, sensitivity sampling, FSS,
+// quantizer, k-means, codec. These guard the complexity claims of
+// Table 2 at the kernel level (e.g. thin SVD scaling with d vs JL apply
+// scaling with d').
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "cr/fss.hpp"
 #include "cr/sensitivity.hpp"
@@ -10,6 +13,7 @@
 #include "dr/jl.hpp"
 #include "dr/pca.hpp"
 #include "kmeans/lloyd.hpp"
+#include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
 #include "net/summary_codec.hpp"
 #include "qt/quantizer.hpp"
@@ -26,6 +30,62 @@ Dataset bench_data(std::size_t n, std::size_t d) {
   spec.latent_dim = 12;
   return make_mnist_like(spec, rng);
 }
+
+// Rate counter for a kernel that does `flops` floating-point operations
+// per call. The products run on the pool, so their benchmarks time wall
+// clock (UseRealTime), not the calling thread's CPU time.
+benchmark::Counter gflops(double flops) {
+  return benchmark::Counter(flops / 1e9,
+                            benchmark::Counter::kIsIterationInvariantRate);
+}
+
+// Gram products at the shapes BKLW forms them: a bklw_mnist shard
+// (2013x784, AᵀA), the disPCA merge of ten 16-row summaries (160x784,
+// AAᵀ), fleet_sim's merge (32768x16, AᵀA) and its per-site 16x16.
+// Args: rows, cols. Like e2ebench's linalg.gram_gflops, the counter
+// charges 2·n·d² for an n x d operand with d <= n, so for the symmetric
+// update, which forms half the cells, it is an effective rate.
+void BM_Gram(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
+  const Dataset data = bench_data(rows, cols);
+  const Matrix& a = data.points();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cols <= rows ? matmul_at_b(a, a)
+                                          : matmul_a_bt(a, a));
+  }
+  const double small = static_cast<double>(std::min(rows, cols));
+  const double large = static_cast<double>(std::max(rows, cols));
+  state.counters["GFLOP/s"] = gflops(2.0 * large * small * small);
+}
+BENCHMARK(BM_Gram)
+    ->Args({2013, 784})
+    ->Args({160, 784})
+    ->Args({32768, 16})
+    ->Args({16, 16})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// A shard times 16 columns: U = A·V in disPCA's local SVD and the BKLW
+// projection onto the merged basis. Args: rows, inner, cols.
+void BM_Matmul(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto inner = static_cast<std::size_t>(state.range(1));
+  const auto cols = static_cast<std::size_t>(state.range(2));
+  const Dataset data = bench_data(rows, inner);
+  Rng rng = make_rng(7);
+  const Matrix v = Matrix::gaussian(inner, cols, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(matmul(data.points(), v));
+  }
+  state.counters["GFLOP/s"] = gflops(2.0 * static_cast<double>(rows) *
+                                     static_cast<double>(inner) *
+                                     static_cast<double>(cols));
+}
+BENCHMARK(BM_Matmul)
+    ->Args({2013, 784, 16})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ThinSvd(benchmark::State& state) {
   const auto d = static_cast<std::size_t>(state.range(0));

@@ -99,25 +99,35 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// C = A * B. O(rows_A * cols_A * cols_B), cache-friendly ikj order.
+// The three products run on one register-blocked FMA kernel
+// (src/linalg/matrix.cpp). Each output cell is one FMA chain over the
+// summation index p in ascending order, starting from +0 — the plain
+// per-cell loop's arithmetic — so a product is bit-identical to that
+// loop at any tiling, slab depth or EKM_THREADS. (Without FMA hardware
+// the compiler emits a multiply and an add, in the kernel and in such a
+// loop alike.) Zero entries are multiplied like any other: a zero adds a
+// signed zero, which leaves every finite sum as it was. Only a non-finite
+// operand could tell, and the loaders and decoders reject those.
+
+/// C = A * B: C[i][j] = Σ_p A[i][p]·B[p][j].
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A^T * B without materializing A^T.
+/// C = A^T * B without materializing A^T: C[i][j] = Σ_p A[p][i]·B[p][j].
+/// Called with the same object twice — matmul_at_b(a, a), the Gram A^T A —
+/// it is a symmetric rank-k update: only tiles that reach the upper
+/// triangle are formed and the rest is mirrored, which is exact because
+/// each mirrored cell's chain multiplies the same pairs in the same order.
 [[nodiscard]] Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T without materializing B^T.
+/// C = A * B^T without materializing B^T: C[i][j] = Σ_p A[i][p]·B[j][p].
+/// matmul_a_bt(a, a), the Gram A A^T, is a symmetric rank-k update as
+/// above.
 [[nodiscard]] Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 
-/// y = A * x.
-[[nodiscard]] std::vector<double> matvec(const Matrix& a,
-                                         std::span<const double> x);
-
-/// A + B and A - B.
-[[nodiscard]] Matrix add(const Matrix& a, const Matrix& b);
+/// A - B.
 [[nodiscard]] Matrix subtract(const Matrix& a, const Matrix& b);
 
 /// Euclidean helpers on raw spans (hot path of k-means).
-[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 [[nodiscard]] double squared_distance(std::span<const double> a,
                                       std::span<const double> b);
 [[nodiscard]] double norm2(std::span<const double> a);

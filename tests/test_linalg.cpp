@@ -59,23 +59,127 @@ TEST(Matrix, FusedTransposeProductsMatchExplicit) {
   EXPECT_LT(max_abs_diff(matmul_a_bt(a, c), matmul(a, c.transposed())), 1e-12);
 }
 
+// One step of a product cell's chain as the kernel compiles it: fused
+// where the target has a fast FMA, a multiply and an add elsewhere.
+double chain_step(double s, double x, double y) {
+#if defined(__FP_FAST_FMA)
+  return std::fma(x, y, s);
+#else
+  return s + x * y;
+#endif
+}
+
+// The product contract: C[i][j] is one chain over p ascending from +0 of
+// x(i, p)·y(p, j).
+template <class X, class Y>
+Matrix reference_product(std::size_t m, std::size_t n, std::size_t k, X x,
+                         Y y) {
+  Matrix c(m, n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double s = 0.0;
+      for (std::size_t p = 0; p < k; ++p) s = chain_step(s, x(i, p), y(p, j));
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+Matrix reference_matmul(const Matrix& a, const Matrix& b) {
+  return reference_product(
+      a.rows(), b.cols(), a.cols(),
+      [&](std::size_t i, std::size_t p) { return a(i, p); },
+      [&](std::size_t p, std::size_t j) { return b(p, j); });
+}
+
+Matrix reference_at_b(const Matrix& a, const Matrix& b) {
+  return reference_product(
+      a.cols(), b.cols(), a.rows(),
+      [&](std::size_t i, std::size_t p) { return a(p, i); },
+      [&](std::size_t p, std::size_t j) { return b(p, j); });
+}
+
+Matrix reference_a_bt(const Matrix& a, const Matrix& b) {
+  return reference_product(
+      a.rows(), b.rows(), a.cols(),
+      [&](std::size_t i, std::size_t p) { return a(i, p); },
+      [&](std::size_t p, std::size_t j) { return b(j, p); });
+}
+
+// Gaussian entries with exact zeros: every fifth entry and, past one
+// row, a whole row.
+Matrix with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
+  Matrix m = Matrix::gaussian(rows, cols, rng);
+  auto f = m.flat();
+  for (std::size_t i = 2; i < f.size(); i += 5) f[i] = 0.0;
+  if (rows > 1) {
+    for (std::size_t j = 0; j < cols; ++j) m(rows / 2, j) = 0.0;
+  }
+  return m;
+}
+
 TEST(Matrix, ProductsBitIdenticalAcrossPoolSizes) {
-  // Shapes well above the one-chunk threshold, with exact zeros so the
-  // zero skip runs, must not depend on the pool size.
+  // Each product equals the per-cell reference loop bit for bit at any
+  // pool size. Shapes (rows of C, columns of C, summation depth) reach
+  // every edge of the tiled kernel: 1×1; ragged tiles in all three
+  // dimensions; fewer output columns than one vector; several slabs,
+  // pool chunks and column blocks; exact zeros in both operands.
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {
+      {1, 1, 1}, {37, 11, 13}, {20, 5, 9}, {150, 100, 600}, {90, 700, 40}};
   Rng rng = make_rng(3);
-  Matrix a = Matrix::gaussian(300, 200, rng);
-  for (std::size_t i = 0; i < a.rows(); i += 7) a(i, i % a.cols()) = 0.0;
-  const Matrix b = Matrix::gaussian(300, 150, rng);
-  const Matrix c = Matrix::gaussian(200, 150, rng);
-  const Matrix d = Matrix::gaussian(250, 200, rng);
-  set_parallel_threads(1);
-  const Matrix at_b1 = matmul_at_b(a, b);
-  const Matrix ab1 = matmul(a, c);
-  const Matrix a_bt1 = matmul_a_bt(a, d);
-  set_parallel_threads(4);
-  EXPECT_EQ(matmul_at_b(a, b), at_b1);
-  EXPECT_EQ(matmul(a, c), ab1);
-  EXPECT_EQ(matmul_a_bt(a, d), a_bt1);
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.n) + "x" +
+                 std::to_string(s.k));
+    const Matrix a = with_zeros(s.m, s.k, rng);   // A of A·B and A·Bᵀ
+    const Matrix b = with_zeros(s.k, s.n, rng);   // B of A·B and Aᵀ·B
+    const Matrix at = with_zeros(s.k, s.m, rng);  // A of Aᵀ·B
+    const Matrix bt = with_zeros(s.n, s.k, rng);  // B of A·Bᵀ
+    const Matrix ab = reference_matmul(a, b);
+    const Matrix at_b = reference_at_b(at, b);
+    const Matrix a_bt = reference_a_bt(a, bt);
+    for (const std::size_t threads : {1, 4}) {
+      set_parallel_threads(threads);
+      EXPECT_EQ(matmul(a, b), ab) << threads << " threads";
+      EXPECT_EQ(matmul_at_b(at, b), at_b) << threads << " threads";
+      EXPECT_EQ(matmul_a_bt(a, bt), a_bt) << threads << " threads";
+    }
+  }
+
+  // The Gram calls, matmul_at_b(a, a) and matmul_a_bt(a, a), form only
+  // the upper triangle and mirror it. They must equal the reference, the
+  // same call on a copy (the general path) and their own transpose, bit
+  // for bit: 1×1, ragged tiles, several slabs, chunks and column
+  // blocks, n < d for A Aᵀ, and the 32768×16 merge Gram of a 4096-site
+  // fleet.
+  struct Operand {
+    std::size_t rows, cols;
+  };
+  const Operand grams[] = {{1, 1},    {13, 37},  {37, 13},   {600, 150},
+                           {150, 600}, {40, 700}, {700, 40}, {32768, 16}};
+  for (const Operand& s : grams) {
+    SCOPED_TRACE(std::to_string(s.rows) + "x" + std::to_string(s.cols));
+    const Matrix a = with_zeros(s.rows, s.cols, rng);
+    const Matrix copy = a;
+    const Matrix ata = reference_at_b(a, a);
+    // A Aᵀ of the tall operand would be 8 GiB; its Gram is Aᵀ A.
+    const bool wide_gram = s.rows <= 4096;
+    const Matrix aat = wide_gram ? reference_a_bt(a, a) : Matrix();
+    for (const std::size_t threads : {1, 4}) {
+      set_parallel_threads(threads);
+      const Matrix g = matmul_at_b(a, a);
+      EXPECT_EQ(g, ata) << threads << " threads";
+      EXPECT_EQ(g, matmul_at_b(a, copy)) << threads << " threads";
+      EXPECT_EQ(g, g.transposed()) << threads << " threads";
+      if (!wide_gram) continue;
+      const Matrix h = matmul_a_bt(a, a);
+      EXPECT_EQ(h, aat) << threads << " threads";
+      EXPECT_EQ(h, matmul_a_bt(a, copy)) << threads << " threads";
+      EXPECT_EQ(h, h.transposed()) << threads << " threads";
+    }
+  }
   set_parallel_threads(0);
 }
 
@@ -105,13 +209,8 @@ TEST(Matrix, AppendRows) {
 TEST(Matrix, VectorHelpers) {
   const std::vector<double> a{3.0, 4.0};
   const std::vector<double> b{1.0, -1.0};
-  EXPECT_DOUBLE_EQ(dot(a, b), -1.0);
   EXPECT_DOUBLE_EQ(squared_distance(a, b), 4.0 + 25.0);
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
-  const Matrix m{{1.0, 0.0}, {0.0, 2.0}};
-  const std::vector<double> y = matvec(m, a);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-  EXPECT_DOUBLE_EQ(y[1], 8.0);
 }
 
 TEST(EigenSym, DiagonalMatrix) {
