@@ -339,30 +339,40 @@ PipelineResult run_distributed_pipeline(PipelineKind kind,
   switch (kind) {
     case PipelineKind::kNoReduction: {
       const RoundId round = net.open_round(cfg.round_deadline_s);
+      const bool qt = cfg.significant_bits < kDoubleSignificandBits;
       for (std::size_t i = 0; i < parts.size(); ++i) {
-        Matrix payload = parts[i].points();
-        if (cfg.significant_bits < kDoubleSignificandBits) {
+        // Without QT the shard is encoded where it lies.
+        Matrix quantized;
+        if (qt) {
           auto scope = device_work.measure();
-          payload = RoundingQuantizer(cfg.significant_bits).quantize(payload);
+          quantized = RoundingQuantizer(cfg.significant_bits)
+                          .quantize(parts[i].points());
         }
-        net.uplink(i).send(encode_matrix(payload, cfg.significant_bits));
+        net.uplink(i).send(encode_matrix(qt ? quantized : parts[i].points(),
+                                         cfg.significant_bits));
       }
       // Ship-everything is one collection round too: the server
-      // clusters whatever raw shards made the deadline.
-      Matrix all;
+      // clusters whatever raw shards made the deadline, joined once.
+      std::vector<Dataset> shards;
       std::size_t responders = 0;
       for (std::size_t i = 0; i < parts.size(); ++i) {
         auto frame = net.uplink(i).receive_by(round);
         if (!frame.has_value()) continue;
         responders += 1;
         Matrix part = decode_matrix(*frame);
-        if (part.rows() > 0) all.append_rows(part);
+        if (part.rows() == 0) continue;
+        EKM_EXPECTS_MSG(part.cols() == d,
+                        "NR round: source " + std::to_string(i) + " sent " +
+                            std::to_string(part.cols()) +
+                            " columns, the round's dimension is " +
+                            std::to_string(d));
+        shards.emplace_back(std::move(part));
       }
       enforce_availability_floor(responders, cfg.min_round_responders,
                                  "NR round", net.rounds_opened());
-      EKM_ENSURES_MSG(all.rows() > 0,
+      EKM_ENSURES_MSG(!shards.empty(),
                       "no data source delivered before the round deadline");
-      const KMeansResult res = kmeans(Dataset(std::move(all)), solver_options(cfg));
+      const KMeansResult res = kmeans(concatenate(shards), solver_options(cfg));
       PipelineResult result;
       result.centers = res.centers;
       result.device_seconds = device_work.total_seconds();

@@ -1,6 +1,7 @@
 #include "kmeans/assign.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -14,12 +15,17 @@ namespace {
 // weighted costs fold one partial per tile, in tile order.
 constexpr std::size_t kPointTile = 256;
 // Centers per packed tile — one SIMD lane each (AVX-512: one zmm of
-// doubles; AVX2: two ymm). The b-loops below are fixed-trip so the
-// compiler turns them into broadcast-FMA vector ops.
+// doubles; AVX2: two ymm).
 constexpr std::size_t kLanes = 8;
+// Points per register block: each center-tile row load feeds this many
+// points. On AVX-512 the block's 16 accumulators and 4 tile rows fit the
+// 32 zmm registers.
+constexpr std::size_t kPointBlock = 4;
 
 // Four-lane dot product with fixed association (deterministic); used for
-// the cached row norms.
+// the cached row norms. The compiler vectorizes the loop as an in-order
+// reduction, so which steps are fused is the build's choice; the kernel
+// only ever reads the norms, never recomputes them.
 inline double dot4(const double* a, const double* b, std::size_t d) {
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
   std::size_t j = 0;
@@ -32,6 +38,18 @@ inline double dot4(const double* a, const double* b, std::size_t d) {
   double s = (s0 + s1) + (s2 + s3);
   for (; j < d; ++j) s += a[j] * b[j];
   return s;
+}
+
+// One step of a weighted-cost chain: s + w·d², fused where the target has
+// a fast FMA, as the compiler contracts it inside the assignment scan. A
+// plain tile-fold loop would instead be vectorized into separately
+// rounded products added in order, so both folds spell the step out.
+inline double cost_step(double s, double w, double d2) {
+#if defined(__FP_FAST_FMA)
+  return std::fma(w, d2, s);
+#else
+  return s + w * d2;
+#endif
 }
 
 // Centers repacked GEMM-style: block B holds lanes for centers
@@ -74,90 +92,94 @@ struct PackedCenters {
   }
 };
 
-// d²(p, centers of block B) for all eight lanes. Four j-split
-// accumulator vectors break the FMA latency chain; they are combined in
-// a fixed order, so results do not depend on tiling or thread count.
-#if defined(__GNUC__) || defined(__clang__)
-// GNU vector-extension path: keeps the whole block — accumulate, fold,
-// clamp — in one 8-lane register, so the epilogue is a handful of vector
-// ops instead of per-lane extracts.
+// d²(p_q, centers of one block), all eight lanes, for P points at once
+// (Goto & van de Geijn's register blocking): per j-step the four tile
+// rows t[j..j+3] are loaded once and feed every point. Each point keeps
+// four j-split accumulator vectors that break the FMA latency chain and
+// fold as (a0+a1)+(a2+a3), so every (point, center) cell computes the
+// same chain whatever P, the tiling or the thread count. The epilogue —
+// fold, ‖p‖²+‖c‖²−2⟨p,c⟩, clamp — stays in 8-lane registers (GNU vector
+// extensions, which the sanitizer Debug builds compile too).
 using Lanes8 = double __attribute__((vector_size(kLanes * sizeof(double)),
                                      aligned(64)));
 
-inline void block_sq_dists(const double* p, double pn, const double* tile,
-                           const double* cn, std::size_t d, double* out) {
+template <std::size_t P>
+inline void block_sq_dists(const double* const* p, const double* pn,
+                           const double* tile, const double* cn,
+                           std::size_t d, Lanes8* out) {
   const auto* t =
       static_cast<const Lanes8*>(__builtin_assume_aligned(tile, 64));
-  Lanes8 a0 = {}, a1 = {}, a2 = {}, a3 = {};
+  Lanes8 a[P][4] = {};
   std::size_t j = 0;
   for (; j + 4 <= d; j += 4) {
-    a0 += p[j] * t[j];
-    a1 += p[j + 1] * t[j + 1];
-    a2 += p[j + 2] * t[j + 2];
-    a3 += p[j + 3] * t[j + 3];
-  }
-  for (; j < d; ++j) a0 += p[j] * t[j];
-  const Lanes8 dot = (a0 + a1) + (a2 + a3);
-  Lanes8 d2;
-  for (std::size_t b = 0; b < kLanes; ++b) d2[b] = pn + cn[b];
-  d2 -= 2.0 * dot;
-  d2 = d2 > 0.0 ? d2 : Lanes8{};  // clamp cancellation noise at zero
-  for (std::size_t b = 0; b < kLanes; ++b) out[b] = d2[b];
-}
-#else
-inline void block_sq_dists(const double* p, double pn, const double* tile,
-                           const double* cn, std::size_t d, double* out) {
-  double a0[kLanes] = {0.0}, a1[kLanes] = {0.0};
-  double a2[kLanes] = {0.0}, a3[kLanes] = {0.0};
-  std::size_t j = 0;
-  for (; j + 4 <= d; j += 4) {
-    const double p0 = p[j], p1 = p[j + 1], p2 = p[j + 2], p3 = p[j + 3];
-    const double* t = tile + j * kLanes;
-    for (std::size_t b = 0; b < kLanes; ++b) a0[b] += p0 * t[b];
-    for (std::size_t b = 0; b < kLanes; ++b) a1[b] += p1 * t[kLanes + b];
-    for (std::size_t b = 0; b < kLanes; ++b) a2[b] += p2 * t[2 * kLanes + b];
-    for (std::size_t b = 0; b < kLanes; ++b) a3[b] += p3 * t[3 * kLanes + b];
+    const Lanes8 t0 = t[j], t1 = t[j + 1], t2 = t[j + 2], t3 = t[j + 3];
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < P; ++q) {
+      a[q][0] += p[q][j] * t0;
+      a[q][1] += p[q][j + 1] * t1;
+      a[q][2] += p[q][j + 2] * t2;
+      a[q][3] += p[q][j + 3] * t3;
+    }
   }
   for (; j < d; ++j) {
-    const double pj = p[j];
-    const double* t = tile + j * kLanes;
-    for (std::size_t b = 0; b < kLanes; ++b) a0[b] += pj * t[b];
+#pragma GCC unroll 4
+    for (std::size_t q = 0; q < P; ++q) a[q][0] += p[q][j] * t[j];
   }
-  for (std::size_t b = 0; b < kLanes; ++b) {
-    const double dot = (a0[b] + a1[b]) + (a2[b] + a3[b]);
-    out[b] = std::max(0.0, pn + cn[b] - 2.0 * dot);
+  Lanes8 c;
+  for (std::size_t b = 0; b < kLanes; ++b) c[b] = cn[b];
+#pragma GCC unroll 4
+  for (std::size_t q = 0; q < P; ++q) {
+    const Lanes8 dot = (a[q][0] + a[q][1]) + (a[q][2] + a[q][3]);
+    Lanes8 d2 = pn[q] + c;
+    d2 -= 2.0 * dot;
+    out[q] = d2 > 0.0 ? d2 : Lanes8{};  // clamp cancellation noise at zero
   }
 }
-#endif
 
-// Scans all center blocks in ascending order for each point of [i0, i1)
-// and calls per_point(i, best_index, best_sq_dist). `seed` (optional)
-// caps the running minimum from below — ties against the seed keep the
-// seed, ties between centers keep the lowest index, like the naive scan.
+// Scans all center blocks in ascending order for points [i, i+P) and
+// calls per_point(i+q, best_index, best_sq_dist) for q ascending.
+// `seed` (optional) caps each running minimum from below — ties against
+// the seed keep the seed, ties between centers keep the lowest index,
+// like the naive scan.
+template <std::size_t P, class PerPoint>
+void scan_block(const Matrix& points, const PackedCenters& pc,
+                const double* pnorm, std::size_t i, const double* seed,
+                PerPoint& per_point) {
+  const double* p[P];
+  double best[P];
+  std::size_t best_c[P] = {};
+  for (std::size_t q = 0; q < P; ++q) {
+    p[q] = points.row_ptr(i + q);
+    best[q] = seed != nullptr ? seed[i + q]
+                              : std::numeric_limits<double>::infinity();
+  }
+  Lanes8 d2[P];
+  for (std::size_t block = 0; block < pc.blocks; ++block) {
+    block_sq_dists<P>(p, pnorm + i, pc.tile(block),
+                      pc.norms.data() + block * kLanes, pc.d, d2);
+    for (std::size_t q = 0; q < P; ++q) {
+      for (std::size_t b = 0; b < kLanes; ++b) {
+        if (d2[q][b] < best[q]) {  // padded lanes are +inf and never win
+          best[q] = d2[q][b];
+          best_c[q] = block * kLanes + b;
+        }
+      }
+    }
+  }
+  for (std::size_t q = 0; q < P; ++q) per_point(i + q, best_c[q], best[q]);
+}
+
+// Points [i0, i1) in blocks of kPointBlock; the ragged tail runs one
+// point at a time through the same template.
 template <class PerPoint>
 void scan_points(const Matrix& points, const PackedCenters& pc,
                  const double* pnorm, std::size_t i0, std::size_t i1,
                  const double* seed, PerPoint&& per_point) {
-  const std::size_t d = pc.d;
-  double d2[kLanes];
-  for (std::size_t i = i0; i < i1; ++i) {
-    const double* p = points.row_ptr(i);
-    const double pn = pnorm[i];
-    double best = seed != nullptr ? seed[i]
-                                  : std::numeric_limits<double>::infinity();
-    std::size_t best_c = 0;
-    for (std::size_t block = 0; block < pc.blocks; ++block) {
-      block_sq_dists(p, pn, pc.tile(block), pc.norms.data() + block * kLanes,
-                     d, d2);
-      for (std::size_t b = 0; b < kLanes; ++b) {
-        if (d2[b] < best) {  // padded lanes are +inf and never win
-          best = d2[b];
-          best_c = block * kLanes + b;
-        }
-      }
-    }
-    per_point(i, best_c, best);
+  std::size_t i = i0;
+  for (; i + kPointBlock <= i1; i += kPointBlock) {
+    scan_block<kPointBlock>(points, pc, pnorm, i, seed, per_point);
   }
+  for (; i < i1; ++i) scan_block<1>(points, pc, pnorm, i, seed, per_point);
 }
 
 void check_shapes(const Matrix& points, const Matrix& centers) {
@@ -251,12 +273,64 @@ double assign_and_cost(const Dataset& data, const Matrix& centers,
                     [&](std::size_t i, std::size_t c, double d2) {
                       if (idx != nullptr) idx[i] = c;
                       if (sd != nullptr) sd[i] = d2;
-                      local += data.weight(i) * d2;
+                      local = cost_step(local, data.weight(i), d2);
                     });
         partial[chunk] = local;
       });
   double cost = 0.0;
   for (double p : partial) cost += p;  // fixed tile order
+  return cost;
+}
+
+double assign_and_accumulate(const Dataset& data, const Matrix& centers,
+                             std::span<const double> point_sq_norms,
+                             std::size_t grain, std::span<std::size_t> index,
+                             std::span<double> sq_dist,
+                             std::span<double> chunk_sums,
+                             std::span<double> chunk_weights) {
+  ObsKernelScope obs_scope("assign_and_accumulate");
+  const Matrix& points = data.points();
+  check_shapes(points, centers);
+  const std::size_t n = points.rows();
+  const std::size_t k = centers.rows();
+  const std::size_t d = centers.cols();
+  const std::size_t chunks = parallel_chunk_count(n, grain);
+  EKM_EXPECTS(point_sq_norms.size() == n && index.size() == n &&
+              sq_dist.size() == n);
+  EKM_EXPECTS(chunk_sums.size() == chunks * k * d &&
+              chunk_weights.size() == chunks * k);
+  const PackedCenters pc(centers);
+  parallel_for_chunks(
+      n, grain, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        double* psums = chunk_sums.data() + chunk * k * d;
+        double* pweight = chunk_weights.data() + chunk * k;
+        std::fill_n(psums, k * d, 0.0);
+        std::fill_n(pweight, k, 0.0);
+        // Each point's sums are added right after its block is scanned,
+        // while its row is still in L1.
+        scan_points(points, pc, point_sq_norms.data(), begin, end, nullptr,
+                    [&](std::size_t i, std::size_t c, double d2) {
+                      index[i] = c;
+                      sq_dist[i] = d2;
+                      const double w = data.weight(i);
+                      if (w == 0.0) return;
+                      pweight[c] += w;
+                      const double* p = points.row_ptr(i);
+                      double* s = psums + c * d;
+                      for (std::size_t j = 0; j < d; ++j) s[j] += w * p[j];
+                    });
+      });
+  // assign_and_cost's association: one partial per point tile, folded in
+  // tile order.
+  double cost = 0.0;
+  for (std::size_t t0 = 0; t0 < n; t0 += kPointTile) {
+    const std::size_t t1 = std::min(n, t0 + kPointTile);
+    double local = 0.0;
+    for (std::size_t i = t0; i < t1; ++i) {
+      local = cost_step(local, data.weight(i), sq_dist[i]);
+    }
+    cost += local;
+  }
   return cost;
 }
 

@@ -9,16 +9,20 @@
 //
 // with row norms cached once per call and the ⟨p, c⟩ block computed
 // GEMM-style: centers blocked 8 at a time with independent accumulators
-// so the FMA chains pipeline, points tiled so a tile of centers stays in
-// L1. Point tiles map onto the common/parallel.hpp chunk grid, so results
-// are bitwise-identical for every EKM_THREADS value:
+// so the FMA chains pipeline, and points register-blocked 4 at a time so
+// each center-tile row load feeds four points. Point tiles map onto the
+// common/parallel.hpp chunk grid, so results are bitwise-identical for
+// every EKM_THREADS value:
 //   - each point's winner is computed from a scan over centers in fixed
 //     ascending order (ties keep the lowest index, like the naive scan);
 //   - weighted-cost reductions fold per-tile partials in tile order.
 //
 // The identity can go slightly negative under cancellation; distances are
 // clamped to >= 0. Values differ from the subtract-form by O(eps·‖p‖‖c‖),
-// which is why agreement tests compare assignments, not raw bits.
+// which is why agreement tests against the naive scan compare
+// assignments, not raw bits; the contract table in tests/test_assign.cpp
+// holds the kernel and Lloyd bit for bit to per-cell loops of this
+// kernel's own arithmetic.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +61,22 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
                                      std::span<std::size_t> index,
                                      std::span<double> sq_dist = {},
                                      std::span<const double> point_sq_norms = {});
+
+/// Lloyd's pass: assign_and_cost's assignment, distances and cost plus
+/// the update step's per-cluster sums, in one read of the points.
+/// Chunk g of the grid over [0, n) with `grain` points per chunk
+/// accumulates, in ascending point order and skipping zero weights,
+/// Σ w_i·p_i into chunk_sums[(g·k + c)·d, +d) and Σ w_i into
+/// chunk_weights[g·k + c] for each cluster c. The spans hold
+/// parallel_chunk_count(n, grain) slots, which the pass overwrites;
+/// `point_sq_norms`, `index` and `sq_dist` are n long. The cost is folded
+/// as assign_and_cost folds it, so all outputs are bit-identical to an
+/// assign_and_cost call followed by a separate per-chunk sum.
+[[nodiscard]] double assign_and_accumulate(
+    const Dataset& data, const Matrix& centers,
+    std::span<const double> point_sq_norms, std::size_t grain,
+    std::span<std::size_t> index, std::span<double> sq_dist,
+    std::span<double> chunk_sums, std::span<double> chunk_weights);
 
 /// ‖row‖² per row (parallel); the cacheable input to assign_and_cost.
 [[nodiscard]] std::vector<double> row_sq_norms(const Matrix& m);

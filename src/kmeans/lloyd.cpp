@@ -91,10 +91,10 @@ KMeansResult lloyd(const Dataset& data, Matrix initial_centers,
 
   std::vector<double> cluster_weight(k, 0.0);
   Matrix sums(k, d);
-  // Per-chunk accumulation slots for the parallel update step, merged in
-  // chunk order below so the result is thread-count-independent. The
-  // grain grows with n to cap the chunk count (and the k·d scratch per
-  // chunk); it still depends only on n, never on the thread count.
+  // Per-chunk accumulation slots for the update sums, merged in chunk
+  // order below so the result is thread-count-independent. The grain
+  // grows with n to cap the chunk count (and the k·d scratch per chunk);
+  // it still depends only on n, never on the thread count.
   const std::size_t max_chunks = std::clamp<std::size_t>(
       kUpdateScratchDoubles / (k * d + k), 1, kMaxUpdateChunks);
   const std::size_t update_grain =
@@ -103,37 +103,24 @@ KMeansResult lloyd(const Dataset& data, Matrix initial_centers,
   std::vector<double> part_sums(chunks * k * d, 0.0);
   std::vector<double> part_weight(chunks * k, 0.0);
 
+  bool converged = false;
   for (int it = 0; it < opts.max_iters; ++it) {
-    // Assignment step (batched kernel; deterministic ordered cost).
-    const double cost = assign_and_cost(data, res.centers, res.assignment,
-                                        sq_dist, point_norms);
+    // One pass over the points: assignment, deterministic ordered cost
+    // and the update step's per-chunk weighted sums.
+    const double cost =
+        assign_and_accumulate(data, res.centers, point_norms, update_grain,
+                              res.assignment, sq_dist, part_sums, part_weight);
     res.cost = cost;
     res.iterations = it + 1;
 
     if (std::isfinite(prev_cost) &&
         prev_cost - cost <= opts.rel_tol * std::max(prev_cost, 1e-300)) {
+      converged = true;  // this pass's sums are not needed
       break;
     }
     prev_cost = cost;
 
-    // Update step: per-chunk weighted sums, folded in chunk order.
-    std::fill(part_sums.begin(), part_sums.end(), 0.0);
-    std::fill(part_weight.begin(), part_weight.end(), 0.0);
-    parallel_for_chunks(
-        n, update_grain,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          double* psums = part_sums.data() + chunk * k * d;
-          double* pweight = part_weight.data() + chunk * k;
-          for (std::size_t i = begin; i < end; ++i) {
-            const double w = data.weight(i);
-            if (w == 0.0) continue;
-            const std::size_t c = res.assignment[i];
-            pweight[c] += w;
-            const double* p = data.points().row_ptr(i);
-            double* s = psums + c * d;
-            for (std::size_t j = 0; j < d; ++j) s[j] += w * p[j];
-          }
-        });
+    // Update step: fold the chunk sums in chunk order.
     std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
     std::fill(sums.flat().begin(), sums.flat().end(), 0.0);
     for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
@@ -170,10 +157,13 @@ KMeansResult lloyd(const Dataset& data, Matrix initial_centers,
     }
   }
 
-  // Refresh cost/assignment for the final centers (the loop may have
-  // updated centers after the last assignment).
-  res.cost =
-      assign_and_cost(data, res.centers, res.assignment, {}, point_norms);
+  // A converged loop broke before touching the centers, so its last pass
+  // already holds their assignment and cost. Otherwise the loop updated
+  // the centers after its last pass: refresh both.
+  if (!converged) {
+    res.cost =
+        assign_and_cost(data, res.centers, res.assignment, {}, point_norms);
+  }
   return res;
 }
 

@@ -1,10 +1,15 @@
 // Tests for the batched assignment kernel (src/kmeans/assign.*) and the
 // thread pool underneath it: agreement with the naive per-point scan
-// across n/k/d sweeps, and bitwise thread-count determinism of kmeans().
+// across n/k/d sweeps, a bitwise contract table for the kernel and
+// Lloyd, and bitwise thread-count determinism of kmeans().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/parallel.hpp"
 #include "data/generators.hpp"
@@ -120,6 +125,311 @@ TEST(AssignKernel, RejectsShapeMismatch) {
   EXPECT_THROW((void)assign_batch(data.points(), Matrix{{1.0, 2.0}}),
                precondition_error);
 }
+
+// ---- Contract table ---------------------------------------------------------
+//
+// The kernel and Lloyd's fused pass are held bit for bit to plain
+// per-cell reference loops over one registered table of shapes, at one
+// and at four pool threads.
+
+// One step of an accumulator chain as the library compiles it: fused
+// where the target has a fast FMA, a multiply and an add elsewhere.
+double chain_step(double s, double x, double y) {
+#if defined(__FP_FAST_FMA)
+  return std::fma(x, y, s);
+#else
+  return s + x * y;
+#endif
+}
+
+// ⟨x, y⟩ as four j-split chains, the d mod 4 tail on the first, folded
+// as (a0+a1)+(a2+a3).
+double split_dot(std::span<const double> x, std::span<const double> y) {
+  double a[4] = {0.0, 0.0, 0.0, 0.0};
+  std::size_t j = 0;
+  for (; j + 4 <= x.size(); j += 4) {
+    for (std::size_t r = 0; r < 4; ++r) {
+      a[r] = chain_step(a[r], x[j + r], y[j + r]);
+    }
+  }
+  for (; j < x.size(); ++j) a[0] = chain_step(a[0], x[j], y[j]);
+  return (a[0] + a[1]) + (a[2] + a[3]);
+}
+
+// Each point scans the centers in ascending order with a strict < against
+// its running best, which starts from seed[i] where given, else +inf.
+// The cell is ‖p‖²+‖c‖²−2⟨p,c⟩ clamped at zero. The norms are the cached
+// inputs the kernel reads, so they come from row_sq_norms: its loop is a
+// vectorized in-order reduction whose split between fused and unfused
+// steps is the compiler's, so a test-side chain need not match it.
+BatchAssignment ref_assign(const Matrix& pts, const Matrix& centers,
+                           const std::vector<double>* seed = nullptr) {
+  const std::vector<double> pn = row_sq_norms(pts);
+  const std::vector<double> cn = row_sq_norms(centers);
+  BatchAssignment out;
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    double best = seed != nullptr ? (*seed)[i]
+                                  : std::numeric_limits<double>::infinity();
+    std::size_t best_c = 0;
+    for (std::size_t c = 0; c < centers.rows(); ++c) {
+      const double dot = split_dot(pts.row(i), centers.row(c));
+      const double d2 = std::max(0.0, (pn[i] + cn[c]) - 2.0 * dot);
+      if (d2 < best) {
+        best = d2;
+        best_c = c;
+      }
+    }
+    out.index.push_back(best_c);
+    out.sq_dist.push_back(best);
+  }
+  return out;
+}
+
+// The weighted cost, one partial per 256-point tile, folded in tile order.
+double ref_cost(const Dataset& data, const std::vector<double>& sq_dist) {
+  double cost = 0.0;
+  for (std::size_t t0 = 0; t0 < data.size(); t0 += 256) {
+    double local = 0.0;
+    for (std::size_t i = t0; i < std::min(data.size(), t0 + 256); ++i) {
+      local = chain_step(local, data.weight(i), sq_dist[i]);
+    }
+    cost += local;
+  }
+  return cost;
+}
+
+// What a reference solve went through, so each case can prove it covers
+// the branch it was registered for.
+struct RefPaths {
+  int converged = 0;  // Lloyd runs that stopped on the tolerance test
+  int capped = 0;     // Lloyd runs that stopped at max_iters
+  int reseeds = 0;    // empty clusters reseated
+};
+
+// A plain two-pass Lloyd: assign and cost, then sum per 2048-point chunk
+// (lloyd's update grain at these shapes) and fold in chunk order. After
+// the loop it always refreshes the assignment and cost, so the table
+// also shows that lloyd's skipped refresh after a converged break is
+// bit-identical.
+KMeansResult ref_lloyd(const Dataset& data, Matrix centers,
+                       const KMeansOptions& opts, RefPaths& paths) {
+  constexpr std::size_t kGrain = 2048;
+  const std::size_t n = data.size();
+  const std::size_t k = centers.rows();
+  const std::size_t d = data.dim();
+  KMeansResult res;
+  double prev_cost = std::numeric_limits<double>::infinity();
+  bool converged = false;
+  for (int it = 0; it < opts.max_iters; ++it) {
+    BatchAssignment a = ref_assign(data.points(), centers);
+    const double cost = ref_cost(data, a.sq_dist);
+    res.assignment = a.index;
+    res.cost = cost;
+    res.iterations = it + 1;
+    if (std::isfinite(prev_cost) &&
+        prev_cost - cost <= opts.rel_tol * std::max(prev_cost, 1e-300)) {
+      converged = true;
+      break;
+    }
+    prev_cost = cost;
+    Matrix sums(k, d);
+    std::vector<double> weight(k, 0.0);
+    for (std::size_t g0 = 0; g0 < n; g0 += kGrain) {
+      Matrix part(k, d);
+      std::vector<double> part_weight(k, 0.0);
+      for (std::size_t i = g0; i < std::min(n, g0 + kGrain); ++i) {
+        const double w = data.weight(i);
+        if (w == 0.0) continue;
+        const std::size_t c = a.index[i];
+        part_weight[c] += w;
+        for (std::size_t j = 0; j < d; ++j) {
+          part(c, j) = chain_step(part(c, j), w, data.point(i)[j]);
+        }
+      }
+      for (std::size_t c = 0; c < k; ++c) {
+        weight[c] += part_weight[c];
+        for (std::size_t j = 0; j < d; ++j) sums(c, j) += part(c, j);
+      }
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      if (weight[c] > 0.0) {
+        for (std::size_t j = 0; j < d; ++j) {
+          centers(c, j) = sums(c, j) / weight[c];
+        }
+        continue;
+      }
+      double worst = -1.0;
+      std::size_t worst_i = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (data.weight(i) > 0.0 && a.sq_dist[i] > worst) {
+          worst = a.sq_dist[i];
+          worst_i = i;
+        }
+      }
+      for (std::size_t j = 0; j < d; ++j) {
+        centers(c, j) = data.point(worst_i)[j];
+      }
+      a.sq_dist[worst_i] = 0.0;
+      paths.reseeds += 1;
+    }
+  }
+  (converged ? paths.converged : paths.capped) += 1;
+  const BatchAssignment a = ref_assign(data.points(), centers);
+  res.assignment = a.index;
+  res.cost = ref_cost(data, a.sq_dist);
+  res.centers = std::move(centers);
+  return res;
+}
+
+// kmeans(): the library's k-means++ seeds per restart, the reference
+// Lloyd, the first strictly cheapest run kept.
+KMeansResult ref_kmeans(const Dataset& data, const KMeansOptions& opts,
+                        RefPaths& paths) {
+  KMeansResult best;
+  best.cost = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < std::max(1, opts.restarts); ++r) {
+    Rng rng = make_rng(opts.seed, static_cast<std::uint64_t>(r));
+    KMeansResult res =
+        ref_lloyd(data, kmeanspp_seed(data, opts.k, rng), opts, paths);
+    if (res.cost < best.cost) best = std::move(res);
+  }
+  return best;
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_bits(double a, double b) { return same_bits({&a, 1}, {&b, 1}); }
+
+enum class Weights { kUnit, kRandom, kWithZeros };
+
+struct ContractCase {
+  const char* name;
+  std::size_t n, d, k;
+  Weights weights;
+  std::size_t distinct;  // > 0: points repeat this many locations
+  int max_iters;
+  int restarts;
+  bool expect_reseed;
+  bool expect_converged;
+  bool expect_capped;
+};
+
+// n mod 4 ∈ {1, 2, 3} puts a ragged tail behind the 4-point blocks;
+// n = 5001 spans three 2048-point update chunks, the last one ragged.
+const ContractCase kContractCases[] = {
+    {"k1_d3", 5, 3, 1, Weights::kUnit, 0, 100, 2, false, true, false},
+    {"k7_d1", 102, 1, 7, Weights::kRandom, 0, 100, 2, false, true, false},
+    {"k10_d784_capped", 259, 784, 10, Weights::kRandom, 0, 3, 1, false, false,
+     true},
+    {"three_chunks_zero_weights", 5001, 3, 10, Weights::kWithZeros, 0, 100, 2,
+     false, true, false},
+    {"k50_d17", 1003, 17, 50, Weights::kRandom, 0, 100, 2, false, true, false},
+    {"duplicates_reseed", 402, 17, 10, Weights::kWithZeros, 6, 100, 2, true,
+     true, false},
+};
+
+Dataset contract_data(const ContractCase& c) {
+  Rng rng = make_rng(4242, c.n * 1000 + c.d);
+  Matrix pts = Matrix::gaussian(c.n, c.d, rng, 2.0);
+  if (c.distinct > 0) {
+    for (std::size_t i = c.distinct; i < c.n; ++i) {
+      for (std::size_t j = 0; j < c.d; ++j) pts(i, j) = pts(i % c.distinct, j);
+    }
+  }
+  if (c.weights == Weights::kUnit) return Dataset(std::move(pts));
+  std::vector<double> w(c.n);
+  std::uniform_real_distribution<double> unif(0.0, 3.0);
+  for (std::size_t i = 0; i < c.n; ++i) {
+    w[i] = c.weights == Weights::kWithZeros && i % 5 == 3 ? 0.0 : unif(rng);
+  }
+  return Dataset(std::move(pts), std::move(w));
+}
+
+void PrintTo(const ContractCase& c, std::ostream* os) { *os << c.name; }
+
+class AssignContract : public ::testing::TestWithParam<ContractCase> {
+ protected:
+  void TearDown() override { set_parallel_threads(0); }
+};
+
+TEST_P(AssignContract, KernelEqualsPerCellReference) {
+  const ContractCase& c = GetParam();
+  const Dataset data = contract_data(c);
+  // Centers are data rows, so duplicate points give exact center ties.
+  Matrix centers(c.k, c.d);
+  for (std::size_t r = 0; r < c.k; ++r) {
+    const auto row = data.point(r * c.n / c.k);
+    std::copy(row.begin(), row.end(), centers.row(r).begin());
+  }
+  const BatchAssignment ref = ref_assign(data.points(), centers);
+  const double ref_total = ref_cost(data, ref.sq_dist);
+  // update_min_sq_dist over two center batches: +inf seeds, then the
+  // first batch's distances as seeds.
+  const std::size_t half = std::max<std::size_t>(1, c.k / 2);
+  const Matrix first = centers.row_range(0, half);
+  const Matrix second = centers.row_range(c.k - half, c.k);
+  const std::vector<double> ref_first =
+      ref_assign(data.points(), first).sq_dist;
+  const std::vector<double> ref_min =
+      ref_assign(data.points(), second, &ref_first).sq_dist;
+
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    set_parallel_threads(threads);
+    const BatchAssignment got = assign_batch(data.points(), centers);
+    EXPECT_EQ(got.index, ref.index);
+    EXPECT_TRUE(same_bits(got.sq_dist, ref.sq_dist));
+
+    std::vector<std::size_t> idx(c.n);
+    std::vector<double> sq(c.n);
+    EXPECT_TRUE(same_bits(assign_and_cost(data, centers, idx, sq), ref_total));
+    EXPECT_EQ(idx, ref.index);
+    EXPECT_TRUE(same_bits(sq, ref.sq_dist));
+
+    std::vector<double> d2(c.n, std::numeric_limits<double>::infinity());
+    update_min_sq_dist(data.points(), first, d2);
+    EXPECT_TRUE(same_bits(d2, ref_first));
+    update_min_sq_dist(data.points(), second, d2);
+    EXPECT_TRUE(same_bits(d2, ref_min));
+  }
+}
+
+TEST_P(AssignContract, KMeansEqualsTwoPassLloyd) {
+  const ContractCase& c = GetParam();
+  const Dataset data = contract_data(c);
+  KMeansOptions opts;
+  opts.k = c.k;
+  opts.max_iters = c.max_iters;
+  opts.restarts = c.restarts;
+  opts.seed = 17;
+  RefPaths paths;
+  const KMeansResult ref = ref_kmeans(data, opts, paths);
+  // The case covers what it was registered for.
+  EXPECT_EQ(paths.reseeds > 0, c.expect_reseed) << paths.reseeds;
+  EXPECT_EQ(paths.converged > 0, c.expect_converged) << paths.converged;
+  EXPECT_EQ(paths.capped > 0, c.expect_capped) << paths.capped;
+
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    set_parallel_threads(threads);
+    const KMeansResult got = kmeans(data, opts);
+    EXPECT_TRUE(same_bits(got.centers.flat(), ref.centers.flat()));
+    EXPECT_TRUE(same_bits(got.cost, ref.cost))
+        << got.cost << " vs " << ref.cost;
+    EXPECT_EQ(got.assignment, ref.assignment);
+    EXPECT_EQ(got.iterations, ref.iterations);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table, AssignContract, ::testing::ValuesIn(kContractCases),
+    [](const ::testing::TestParamInfo<ContractCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // EKM_THREADS=1 vs EKM_THREADS=8 must produce bitwise-identical results;
 // set_parallel_threads() is the same code path the env variable seeds.

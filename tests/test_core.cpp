@@ -267,6 +267,25 @@ TEST(Pipeline, JlBklwBeatsBklwOnWire) {
   EXPECT_LT(jl.uplink.bits, bklw.uplink.bits);
 }
 
+// The NR server checks each decoded shard's width against the round's
+// dimension; a mismatch is bad input naming the source and both widths.
+TEST(Pipeline, NoReductionRejectsShardOfWrongWidth) {
+  const Dataset data = small_mnist_like(300, 16);
+  Rng rng = make_rng(203);
+  std::vector<Dataset> parts = partition_random(data, 3, rng);
+  parts[1] = Dataset(Matrix::gaussian(parts[1].size(), 15, rng));
+  try {
+    (void)run_distributed_pipeline(PipelineKind::kNoReduction, parts,
+                                   test_config());
+    FAIL() << "a 15-column shard in a 16-dimensional round was accepted";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("source 1 sent 15 columns"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("dimension is 16"), std::string::npos) << what;
+  }
+}
+
 TEST(Experiment, ContextMetricsAreNormalized) {
   ExperimentContext ctx(small_mnist_like(500, 80), 2, 7, 3);
   EXPECT_GT(ctx.baseline_cost(), 0.0);
