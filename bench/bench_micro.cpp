@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the substrates: the matrix
-// product kernel, SVD, JL apply, PCA, sensitivity sampling, FSS,
-// quantizer, k-means, codec. These guard the complexity claims of
-// Table 2 at the kernel level (e.g. thin SVD scaling with d vs JL apply
-// scaling with d').
+// product kernel, truncated and thin SVD, JL apply, PCA, sensitivity
+// sampling, FSS, quantizer, k-means, codec. These guard the complexity
+// claims of Table 2 at the kernel level (e.g. thin SVD scaling with d vs
+// JL apply scaling with d').
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -65,6 +65,27 @@ BENCHMARK(BM_Gram)
     ->Args({16, 16})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// truncated_svd at the shapes disPCA calls it: a bklw_mnist shard
+// (2013x784) and the merge of ten 16-row summaries (160x784), both
+// t = 16, on the blocked reduction and bisection; and fleet_sim's
+// per-site 16x16 at t = 8, on the per-column reduction and QL. Args:
+// rows, cols, t.
+void BM_TruncatedSvd(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
+  const auto t = static_cast<std::size_t>(state.range(2));
+  const Dataset data = bench_data(rows, cols);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(truncated_svd(data.points(), t));
+  }
+}
+BENCHMARK(BM_TruncatedSvd)
+    ->Args({2013, 784, 16})
+    ->Args({160, 784, 16})
+    ->Args({16, 16, 8})
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // A shard times 16 columns: U = A·V in disPCA's local SVD and the BKLW
 // projection onto the merged basis. Args: rows, inner, cols.

@@ -1,12 +1,37 @@
 #include "distributed/dispca.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "linalg/svd.hpp"
 #include "net/summary_codec.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ekm {
+namespace {
+
+std::string shape(const Matrix& m) {
+  return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+}
+
+// A decoded summary is the empty sentinel (0x0, 0x0), or Σ 1 x r with
+// V d x r for 1 <= r <= min(t1, d). The decoder does not know d, so the
+// collect site checks, before a wrong shape can set the width of y.
+void expect_summary_shape(std::size_t source, const Matrix& sigma,
+                          const Matrix& v, std::size_t d, std::size_t t1) {
+  const std::size_t r = sigma.cols();
+  const bool empty =
+      sigma.rows() == 0 && r == 0 && v.rows() == 0 && v.cols() == 0;
+  EKM_EXPECTS_MSG(empty || (sigma.rows() == 1 && v.rows() == d &&
+                            v.cols() == r && r >= 1 && r <= std::min(t1, d)),
+                  "disPCA round: source " + std::to_string(source) +
+                      " sent Σ " + shape(sigma) + " and V " + shape(v) +
+                      ", expected Σ 1xr and V " + std::to_string(d) +
+                      "xr with 1 <= r <= " +
+                      std::to_string(std::min(t1, d)));
+}
+
+}  // namespace
 
 // disPCA as a task graph (src/sched/): per-site local-SVD compute
 // feeding a two-frame uplink, one server collect per site, the global
@@ -105,6 +130,7 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
            responders += 1;
            const Matrix sigma_row = decode_matrix((*frames)[0]);
            const Matrix v_t1 = decode_matrix((*frames)[1]);
+           expect_summary_shape(i, sigma_row, v_t1, d, opts.t1);
            append_pca_summary(y, sigma_row, v_t1);
          },
          {uplinks[i]}});

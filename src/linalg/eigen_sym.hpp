@@ -12,12 +12,18 @@
 //    accumulation (EISPACK tred2/tql2). `thin_svd`, and through it
 //    `pca_project` (FSS) and `pseudoinverse` (lift-back), use it.
 //  * `eigen_symmetric_top` — only the t largest pairs, as LAPACK's dsyevx
-//    does: the reflectors are kept instead of Q, values-only QL gives the
-//    eigenvalues, inverse iteration on the tridiagonal gives the t wanted
-//    vectors, and only those are back-transformed. `truncated_svd`, and
-//    through it disPCA's local SVDs and server merge, use it; t ≪ d
-//    there, so the O(d^3) eigenvector work (accumulating Q, rotating all
-//    d vectors) shrinks to O(d^2 t).
+//    does: the reflectors are kept instead of Q, inverse iteration on the
+//    tridiagonal gives the t wanted vectors, and only those are
+//    back-transformed. `truncated_svd`, and through it disPCA's local
+//    SVDs and server merge, use it; t ≪ d there, so the O(d^3)
+//    eigenvector work (accumulating Q, rotating all d vectors) shrinks
+//    to O(d^2 t). Above d = 128 the reduction is LAPACK's blocked dsytrd
+//    (panels of 32 columns, each followed by one symmetric rank-2k update
+//    of the trailing block on the product kernel, with the panel matvecs
+//    split over the thread pool), and Sturm-count bisection (dstebz)
+//    gives only the t wanted eigenvalues of each unreduced block. Up to
+//    d = 128 it reduces one column at a time and takes every eigenvalue
+//    by values-only QL. Both are deterministic at any EKM_THREADS.
 #pragma once
 
 #include <cstddef>
@@ -49,8 +55,8 @@ struct SymmetricEigen {
                                                  std::size_t t);
 
 /// Cyclic Jacobi eigensolver — slower (O(d^3) per sweep) but with better
-/// relative accuracy for small matrices; used by the one-sided-Jacobi SVD
-/// verification path and in tests as an independent oracle.
+/// relative accuracy for small matrices; no library code calls it, and
+/// the tests use it as an oracle independent of the Householder solvers.
 [[nodiscard]] SymmetricEigen eigen_symmetric_jacobi(const Matrix& a,
                                                     int max_sweeps = 64);
 

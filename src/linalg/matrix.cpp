@@ -165,25 +165,24 @@ struct Operand {
   }
 };
 
-// C = Ã·B̃, n columns and k steps, with Ã = a (rows of C) and B̃ = b
-// (columns of C). When Ã = B̃ᵀ (`symmetric`, the Gram products) C is
-// symmetric: chunks form only tiles that reach the upper triangle, then
-// mirror it.
+// C += Ã·B̃, n columns and k steps, with Ã = a (rows of C) and B̃ = b
+// (columns of C); C has row stride ldc. With `upper` chunks form only
+// the tiles that reach the upper triangle.
 struct Product {
   std::size_t n, k;
   Operand a, b;
-  bool symmetric;
+  bool upper;
   double* c;
+  std::size_t ldc;
 
-  // Forms rows [i0, i1) of C: every slab of each column block, then, for
-  // a symmetric product, the mirror of those rows into their columns.
+  // Adds to rows [i0, i1) of C: every slab of each column block.
   void form_rows(std::size_t i0, std::size_t i1) const {
     // Packed panels: a by-rows B̃ packs every panel of a block's slab,
     // an in-place one at most its ragged last panel; Ã packs one panel.
     thread_local std::vector<double> b_pack;
     thread_local std::array<double, kKc * kMr> a_pack{};
     std::array<Panel, kNc / kNr> b_panels{};
-    const std::size_t j0 = symmetric ? i0 : 0;
+    const std::size_t j0 = upper ? i0 : 0;
     for (std::size_t jc = j0; jc < n; jc += kNc) {
       const std::size_t jc_end = std::min(n, jc + kNc);
       const std::size_t panels = (jc_end - jc + kNr - 1) / kNr;
@@ -203,13 +202,12 @@ struct Product {
           for (std::size_t q = 0; q < panels; ++q) {
             const std::size_t j = jc + q * kNr;
             const std::size_t w = std::min(kNr, jc_end - j);
-            if (symmetric && j + w <= i) continue;  // below the diagonal
-            run_tile(kc, ap, b_panels[q], c + i * n + j, n, mr, w);
+            if (upper && j + w <= i) continue;  // below the diagonal
+            run_tile(kc, ap, b_panels[q], c + i * ldc + j, ldc, mr, w);
           }
         }
       }
     }
-    if (symmetric) mirror(i0, i1);
   }
 
   // C[j][i] = C[i][j] for i in [i0, i1) and j > i, a few destination
@@ -220,21 +218,31 @@ struct Product {
       const std::size_t jb_end = std::min(n, jb + kBlock);
       for (std::size_t i = i0; i < i1; ++i) {
         for (std::size_t j = std::max(jb, i + 1); j < jb_end; ++j) {
-          c[j * n + i] = c[i * n + j];
+          c[j * ldc + i] = c[i * ldc + j];
         }
       }
     }
   }
 };
 
+// Runs `product` over its m rows on the pool; `mirror` then copies each
+// chunk's upper triangle into its columns.
+void run(const Product& product, std::size_t m, bool mirror) {
+  const std::size_t grain =
+      2 * m * product.n * product.k < kInlineFlops ? m : kMc;
+  parallel_for(m, grain, [&](std::size_t i0, std::size_t i1) {
+    product.form_rows(i0, i1);
+    if (mirror) product.mirror(i0, i1);
+  });
+}
+
+// C = Ã·B̃ (m x n). When Ã = B̃ᵀ (`symmetric`, the Gram products) C is
+// symmetric: only the tiles that reach the upper triangle are formed,
+// then mirrored.
 Matrix multiply(std::size_t m, std::size_t n, std::size_t k, Operand a,
                 Operand b, bool symmetric) {
   Matrix c(m, n);
-  const Product product{n, k, a, b, symmetric, c.flat().data()};
-  const std::size_t grain = 2 * m * n * k < kInlineFlops ? m : kMc;
-  parallel_for(m, grain, [&](std::size_t i0, std::size_t i1) {
-    product.form_rows(i0, i1);
-  });
+  run({n, k, a, b, symmetric, c.flat().data(), n}, m, symmetric);
   return c;
 }
 
@@ -333,6 +341,12 @@ Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {
   return multiply(a.rows(), b.rows(), a.cols(),
                   {a.flat().data(), a.cols(), true},
                   {b.flat().data(), b.cols(), true}, &a == &b);
+}
+
+void add_at_b_upper(std::size_t m, std::size_t k, const double* a,
+                    const double* b, std::size_t ld, double* c,
+                    std::size_t ldc) {
+  run({m, k, {a, ld, false}, {b, ld, false}, true, c, ldc}, m, false);
 }
 
 Matrix subtract(const Matrix& a, const Matrix& b) {

@@ -124,6 +124,17 @@ class Matrix {
 /// above.
 [[nodiscard]] Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 
+/// In place, C += Aᵀ B on the tiles of C that reach its upper triangle,
+/// for an m x m block C at c (row stride ldc) and k x m operands A and B
+/// (row stride ld): the trailing update of the blocked tridiagonalization
+/// in src/linalg/eigen_sym.cpp, which reads only the upper triangle.
+/// Cells below the diagonal inside those tiles change too. Each upper
+/// cell gains one FMA chain over p ascending, as in the products above,
+/// so the result does not depend on EKM_THREADS.
+void add_at_b_upper(std::size_t m, std::size_t k, const double* a,
+                    const double* b, std::size_t ld, double* c,
+                    std::size_t ldc);
+
 /// A - B.
 [[nodiscard]] Matrix subtract(const Matrix& a, const Matrix& b);
 

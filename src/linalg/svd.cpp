@@ -37,11 +37,11 @@ void orthonormalize_column(Matrix& m, std::size_t j, Rng& rng) {
 
 // Smallest Gram eigenvalue distinguishable from rounding noise: the
 // solvers behind both SVDs — tridiagonalization, then QL (tql2 in
-// eigen_symmetric, values-only QL in eigen_symmetric_top) with inverse
-// iteration for the top-t vectors — resolve eigenvalues to
-// O(dim·eps·λmax), so anything below that is noise and its square root
-// must be reported as an exact zero (σ below √eps·σmax is unresolvable
-// through A^T A by construction).
+// eigen_symmetric; in eigen_symmetric_top values-only QL up to dim 128
+// and Sturm-count bisection above, with inverse iteration for the top-t
+// vectors) — resolve eigenvalues to O(dim·eps·λmax), so anything below
+// that is noise and its square root must be reported as an exact zero
+// (σ below √eps·σmax is unresolvable through A^T A by construction).
 double gram_noise_floor(double lambda_max, std::size_t dim) {
   return 32.0 * std::numeric_limits<double>::epsilon() *
          static_cast<double>(std::max<std::size_t>(dim, 1)) * lambda_max;

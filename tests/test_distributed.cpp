@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "cr/coreset.hpp"
 #include "data/generators.hpp"
@@ -12,6 +13,7 @@
 #include "dr/pca.hpp"
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
+#include "net/summary_codec.hpp"
 
 namespace ekm {
 namespace {
@@ -82,6 +84,72 @@ TEST(DisPca, ToleratesEmptySource) {
   opts.t2 = 4;
   const DisPcaResult res = dispca(parts, opts, net, work);
   EXPECT_EQ(res.v.cols(), 4u);
+}
+
+// A Network whose source `victim` has its second uplink frame (disPCA's
+// V) replaced by `v` on the way out.
+class SwappedVFrame final : public Fabric {
+ public:
+  SwappedVFrame(std::size_t sources, std::size_t victim, Message v)
+      : net_(sources),
+        victim_(victim),
+        port_(net_.uplink(victim), std::move(v)) {}
+  [[nodiscard]] std::size_t num_sources() const override {
+    return net_.num_sources();
+  }
+  [[nodiscard]] Port& uplink(std::size_t source) override {
+    return source == victim_ ? static_cast<Port&>(port_) : net_.uplink(source);
+  }
+  [[nodiscard]] Port& downlink(std::size_t source) override {
+    return net_.downlink(source);
+  }
+
+ private:
+  class SwapPort final : public Port {
+   public:
+    SwapPort(Port& inner, Message v) : inner_(inner), v_(std::move(v)) {}
+    void send(Message msg) override {
+      inner_.send(++sent_ == 2 ? v_ : std::move(msg));
+    }
+    [[nodiscard]] bool has_pending() const override {
+      return inner_.has_pending();
+    }
+    [[nodiscard]] Message receive() override { return inner_.receive(); }
+    [[nodiscard]] const TrafficLedger& ledger() const override {
+      return inner_.ledger();
+    }
+
+   private:
+    Port& inner_;
+    Message v_;
+    std::size_t sent_ = 0;
+  };
+
+  Network net_;
+  std::size_t victim_;
+  SwapPort port_;
+};
+
+// The collect site checks each decoded (Σ, V) pair against the round's
+// dimension: a V of d - 1 rows is bad input that names the source and
+// both shapes, not a later shape mismatch in the merge.
+TEST(DisPca, RejectsSummaryOfWrongShape) {
+  const std::vector<Dataset> parts = make_parts(300, 8, 2, 3, 92);
+  Rng rng = make_rng(93);
+  SwappedVFrame net(3, 1, encode_matrix(Matrix::gaussian(7, 4, rng)));
+  Stopwatch work;
+  DisPcaOptions opts;
+  opts.t1 = 4;
+  opts.t2 = 4;
+  try {
+    (void)dispca(parts, opts, net, work);
+    FAIL() << "a 7-row V in an 8-dimensional round was accepted";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("source 1 sent Σ 1x4 and V 7x4"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("V 8xr with 1 <= r <= 4"), std::string::npos) << what;
+  }
 }
 
 TEST(DisSs, CoresetWeightApproximatesCardinality) {

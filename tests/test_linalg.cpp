@@ -180,6 +180,44 @@ TEST(Matrix, ProductsBitIdenticalAcrossPoolSizes) {
       EXPECT_EQ(h, h.transposed()) << threads << " threads";
     }
   }
+
+  // add_at_b_upper adds Aᵀ B into an m x m block of a wider matrix, in
+  // place: every upper cell of the block continues its chain from its
+  // old value, and nothing outside the block changes. Shapes: 1×1,
+  // ragged tiles, several pool chunks, several slabs and column blocks.
+  struct Update {
+    std::size_t m, k;
+  };
+  for (const Update& s : {Update{1, 1}, Update{37, 13}, Update{300, 64},
+                          Update{520, 300}}) {
+    SCOPED_TRACE(std::to_string(s.m) + "x" + std::to_string(s.k));
+    const std::size_t ld = s.m + 3;
+    const Matrix a = with_zeros(s.k, ld, rng);
+    const Matrix b = with_zeros(s.k, ld, rng);
+    const Matrix before = with_zeros(s.m + 2, ld, rng);  // block at (2, 1)
+    Matrix want = before;
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = i; j < s.m; ++j) {
+        double cell = before(2 + i, 1 + j);
+        for (std::size_t p = 0; p < s.k; ++p) {
+          cell = chain_step(cell, a(p, i), b(p, j));
+        }
+        want(2 + i, 1 + j) = cell;
+      }
+    }
+    for (const std::size_t threads : {1, 4}) {
+      set_parallel_threads(threads);
+      Matrix c = before;
+      add_at_b_upper(s.m, s.k, a.flat().data(), b.flat().data(), ld,
+                     c.row_ptr(2) + 1, ld);
+      for (std::size_t i = 0; i < s.m; ++i) {  // below the diagonal: free
+        for (std::size_t j = 0; j < i; ++j) {
+          want(2 + i, 1 + j) = c(2 + i, 1 + j);
+        }
+      }
+      EXPECT_EQ(c, want) << threads << " threads";
+    }
+  }
   set_parallel_threads(0);
 }
 
@@ -446,6 +484,33 @@ const std::vector<SpectrumCase>& spectrum_cases() {
       }
     }
     c.push_back({"graded_600x200", matmul_a_bt(us, v), 16});
+    // Above 128 the top-t solver reduces in panels of 32 and takes the
+    // eigenvalues by bisection. 129 is one one-column panel; 197 is
+    // panels of 32, 32 and 5; at 320 the first panels' matvecs run on
+    // the pool.
+    c.push_back({"blocked_one_column", Matrix::gaussian(200, 129, rng), 8});
+    c.push_back({"blocked_ragged_panel", Matrix::gaussian(260, 197, rng), 16});
+    c.push_back({"blocked_pooled_matvec", Matrix::gaussian(400, 320, rng), 16});
+    // Rank 12 in 300 columns, every 25th nonzero: T splits into many
+    // blocks, and t = 16 reaches four zero sigma.
+    Matrix sparse_cols(400, 300);
+    for (std::size_t i = 0; i < sparse_cols.rows(); ++i) {
+      for (std::size_t j = 0; j < sparse_cols.cols(); j += 25) {
+        sparse_cols(i, j) = std::normal_distribution<double>()(rng);
+      }
+    }
+    c.push_back({"blocked_rank_deficient", sparse_cols, 16});
+    // Twelve distinct values, eight copies of 3 at positions 12..19,
+    // then a graded tail: t = 16 cuts through the repeated value.
+    std::vector<double> repeated(300);
+    for (std::size_t j = 0; j < repeated.size(); ++j) {
+      const double x = static_cast<double>(j);
+      repeated[j] = j < 12    ? 10.0 - 0.5 * x
+                    : j < 20 ? 3.0
+                             : std::pow(10.0, -3.0 * (x - 20.0) / 279.0);
+    }
+    c.push_back(
+        {"blocked_repeated_straddles_t", rotated_diagonal(repeated, rng), 16});
     return c;
   }();
   return cases;
