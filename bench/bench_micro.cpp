@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <random>
+#include <vector>
 
 #include "cr/fss.hpp"
 #include "cr/sensitivity.hpp"
@@ -86,6 +88,34 @@ BENCHMARK(BM_TruncatedSvd)
     ->Args({16, 16, 8})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// The server's solve, kmeans() at the pipeline's defaults (k = 10, five
+// restarts advanced in lock step): on nr_mnist's 20000x784 shape, where
+// each pass reads 125 MB of points, and on a weighted 300x16 input, the
+// size of BKLW's server coreset, where per-pass overhead dominates.
+// Args: rows, cols, weighted.
+void BM_KMeans(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
+  Dataset data = bench_data(rows, cols);
+  if (state.range(2) != 0) {
+    Rng rng = make_rng(5);
+    std::uniform_real_distribution<double> unif(0.5, 120.0);
+    std::vector<double> w(rows);
+    for (double& x : w) x = unif(rng);
+    data = Dataset(data.points(), std::move(w));
+  }
+  KMeansOptions opts;
+  opts.k = 10;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kmeans(data, opts));
+  }
+}
+BENCHMARK(BM_KMeans)
+    ->Args({20000, 784, 0})
+    ->Args({300, 16, 1})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // A shard times 16 columns: U = A·V in disPCA's local SVD and the BKLW
 // projection onto the merged basis. Args: rows, inner, cols.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
-
+#include <string>
 #include <utility>
 
 #include "cr/merge.hpp"
@@ -15,6 +15,20 @@
 
 namespace ekm {
 namespace {
+
+// A decoded coreset is empty, or ambient points of the round's width d
+// with no basis. The decoder does not know d, so the collect site
+// checks, before a wrong width can set the width of the union.
+void expect_coreset_shape(std::size_t source, const Coreset& coreset,
+                          std::size_t d) {
+  EKM_EXPECTS_MSG(
+      coreset.size() == 0 ||
+          (coreset.points.dim() == d && !coreset.basis.has_value()),
+      "disSS summary round: source " + std::to_string(source) +
+          " sent a coreset of " + std::to_string(coreset.points.dim()) +
+          " columns" + (coreset.basis.has_value() ? " with a basis" : "") +
+          ", expected " + std::to_string(d) + " columns and no basis");
+}
 
 /// Per-site sampling state retained across the summary round's waves:
 /// the assignment/contribution scan of step 3 plus every pick drawn so
@@ -159,6 +173,13 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   EKM_EXPECTS_MSG(opts.realloc_reserve >= 0.0 && opts.realloc_reserve < 1.0,
                   "realloc_reserve must be in [0, 1)");
   const std::size_t m = parts.size();
+  std::size_t d = 0;
+  for (const Dataset& p : parts) {
+    if (!p.empty()) {
+      d = p.dim();
+      break;
+    }
+  }
 
   // Shared protocol state, written by the tasks in dependency order.
   RoundId cost_round = kNoRound;
@@ -397,6 +418,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
            got[i] = 1;
            summary_responders += 1;
            Coreset local = decode_coreset((*frames)[0]);
+           expect_coreset_shape(i, local, d);
            if (local.size() > 0) piece[i] = std::move(local.points);
          },
          {summary_uplinks[i]}});
@@ -576,6 +598,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
                                         wave.deadline);
                   if (!frames.has_value()) return;  // first-wave coreset stands
                   Coreset supplement = decode_coreset((*frames)[0]);
+                  expect_coreset_shape(i, supplement, d);
                   if (supplement.size() > 0) {
                     piece[i] = std::move(supplement.points);
                   }

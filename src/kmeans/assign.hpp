@@ -15,6 +15,9 @@
 // every EKM_THREADS value:
 //   - each point's winner is computed from a scan over centers in fixed
 //     ascending order (ties keep the lowest index, like the naive scan);
+//     a call may scan several equal sets of centers at once (lock-step
+//     k-means restarts), each set with its own scan, so a set's results
+//     do not depend on the sets packed beside it;
 //   - weighted-cost reductions fold per-tile partials in tile order.
 //
 // The identity can go slightly negative under cancellation; distances are
@@ -62,18 +65,22 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
                                      std::span<double> sq_dist = {},
                                      std::span<const double> point_sq_norms = {});
 
-/// Lloyd's pass: assign_and_cost's assignment, distances and cost plus
-/// the update step's per-cluster sums, in one read of the points.
-/// Chunk g of the grid over [0, n) with `grain` points per chunk
-/// accumulates, in ascending point order and skipping zero weights,
-/// Σ w_i·p_i into chunk_sums[(g·k + c)·d, +d) and Σ w_i into
-/// chunk_weights[g·k + c] for each cluster c. The spans hold
-/// parallel_chunk_count(n, grain) slots, which the pass overwrites;
-/// `point_sq_norms`, `index` and `sq_dist` are n long. The cost is folded
-/// as assign_and_cost folds it, so all outputs are bit-identical to an
-/// assign_and_cost call followed by a separate per-chunk sum.
-[[nodiscard]] double assign_and_accumulate(
-    const Dataset& data, const Matrix& centers,
+/// Lloyd's pass for `sets` center sets at once, in one read of the
+/// points: `centers` stacks the sets' k rows each, set s in rows
+/// [s·k, s·k + k). For each set the pass computes assign_and_cost's
+/// assignment, distances and cost plus the update step's per-cluster
+/// sums. `index` and `sq_dist` hold sets·n entries, set s's at
+/// [s·n, s·n + n). Chunk g of the grid over [0, n) with `grain` points
+/// per chunk accumulates, in ascending point order and skipping zero
+/// weights, Σ w_i·p_i into chunk_sums[((g·sets + s)·k + c)·d, +d) and
+/// Σ w_i into chunk_weights[(g·sets + s)·k + c] for each cluster c of
+/// set s; the spans hold parallel_chunk_count(n, grain) chunks, which
+/// the pass overwrites. `point_sq_norms` is n long. Returns one cost per
+/// set. Each set's outputs are bit-identical to an assign_and_cost call
+/// on its k centers alone followed by a separate per-chunk sum: a
+/// center's distances do not depend on the sets packed beside it.
+[[nodiscard]] std::vector<double> assign_and_accumulate(
+    const Dataset& data, const Matrix& centers, std::size_t sets,
     std::span<const double> point_sq_norms, std::size_t grain,
     std::span<std::size_t> index, std::span<double> sq_dist,
     std::span<double> chunk_sums, std::span<double> chunk_weights);
@@ -85,9 +92,13 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
 /// refresh step of D²-seeding and bicriteria rounds. d2 entries may be
 /// +infinity (first round). `point_sq_norms` as in assign_and_cost —
 /// seeding loops call this once per (small) center batch, so skipping
-/// the O(n·d) norm pass roughly halves their refresh cost.
+/// the O(n·d) norm pass roughly halves their refresh cost. With `sets`
+/// > 1, `centers` stacks that many equal groups of rows and `d2` holds
+/// one running minimum per group, group s's at [s·n, s·n + n): the
+/// lock-step seeding of several k-means++ restarts in one pass.
 void update_min_sq_dist(const Matrix& points, const Matrix& centers,
                         std::span<double> d2,
-                        std::span<const double> point_sq_norms = {});
+                        std::span<const double> point_sq_norms = {},
+                        std::size_t sets = 1);
 
 }  // namespace ekm

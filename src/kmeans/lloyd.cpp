@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <random>
+#include <span>
 
 #include "common/parallel.hpp"
 #include "common/sampling.hpp"
@@ -17,22 +19,49 @@ namespace {
 // count, keeping lloyd() bitwise-deterministic under EKM_THREADS.
 constexpr std::size_t kUpdateGrain = 2048;
 // Caps on the update-step scratch: at most this many chunks, and at most
-// this many scratch doubles overall (each chunk owns a k·(d+1) block, so
-// for large k·d the chunk count shrinks further). Both bounds depend
-// only on the problem shape, never on the thread count.
+// this many scratch doubles overall (each chunk owns a k·(d+1) block per
+// restart, so for large k·d the chunk count and the restarts per pass
+// shrink further). Both bounds depend only on the problem shape, never
+// on the thread count.
 constexpr std::size_t kMaxUpdateChunks = 256;
 constexpr std::size_t kUpdateScratchDoubles = std::size_t(1) << 23;  // 64 MB
+// Restarts advanced in lock step, so that one pass over the points
+// serves them all. Eight one-center seeding sets fill one 8-lane tile.
+// Every restart in a group holds its n-point state at once, so the cap
+// also bounds that memory.
+constexpr std::size_t kMaxLockStep = 8;
 
-}  // namespace
+// The update step's chunk grain for n points and k centers in d
+// dimensions: kUpdateGrain, growing with n only to cap the chunk count
+// (and the k·(d+1) scratch per chunk). It never depends on the thread
+// count or on how many restarts share a pass.
+std::size_t update_grain(std::size_t n, std::size_t k, std::size_t d) {
+  const std::size_t max_chunks = std::clamp<std::size_t>(
+      kUpdateScratchDoubles / (k * d + k), 1, kMaxUpdateChunks);
+  return std::max(kUpdateGrain, (n + max_chunks - 1) / max_chunks);
+}
 
-Matrix kmeanspp_seed(const Dataset& data, std::size_t k, Rng& rng) {
-  EKM_EXPECTS(k >= 1 && !data.empty());
+// Restarts per lock-step group: their update scratch, one k·(d+1) block
+// per restart and chunk, stays under kUpdateScratchDoubles.
+std::size_t lock_step_cap(std::size_t n, std::size_t k, std::size_t d) {
+  const std::size_t chunks = parallel_chunk_count(n, update_grain(n, k, d));
+  return std::clamp<std::size_t>(
+      kUpdateScratchDoubles / (chunks * k * (d + 1)), 1, kMaxLockStep);
+}
+
+// k-means++ seeding of one restart per stream in `rngs`, in lock step:
+// in round c each restart draws its c-th center from its own stream, as
+// it would alone, then one pass refreshes every restart's d².
+std::vector<Matrix> seed_lock_step(const Dataset& data, std::size_t k,
+                                   std::span<Rng> rngs,
+                                   std::span<const double> point_norms) {
   const std::size_t n = data.size();
   const std::size_t d = data.dim();
-  Matrix centers(std::min(k, n), d);
+  const std::size_t runs = rngs.size();
+  const std::size_t m = std::min(k, n);
+  std::vector<Matrix> centers(runs, Matrix(m, d));
 
-  // First center ∝ weight. sample_from_prefix replaces the old O(n)
-  // subtract-scan per draw with prefix sums + binary search.
+  // First centers ∝ weight, drawn by prefix sums and binary search.
   std::vector<double> cum(n);
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -40,145 +69,205 @@ Matrix kmeanspp_seed(const Dataset& data, std::size_t k, Rng& rng) {
     cum[i] = total;
   }
   EKM_EXPECTS_MSG(total > 0.0, "all weights are zero");
-  const std::size_t first = sample_from_prefix(cum, rng);
-  std::copy(data.point(first).begin(), data.point(first).end(),
-            centers.row(0).begin());
 
-  // Maintain squared distance to the nearest chosen center. Point norms
-  // are invariant across the seeding loop.
-  const std::vector<double> point_norms = row_sq_norms(data.points());
-  std::vector<double> d2(n, std::numeric_limits<double>::infinity());
-  update_min_sq_dist(data.points(), centers.row_range(0, 1), d2, point_norms);
-
-  for (std::size_t c = 1; c < centers.rows(); ++c) {
-    total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      total += data.weight(i) * d2[i];
-      cum[i] = total;
+  // d2[r·n + i]: point i's squared distance to restart r's nearest
+  // chosen center. `newest` row r is restart r's center of this round.
+  std::vector<double> d2(runs * n, std::numeric_limits<double>::infinity());
+  Matrix newest(runs, d);
+  for (std::size_t c = 0; c < m; ++c) {
+    for (std::size_t r = 0; r < runs; ++r) {
+      std::size_t next;
+      if (c == 0) {
+        next = sample_from_prefix(cum, rngs[r]);
+      } else {
+        total = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+          total += data.weight(i) * d2[r * n + i];
+          cum[i] = total;
+        }
+        if (total <= 0.0) {
+          // All mass already covered (duplicate points): any point works.
+          std::uniform_int_distribution<std::size_t> unif(0, n - 1);
+          next = unif(rngs[r]);
+        } else {
+          next = sample_from_prefix(cum, rngs[r]);
+        }
+      }
+      const auto point = data.point(next);
+      std::copy(point.begin(), point.end(), centers[r].row(c).begin());
+      std::copy(point.begin(), point.end(), newest.row(r).begin());
     }
-    std::size_t next;
-    if (total <= 0.0) {
-      // All mass already covered (duplicate points): any point works.
-      std::uniform_int_distribution<std::size_t> unif(0, n - 1);
-      next = unif(rng);
-    } else {
-      next = sample_from_prefix(cum, rng);
+    // Nothing reads the d² after the last round.
+    if (c + 1 < m) {
+      update_min_sq_dist(data.points(), newest, d2, point_norms, runs);
     }
-    std::copy(data.point(next).begin(), data.point(next).end(),
-              centers.row(c).begin());
-    update_min_sq_dist(data.points(), centers.row_range(c, c + 1), d2,
-                       point_norms);
   }
   return centers;
+}
+
+// Lloyd from each of `initial` (k x d each), in lock step: each
+// iteration is one pass over the points for every run still live. A run
+// that passes the tolerance test leaves at once; runs still live after
+// max_iters get a final refresh. Each run's arithmetic is what it would
+// be alone.
+std::vector<KMeansResult> lloyd_lock_step(
+    const Dataset& data, std::vector<Matrix> initial,
+    const KMeansOptions& opts, std::span<const double> point_norms) {
+  const std::size_t n = data.size();
+  const std::size_t d = data.dim();
+  const std::size_t k = initial.front().rows();
+  const std::size_t runs = initial.size();
+  // Per-chunk accumulation slots for the update sums, merged in chunk
+  // order below so the result is thread-count-independent.
+  const std::size_t grain = update_grain(n, k, d);
+  const std::size_t chunks = parallel_chunk_count(n, grain);
+
+  std::vector<KMeansResult> res(runs);
+  std::vector<double> prev_cost(runs, std::numeric_limits<double>::infinity());
+  for (std::size_t r = 0; r < runs; ++r) res[r].centers = std::move(initial[r]);
+  // live[s] is the run in set s of the next pass. The pass scratch is
+  // sized for every run; once runs leave, a pass uses its prefix.
+  std::vector<std::size_t> live(runs);
+  std::iota(live.begin(), live.end(), std::size_t{0});
+  std::vector<std::size_t> index(runs * n);
+  std::vector<double> sq_dist(runs * n);
+  std::vector<double> part_sums(chunks * runs * k * d);
+  std::vector<double> part_weight(chunks * runs * k);
+  std::vector<double> cluster_weight(k);
+  Matrix sums(k, d);
+
+  for (int it = 0; it < opts.max_iters && !live.empty(); ++it) {
+    const std::size_t sets = live.size();
+    Matrix stacked(sets * k, d);
+    for (std::size_t s = 0; s < sets; ++s) {
+      const auto from = res[live[s]].centers.flat();
+      std::copy(from.begin(), from.end(), stacked.row_ptr(s * k));
+    }
+    // One pass over the points: per run, assignment, deterministic
+    // ordered cost and the update step's per-chunk weighted sums.
+    const std::vector<double> costs = assign_and_accumulate(
+        data, stacked, sets, point_norms, grain,
+        std::span(index).first(sets * n), std::span(sq_dist).first(sets * n),
+        std::span(part_sums).first(chunks * sets * k * d),
+        std::span(part_weight).first(chunks * sets * k));
+
+    std::size_t kept = 0;
+    for (std::size_t s = 0; s < sets; ++s) {
+      const std::size_t r = live[s];
+      KMeansResult& run = res[r];
+      const double cost = costs[s];
+      run.cost = cost;
+      run.iterations = it + 1;
+      const auto assigned = std::span(index).subspan(s * n, n);
+      const double prev = prev_cost[r];
+      if (std::isfinite(prev) &&
+          prev - cost <= opts.rel_tol * std::max(prev, 1e-300)) {
+        // Converged: the centers have not moved since this pass, which
+        // already holds their assignment and cost. Its sums are not
+        // needed, and the run leaves the batch.
+        run.assignment.assign(assigned.begin(), assigned.end());
+        continue;
+      }
+      prev_cost[r] = cost;
+
+      // Update step: fold the run's chunk sums in chunk order.
+      std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
+      std::fill(sums.flat().begin(), sums.flat().end(), 0.0);
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+        const std::size_t slot = chunk * sets + s;
+        const double* psums = part_sums.data() + slot * k * d;
+        const double* pweight = part_weight.data() + slot * k;
+        for (std::size_t c = 0; c < k; ++c) cluster_weight[c] += pweight[c];
+        auto sf = sums.flat();
+        for (std::size_t x = 0; x < k * d; ++x) sf[x] += psums[x];
+      }
+
+      double* dist = sq_dist.data() + s * n;
+      for (std::size_t c = 0; c < k; ++c) {
+        if (cluster_weight[c] > 0.0) {
+          auto sum = sums.row(c);
+          auto ctr = run.centers.row(c);
+          for (std::size_t j = 0; j < d; ++j) {
+            ctr[j] = sum[j] / cluster_weight[c];
+          }
+        } else {
+          // Empty cluster: reseat the center on the point farthest from
+          // its assigned center (distances from the assignment step;
+          // standard repair, keeps k centers meaningful).
+          double worst = -1.0;
+          std::size_t worst_i = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            if (data.weight(i) > 0.0 && dist[i] > worst) {
+              worst = dist[i];
+              worst_i = i;
+            }
+          }
+          std::copy(data.point(worst_i).begin(), data.point(worst_i).end(),
+                    run.centers.row(c).begin());
+          // Consume the point so a second empty cluster in the same
+          // iteration reseats on a different one instead of duplicating.
+          dist[worst_i] = 0.0;
+        }
+      }
+      live[kept++] = r;
+    }
+    live.resize(kept);
+  }
+
+  // Runs still live stopped at max_iters, and the loop updated their
+  // centers after the last pass: refresh assignment and cost.
+  for (const std::size_t r : live) {
+    res[r].assignment.resize(n);
+    res[r].cost = assign_and_cost(data, res[r].centers, res[r].assignment,
+                                  {}, point_norms);
+  }
+  return res;
+}
+
+}  // namespace
+
+Matrix kmeanspp_seed(const Dataset& data, std::size_t k, Rng& rng) {
+  EKM_EXPECTS(k >= 1 && !data.empty());
+  return std::move(seed_lock_step(data, k, std::span<Rng>(&rng, 1),
+                                  row_sq_norms(data.points()))
+                       .front());
 }
 
 KMeansResult lloyd(const Dataset& data, Matrix initial_centers,
                    const KMeansOptions& opts) {
   EKM_EXPECTS(!data.empty());
-  EKM_EXPECTS(initial_centers.cols() == data.dim());
-  const std::size_t n = data.size();
-  const std::size_t k = initial_centers.rows();
-  const std::size_t d = data.dim();
-
-  KMeansResult res;
-  res.centers = std::move(initial_centers);
-  res.assignment.assign(n, 0);
-  std::vector<double> sq_dist(n, 0.0);
-  double prev_cost = std::numeric_limits<double>::infinity();
-
-  // Point norms are invariant across iterations; computed once.
-  const std::vector<double> point_norms = row_sq_norms(data.points());
-
-  std::vector<double> cluster_weight(k, 0.0);
-  Matrix sums(k, d);
-  // Per-chunk accumulation slots for the update sums, merged in chunk
-  // order below so the result is thread-count-independent. The grain
-  // grows with n to cap the chunk count (and the k·d scratch per chunk);
-  // it still depends only on n, never on the thread count.
-  const std::size_t max_chunks = std::clamp<std::size_t>(
-      kUpdateScratchDoubles / (k * d + k), 1, kMaxUpdateChunks);
-  const std::size_t update_grain =
-      std::max(kUpdateGrain, (n + max_chunks - 1) / max_chunks);
-  const std::size_t chunks = parallel_chunk_count(n, update_grain);
-  std::vector<double> part_sums(chunks * k * d, 0.0);
-  std::vector<double> part_weight(chunks * k, 0.0);
-
-  bool converged = false;
-  for (int it = 0; it < opts.max_iters; ++it) {
-    // One pass over the points: assignment, deterministic ordered cost
-    // and the update step's per-chunk weighted sums.
-    const double cost =
-        assign_and_accumulate(data, res.centers, point_norms, update_grain,
-                              res.assignment, sq_dist, part_sums, part_weight);
-    res.cost = cost;
-    res.iterations = it + 1;
-
-    if (std::isfinite(prev_cost) &&
-        prev_cost - cost <= opts.rel_tol * std::max(prev_cost, 1e-300)) {
-      converged = true;  // this pass's sums are not needed
-      break;
-    }
-    prev_cost = cost;
-
-    // Update step: fold the chunk sums in chunk order.
-    std::fill(cluster_weight.begin(), cluster_weight.end(), 0.0);
-    std::fill(sums.flat().begin(), sums.flat().end(), 0.0);
-    for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-      const double* psums = part_sums.data() + chunk * k * d;
-      const double* pweight = part_weight.data() + chunk * k;
-      for (std::size_t c = 0; c < k; ++c) cluster_weight[c] += pweight[c];
-      auto sf = sums.flat();
-      for (std::size_t x = 0; x < k * d; ++x) sf[x] += psums[x];
-    }
-
-    for (std::size_t c = 0; c < k; ++c) {
-      if (cluster_weight[c] > 0.0) {
-        auto s = sums.row(c);
-        auto ctr = res.centers.row(c);
-        for (std::size_t j = 0; j < d; ++j) ctr[j] = s[j] / cluster_weight[c];
-      } else {
-        // Empty cluster: reseat the center on the point farthest from its
-        // assigned center (distances from the assignment step; standard
-        // repair, keeps k centers meaningful).
-        double worst = -1.0;
-        std::size_t worst_i = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (data.weight(i) > 0.0 && sq_dist[i] > worst) {
-            worst = sq_dist[i];
-            worst_i = i;
-          }
-        }
-        std::copy(data.point(worst_i).begin(), data.point(worst_i).end(),
-                  res.centers.row(c).begin());
-        // Consume the point so a second empty cluster in the same
-        // iteration reseats on a different one instead of duplicating.
-        sq_dist[worst_i] = 0.0;
-      }
-    }
-  }
-
-  // A converged loop broke before touching the centers, so its last pass
-  // already holds their assignment and cost. Otherwise the loop updated
-  // the centers after its last pass: refresh both.
-  if (!converged) {
-    res.cost =
-        assign_and_cost(data, res.centers, res.assignment, {}, point_norms);
-  }
-  return res;
+  EKM_EXPECTS(initial_centers.rows() >= 1 &&
+              initial_centers.cols() == data.dim());
+  std::vector<Matrix> initial;
+  initial.push_back(std::move(initial_centers));
+  return std::move(lloyd_lock_step(data, std::move(initial), opts,
+                                   row_sq_norms(data.points()))
+                       .front());
 }
 
 KMeansResult kmeans(const Dataset& data, const KMeansOptions& opts) {
   EKM_EXPECTS(opts.k >= 1);
   EKM_EXPECTS(!data.empty());
+  // Point norms are invariant across seeding and every Lloyd pass.
+  const std::vector<double> point_norms = row_sq_norms(data.points());
+  const auto restarts = static_cast<std::size_t>(std::max(1, opts.restarts));
+  const std::size_t group = lock_step_cap(
+      data.size(), std::min(opts.k, data.size()), data.dim());
 
   KMeansResult best;
   best.cost = std::numeric_limits<double>::infinity();
-  const int restarts = std::max(1, opts.restarts);
-  for (int r = 0; r < restarts; ++r) {
-    Rng rng = make_rng(opts.seed, static_cast<std::uint64_t>(r));
-    Matrix seeds = kmeanspp_seed(data, opts.k, rng);
-    KMeansResult res = lloyd(data, std::move(seeds), opts);
-    if (res.cost < best.cost) best = std::move(res);
+  for (std::size_t r0 = 0; r0 < restarts; r0 += group) {
+    std::vector<Rng> rngs;
+    for (std::size_t r = r0; r < std::min(restarts, r0 + group); ++r) {
+      rngs.push_back(make_rng(opts.seed, r));
+    }
+    std::vector<KMeansResult> runs =
+        lloyd_lock_step(data, seed_lock_step(data, opts.k, rngs, point_norms),
+                        opts, point_norms);
+    // The first strictly cheapest run, in restart order.
+    for (KMeansResult& res : runs) {
+      if (res.cost < best.cost) best = std::move(res);
+    }
   }
   return best;
 }

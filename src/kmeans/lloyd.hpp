@@ -22,7 +22,7 @@ struct KMeansOptions {
   std::size_t k = 2;
   int max_iters = 100;         ///< Lloyd iterations per restart
   double rel_tol = 1e-7;       ///< stop when cost improves less than this
-  int restarts = 5;            ///< independent k-means++ seedings
+  int restarts = 5;            ///< independent k-means++ seedings, in lock step
   std::uint64_t seed = 42;     ///< master seed (restart r uses stream r)
 };
 
@@ -35,16 +35,24 @@ struct KMeansResult {
 
 /// k-means++ (D^2) seeding over a weighted dataset: the first center is
 /// drawn with probability ∝ weight, subsequent ones ∝ weight × squared
-/// distance to the nearest chosen center.
+/// distance to the nearest chosen center. At most n centers. The
+/// one-restart case of kmeans()'s seeding.
 [[nodiscard]] Matrix kmeanspp_seed(const Dataset& data, std::size_t k, Rng& rng);
 
-/// One seeded Lloyd run from the given initial centers.
+/// One seeded Lloyd run from the given initial centers: the one-restart
+/// case of kmeans()'s Lloyd.
 [[nodiscard]] KMeansResult lloyd(const Dataset& data, Matrix initial_centers,
                                  const KMeansOptions& opts);
 
-/// Full solver: `restarts` independent (seed, k-means++) runs, best kept.
-/// Requires 1 <= k; if k >= number of distinct points the result places a
-/// center on every point (zero cost).
+/// Full solver: `restarts` independent (seed, k-means++) runs, the first
+/// strictly cheapest kept. The restarts advance in lock step: each pass
+/// over the points (a seeding round's d² refresh, or a Lloyd iteration)
+/// serves every restart still running, and a restart that converges
+/// leaves at once. Restart r draws only from stream r of `seed`, and
+/// every restart's arithmetic is what it would be alone, so the result
+/// is bit-identical to running the restarts one after another, at any
+/// EKM_THREADS. Requires 1 <= k; if k >= number of distinct points the
+/// result places a center on every point (zero cost).
 [[nodiscard]] KMeansResult kmeans(const Dataset& data, const KMeansOptions& opts);
 
 /// Exhaustive-search optimum for tiny instances (k^n assignments).

@@ -99,9 +99,12 @@ void tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
 }
 
 // True when the off-diagonal e coupling diagonal entries d0 and d1 is
-// negligible: QL deflates there, and the top-t solver splits there.
+// negligible: QL deflates there, and the top-t solver splits there. The
+// absolute term is LAPACK's safmin: a T that deflates by about ε per
+// step (a Gram with exact zero columns) sinks into subnormals, where the
+// relative test alone never splits it.
 bool negligible(double e, double d0, double d1) {
-  return std::fabs(e) <= 1e-300 ||
+  return e * e <= std::numeric_limits<double>::min() ||
          std::fabs(e) <= 2.3e-16 * (std::fabs(d0) + std::fabs(d1));
 }
 

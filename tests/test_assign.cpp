@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "common/sampling.hpp"
 #include "data/generators.hpp"
 #include "kmeans/assign.hpp"
 #include "kmeans/cost.hpp"
@@ -130,7 +131,9 @@ TEST(AssignKernel, RejectsShapeMismatch) {
 //
 // The kernel and Lloyd's fused pass are held bit for bit to plain
 // per-cell reference loops over one registered table of shapes, at one
-// and at four pool threads.
+// and at four pool threads. The reference runs each restart alone, from
+// its own seeding, so it shares nothing with the library's lock-step
+// restarts but the per-cell arithmetic.
 
 // One step of an accumulator chain as the library compiles it: fused
 // where the target has a fast FMA, a multiply and an add elsewhere.
@@ -198,12 +201,12 @@ double ref_cost(const Dataset& data, const std::vector<double>& sq_dist) {
   return cost;
 }
 
-// What a reference solve went through, so each case can prove it covers
-// the branch it was registered for.
+// What one restart of a reference solve went through, so each case can
+// prove it covers the branches it was registered for.
 struct RefPaths {
-  int converged = 0;  // Lloyd runs that stopped on the tolerance test
-  int capped = 0;     // Lloyd runs that stopped at max_iters
-  int reseeds = 0;    // empty clusters reseated
+  bool converged = false;  // stopped on the tolerance test
+  bool capped = false;     // stopped at max_iters
+  int reseeds = 0;         // empty clusters reseated
 };
 
 // A plain two-pass Lloyd: assign and cost, then sum per 2048-point chunk
@@ -273,7 +276,7 @@ KMeansResult ref_lloyd(const Dataset& data, Matrix centers,
       paths.reseeds += 1;
     }
   }
-  (converged ? paths.converged : paths.capped) += 1;
+  (converged ? paths.converged : paths.capped) = true;
   const BatchAssignment a = ref_assign(data.points(), centers);
   res.assignment = a.index;
   res.cost = ref_cost(data, a.sq_dist);
@@ -281,16 +284,54 @@ KMeansResult ref_lloyd(const Dataset& data, Matrix centers,
   return res;
 }
 
-// kmeans(): the library's k-means++ seeds per restart, the reference
-// Lloyd, the first strictly cheapest run kept.
+// k-means++ seeding from ref_assign's distances: the first center is
+// drawn ∝ weight, each next one ∝ weight × d² to the nearest chosen
+// center (uniformly once every point is covered), by prefix sums and
+// sample_from_prefix; at most n centers.
+Matrix ref_seed(const Dataset& data, std::size_t k, Rng& rng) {
+  const std::size_t n = data.size();
+  Matrix centers(std::min(k, n), data.dim());
+  std::vector<double> cum(n);
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total += data.weight(i);
+    cum[i] = total;
+  }
+  std::vector<double> d2;
+  for (std::size_t c = 0; c < centers.rows(); ++c) {
+    std::size_t next = 0;
+    if (c > 0) {
+      total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        total += data.weight(i) * d2[i];
+        cum[i] = total;
+      }
+    }
+    if (total > 0.0) {
+      next = sample_from_prefix(cum, rng);
+    } else {
+      next = std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+    }
+    for (std::size_t j = 0; j < data.dim(); ++j) {
+      centers(c, j) = data.point(next)[j];
+    }
+    const Matrix chosen = centers.row_range(c, c + 1);
+    d2 = ref_assign(data.points(), chosen, c == 0 ? nullptr : &d2).sq_dist;
+  }
+  return centers;
+}
+
+// kmeans(): restart r seeded by ref_seed from stream r, then the
+// reference Lloyd, one restart after another; the first strictly
+// cheapest run kept. `paths` gets one entry per restart.
 KMeansResult ref_kmeans(const Dataset& data, const KMeansOptions& opts,
-                        RefPaths& paths) {
+                        std::vector<RefPaths>& paths) {
   KMeansResult best;
   best.cost = std::numeric_limits<double>::infinity();
   for (int r = 0; r < std::max(1, opts.restarts); ++r) {
     Rng rng = make_rng(opts.seed, static_cast<std::uint64_t>(r));
-    KMeansResult res =
-        ref_lloyd(data, kmeanspp_seed(data, opts.k, rng), opts, paths);
+    KMeansResult res = ref_lloyd(data, ref_seed(data, opts.k, rng), opts,
+                                 paths.emplace_back());
     if (res.cost < best.cost) best = std::move(res);
   }
   return best;
@@ -306,6 +347,9 @@ bool same_bits(double a, double b) { return same_bits({&a, 1}, {&b, 1}); }
 
 enum class Weights { kUnit, kRandom, kWithZeros };
 
+// How many of a solve's restarts took a path.
+enum class Share { kNone, kSome, kAll };
+
 struct ContractCase {
   const char* name;
   std::size_t n, d, k;
@@ -313,24 +357,46 @@ struct ContractCase {
   std::size_t distinct;  // > 0: points repeat this many locations
   int max_iters;
   int restarts;
-  bool expect_reseed;
-  bool expect_converged;
-  bool expect_capped;
+  Share reseeded;   // restarts that reseated an empty cluster
+  Share converged;  // restarts that stopped on the tolerance test
+  Share capped;     // restarts that stopped at max_iters
 };
 
+constexpr Share kNone = Share::kNone;
+constexpr Share kSome = Share::kSome;
+constexpr Share kAll = Share::kAll;
+
 // n mod 4 ∈ {1, 2, 3} puts a ragged tail behind the 4-point blocks;
-// n = 5001 spans three 2048-point update chunks, the last one ragged.
+// n = 4099 and 5001 span three 2048-point update chunks, the last one
+// ragged. 20 restarts are more than one lock-step pass holds.
 const ContractCase kContractCases[] = {
-    {"k1_d3", 5, 3, 1, Weights::kUnit, 0, 100, 2, false, true, false},
-    {"k7_d1", 102, 1, 7, Weights::kRandom, 0, 100, 2, false, true, false},
-    {"k10_d784_capped", 259, 784, 10, Weights::kRandom, 0, 3, 1, false, false,
-     true},
+    {"k1_d3", 5, 3, 1, Weights::kUnit, 0, 100, 2, kNone, kAll, kNone},
+    {"k7_d1", 102, 1, 7, Weights::kRandom, 0, 100, 2, kNone, kAll, kNone},
+    {"k10_d784_capped", 259, 784, 10, Weights::kRandom, 0, 3, 1, kNone, kNone,
+     kAll},
     {"three_chunks_zero_weights", 5001, 3, 10, Weights::kWithZeros, 0, 100, 2,
-     false, true, false},
-    {"k50_d17", 1003, 17, 50, Weights::kRandom, 0, 100, 2, false, true, false},
-    {"duplicates_reseed", 402, 17, 10, Weights::kWithZeros, 6, 100, 2, true,
-     true, false},
+     kNone, kAll, kNone},
+    {"k50_d17", 1003, 17, 50, Weights::kRandom, 0, 100, 2, kNone, kAll,
+     kNone},
+    {"duplicates_reseed", 402, 17, 10, Weights::kWithZeros, 6, 100, 2, kAll,
+     kAll, kNone},
+    {"r20_k2", 9, 2, 2, Weights::kUnit, 0, 100, 20, kNone, kAll, kNone},
+    {"stops_differ", 600, 2, 5, Weights::kRandom, 0, 20, 5, kNone, kSome,
+     kSome},
+    {"reseat_in_some_restarts", 20, 2, 3, Weights::kRandom, 8, 100, 6, kSome,
+     kAll, kNone},
+    {"k_above_n", 7, 3, 10, Weights::kRandom, 0, 100, 2, kNone, kAll, kNone},
+    {"r5_d784_three_chunks", 4099, 784, 10, Weights::kRandom, 0, 2, 5, kNone,
+     kNone, kAll},
 };
+
+Share share(const std::vector<RefPaths>& paths,
+            bool (*took)(const RefPaths&)) {
+  const auto count = std::count_if(paths.begin(), paths.end(), took);
+  return count == 0 ? kNone
+         : static_cast<std::size_t>(count) == paths.size() ? kAll
+                                                            : kSome;
+}
 
 Dataset contract_data(const ContractCase& c) {
   Rng rng = make_rng(4242, c.n * 1000 + c.d);
@@ -376,6 +442,12 @@ TEST_P(AssignContract, KernelEqualsPerCellReference) {
       ref_assign(data.points(), first).sq_dist;
   const std::vector<double> ref_min =
       ref_assign(data.points(), second, &ref_first).sq_dist;
+  // The same two batches as the two sets of one lock-step refresh, where
+  // the second set may share a tile with the first.
+  Matrix both = first;
+  both.append_rows(second);
+  const std::vector<double> ref_second =
+      ref_assign(data.points(), second).sq_dist;
 
   for (std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
@@ -395,6 +467,11 @@ TEST_P(AssignContract, KernelEqualsPerCellReference) {
     EXPECT_TRUE(same_bits(d2, ref_first));
     update_min_sq_dist(data.points(), second, d2);
     EXPECT_TRUE(same_bits(d2, ref_min));
+
+    std::vector<double> two(2 * c.n, std::numeric_limits<double>::infinity());
+    update_min_sq_dist(data.points(), both, two, {}, 2);
+    EXPECT_TRUE(same_bits(std::span(two).first(c.n), ref_first));
+    EXPECT_TRUE(same_bits(std::span(two).last(c.n), ref_second));
   }
 }
 
@@ -406,12 +483,16 @@ TEST_P(AssignContract, KMeansEqualsTwoPassLloyd) {
   opts.max_iters = c.max_iters;
   opts.restarts = c.restarts;
   opts.seed = 17;
-  RefPaths paths;
+  std::vector<RefPaths> paths;
   const KMeansResult ref = ref_kmeans(data, opts, paths);
   // The case covers what it was registered for.
-  EXPECT_EQ(paths.reseeds > 0, c.expect_reseed) << paths.reseeds;
-  EXPECT_EQ(paths.converged > 0, c.expect_converged) << paths.converged;
-  EXPECT_EQ(paths.capped > 0, c.expect_capped) << paths.capped;
+  ASSERT_EQ(paths.size(), static_cast<std::size_t>(c.restarts));
+  EXPECT_EQ(share(paths, [](const RefPaths& p) { return p.reseeds > 0; }),
+            c.reseeded);
+  EXPECT_EQ(share(paths, [](const RefPaths& p) { return p.converged; }),
+            c.converged);
+  EXPECT_EQ(share(paths, [](const RefPaths& p) { return p.capped; }),
+            c.capped);
 
   for (std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");

@@ -86,14 +86,14 @@ TEST(DisPca, ToleratesEmptySource) {
   EXPECT_EQ(res.v.cols(), 4u);
 }
 
-// A Network whose source `victim` has its second uplink frame (disPCA's
-// V) replaced by `v` on the way out.
-class SwappedVFrame final : public Fabric {
+// A Network whose source `victim` has its second uplink frame replaced
+// by `frame` on the way out: disPCA's V, or disSS's coreset.
+class SwappedSecondFrame final : public Fabric {
  public:
-  SwappedVFrame(std::size_t sources, std::size_t victim, Message v)
+  SwappedSecondFrame(std::size_t sources, std::size_t victim, Message frame)
       : net_(sources),
         victim_(victim),
-        port_(net_.uplink(victim), std::move(v)) {}
+        port_(net_.uplink(victim), std::move(frame)) {}
   [[nodiscard]] std::size_t num_sources() const override {
     return net_.num_sources();
   }
@@ -107,9 +107,10 @@ class SwappedVFrame final : public Fabric {
  private:
   class SwapPort final : public Port {
    public:
-    SwapPort(Port& inner, Message v) : inner_(inner), v_(std::move(v)) {}
+    SwapPort(Port& inner, Message frame)
+        : inner_(inner), frame_(std::move(frame)) {}
     void send(Message msg) override {
-      inner_.send(++sent_ == 2 ? v_ : std::move(msg));
+      inner_.send(++sent_ == 2 ? frame_ : std::move(msg));
     }
     [[nodiscard]] bool has_pending() const override {
       return inner_.has_pending();
@@ -121,7 +122,7 @@ class SwappedVFrame final : public Fabric {
 
    private:
     Port& inner_;
-    Message v_;
+    Message frame_;
     std::size_t sent_ = 0;
   };
 
@@ -136,7 +137,7 @@ class SwappedVFrame final : public Fabric {
 TEST(DisPca, RejectsSummaryOfWrongShape) {
   const std::vector<Dataset> parts = make_parts(300, 8, 2, 3, 92);
   Rng rng = make_rng(93);
-  SwappedVFrame net(3, 1, encode_matrix(Matrix::gaussian(7, 4, rng)));
+  SwappedSecondFrame net(3, 1, encode_matrix(Matrix::gaussian(7, 4, rng)));
   Stopwatch work;
   DisPcaOptions opts;
   opts.t1 = 4;
@@ -149,6 +150,37 @@ TEST(DisPca, RejectsSummaryOfWrongShape) {
     EXPECT_NE(what.find("source 1 sent Σ 1x4 and V 7x4"), std::string::npos)
         << what;
     EXPECT_NE(what.find("V 8xr with 1 <= r <= 4"), std::string::npos) << what;
+  }
+}
+
+// disSS's collect sites check each decoded coreset against the round's
+// width. A coreset of d - 1 columns names the source and both widths:
+// among responders, before it can set the width of the union, and as the
+// only responder, where nothing else would notice.
+TEST(DisSs, RejectsCoresetOfWrongWidth) {
+  for (const std::size_t sources : {3u, 1u}) {
+    SCOPED_TRACE(::testing::Message() << sources << " sources");
+    const std::vector<Dataset> parts = make_parts(300, 8, 2, sources, 94);
+    Rng rng = make_rng(95);
+    Coreset narrow;
+    narrow.points = Dataset(Matrix::gaussian(5, 7, rng));
+    const std::size_t victim = sources - 1;
+    SwappedSecondFrame net(sources, victim, encode_coreset(narrow));
+    Stopwatch work;
+    DisSsOptions opts;
+    opts.k = 2;
+    opts.total_samples = 60;
+    try {
+      (void)disss(parts, opts, net, work, 96);
+      FAIL() << "a 7-column coreset in an 8-dimensional round was accepted";
+    } catch (const precondition_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("source " + std::to_string(victim) +
+                          " sent a coreset of 7 columns"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("expected 8 columns"), std::string::npos) << what;
+    }
   }
 }
 

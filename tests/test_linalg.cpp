@@ -511,6 +511,20 @@ const std::vector<SpectrumCase>& spectrum_cases() {
     }
     c.push_back(
         {"blocked_repeated_straddles_t", rotated_diagonal(repeated, rng), 16});
+    // Exact zero columns at the order values-only QL still handles: T
+    // deflates by about ε per step into subnormals, so only an absolute
+    // split term (LAPACK's safmin) lets QL converge.
+    for (const std::size_t cols : {100, 128}) {
+      const std::size_t stride = cols == 100 ? 10 : 25;
+      Matrix zero_cols(400, cols);
+      for (std::size_t i = 0; i < zero_cols.rows(); ++i) {
+        for (std::size_t j = 0; j < cols; j += stride) {
+          zero_cols(i, j) = std::normal_distribution<double>()(rng);
+        }
+      }
+      c.push_back({"zero_cols_every_" + std::to_string(stride) + "th",
+                   zero_cols, 16});
+    }
     return c;
   }();
   return cases;
