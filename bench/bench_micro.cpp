@@ -89,11 +89,12 @@ BENCHMARK(BM_TruncatedSvd)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
-// The server's solve, kmeans() at the pipeline's defaults (k = 10, five
-// restarts advanced in lock step): on nr_mnist's 20000x784 shape, where
-// each pass reads 125 MB of points, and on a weighted 300x16 input, the
-// size of BKLW's server coreset, where per-pass overhead dominates.
-// Args: rows, cols, weighted.
+// The server's solve, kmeans() with the pipeline's five restarts
+// advanced in lock step: on nr_mnist's 20000x784 shape at k = 10, where
+// each pass reads 125 MB of points; on 20000x64 at k = 50, where the
+// pass is compute-bound and Hamerly's bounds skip most of it; and on a
+// weighted 300x16 input at k = 10, the size of BKLW's server coreset,
+// where per-pass overhead dominates. Args: rows, cols, weighted, k.
 void BM_KMeans(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto cols = static_cast<std::size_t>(state.range(1));
@@ -106,14 +107,15 @@ void BM_KMeans(benchmark::State& state) {
     data = Dataset(data.points(), std::move(w));
   }
   KMeansOptions opts;
-  opts.k = 10;
+  opts.k = static_cast<std::size_t>(state.range(3));
   for (auto _ : state) {
     benchmark::DoNotOptimize(kmeans(data, opts));
   }
 }
 BENCHMARK(BM_KMeans)
-    ->Args({20000, 784, 0})
-    ->Args({300, 16, 1})
+    ->Args({20000, 784, 0, 10})
+    ->Args({20000, 64, 0, 50})
+    ->Args({300, 16, 1, 10})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

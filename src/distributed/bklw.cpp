@@ -1,6 +1,7 @@
 #include "distributed/bklw.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "distributed/dispca.hpp"
 #include "distributed/disss.hpp"
@@ -10,6 +11,22 @@
 #include "sched/scheduler.hpp"
 
 namespace ekm {
+namespace {
+
+// The basis broadcast is disPCA's merged V, d x r with 1 <= r <= t. The
+// decoder does not know d, so the receiving site checks, before a wrong
+// shape reaches its projection.
+void expect_basis_shape(std::size_t source, const Matrix& v, std::size_t d,
+                        std::size_t t) {
+  EKM_EXPECTS_MSG(v.rows() == d && v.cols() >= 1 && v.cols() <= t,
+                  "BKLW basis broadcast: source " + std::to_string(source) +
+                      " received V " + std::to_string(v.rows()) + "x" +
+                      std::to_string(v.cols()) + ", expected V " +
+                      std::to_string(d) + "xr with 1 <= r <= " +
+                      std::to_string(t));
+}
+
+}  // namespace
 
 // BKLW composes the two task-graph protocols (disPCA, disSS) with a
 // projection phase between them — itself a small per-site graph: each
@@ -72,6 +89,7 @@ Coreset bklw_coreset(std::span<const Dataset> parts, const BklwOptions& opts,
            auto basis_frame = net.downlink(i).receive_by(kNoRound);
            if (!basis_frame.has_value()) return;
            const Matrix v = decode_matrix(*basis_frame);
+           expect_basis_shape(i, v, d, t);
            Matrix coords = matmul(parts[i].points(), v);
            projected[i] = parts[i].is_weighted()
                               ? Dataset(std::move(coords), *parts[i].weights())

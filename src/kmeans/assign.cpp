@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/parallel.hpp"
@@ -40,15 +41,16 @@ inline double dot4(const double* a, const double* b, std::size_t d) {
   return s;
 }
 
-// One step of a weighted-cost chain: s + w·d², fused where the target has
-// a fast FMA, as the compiler contracts it inside the assignment scan. A
-// plain tile-fold loop would instead be vectorized into separately
-// rounded products added in order, so both folds spell the step out.
-inline double cost_step(double s, double w, double d2) {
+// One step of an accumulator chain, s + x·y, fused where the target has a
+// fast FMA, as the compiler contracts the kernel's vector steps. A plain
+// loop over scalars may instead be vectorized into separately rounded
+// products added in order, or left unfused, so the weighted-cost folds
+// and the own-cell tail spell the step out.
+inline double chain_step(double s, double x, double y) {
 #if defined(__FP_FAST_FMA)
-  return std::fma(w, d2, s);
+  return std::fma(x, y, s);
 #else
-  return s + w * d2;
+  return s + x * y;
 #endif
 }
 
@@ -149,24 +151,31 @@ inline void block_sq_dists(const double* const* p, const double* pn,
   }
 }
 
-// Scans points [i, i+P): every block's distances land in `dist`
+// Scans the P points ids[0..P) against the sets [s0, s1): the distances
+// to every block holding those sets' centers land in `dist`
 // ([q][block]), then each set's lanes are scanned in ascending order and
-// per_point(i+q, set, best_index, best_sq_dist) is called, sets
-// ascending, then q ascending; best_index counts within the set. `seed`
+// per_point(id, set, best_index, best_sq_dist, cells) is called, sets
+// ascending, then q ascending; best_index counts within the set and
+// `cells` holds the set's per_set distances for the point. `seed`
 // (optional, one running minimum per set and point, set s's at
 // [s·n, s·n + n)) caps each minimum from below — ties against the seed
 // keep the seed, ties between centers keep the lowest index, like the
 // naive scan.
 template <std::size_t P, class PerPoint>
 void scan_block(const Matrix& points, const PackedCenters& pc,
-                const double* pnorm, std::size_t i, const double* seed,
-                Lanes8* dist, PerPoint& per_point) {
+                const double* pnorm, const std::size_t* ids, std::size_t s0,
+                std::size_t s1, const double* seed, Lanes8* dist,
+                PerPoint& per_point) {
   const double* p[P];
-  for (std::size_t q = 0; q < P; ++q) p[q] = points.row_ptr(i + q);
-  for (std::size_t block = 0; block < pc.blocks; ++block) {
-    block_sq_dists<P>(p, pnorm + i, pc.tile(block),
-                      pc.norms.data() + block * kLanes, pc.d, dist + block,
-                      pc.blocks);
+  double pn[P];
+  for (std::size_t q = 0; q < P; ++q) {
+    p[q] = points.row_ptr(ids[q]);
+    pn[q] = pnorm[ids[q]];
+  }
+  const std::size_t b1 = (s1 * pc.per_set + kLanes - 1) / kLanes;
+  for (std::size_t block = s0 * pc.per_set / kLanes; block < b1; ++block) {
+    block_sq_dists<P>(p, pn, pc.tile(block), pc.norms.data() + block * kLanes,
+                      pc.d, dist + block, pc.blocks);
   }
   // GNU vector types alias their element type: the lanes read back as
   // doubles.
@@ -175,11 +184,11 @@ void scan_block(const Matrix& points, const PackedCenters& pc,
     lanes[q] = reinterpret_cast<const double*>(dist + q * pc.blocks);
   }
   const std::size_t n = points.rows();
-  for (std::size_t s = 0; s < pc.sets; ++s) {
+  for (std::size_t s = s0; s < s1; ++s) {
     double best[P];
     std::size_t best_c[P] = {};
     for (std::size_t q = 0; q < P; ++q) {
-      best[q] = seed != nullptr ? seed[s * n + i + q]
+      best[q] = seed != nullptr ? seed[s * n + ids[q]]
                                 : std::numeric_limits<double>::infinity();
     }
     // The P points' minimum chains are independent: interleaving them
@@ -196,25 +205,286 @@ void scan_block(const Matrix& points, const PackedCenters& pc,
       }
     }
     for (std::size_t q = 0; q < P; ++q) {
-      per_point(i + q, s, best_c[q], best[q]);
+      per_point(ids[q], s, best_c[q], best[q], lanes[q] + g0);
     }
   }
 }
 
-// Points [i0, i1) in blocks of kPointBlock; the ragged tail runs one
-// point at a time through the same template.
+// Room for one scan_block's distances: kPointBlock points by every block.
+// `dist` points into `store`, so a copy would alias the original's.
+struct ScanBuffer {
+  std::vector<double> store;
+  Lanes8* dist;
+  explicit ScanBuffer(const PackedCenters& pc)
+      : store(kPointBlock * pc.blocks * kLanes + kLanes),
+        dist(reinterpret_cast<Lanes8*>(align64(store))) {}
+  ScanBuffer(const ScanBuffer&) = delete;
+  ScanBuffer& operator=(const ScanBuffer&) = delete;
+};
+
+// The points ids[0..count) against the sets [s0, s1), in blocks of
+// kPointBlock; the ragged tail runs one point at a time through the same
+// template.
+template <class PerPoint>
+void scan_ids(const Matrix& points, const PackedCenters& pc,
+              const double* pnorm, const std::size_t* ids, std::size_t count,
+              std::size_t s0, std::size_t s1, const double* seed,
+              ScanBuffer& buf, PerPoint& per_point) {
+  std::size_t g = 0;
+  for (; g + kPointBlock <= count; g += kPointBlock) {
+    scan_block<kPointBlock>(points, pc, pnorm, ids + g, s0, s1, seed,
+                            buf.dist, per_point);
+  }
+  for (; g < count; ++g) {
+    scan_block<1>(points, pc, pnorm, ids + g, s0, s1, seed, buf.dist,
+                  per_point);
+  }
+}
+
+// Points [i0, i1) against every set, as scan_ids would scan their ids.
 template <class PerPoint>
 void scan_points(const Matrix& points, const PackedCenters& pc,
                  const double* pnorm, std::size_t i0, std::size_t i1,
                  const double* seed, PerPoint&& per_point) {
-  std::vector<double> store(kPointBlock * pc.blocks * kLanes + kLanes);
-  auto* dist = reinterpret_cast<Lanes8*>(align64(store));
+  ScanBuffer buf(pc);
+  std::size_t ids[kPointBlock];
   std::size_t i = i0;
   for (; i + kPointBlock <= i1; i += kPointBlock) {
-    scan_block<kPointBlock>(points, pc, pnorm, i, seed, dist, per_point);
+    for (std::size_t q = 0; q < kPointBlock; ++q) ids[q] = i + q;
+    scan_block<kPointBlock>(points, pc, pnorm, ids, 0, pc.sets, seed,
+                            buf.dist, per_point);
   }
   for (; i < i1; ++i) {
-    scan_block<1>(points, pc, pnorm, i, seed, dist, per_point);
+    scan_block<1>(points, pc, pnorm, &i, 0, pc.sets, seed, buf.dist,
+                  per_point);
+  }
+}
+
+// ---- Lloyd's pass with Hamerly's bounds ------------------------------------
+
+// One cell outside the tiles, on block_sq_dists' chain for its lane: the
+// four j-split accumulators are the lanes of one 4-lane vector, the
+// d mod 4 tail goes on the first, they fold as (a0+a1)+(a2+a3), and
+// ‖p‖²+‖c‖²−2⟨p,c⟩ is clamped at zero. out[g] = d²(p, c[g]) for G
+// centers; their chains are independent, so interleaving them hides the
+// FMA latency.
+using Lanes4 = double __attribute__((vector_size(4 * sizeof(double))));
+
+template <std::size_t G>
+void own_sq_dists(const double* p, double pn, const double* const* c,
+                  const double* cn, std::size_t d, double* out) {
+  Lanes4 a[G] = {};
+  std::size_t j = 0;
+  for (; j + 4 <= d; j += 4) {
+    Lanes4 pv;
+    std::memcpy(&pv, p + j, sizeof pv);
+#pragma GCC unroll 8
+    for (std::size_t g = 0; g < G; ++g) {
+      Lanes4 cv;
+      std::memcpy(&cv, c[g] + j, sizeof cv);
+      a[g] += pv * cv;
+    }
+  }
+  for (std::size_t g = 0; g < G; ++g) {
+    double a0 = a[g][0];
+    for (std::size_t t = j; t < d; ++t) a0 = chain_step(a0, p[t], c[g][t]);
+    const double dot = (a0 + a[g][1]) + (a[g][2] + a[g][3]);
+    const double d2 = (pn + cn[g]) - 2.0 * dot;
+    out[g] = d2 > 0.0 ? d2 : 0.0;
+  }
+}
+
+// Own cells of one point, up to kOwnGroup at a time: a lock-step group
+// of restarts fits one.
+constexpr std::size_t kOwnGroup = 8;
+
+void own_sq_dists(const double* p, double pn, const double* const* c,
+                  const double* cn, std::size_t m, std::size_t d,
+                  double* out) {
+  switch (m) {
+    case 8: return own_sq_dists<8>(p, pn, c, cn, d, out);
+    case 7: return own_sq_dists<7>(p, pn, c, cn, d, out);
+    case 6: return own_sq_dists<6>(p, pn, c, cn, d, out);
+    case 5: return own_sq_dists<5>(p, pn, c, cn, d, out);
+    case 4: return own_sq_dists<4>(p, pn, c, cn, d, out);
+    case 3: return own_sq_dists<3>(p, pn, c, cn, d, out);
+    case 2: return own_sq_dists<2>(p, pn, c, cn, d, out);
+    case 1: return own_sq_dists<1>(p, pn, c, cn, d, out);
+    default: return;
+  }
+}
+
+// What a bounded pass needs of each set: how far its centers moved since
+// the last pass, and how large they are.
+struct SetBounds {
+  double far = 0.0;       // the largest center drift
+  std::size_t far_c = 0;  // its center
+  double far2 = 0.0;      // the largest drift among the other centers
+  double radius = 0.0;    // max ‖c‖ over the set's centers
+};
+
+std::vector<SetBounds> set_bounds(const PackedCenters& pc,
+                                  std::span<const double> drift) {
+  std::vector<SetBounds> out(pc.sets);
+  for (std::size_t s = 0; s < pc.sets; ++s) {
+    SetBounds& b = out[s];
+    for (std::size_t c = 0; c < pc.per_set; ++c) {
+      const double m = drift[s * pc.per_set + c];
+      if (m > b.far) {
+        b.far2 = b.far;
+        b.far = m;
+        b.far_c = c;
+      } else if (m > b.far2) {
+        b.far2 = m;
+      }
+      b.radius = std::max(b.radius, std::sqrt(pc.norms[s * pc.per_set + c]));
+    }
+  }
+  return out;
+}
+
+// A decayed bound times this rounds below the exact difference: one
+// rounding of the subtraction and one of the product stay under 2ε.
+constexpr double kShrink = 1.0 - 2.0 * std::numeric_limits<double>::epsilon();
+
+// Adds point i, weighted, to `cluster`'s chunk sums: the update step's
+// one accumulation. Each cluster's chunk sums see its points in
+// ascending order, bounded pass or not, so their bits do not depend on
+// which points were scanned.
+inline void add_point(const Dataset& data, std::size_t i, std::size_t cluster,
+                      double* psums, double* pweight) {
+  const double w = data.weight(i);
+  if (w == 0.0) return;
+  pweight[cluster] += w;
+  const std::size_t d = data.dim();
+  const double* p = data.points().row_ptr(i);
+  double* sum = psums + cluster * d;
+  for (std::size_t j = 0; j < d; ++j) sum[j] += w * p[j];
+}
+
+// Points per sub-block of a bounded chunk: their rows, about 512 KB,
+// stay in L2 from the own cells through the scans to the update sums.
+std::size_t sub_block(std::size_t d) {
+  constexpr std::size_t kSubBlockDoubles = std::size_t(1) << 16;
+  return std::max<std::size_t>(kPointBlock,
+                               kSubBlockDoubles / std::max<std::size_t>(d, 1));
+}
+
+// Lloyd's pass over points [begin, end) with Hamerly's lower bounds
+// (Hamerly, SDM 2010); docs/performance.md derives the margin. The chunk
+// runs in sub-blocks, ascending. For each set a point's bound first
+// falls by the largest drift among the centers other than its own. Then
+// the point gets its own-center d² from own_sq_dists. A point whose own
+// d² lies below L² − E, with E the largest rounding of any computed cell,
+// keeps its center, and that d² is the one a full scan would return. The
+// others are gathered per set and scanned in blocks against only that
+// set's tiles, or, when a point fails every set, against all the tiles
+// at once; their bound restarts from the runner-up. Then the
+// sub-block's update sums, through add_point as in the unbounded pass.
+void bounded_chunk(const Dataset& data, const Matrix& centers,
+                   const PackedCenters& pc, std::span<const SetBounds> sb,
+                   const double* pnorm, std::size_t begin, std::size_t end,
+                   std::size_t* index, double* sq_dist, double* lower,
+                   double* psums, double* pweight) {
+  const Matrix& points = data.points();
+  const std::size_t n = points.rows();
+  const std::size_t d = pc.d;
+  const std::size_t k = pc.per_set;
+  const std::size_t sets = pc.sets;
+  const std::size_t width = std::min(sub_block(d), end - begin);
+  const double margin =
+      2.0 * static_cast<double>(d + 8) * std::numeric_limits<double>::epsilon();
+  auto slack = [&](std::size_t i, std::size_t s) {
+    const double r = std::sqrt(pnorm[i]) + sb[s].radius;
+    return margin * r * r;
+  };
+
+  // The sub-block's points to scan against every set (a first pass, or
+  // large drifts), scanned once over all the tiles, at every_set[0,
+  // count_all); set s's others at todo[s·width, s·width + count[s]).
+  std::vector<std::size_t> every_set(width);
+  std::vector<std::size_t> todo(sets * width);
+  std::vector<std::size_t> count(sets);
+  std::vector<char> fails(sets);
+  ScanBuffer buf(pc);
+  auto rescan = [&](std::size_t i, std::size_t s, std::size_t c, double d2,
+                    const double* cells) {
+    const std::size_t x = s * n + i;
+    index[x] = c;
+    sq_dist[x] = d2;
+    double second = std::numeric_limits<double>::infinity();
+    for (std::size_t o = 0; o < k; ++o) {
+      if (o != c) second = std::min(second, cells[o]);
+    }
+    lower[x] = std::sqrt(std::max(0.0, second - slack(i, s)));
+  };
+  for (std::size_t b0 = begin; b0 < end; b0 += width) {
+    const std::size_t b1 = std::min(end, b0 + width);
+    std::fill(count.begin(), count.end(), 0);
+    std::size_t count_all = 0;
+    for (std::size_t i = b0; i < b1; ++i) {
+      std::size_t failed = 0;
+      for (std::size_t s0 = 0; s0 < sets; s0 += kOwnGroup) {
+        std::size_t own_set[kOwnGroup];
+        const double* own_c[kOwnGroup];
+        double own_cn[kOwnGroup];
+        double bar[kOwnGroup];
+        std::size_t g = 0;
+        for (std::size_t s = s0; s < std::min(sets, s0 + kOwnGroup); ++s) {
+          const std::size_t x = s * n + i;
+          double l = lower[x];
+          if (l > 0.0) {
+            const SetBounds& b = sb[s];
+            l = std::max(0.0, (l - (index[x] == b.far_c ? b.far2 : b.far)) *
+                                  kShrink);
+            lower[x] = l;
+          }
+          const double b = l * l - slack(i, s);
+          if (b > 0.0) {
+            const std::size_t c = s * k + index[x];
+            own_set[g] = s;
+            own_c[g] = centers.row_ptr(c);
+            own_cn[g] = pc.norms[c];
+            bar[g] = b;
+            ++g;
+            fails[s] = 0;
+          } else {
+            fails[s] = 1;
+            ++failed;
+          }
+        }
+        double own[kOwnGroup];
+        own_sq_dists(points.row_ptr(i), pnorm[i], own_c, own_cn, g, d, own);
+        for (std::size_t q = 0; q < g; ++q) {
+          const std::size_t s = own_set[q];
+          if (own[q] < bar[q]) {
+            sq_dist[s * n + i] = own[q];
+          } else {
+            fails[s] = 1;
+            ++failed;
+          }
+        }
+      }
+      if (failed == sets) {
+        every_set[count_all++] = i;
+      } else if (failed > 0) {
+        for (std::size_t s = 0; s < sets; ++s) {
+          if (fails[s] != 0) todo[s * width + count[s]++] = i;
+        }
+      }
+    }
+    scan_ids(points, pc, pnorm, every_set.data(), count_all, 0, sets, nullptr,
+             buf, rescan);
+    for (std::size_t s = 0; s < sets; ++s) {
+      scan_ids(points, pc, pnorm, todo.data() + s * width, count[s], s, s + 1,
+               nullptr, buf, rescan);
+    }
+    // The update sums, now that every point's assignment is final.
+    for (std::size_t i = b0; i < b1; ++i) {
+      for (std::size_t s = 0; s < sets; ++s) {
+        add_point(data, i, s * k + index[s * n + i], psums, pweight);
+      }
+    }
   }
 }
 
@@ -280,7 +550,8 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
   double* sd = sq_dist.empty() ? nullptr : sq_dist.data();
   parallel_for(n, kPointTile, [&](std::size_t begin, std::size_t end) {
     scan_points(points, pc, pn.data(), begin, end, nullptr,
-                [&](std::size_t i, std::size_t, std::size_t c, double d2) {
+                [&](std::size_t i, std::size_t, std::size_t c, double d2,
+                    const double*) {
                   if (idx != nullptr) idx[i] = c;
                   if (sd != nullptr) sd[i] = d2;
                 });
@@ -310,10 +581,10 @@ double assign_and_cost(const Dataset& data, const Matrix& centers,
         double local = 0.0;
         scan_points(points, pc, pn.data(), begin, end, nullptr,
                     [&](std::size_t i, std::size_t, std::size_t c,
-                        double d2) {
+                        double d2, const double*) {
                       if (idx != nullptr) idx[i] = c;
                       if (sd != nullptr) sd[i] = d2;
-                      local = cost_step(local, data.weight(i), d2);
+                      local = chain_step(local, data.weight(i), d2);
                     });
         partial[chunk] = local;
       });
@@ -326,7 +597,8 @@ std::vector<double> assign_and_accumulate(
     const Dataset& data, const Matrix& centers, std::size_t sets,
     std::span<const double> point_sq_norms, std::size_t grain,
     std::span<std::size_t> index, std::span<double> sq_dist,
-    std::span<double> chunk_sums, std::span<double> chunk_weights) {
+    std::span<double> chunk_sums, std::span<double> chunk_weights,
+    std::span<double> lower, std::span<const double> drift) {
   ObsKernelScope obs_scope("assign_and_accumulate");
   const Matrix& points = data.points();
   check_shapes(points, centers, sets);
@@ -338,27 +610,32 @@ std::vector<double> assign_and_accumulate(
               sq_dist.size() == sets * n);
   EKM_EXPECTS(chunk_sums.size() == chunks * sets * k * d &&
               chunk_weights.size() == chunks * sets * k);
+  const bool bounded = !lower.empty();
+  EKM_EXPECTS(!bounded ||
+              (lower.size() == sets * n && drift.size() == sets * k));
   const PackedCenters pc(centers, sets);
+  const std::vector<SetBounds> sb =
+      bounded ? set_bounds(pc, drift) : std::vector<SetBounds>{};
   parallel_for_chunks(
       n, grain, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         double* psums = chunk_sums.data() + chunk * sets * k * d;
         double* pweight = chunk_weights.data() + chunk * sets * k;
         std::fill_n(psums, sets * k * d, 0.0);
         std::fill_n(pweight, sets * k, 0.0);
+        if (bounded) {
+          bounded_chunk(data, centers, pc, sb, point_sq_norms.data(), begin,
+                        end, index.data(), sq_dist.data(), lower.data(),
+                        psums, pweight);
+          return;
+        }
         // Each point's sums are added right after its block is scanned,
         // while its row is still in L1.
         scan_points(points, pc, point_sq_norms.data(), begin, end, nullptr,
                     [&](std::size_t i, std::size_t s, std::size_t c,
-                        double d2) {
+                        double d2, const double*) {
                       index[s * n + i] = c;
                       sq_dist[s * n + i] = d2;
-                      const double w = data.weight(i);
-                      if (w == 0.0) return;
-                      const std::size_t cluster = s * k + c;
-                      pweight[cluster] += w;
-                      const double* p = points.row_ptr(i);
-                      double* sum = psums + cluster * d;
-                      for (std::size_t j = 0; j < d; ++j) sum[j] += w * p[j];
+                      add_point(data, i, s * k + c, psums, pweight);
                     });
       });
   // assign_and_cost's association, per set: one partial per point tile,
@@ -370,12 +647,30 @@ std::vector<double> assign_and_accumulate(
       const std::size_t t1 = std::min(n, t0 + kPointTile);
       double local = 0.0;
       for (std::size_t i = t0; i < t1; ++i) {
-        local = cost_step(local, data.weight(i), sd[i]);
+        local = chain_step(local, data.weight(i), sd[i]);
       }
       costs[s] += local;
     }
   }
   return costs;
+}
+
+double center_drift(std::span<const double> from,
+                    std::span<const double> to) {
+  EKM_EXPECTS(from.size() == to.size());
+  const std::size_t d = from.size();
+  double s = 0.0;
+  for (std::size_t j = 0; j < d; ++j) {
+    const double x = to[j] - from[j];
+    s += x * x;
+  }
+  // Each difference, square and add rounds by at most half an ulp, and a
+  // square may underflow by half a subnormal; the root rounds once more.
+  // docs/performance.md shows that the underflow term and a (d+4)ε
+  // inflation cover them all.
+  const double dd = static_cast<double>(d);
+  return std::sqrt(s + dd * std::numeric_limits<double>::denorm_min()) *
+         (1.0 + (dd + 4.0) * std::numeric_limits<double>::epsilon());
 }
 
 void update_min_sq_dist(const Matrix& points, const Matrix& centers,
@@ -392,9 +687,8 @@ void update_min_sq_dist(const Matrix& points, const Matrix& centers,
   double* out = d2.data();
   parallel_for(n, kPointTile, [&](std::size_t begin, std::size_t end) {
     scan_points(points, pc, pn.data(), begin, end, out,
-                [&](std::size_t i, std::size_t s, std::size_t, double best) {
-                  out[s * n + i] = best;
-                });
+                [&](std::size_t i, std::size_t s, std::size_t, double best,
+                    const double*) { out[s * n + i] = best; });
   });
 }
 

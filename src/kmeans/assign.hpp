@@ -19,6 +19,9 @@
 //     k-means restarts), each set with its own scan, so a set's results
 //     do not depend on the sets packed beside it;
 //   - weighted-cost reductions fold per-tile partials in tile order.
+// Lloyd's fused pass can also keep Hamerly's lower bounds, which let it
+// skip the scan for points that provably keep their center; a skipped
+// point's d² comes from the same per-cell chain, so the bits hold.
 //
 // The identity can go slightly negative under cancellation; distances are
 // clamped to >= 0. Values differ from the subtract-form by O(eps·‖p‖‖c‖),
@@ -79,11 +82,28 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
 /// set. Each set's outputs are bit-identical to an assign_and_cost call
 /// on its k centers alone followed by a separate per-chunk sum: a
 /// center's distances do not depend on the sets packed beside it.
+///
+/// With `lower` (sets·n) and `drift` (sets·k) the pass uses Hamerly's
+/// bounds and keeps the same bits. lower[s·n + i] is 0, or a lower bound
+/// on the distance from point i to every center of set s other than
+/// index[s·n + i], as the centers stood at the previous pass; drift[s·k
+/// + c] bounds how far center c of set s has moved since (center_drift).
+/// A point whose bound proves that its center cannot change gets only its
+/// own-center d²; the others get the full scan, and the pass leaves a
+/// bound on the current centers in `lower`. A zero bound skips nothing
+/// and reads nothing of `index`, so a first pass passes zeros.
 [[nodiscard]] std::vector<double> assign_and_accumulate(
     const Dataset& data, const Matrix& centers, std::size_t sets,
     std::span<const double> point_sq_norms, std::size_t grain,
     std::span<std::size_t> index, std::span<double> sq_dist,
-    std::span<double> chunk_sums, std::span<double> chunk_weights);
+    std::span<double> chunk_sums, std::span<double> chunk_weights,
+    std::span<double> lower = {}, std::span<const double> drift = {});
+
+/// An upper bound on the exact distance ‖to − from‖, covering the
+/// rounding of its own computation: the drift of a center between two
+/// bounded assign_and_accumulate passes.
+[[nodiscard]] double center_drift(std::span<const double> from,
+                                  std::span<const double> to);
 
 /// ‖row‖² per row (parallel); the cacheable input to assign_and_cost.
 [[nodiscard]] std::vector<double> row_sq_norms(const Matrix& m);

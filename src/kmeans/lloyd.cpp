@@ -30,6 +30,17 @@ constexpr std::size_t kUpdateScratchDoubles = std::size_t(1) << 23;  // 64 MB
 // Every restart in a group holds its n-point state at once, so the cap
 // also bounds that memory.
 constexpr std::size_t kMaxLockStep = 8;
+// From this many centers and points up the fused pass keeps Hamerly's
+// bounds (assign_and_accumulate; docs/performance.md, "Bounds-pruned
+// Lloyd pass", has the sweep). A skipped point still costs its
+// own-center cell and its bound state. At 4 centers that ate the saving:
+// the bounds lost or tied at most d swept. From 5 they won at every d up
+// to 384. At d = 784, where the swept runs stopped after 4 to 6
+// passes, they lost at 5 and 6 centers and tied or won from 7.
+// Below 4096 points they tied or saved a few milliseconds, so small
+// solves keep the plain pass and hold no bound arrays.
+constexpr std::size_t kBoundsMinCenters = 7;
+constexpr std::size_t kBoundsMinPoints = 4096;
 
 // The update step's chunk grain for n points and k centers in d
 // dimensions: kUpdateGrain, growing with n only to cap the chunk count
@@ -108,8 +119,9 @@ std::vector<Matrix> seed_lock_step(const Dataset& data, std::size_t k,
 // Lloyd from each of `initial` (k x d each), in lock step: each
 // iteration is one pass over the points for every run still live. A run
 // that passes the tolerance test leaves at once; runs still live after
-// max_iters get a final refresh. Each run's arithmetic is what it would
-// be alone.
+// max_iters get a final refresh. Above the bounds gate, each run keeps
+// Hamerly's bounds across its passes. Each run's arithmetic is what it
+// would be alone.
 std::vector<KMeansResult> lloyd_lock_step(
     const Dataset& data, std::vector<Matrix> initial,
     const KMeansOptions& opts, std::span<const double> point_norms) {
@@ -135,6 +147,13 @@ std::vector<KMeansResult> lloyd_lock_step(
   std::vector<double> part_weight(chunks * runs * k);
   std::vector<double> cluster_weight(k);
   Matrix sums(k, d);
+  // Hamerly's bounds: per run and point a lower bound on the distance to
+  // every center but its own, and per run and center its drift since the
+  // last pass. Both live in the run's slot, and move with its
+  // assignment when runs leave.
+  const bool bounded = k >= kBoundsMinCenters && n >= kBoundsMinPoints;
+  std::vector<double> lower(bounded ? runs * n : 0, 0.0);
+  std::vector<double> drift(bounded ? runs * k : 0, 0.0);
 
   for (int it = 0; it < opts.max_iters && !live.empty(); ++it) {
     const std::size_t sets = live.size();
@@ -149,7 +168,9 @@ std::vector<KMeansResult> lloyd_lock_step(
         data, stacked, sets, point_norms, grain,
         std::span(index).first(sets * n), std::span(sq_dist).first(sets * n),
         std::span(part_sums).first(chunks * sets * k * d),
-        std::span(part_weight).first(chunks * sets * k));
+        std::span(part_weight).first(chunks * sets * k),
+        std::span(lower).first(bounded ? sets * n : 0),
+        std::span(drift).first(bounded ? sets * k : 0));
 
     std::size_t kept = 0;
     for (std::size_t s = 0; s < sets; ++s) {
@@ -207,6 +228,16 @@ std::vector<KMeansResult> lloyd_lock_step(
           // Consume the point so a second empty cluster in the same
           // iteration reseats on a different one instead of duplicating.
           dist[worst_i] = 0.0;
+        }
+      }
+      if (bounded) {
+        for (std::size_t c = 0; c < k; ++c) {
+          drift[kept * k + c] =
+              center_drift(stacked.row(s * k + c), run.centers.row(c));
+        }
+        if (kept != s) {
+          std::copy_n(index.begin() + s * n, n, index.begin() + kept * n);
+          std::copy_n(lower.begin() + s * n, n, lower.begin() + kept * n);
         }
       }
       live[kept++] = r;

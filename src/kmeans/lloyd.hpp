@@ -48,11 +48,14 @@ struct KMeansResult {
 /// strictly cheapest kept. The restarts advance in lock step: each pass
 /// over the points (a seeding round's d² refresh, or a Lloyd iteration)
 /// serves every restart still running, and a restart that converges
-/// leaves at once. Restart r draws only from stream r of `seed`, and
-/// every restart's arithmetic is what it would be alone, so the result
-/// is bit-identical to running the restarts one after another, at any
-/// EKM_THREADS. Requires 1 <= k; if k >= number of distinct points the
-/// result places a center on every point (zero cost).
+/// leaves at once. From 7 centers and 4096 points up, each restart keeps
+/// Hamerly's lower bounds across its Lloyd passes, and a pass skips the
+/// center scan for every point they prove keeps its center. Restart r
+/// draws only from stream r of `seed`, and every restart's arithmetic is
+/// what it would be alone, so the result is bit-identical to running the
+/// restarts one after another, without bounds, at any EKM_THREADS.
+/// Requires 1 <= k; if k >= number of distinct points the result places
+/// a center on every point (zero cost).
 [[nodiscard]] KMeansResult kmeans(const Dataset& data, const KMeansOptions& opts);
 
 /// Exhaustive-search optimum for tiny instances (k^n assignments).

@@ -1,6 +1,7 @@
 #include "sim/coordinator.hpp"
 
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "kmeans/lloyd.hpp"
@@ -94,6 +95,20 @@ PipelineConfig apply_round_policy(PipelineConfig cfg,
   return cfg;
 }
 
+// A decoded streaming summary is empty, or ambient points of the round's
+// width d with no basis. The decoder does not know d, so the collect
+// site checks, before a wrong width reaches the merged solve.
+void expect_summary_shape(std::size_t source, const Coreset& summary,
+                          std::size_t d) {
+  EKM_EXPECTS_MSG(
+      summary.size() == 0 ||
+          (summary.points.dim() == d && !summary.basis.has_value()),
+      "streaming round: source " + std::to_string(source) +
+          " sent a summary of " + std::to_string(summary.points.dim()) +
+          " columns" + (summary.basis.has_value() ? " with a basis" : "") +
+          ", expected " + std::to_string(d) + " columns and no basis");
+}
+
 }  // namespace
 
 SimReport Coordinator::run(PipelineKind kind, std::span<const Dataset> parts,
@@ -122,6 +137,14 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
   EKM_EXPECTS(!parts.empty());
   EKM_EXPECTS(rounds >= 1);
   const std::size_t m = parts.size();
+  // The round's width: the first non-empty shard's.
+  std::size_t d = 0;
+  for (const Dataset& p : parts) {
+    if (p.size() > 0) {
+      d = p.dim();
+      break;
+    }
+  }
   SimNetwork net(m, scenario_);
 
   std::vector<StreamingCoreset> streams;
@@ -188,12 +211,13 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
     for (std::size_t i = 0; i < m; ++i) {
       collects.push_back(graph.add(
           {TaskKind::kCollect, kServerActor, "streaming/collect",
-           [&net, &rids, &latest, r, i] {
+           [&net, &rids, &latest, d, r, i] {
              auto frame = net.uplink(i).receive_by(rids[r]);
              // A stale summary survives the round: the server keeps the
              // site's previous summary when this round's expired.
              if (!frame.has_value()) return;
              Coreset summary = decode_coreset(*frame);
+             expect_summary_shape(i, summary, d);
              if (summary.size() > 0 || latest[i].size() == 0) {
                latest[i] = std::move(summary);
              }

@@ -188,6 +188,27 @@ BatchAssignment ref_assign(const Matrix& pts, const Matrix& centers,
   return out;
 }
 
+// Points whose two nearest per-cell distances lie within 64 ulps.
+std::size_t near_ties(const Matrix& pts, const Matrix& centers) {
+  const std::vector<double> pn = row_sq_norms(pts);
+  const std::vector<double> cn = row_sq_norms(centers);
+  std::size_t ties = 0;
+  for (std::size_t i = 0; i < pts.rows(); ++i) {
+    double best = std::numeric_limits<double>::infinity();
+    double second = best;
+    for (std::size_t c = 0; c < centers.rows(); ++c) {
+      const double dot = split_dot(pts.row(i), centers.row(c));
+      const double d2 = std::max(0.0, (pn[i] + cn[c]) - 2.0 * dot);
+      second = std::min(second, std::max(best, d2));
+      best = std::min(best, d2);
+    }
+    if (second - best <= 64.0 * std::numeric_limits<double>::epsilon() * best) {
+      ++ties;
+    }
+  }
+  return ties;
+}
+
 // The weighted cost, one partial per 256-point tile, folded in tile order.
 double ref_cost(const Dataset& data, const std::vector<double>& sq_dist) {
   double cost = 0.0;
@@ -360,6 +381,12 @@ struct ContractCase {
   Share reseeded;   // restarts that reseated an empty cluster
   Share converged;  // restarts that stopped on the tolerance test
   Share capped;     // restarts that stopped at max_iters
+  // k/2 tight clusters and their mirror images about the plane x0 = 0,
+  // far from the origin, with every fifth point of each cluster moved
+  // onto the plane at zero weight: a pair's two centers mirror each other
+  // to within rounding, so the plane's points tie to within rounding.
+  // `weights` and `distinct` do not apply.
+  bool bisector = false;
 };
 
 constexpr Share kNone = Share::kNone;
@@ -368,7 +395,13 @@ constexpr Share kAll = Share::kAll;
 
 // n mod 4 ∈ {1, 2, 3} puts a ragged tail behind the 4-point blocks;
 // n = 4099 and 5001 span three 2048-point update chunks, the last one
-// ragged. 20 restarts are more than one lock-step pass holds.
+// ragged. 20 restarts are more than one lock-step pass holds. From
+// k = 7 and n = 4096 up, Lloyd's pass keeps Hamerly's bounds: the
+// bounds_ cases run the own-cell tail (d mod 4 = 1), converge and stop
+// at max_iters side by side (so restarts leave mid-batch and their
+// bounds move slots), reseat empty clusters (a large drift), put
+// near-ties on bisectors, and sit on the gate's edge (k = 7, n = 4097:
+// a one-point last chunk).
 const ContractCase kContractCases[] = {
     {"k1_d3", 5, 3, 1, Weights::kUnit, 0, 100, 2, kNone, kAll, kNone},
     {"k7_d1", 102, 1, 7, Weights::kRandom, 0, 100, 2, kNone, kAll, kNone},
@@ -388,6 +421,16 @@ const ContractCase kContractCases[] = {
     {"k_above_n", 7, 3, 10, Weights::kRandom, 0, 100, 2, kNone, kAll, kNone},
     {"r5_d784_three_chunks", 4099, 784, 10, Weights::kRandom, 0, 2, 5, kNone,
      kNone, kAll},
+    {"bounds_d33_three_chunks", 5001, 33, 10, Weights::kWithZeros, 0, 48, 5,
+     kNone, kSome, kSome},
+    {"bounds_d65_duplicates_reseed", 4402, 65, 10, Weights::kWithZeros, 6,
+     100, 2, kAll, kAll, kNone},
+    {"bounds_d33_r20_capped", 4099, 33, 8, Weights::kRandom, 0, 6, 20, kNone,
+     kNone, kAll},
+    {"bounds_d33_bisector_ties", 4101, 33, 8, Weights::kRandom, 0, 100, 3,
+     kNone, kAll, kNone, true},
+    {"bounds_d65_k7_gate_edge", 4097, 65, 7, Weights::kRandom, 0, 100, 3,
+     kNone, kAll, kNone},
 };
 
 Share share(const std::vector<RefPaths>& paths,
@@ -398,8 +441,27 @@ Share share(const std::vector<RefPaths>& paths,
                                                             : kSome;
 }
 
+Dataset bisector_data(const ContractCase& c, Rng& rng) {
+  Matrix pts = Matrix::gaussian(c.n, c.d, rng, 0.3);
+  std::vector<double> w(c.n, 0.0);
+  std::uniform_real_distribution<double> unif(0.5, 3.0);
+  const std::size_t half = c.n / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    const bool on_plane = i % 5 == 0;
+    pts(i, 0) = on_plane ? 0.0 : 3.0 + std::abs(pts(i, 0));
+    for (std::size_t j = 1; j < c.d; ++j) pts(i, j) += 40.0;
+    pts(i, 1 + i % (c.k / 2)) += 10.0;
+    if (!on_plane) w[i] = unif(rng);
+    for (std::size_t j = 0; j < c.d; ++j) pts(half + i, j) = pts(i, j);
+    pts(half + i, 0) = on_plane ? 0.0 : -pts(i, 0);
+    w[half + i] = w[i];
+  }
+  return Dataset(std::move(pts), std::move(w));
+}
+
 Dataset contract_data(const ContractCase& c) {
   Rng rng = make_rng(4242, c.n * 1000 + c.d);
+  if (c.bisector) return bisector_data(c, rng);
   Matrix pts = Matrix::gaussian(c.n, c.d, rng, 2.0);
   if (c.distinct > 0) {
     for (std::size_t i = c.distinct; i < c.n; ++i) {
@@ -493,6 +555,9 @@ TEST_P(AssignContract, KMeansEqualsTwoPassLloyd) {
             c.converged);
   EXPECT_EQ(share(paths, [](const RefPaths& p) { return p.capped; }),
             c.capped);
+  if (c.bisector) {
+    EXPECT_GT(near_ties(data.points(), ref.centers), 0u);
+  }
 
   for (std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
@@ -511,6 +576,76 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ContractCase>& info) {
       return std::string(info.param.name);
     });
+
+// Two bounded Lloyd passes over two sets of centers, the second after
+// the centers move, far from the origin where a cell's rounding is large
+// next to its d². Each pass keeps the unbounded pass's bits, and leaves
+// per point and set a bound that is valid (at most the exact distance to
+// every other center of the set) and tight (above half of it).
+TEST(AssignKernel, BoundedPassKeepsBitsAndLeavesValidBounds) {
+  constexpr std::size_t n = 3001, d = 33, k = 10, sets = 2, grain = 2048;
+  Dataset data = random_weighted(n, d, 31);
+  Matrix shifted = data.points();
+  for (double& x : shifted.flat()) x += 40.0;
+  data = Dataset(std::move(shifted), *data.weights());
+  Rng rng = make_rng(32);
+  Matrix before(sets * k, d);
+  for (std::size_t c = 0; c < sets * k; ++c) {
+    const auto row = data.point(c * 97 + 5);
+    std::copy(row.begin(), row.end(), before.row(c).begin());
+  }
+  Matrix after = before;
+  for (double& x : after.flat()) {
+    x += std::normal_distribution<double>(0.0, 0.05)(rng);
+  }
+  const std::vector<double> norms = row_sq_norms(data.points());
+  const std::size_t chunks = parallel_chunk_count(n, grain);
+  std::vector<std::size_t> index(sets * n), want_index(sets * n);
+  std::vector<double> sq(sets * n), sums(chunks * sets * k * d),
+      weights(chunks * sets * k);
+  std::vector<double> want_sq(sq.size()), want_sums(sums.size()),
+      want_weights(weights.size());
+  std::vector<double> lower(sets * n, 0.0), drift(sets * k, 0.0);
+  for (const Matrix* centers : {&before, &after}) {
+    if (centers == &after) {
+      for (std::size_t c = 0; c < sets * k; ++c) {
+        drift[c] = center_drift(before.row(c), after.row(c));
+      }
+    }
+    const std::vector<double> got =
+        assign_and_accumulate(data, *centers, sets, norms, grain, index, sq,
+                              sums, weights, lower, drift);
+    const std::vector<double> want =
+        assign_and_accumulate(data, *centers, sets, norms, grain, want_index,
+                              want_sq, want_sums, want_weights);
+    EXPECT_TRUE(same_bits(got, want));
+    EXPECT_EQ(index, want_index);
+    EXPECT_TRUE(same_bits(sq, want_sq));
+    EXPECT_TRUE(same_bits(sums, want_sums));
+    EXPECT_TRUE(same_bits(weights, want_weights));
+    std::size_t invalid = 0, loose = 0;
+    for (std::size_t s = 0; s < sets; ++s) {
+      for (std::size_t i = 0; i < n; ++i) {
+        long double other = std::numeric_limits<long double>::infinity();
+        for (std::size_t c = 0; c < k; ++c) {
+          if (c == index[s * n + i]) continue;
+          long double e = 0.0L;
+          for (std::size_t j = 0; j < d; ++j) {
+            const long double x = static_cast<long double>(data.point(i)[j]) -
+                                  centers->row(s * k + c)[j];
+            e += x * x;
+          }
+          other = std::min(other, e);
+        }
+        const long double l = lower[s * n + i];
+        invalid += l * l > other;
+        loose += l * l < other / 4;
+      }
+    }
+    EXPECT_EQ(invalid, 0u);
+    EXPECT_EQ(loose, 0u);
+  }
+}
 
 // EKM_THREADS=1 vs EKM_THREADS=8 must produce bitwise-identical results;
 // set_parallel_threads() is the same code path the env variable seeds.

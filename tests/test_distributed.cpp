@@ -86,31 +86,44 @@ TEST(DisPca, ToleratesEmptySource) {
   EXPECT_EQ(res.v.cols(), 4u);
 }
 
-// A Network whose source `victim` has its second uplink frame replaced
-// by `frame` on the way out: disPCA's V, or disSS's coreset.
-class SwappedSecondFrame final : public Fabric {
+enum class Link { kUplink, kDownlink };
+
+// A Network whose source `victim` has the nth frame on one of its links
+// replaced by `frame` on the way: the second uplink frame is disPCA's V
+// or disSS's coreset, the first downlink frame BKLW's basis broadcast.
+class SwappedFrame final : public Fabric {
  public:
-  SwappedSecondFrame(std::size_t sources, std::size_t victim, Message frame)
+  SwappedFrame(std::size_t sources, std::size_t victim, Link link,
+               std::size_t nth, Message frame)
       : net_(sources),
         victim_(victim),
-        port_(net_.uplink(victim), std::move(frame)) {}
+        link_(link),
+        port_(link == Link::kUplink ? net_.uplink(victim)
+                                    : net_.downlink(victim),
+              nth, std::move(frame)) {}
   [[nodiscard]] std::size_t num_sources() const override {
     return net_.num_sources();
   }
   [[nodiscard]] Port& uplink(std::size_t source) override {
-    return source == victim_ ? static_cast<Port&>(port_) : net_.uplink(source);
+    return swapped(source, Link::kUplink) ? static_cast<Port&>(port_)
+                                          : net_.uplink(source);
   }
   [[nodiscard]] Port& downlink(std::size_t source) override {
-    return net_.downlink(source);
+    return swapped(source, Link::kDownlink) ? static_cast<Port&>(port_)
+                                            : net_.downlink(source);
   }
 
  private:
+  [[nodiscard]] bool swapped(std::size_t source, Link link) const {
+    return source == victim_ && link == link_;
+  }
+
   class SwapPort final : public Port {
    public:
-    SwapPort(Port& inner, Message frame)
-        : inner_(inner), frame_(std::move(frame)) {}
+    SwapPort(Port& inner, std::size_t nth, Message frame)
+        : inner_(inner), nth_(nth), frame_(std::move(frame)) {}
     void send(Message msg) override {
-      inner_.send(++sent_ == 2 ? frame_ : std::move(msg));
+      inner_.send(++sent_ == nth_ ? frame_ : std::move(msg));
     }
     [[nodiscard]] bool has_pending() const override {
       return inner_.has_pending();
@@ -122,12 +135,14 @@ class SwappedSecondFrame final : public Fabric {
 
    private:
     Port& inner_;
+    std::size_t nth_;
     Message frame_;
     std::size_t sent_ = 0;
   };
 
   Network net_;
   std::size_t victim_;
+  Link link_;
   SwapPort port_;
 };
 
@@ -137,7 +152,8 @@ class SwappedSecondFrame final : public Fabric {
 TEST(DisPca, RejectsSummaryOfWrongShape) {
   const std::vector<Dataset> parts = make_parts(300, 8, 2, 3, 92);
   Rng rng = make_rng(93);
-  SwappedSecondFrame net(3, 1, encode_matrix(Matrix::gaussian(7, 4, rng)));
+  SwappedFrame net(3, 1, Link::kUplink, 2,
+                   encode_matrix(Matrix::gaussian(7, 4, rng)));
   Stopwatch work;
   DisPcaOptions opts;
   opts.t1 = 4;
@@ -165,7 +181,7 @@ TEST(DisSs, RejectsCoresetOfWrongWidth) {
     Coreset narrow;
     narrow.points = Dataset(Matrix::gaussian(5, 7, rng));
     const std::size_t victim = sources - 1;
-    SwappedSecondFrame net(sources, victim, encode_coreset(narrow));
+    SwappedFrame net(sources, victim, Link::kUplink, 2, encode_coreset(narrow));
     Stopwatch work;
     DisSsOptions opts;
     opts.k = 2;
@@ -297,6 +313,31 @@ TEST(Bklw, CommunicationDominatedByDisPca) {
   // disPCA's V transfers dominate: > 2/3 of all uplink scalars.
   EXPECT_GT(static_cast<double>(dispca_scalars),
             0.66 * static_cast<double>(net.total_uplink().scalars));
+}
+
+// Each site checks the decoded basis broadcast against the round's
+// dimension and t: a V of d - 1 rows names the receiving source and both
+// shapes, not a later shape mismatch in its projection.
+TEST(Bklw, RejectsBasisOfWrongShape) {
+  const std::vector<Dataset> parts = make_parts(300, 8, 2, 3, 99);
+  Rng rng = make_rng(100);
+  SwappedFrame net(3, 1, Link::kDownlink, 1,
+                   encode_matrix(Matrix::gaussian(7, 4, rng)));
+  Stopwatch work;
+  BklwOptions opts;
+  opts.k = 2;
+  opts.intrinsic_dim = 4;
+  opts.total_samples = 60;
+  try {
+    (void)bklw_coreset(parts, opts, net, work, 101);
+    FAIL() << "a 7-row basis in an 8-dimensional round was accepted";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("source 1 received V 7x4"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("expected V 8xr with 1 <= r <= 4"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(Bklw, RejectsAllEmpty) {

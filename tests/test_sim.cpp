@@ -6,6 +6,7 @@
 // deployment path.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -369,6 +370,34 @@ TEST(Sim, StreamingDeploymentOverSimulatedLinks) {
   set_parallel_threads(0);
   EXPECT_EQ(again.result.centers, report.result.centers);
   EXPECT_EQ(again.completion_seconds, report.completion_seconds);
+}
+
+// The streaming collect checks each decoded summary against the round's
+// width: a site whose shard is one column short sends a summary of
+// d - 1 columns, which names the source and both widths instead of
+// failing later in the merge.
+TEST(Sim, StreamingRejectsSummaryOfWrongWidth) {
+  auto parts = make_parts(3, 600, 8, 62);
+  Rng rng = make_rng(63);
+  parts[2] = Dataset(Matrix::gaussian(200, 7, rng));
+  PipelineConfig cfg = base_config(62);
+  StreamingCoresetOptions sopts;
+  sopts.k = cfg.k;
+  sopts.leaf_size = 64;
+  sopts.coreset_size = 32;
+  sopts.seed = 62;
+  const Coordinator coord(parse_scenario("ideal,seed=62"));
+  try {
+    (void)coord.run_streaming(parts, sopts, cfg, 2);
+    FAIL() << "a 7-column summary in an 8-dimensional round was accepted";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("source 2 sent a summary of 7 columns"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("expected 8 columns and no basis"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(Sim, StreamRoundUplinkOverSynchronousChannel) {
