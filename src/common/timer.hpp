@@ -2,6 +2,7 @@
 // metric of the paper (running time of the DR/CR/QT steps).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 
 namespace ekm {
@@ -25,7 +26,10 @@ class Timer {
 
 /// Accumulates time across multiple scoped measurement windows. Used by
 /// the experiment runner to sum the device-side work of a multi-step
-/// pipeline while excluding server-side work.
+/// pipeline while excluding server-side work. Windows may close on
+/// several threads at once (the phase scheduler runs the sources'
+/// computes concurrently); the total is the sum of the windows either
+/// way.
 class Stopwatch {
  public:
   /// RAII window: adds the elapsed time to the owning stopwatch on exit.
@@ -46,7 +50,7 @@ class Stopwatch {
   void reset() { total_ = 0.0; }
 
  private:
-  double total_ = 0.0;
+  std::atomic<double> total_{0.0};
 };
 
 }  // namespace ekm

@@ -1,6 +1,7 @@
 #include "distributed/bklw.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 
 #include "distributed/dispca.hpp"
@@ -30,7 +31,7 @@ void expect_basis_shape(std::size_t source, const Matrix& v, std::size_t d,
 
 // BKLW composes the two task-graph protocols (disPCA, disSS) with a
 // projection phase between them — itself a small per-site graph: each
-// site's basis collect feeds its local projection, with no cross-site
+// site's basis receive feeds its local projection, with no cross-site
 // dependency at all. That independence is the point of phase overlap:
 // on the simulated fabric a fast site's basis arrives, it projects and
 // enters disSS on its own clock, regardless of what a straggler's
@@ -62,40 +63,42 @@ Coreset bklw_coreset(std::span<const Dataset> parts, const BklwOptions& opts,
   // (The ambient projected set of Theorem 5.1 is coords · V^T; working in
   // coordinates is equivalent for sampling and k-means since V is
   // orthonormal, and it is what keeps the disSS uplink at t2 scalars per
-  // point.)
+  // point.) Every site receives its basis broadcast first, in site
+  // order; then the projections run as compute tasks, which the
+  // scheduler may run side by side.
+  std::vector<std::optional<Message>> basis_frames(parts.size());
   std::vector<Dataset> projected(parts.size());
   TaskGraph graph;
+  std::vector<TaskId> receives(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i].empty()) {
-      (void)graph.add({TaskKind::kCollect, i, "bklw/drain-basis",
-                       [&net, i] {
-                         // Even an empty site consumes its copy of the
-                         // broadcast: a frame left queued would alias
-                         // the next downlink read on this link (disSS's
-                         // allocation, or a refine round's centers).
-                         (void)net.downlink(i).receive_by(kNoRound);
-                       },
-                       {}});
-      continue;
-    }
+    // Even an empty site consumes its copy of the broadcast: a frame
+    // left queued would alias the next downlink read on this link
+    // (disSS's allocation, or a refine round's centers).
+    receives[i] = graph.add(
+        {TaskKind::kCollect, i, "bklw/receive-basis",
+         [&, i] { basis_frames[i] = net.downlink(i).receive_by(kNoRound); },
+         {}});
+  }
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].empty()) continue;
     (void)graph.add(
         {TaskKind::kCompute, i, "bklw/project",
          [&, i] {
-           auto scope = device_work.measure();
            // A site whose basis broadcast expired on the downlink cannot
            // project; it enters disSS as an empty source (transmitting
            // only the empty-summary sentinel) instead of wedging the
            // protocol.
-           auto basis_frame = net.downlink(i).receive_by(kNoRound);
-           if (!basis_frame.has_value()) return;
-           const Matrix v = decode_matrix(*basis_frame);
+           if (!basis_frames[i].has_value()) return;
+           auto scope = device_work.measure();
+           const Matrix v = decode_matrix(*basis_frames[i]);
+           basis_frames[i].reset();  // or m frames would live through disSS
            expect_basis_shape(i, v, d, t);
            Matrix coords = matmul(parts[i].points(), v);
            projected[i] = parts[i].is_weighted()
                               ? Dataset(std::move(coords), *parts[i].weights())
                               : Dataset(std::move(coords));
          },
-         {}});
+         {receives[i]}});
   }
   PhaseScheduler(net).run(graph);
 

@@ -294,7 +294,10 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   // PR 8's serial edges. Either way the tasks are created in the same
   // program order, so the creation-order replay — and with it every
   // draw, ledger, and clock — is identical; the edges declare the true
-  // dataflow for any topological executor.
+  // dataflow for any topological executor. The sampling task receives
+  // its allocation and sends its coreset, so it is an uplink task and
+  // runs on the protocol thread; only the bicriteria solves above run
+  // as computes, side by side.
   const std::vector<TaskId> summary_open_deps =
       opts.pipeline ? std::vector<TaskId>{budget_split} : alloc_broadcasts;
   const TaskId summary_open = graph.add(
@@ -327,7 +330,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
         opts.pipeline ? std::vector<TaskId>{summary_open, alloc_broadcasts[i]}
                       : std::vector<TaskId>{summary_open};
     summary_uplinks[i] = graph.add(
-        {TaskKind::kCompute, i, "disSS/sample+uplink",
+        {TaskKind::kUplink, i, "disSS/sample+uplink",
          [&, i] {
            if (parts[i].empty()) {
              // Consume the allocation frame even though its value is
@@ -551,7 +554,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
          for (std::size_t i = 0; i < m; ++i) {
            if (!got[i] || parts[i].empty() || wave.extra[i] == 0) continue;
            wave_uplinks.push_back(graph.add(
-               {TaskKind::kCompute, i, "disSS/supplement",
+               {TaskKind::kUplink, i, "disSS/supplement",
                 [&, i] {
                   // A receiver that loses the wave broadcast sits the
                   // wave out — its first-wave coreset already stands.

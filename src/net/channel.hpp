@@ -80,6 +80,37 @@ inline void enforce_availability_floor(std::size_t responders,
           std::to_string(floor) + " site(s) responded");
 }
 
+/// RAII: marks the calling thread as running a kCompute task's action
+/// (src/sched/). The phase scheduler may run several sites' computes at
+/// once on pool threads, so a compute action reads its site's inputs,
+/// writes only its site's slots and never touches the fabric; the ports
+/// check this mark and refuse every call under it, so a compute that
+/// sends or receives fails on every run instead of racing on some.
+class ComputeActionMark {
+ public:
+  ComputeActionMark() : outer_(active_) { active_ = true; }
+  ComputeActionMark(const ComputeActionMark&) = delete;
+  ComputeActionMark& operator=(const ComputeActionMark&) = delete;
+  ~ComputeActionMark() { active_ = outer_; }
+
+  /// Whether the calling thread is inside a compute action.
+  [[nodiscard]] static bool active() { return active_; }
+
+ private:
+  inline static thread_local bool active_ = false;
+  bool outer_;
+};
+
+/// Throws invariant_error when a port operation runs inside a compute
+/// action; `op` names the operation.
+inline void expect_outside_compute_action(const char* op) {
+  EKM_ENSURES_MSG(!ComputeActionMark::active(),
+                  std::string("port ") + op +
+                      " from a kCompute task action: compute tasks may run "
+                      "concurrently and must not touch the fabric (make the "
+                      "task a kUplink or kCollect)");
+}
+
 /// One framed message in flight.
 struct Message {
   std::vector<std::byte> payload;
@@ -297,6 +328,7 @@ class Fabric {
 class Channel final : public Port {
  public:
   void send(Message msg) override {
+    expect_outside_compute_action("send");
     ledger_.bytes += msg.payload.size();
     ledger_.bits += msg.wire_bits;
     ledger_.scalars += msg.scalars;
@@ -304,9 +336,13 @@ class Channel final : public Port {
     queue_.push_back(std::move(msg));
   }
 
-  [[nodiscard]] bool has_pending() const override { return !queue_.empty(); }
+  [[nodiscard]] bool has_pending() const override {
+    expect_outside_compute_action("has_pending");
+    return !queue_.empty();
+  }
 
   [[nodiscard]] Message receive() override {
+    expect_outside_compute_action("receive");
     EKM_EXPECTS_MSG(!queue_.empty(), "receive on empty channel");
     Message m = std::move(queue_.front());
     queue_.pop_front();

@@ -48,6 +48,7 @@ void Recorder::record_span(std::size_t actor, std::string label,
   s.kind = std::move(kind);
   s.start_s = start_s;
   s.finish_s = finish_s;
+  const std::lock_guard<std::mutex> lock(spans_mu_);
   spans_.push_back(std::move(s));
 }
 
@@ -59,6 +60,7 @@ void Recorder::record_wall_span(std::string label, double start_s,
   s.start_s = start_s;
   s.finish_s = start_s + duration_s;
   s.wall = true;
+  const std::lock_guard<std::mutex> lock(spans_mu_);
   spans_.push_back(std::move(s));
 }
 

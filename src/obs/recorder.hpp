@@ -25,15 +25,18 @@
 // are the one nondeterministic signal, and they exist only inside the
 // trace output.
 //
-// Threading: a Recorder is not synchronized. Every producer runs on the
-// protocol thread (the simulator and scheduler are protocol-thread-only
-// by construction; kernels record around their entry call, before any
-// pool fan-out), so no locking is needed — and none may be added where
-// it could perturb the run.
+// Threading: the simulator and the phase scheduler produce on the
+// protocol thread only. Kernels record around their entry call, and the
+// phase scheduler runs several sites' compute tasks at once on pool
+// threads, so host (wall-clock) kernel spans can arrive from several
+// threads, in no fixed order: the span list alone is guarded by a
+// mutex. The other producers never run concurrently and stay
+// unsynchronized.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -163,7 +166,7 @@ class Recorder {
  public:
   Recorder();
 
-  // --- producers (protocol thread only) -----------------------------------
+  // --- producers (protocol thread only, but for the two span calls) ------
   void record_span(std::size_t actor, std::string label, std::string kind,
                    double start_s, double finish_s);
   void record_wall_span(std::string label, double start_s, double duration_s);
@@ -237,6 +240,7 @@ class Recorder {
   MetricsRegistry::Id id_queue_high_;
   MetricsRegistry::Id id_server_commit_;
 
+  std::mutex spans_mu_;  ///< kernel spans may come from pool threads
   std::vector<RecordedSpan> spans_;
   std::vector<RecordedEvent> events_;
   std::vector<RoundSnapshot> rounds_;
@@ -251,7 +255,8 @@ class Recorder {
 /// assign/coreset kernels, the bench timing helpers). Null by default:
 /// the only cost of an uninstalled recorder is one pointer load and
 /// branch per kernel entry. Install/uninstall from the main thread
-/// around a run; producers must call it from the protocol thread only.
+/// around a run, while no kernel runs; kernels may then record from any
+/// thread.
 void install_recorder(Recorder* recorder);
 
 /// Runs `fn` inside a wall-clock kernel span recorded to the installed

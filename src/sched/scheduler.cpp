@@ -1,7 +1,11 @@
 #include "sched/scheduler.hpp"
 
+#include <exception>
+#include <map>
 #include <queue>
+#include <set>
 
+#include "common/parallel.hpp"
 #include "obs/recorder.hpp"
 
 namespace ekm {
@@ -11,14 +15,52 @@ void PhaseScheduler::run(TaskGraph& graph) {
   // graphs replays creation order (see header). Tasks added mid-run
   // enter the heap as their dependencies resolve.
   std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> ready;
+  // Ready compute tasks not yet run: the next batch. A set, because a
+  // task can be enqueued twice (see the skip below).
+  std::set<TaskId> ready_computes;
   std::size_t seeded = 0;  ///< ids already scanned for initial readiness
 
+  const auto enqueue = [&](TaskId id) {
+    ready.push(id);
+    if (graph.task(id).kind == TaskKind::kCompute) ready_computes.insert(id);
+  };
   const auto seed_new_tasks = [&] {
     for (; seeded < graph.size(); ++seeded) {
-      if (graph.ready(seeded)) ready.push(seeded);
+      if (graph.ready(seeded)) enqueue(seeded);
     }
   };
   seed_new_tasks();
+
+  // Compute tasks run ahead of their turn, with what each threw.
+  std::map<TaskId, std::exception_ptr> ran_ahead;
+
+  // Runs every ready compute task as one pool job, one task per chunk,
+  // each under the compute mark (net/channel.hpp), keeping its
+  // exception for its turn. A batch of one runs inline on this thread
+  // (parallel_for_chunks does so for a single chunk), so its kernels
+  // keep the pool.
+  const auto run_compute_batch = [&] {
+    const std::vector<TaskId> batch(ready_computes.begin(),
+                                    ready_computes.end());
+    ready_computes.clear();
+    // Copied out of the graph, like every action below.
+    std::vector<std::function<void()>> actions;
+    actions.reserve(batch.size());
+    for (const TaskId id : batch) actions.push_back(graph.task(id).action);
+    std::vector<std::exception_ptr> errors(batch.size());
+    parallel_for_chunks(batch.size(), 1,
+                        [&](std::size_t c, std::size_t, std::size_t) {
+                          const ComputeActionMark mark;
+                          try {
+                            if (actions[c]) actions[c]();
+                          } catch (...) {
+                            errors[c] = std::current_exception();
+                          }
+                        });
+    for (std::size_t c = 0; c < batch.size(); ++c) {
+      ran_ahead.emplace(batch[c], errors[c]);
+    }
+  };
 
   std::size_t executed = 0;
   while (!ready.empty()) {
@@ -45,8 +87,16 @@ void PhaseScheduler::run(TaskGraph& graph) {
       action = task.action;
       deps = task.deps;
     }
+    if (span.kind == TaskKind::kCompute && !ran_ahead.contains(id)) {
+      run_compute_batch();
+    }
     span.start_s = actor_clock(span.actor);
-    if (action) action();
+    if (const auto ahead = ran_ahead.find(id); ahead != ran_ahead.end()) {
+      // A compute's turn only surfaces its failure, if any.
+      if (ahead->second) std::rethrow_exception(ahead->second);
+    } else if (action) {
+      action();
+    }
     span.finish_s = actor_clock(span.actor);
     // Forward to the fabric's flight recorder (src/obs/), if attached:
     // the exported per-actor timeline is exactly this trace, and every
@@ -70,7 +120,7 @@ void PhaseScheduler::run(TaskGraph& graph) {
     finished_[id] = {span.actor, span.finish_s, true};
     trace_.push_back(std::move(span));
     executed += 1;
-    for (const TaskId unblocked : graph.complete(id)) ready.push(unblocked);
+    for (const TaskId unblocked : graph.complete(id)) enqueue(unblocked);
     seed_new_tasks();  // pick up tasks the action just added
   }
   EKM_ENSURES_MSG(graph.all_done(),

@@ -1,16 +1,34 @@
 // PhaseScheduler — drives a protocol TaskGraph over a Fabric.
 //
-// The scheduler pops the lowest-id ready task, runs its action on the
-// protocol thread, and records a TaskSpan of the owning actor's virtual
-// clock before/after (zeros on the synchronous Network, whose clocks
-// do not exist). Because the builders in src/distributed add tasks in
-// the program order of the PR 4 lock-step loops — a valid topological
+// The scheduler pops the lowest-id ready task, runs its action, and
+// records a TaskSpan of the owning actor's virtual clock before/after
+// (zeros on the synchronous Network, whose clocks do not exist).
+// Because the builders in src/distributed add tasks in the program
+// order of the lock-step loops they replaced — a valid topological
 // order — lowest-ready-id execution replays exactly that order: if the
 // smallest unexecuted id's dependencies all carry smaller ids, it is
 // ready the moment its predecessors finish, so the pop sequence is the
 // creation sequence. Host-side behavior (sends, receives, RNG draws,
 // ledgers) is therefore bitwise identical to the loops it replaced, at
 // any pipelining setting.
+//
+// Compute tasks are the one exception to running at their turn. The
+// first time the lowest ready id is a kCompute task, every ready
+// kCompute task runs as one pool job, one task per chunk (the sources'
+// local SVDs, bicriteria solves and projections side by side); a batch
+// of one runs inline on the protocol thread, so its kernels keep the
+// pool. The replay then goes on in lowest-ready-id order: a compute's
+// turn only records its span and releases its dependents, or rethrows
+// what it threw. This is sound under one rule, which the builders keep
+// and the ports enforce (net/channel.hpp ComputeActionMark): a
+// kCompute action reads its site's inputs,
+// writes only its site's slots and never calls the Fabric. So every
+// Fabric call, RNG draw, ledger, virtual clock and span keeps its
+// order, and the simulator, which charges compute at send time from
+// the frame's scalars, sees nothing move. Kernels inside a batch run
+// their fixed chunk grids inline on their pool thread, so results stay
+// bit-identical at any EKM_THREADS. Every other action runs on the
+// protocol thread.
 //
 // Where, then, does phase overlap live? On the fabric's virtual clock.
 // In the discrete-event simulator each frame's fate is sealed at send
@@ -62,13 +80,14 @@ class PhaseScheduler {
   explicit PhaseScheduler(Fabric& net) : net_(&net) {}
 
   /// Runs the graph to quiescence: repeatedly executes the lowest-id
-  /// ready task (actions may add further tasks mid-run). Throws
+  /// ready task (actions may add further tasks mid-run), with ready
+  /// compute tasks batched onto the pool as described above. Throws
   /// invariant_error if tasks remain that can never become ready —
   /// impossible for graphs built through TaskGraph::add, which
   /// validates dependencies, but asserted anyway.
   void run(TaskGraph& graph);
 
-  /// Every task executed, in execution order.
+  /// Every task executed, in replay (creation) order.
   [[nodiscard]] const std::vector<TaskSpan>& trace() const { return trace_; }
 
   /// The spans one actor executed (its timeline on its own clock).

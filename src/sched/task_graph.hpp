@@ -22,6 +22,11 @@
 //     lock-step code, and phase *overlap* is purely a virtual-time
 //     commit rule on the fabric (SimNetwork predicted-arrival NAKs),
 //     never a reordering of protocol actions.
+// One rule lets the scheduler run the ready compute tasks concurrently
+// without moving any of that: a kCompute action reads its site's
+// inputs, writes only its site's slots and never calls the Fabric (a
+// receive is a kCollect, a send a kUplink). The ports throw when a
+// compute action calls them.
 //
 // Tasks may be added while the graph is running: a barrier's action can
 // append a continuation (disSS uses this for the budget-reallocation
@@ -42,10 +47,12 @@ using TaskId = std::size_t;
 /// Actor index meaning "the server" (site tasks use the source index).
 inline constexpr std::size_t kServerActor = static_cast<std::size_t>(-1);
 
-/// What a PhaseTask does, for traces and tests. The scheduler treats
-/// every kind identically; the taxonomy documents the protocol shape.
+/// What a PhaseTask does, for traces and tests. The scheduler batches
+/// ready kCompute tasks onto the pool and runs every other kind on the
+/// protocol thread; otherwise the taxonomy documents the protocol shape.
 enum class TaskKind {
-  kCompute,    ///< site-local computation (SVD, bicriteria, sampling)
+  kCompute,    ///< site-local computation (SVD, bicriteria, projection):
+               ///< touches only its site's slots, never the Fabric
   kUplink,     ///< a site transmits its frame(s) to the server
   kCollect,    ///< the server (or a site) receives a peer's frame(s)
   kBarrier,    ///< global synchronization point (round open, merge,
@@ -64,9 +71,10 @@ enum class TaskKind {
   return "?";
 }
 
-/// One node of the protocol DAG. `action` runs on the protocol thread
-/// when every dependency has completed; an empty action is a purely
-/// structural node (useful as a named join point).
+/// One node of the protocol DAG. `action` runs when every dependency
+/// has completed — on the protocol thread, or for a kCompute task
+/// possibly on a pool thread beside other computes; an empty action is
+/// a purely structural node (useful as a named join point).
 struct PhaseTask {
   TaskKind kind = TaskKind::kCompute;
   std::size_t actor = kServerActor;  ///< owning actor (site index/server)
@@ -76,8 +84,9 @@ struct PhaseTask {
 };
 
 /// Append-only DAG with readiness tracking. Not thread-safe: protocol
-/// graphs are built and run on the protocol thread (the simulator's
-/// determinism rules require that anyway).
+/// graphs are built and driven on the protocol thread (the simulator's
+/// determinism rules require that anyway), and a compute action must
+/// not add tasks.
 class TaskGraph {
  public:
   /// Adds a task; every dependency must name an existing task (which

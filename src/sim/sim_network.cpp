@@ -26,9 +26,13 @@ namespace {
 
 }  // namespace
 
-void SimLink::send(Message msg) { net_->do_send(*this, std::move(msg)); }
+void SimLink::send(Message msg) {
+  expect_outside_compute_action("send");
+  net_->do_send(*this, std::move(msg));
+}
 
 Message SimLink::receive() {
+  expect_outside_compute_action("receive");
   std::optional<Message> msg = net_->do_receive_by(*this, kNoRound, kNoDeadline);
   EKM_ENSURES_MSG(msg.has_value(),
                   "blocking receive on a frame that expired (retry budget or "
@@ -38,6 +42,7 @@ Message SimLink::receive() {
 }
 
 std::optional<Message> SimLink::receive_by(RoundId round, double deadline_cap) {
+  expect_outside_compute_action("receive_by");
   return net_->do_receive_by(*this, round, deadline_cap);
 }
 

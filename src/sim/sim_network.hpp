@@ -135,7 +135,10 @@ struct SimFrame {
 class SimLink final : public Port {
  public:
   void send(Message msg) override;
-  [[nodiscard]] bool has_pending() const override { return !in_flight_.empty(); }
+  [[nodiscard]] bool has_pending() const override {
+    expect_outside_compute_action("has_pending");
+    return !in_flight_.empty();
+  }
   [[nodiscard]] Message receive() override;
   [[nodiscard]] std::optional<Message> receive_by(
       RoundId round, double deadline_cap = kNoDeadline) override;

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <string>
 
+#include "common/parallel.hpp"
+#include "core/pipeline.hpp"
 #include "cr/coreset.hpp"
 #include "data/generators.hpp"
 #include "distributed/bklw.hpp"
@@ -337,6 +339,59 @@ TEST(Bklw, RejectsBasisOfWrongShape) {
         << what;
     EXPECT_NE(what.find("expected V 8xr with 1 <= r <= 4"), std::string::npos)
         << what;
+  }
+}
+
+// The scheduler runs the sources' computes side by side on the pool, and
+// the kernels inside each run their fixed chunk grids inline on its pool
+// thread: the Gram, and from order 256 the blocked tridiagonalization's
+// pooled matvec. Shards 300 wide take that path (their Grams are
+// 300x300). Centers, ledgers and disPCA's basis must not depend on the
+// thread count.
+TEST(Bklw, ResultsIndependentOfThreadCountOnWideShards) {
+  const std::vector<Dataset> parts = make_parts(1600, 300, 4, 4, 102);
+  for (const Dataset& p : parts) ASSERT_GT(p.size(), 300u);
+  struct Outcome {
+    Matrix basis;
+    PipelineResult bklw;
+    PipelineResult jl_bklw;
+  };
+  const auto run = [&parts](std::size_t threads) {
+    set_parallel_threads(threads);
+    Outcome out;
+    Network pca_net(4);
+    Stopwatch work;
+    DisPcaOptions popts;
+    popts.t1 = 16;
+    popts.t2 = 16;
+    out.basis = dispca(parts, popts, pca_net, work).v;
+    PipelineConfig cfg;
+    cfg.k = 4;
+    cfg.pca_dim = 16;
+    cfg.coreset_size = 200;
+    cfg.seed = 103;
+    Network bklw_net(4);
+    out.bklw =
+        run_distributed_pipeline(PipelineKind::kBklw, parts, cfg, bklw_net);
+    cfg.jl_dim = 260;
+    Network jl_net(4);
+    out.jl_bklw =
+        run_distributed_pipeline(PipelineKind::kJlBklw, parts, cfg, jl_net);
+    return out;
+  };
+  const Outcome one = run(1);
+  const Outcome four = run(4);
+  set_parallel_threads(0);
+  EXPECT_EQ(one.basis.rows(), 300u);
+  EXPECT_TRUE(one.basis == four.basis);
+  for (const auto member : {&Outcome::bklw, &Outcome::jl_bklw}) {
+    const PipelineResult& a = one.*member;
+    const PipelineResult& b = four.*member;
+    EXPECT_EQ(a.centers.rows(), 4u);
+    EXPECT_TRUE(a.centers == b.centers);
+    EXPECT_EQ(a.uplink, b.uplink);
+    EXPECT_EQ(a.downlink, b.downlink);
+    EXPECT_EQ(a.summary_points, b.summary_points);
   }
 }
 

@@ -1,12 +1,18 @@
 // Tests for src/sched: task-graph readiness and barrier ordering, the
-// creation-order execution guarantee the protocol builders rely on,
-// dynamic task addition (the disSS reallocation-wave continuation),
-// and the scheduler's per-actor timelines over both fabrics.
+// creation-order replay the protocol builders rely on, compute batching
+// (each compute once, between its dependencies and its dependents; the
+// lowest failure surfacing at its turn; no fabric calls from a compute),
+// dynamic task addition (the disSS reallocation-wave continuation), and
+// the scheduler's per-actor timelines over both fabrics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "net/channel.hpp"
+#include "net/summary_codec.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/task_graph.hpp"
 #include "sim/scenario.hpp"
@@ -59,40 +65,215 @@ TEST(TaskGraph, DependenciesMustNameExistingTasks) {
   EXPECT_THROW((void)g.add(noop(TaskKind::kCompute, {1})), precondition_error);
 }
 
-TEST(Scheduler, ExecutesProgramOrderedGraphsInCreationOrder) {
-  // The protocol builders add tasks in the program order of the PR 4
-  // loops; the scheduler must replay exactly that order (this is the
-  // bitwise-parity guarantee). Build a two-site round shape and check
-  // the execution sequence.
-  Network net(2);
-  TaskGraph g;
-  std::vector<TaskId> order;
-  const auto rec = [&order](TaskId id) { return [&order, id] { order.push_back(id); }; };
+// Restores the pool's default size after a test that sweeps it.
+class SchedulerThreads : public ::testing::Test {
+ protected:
+  void TearDown() override { set_parallel_threads(0); }
+};
 
-  const TaskId open = g.add({TaskKind::kBarrier, kServerActor, "open",
-                             rec(0), {}});
-  const TaskId c0 = g.add({TaskKind::kCompute, 0, "c0", rec(1), {open}});
-  const TaskId s0 = g.add({TaskKind::kUplink, 0, "s0", rec(2), {c0}});
-  const TaskId c1 = g.add({TaskKind::kCompute, 1, "c1", rec(3), {open}});
-  const TaskId s1 = g.add({TaskKind::kUplink, 1, "s1", rec(4), {c1}});
-  const TaskId r0 = g.add({TaskKind::kCollect, kServerActor, "r0", rec(5), {s0}});
-  const TaskId r1 = g.add({TaskKind::kCollect, kServerActor, "r1", rec(6), {s1}});
-  const TaskId merge = g.add({TaskKind::kBarrier, kServerActor, "merge",
-                              rec(7), {r0, r1}});
-  (void)g.add({TaskKind::kBroadcast, kServerActor, "b0", rec(8), {merge}});
-  (void)g.add({TaskKind::kBroadcast, kServerActor, "b1", rec(9), {merge}});
+// Per-task records a test can write from compute actions, which may run
+// on pool threads: a global tick stamped when each action runs, and how
+// many times it ran.
+struct ActionLog {
+  explicit ActionLog(std::size_t tasks) : when(tasks), runs(tasks) {}
+  std::atomic<int> tick{0};
+  std::vector<std::atomic<int>> when;
+  std::vector<std::atomic<int>> runs;
 
-  PhaseScheduler sched(net);
-  sched.run(g);
-  EXPECT_TRUE(g.all_done());
-  EXPECT_EQ(order, (std::vector<TaskId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  void note(TaskId id) {
+    when[id] = tick.fetch_add(1);
+    runs[id].fetch_add(1);
+  }
+};
 
-  // The trace mirrors the execution and partitions by actor.
-  ASSERT_EQ(sched.trace().size(), 10u);
-  EXPECT_EQ(sched.trace()[0].kind, TaskKind::kBarrier);
-  EXPECT_EQ(sched.site_timeline(0).size(), 2u);
-  EXPECT_EQ(sched.site_timeline(1).size(), 2u);
-  EXPECT_EQ(sched.site_timeline(kServerActor).size(), 6u);
+TEST_F(SchedulerThreads, ReplaysCreationOrderAndRunsEachComputeOnce) {
+  // The protocol builders add tasks in the program order of the
+  // lock-step loops they replaced. Every non-compute action, and the
+  // trace, replays exactly that order (the bitwise-parity guarantee).
+  // Compute tasks may run ahead of their turn in a batch, but each runs
+  // once, after its dependencies and before its dependents. A two-site
+  // round shape, at 1 and 4 threads.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    set_parallel_threads(threads);
+    Network net(2);
+    TaskGraph g;
+    ActionLog log(10);
+    std::vector<TaskId> order;  // non-compute actions: protocol thread
+    const auto rec = [&](TaskId id) {
+      return [&, id] {
+        log.note(id);
+        order.push_back(id);
+      };
+    };
+    const auto compute = [&](TaskId id) { return [&, id] { log.note(id); }; };
+
+    const TaskId open = g.add({TaskKind::kBarrier, kServerActor, "open",
+                               rec(0), {}});
+    const TaskId c0 = g.add({TaskKind::kCompute, 0, "c0", compute(1), {open}});
+    const TaskId s0 = g.add({TaskKind::kUplink, 0, "s0", rec(2), {c0}});
+    const TaskId c1 = g.add({TaskKind::kCompute, 1, "c1", compute(3), {open}});
+    const TaskId s1 = g.add({TaskKind::kUplink, 1, "s1", rec(4), {c1}});
+    const TaskId r0 = g.add({TaskKind::kCollect, kServerActor, "r0", rec(5), {s0}});
+    const TaskId r1 = g.add({TaskKind::kCollect, kServerActor, "r1", rec(6), {s1}});
+    const TaskId merge = g.add({TaskKind::kBarrier, kServerActor, "merge",
+                                rec(7), {r0, r1}});
+    (void)g.add({TaskKind::kBroadcast, kServerActor, "b0", rec(8), {merge}});
+    (void)g.add({TaskKind::kBroadcast, kServerActor, "b1", rec(9), {merge}});
+
+    PhaseScheduler sched(net);
+    sched.run(g);
+    EXPECT_TRUE(g.all_done());
+    EXPECT_EQ(order, (std::vector<TaskId>{0, 2, 4, 5, 6, 7, 8, 9}));
+    for (TaskId id = 0; id < 10; ++id) EXPECT_EQ(log.runs[id], 1) << id;
+    EXPECT_LT(log.when[open], log.when[c0]);
+    EXPECT_LT(log.when[c0], log.when[s0]);
+    EXPECT_LT(log.when[open], log.when[c1]);
+    EXPECT_LT(log.when[c1], log.when[s1]);
+
+    // The trace mirrors the replay and partitions by actor.
+    ASSERT_EQ(sched.trace().size(), 10u);
+    for (TaskId id = 0; id < 10; ++id) EXPECT_EQ(sched.trace()[id].id, id);
+    EXPECT_EQ(sched.trace()[0].kind, TaskKind::kBarrier);
+    EXPECT_EQ(sched.site_timeline(0).size(), 2u);
+    EXPECT_EQ(sched.site_timeline(1).size(), 2u);
+    EXPECT_EQ(sched.site_timeline(kServerActor).size(), 6u);
+  }
+}
+
+TEST_F(SchedulerThreads, LowestFailingComputeOfABatchSurfacesAtItsTurn) {
+  // Three computes run as one batch and two of them throw. The lower
+  // id's exception surfaces at its own turn: after exactly the
+  // non-compute actions that precede it in replay order, and not the
+  // ready barrier created after it.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    set_parallel_threads(threads);
+    Network net(3);
+    TaskGraph g;
+    ActionLog log(7);
+    std::vector<TaskId> order;  // non-compute actions: protocol thread
+    const auto rec = [&](TaskId id) {
+      return [&, id] {
+        log.note(id);
+        order.push_back(id);
+      };
+    };
+    const auto fail = [&](TaskId id, const char* what) {
+      return [&, id, what] {
+        log.note(id);
+        throw std::runtime_error(what);
+      };
+    };
+    const TaskId open = g.add({TaskKind::kBarrier, kServerActor, "open",
+                               rec(0), {}});
+    const TaskId c0 = g.add({TaskKind::kCompute, 0, "c0",
+                             [&] { log.note(1); }, {open}});
+    (void)g.add({TaskKind::kUplink, 0, "u0", rec(2), {c0}});
+    (void)g.add({TaskKind::kCollect, kServerActor, "x", rec(3), {open}});
+    (void)g.add({TaskKind::kCompute, 1, "c1", fail(4, "c1 failed"), {open}});
+    (void)g.add({TaskKind::kCompute, 2, "c2", fail(5, "c2 failed"), {open}});
+    (void)g.add({TaskKind::kBarrier, kServerActor, "late", rec(6), {}});
+
+    PhaseScheduler sched(net);
+    try {
+      sched.run(g);
+      FAIL() << "a failing compute did not surface";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "c1 failed");
+    }
+    EXPECT_EQ(order, (std::vector<TaskId>{0, 2, 3}));
+    for (const TaskId id : {1u, 4u, 5u}) EXPECT_EQ(log.runs[id], 1) << id;
+    ASSERT_EQ(sched.trace().size(), 4u);  // open, c0, u0, x
+    EXPECT_EQ(sched.trace()[1].label, "c0");
+  }
+}
+
+TEST_F(SchedulerThreads, ComputesAddedMidRunAreBatchedAndRunOnce) {
+  // A barrier appends three computes, an uplink after the first, and a
+  // join. The computes run once each, as one batch: by the uplink's
+  // turn, which comes before the other two computes' turns, all three
+  // have run.
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    set_parallel_threads(threads);
+    Network net(3);
+    TaskGraph g;
+    ActionLog log(6);
+    int computes_before_uplink = -1;
+    std::vector<TaskId> root{0};
+    root[0] = g.add(
+        {TaskKind::kBarrier, kServerActor, "root",
+         [&] {
+           log.note(0);
+           const auto compute = [&](TaskId id) {
+             return [&, id] { log.note(id); };
+           };
+           const TaskId ca = g.add(
+               {TaskKind::kCompute, 0, "ca", compute(1), {root[0]}});
+           const TaskId ua = g.add(
+               {TaskKind::kUplink, 0, "ua",
+                [&] {
+                  log.note(2);
+                  computes_before_uplink =
+                      log.runs[1] + log.runs[3] + log.runs[4];
+                },
+                {ca}});
+           const TaskId cb = g.add(
+               {TaskKind::kCompute, 1, "cb", compute(3), {root[0]}});
+           const TaskId cc = g.add(
+               {TaskKind::kCompute, 2, "cc", compute(4), {root[0]}});
+           (void)g.add({TaskKind::kBarrier, kServerActor, "join",
+                        [&] { log.note(5); },
+                        {ua, cb, cc}});
+         },
+         {}});
+    PhaseScheduler sched(net);
+    sched.run(g);
+    EXPECT_TRUE(g.all_done());
+    EXPECT_EQ(computes_before_uplink, 3);
+    for (TaskId id = 0; id < 6; ++id) EXPECT_EQ(log.runs[id], 1) << id;
+    EXPECT_LT(log.when[4], log.when[5]);  // the join after every compute
+    ASSERT_EQ(sched.trace().size(), 6u);
+    for (TaskId id = 0; id < 6; ++id) EXPECT_EQ(sched.trace()[id].id, id);
+  }
+}
+
+TEST_F(SchedulerThreads, FabricCallFromComputeActionThrows) {
+  // A compute task must not touch the fabric. The ports throw under the
+  // compute mark on every run: inline (a batch of one) and batched, on
+  // the synchronous Network and the simulator, for sends and receives.
+  // The mark is cleared again once the task is done.
+  for (const std::size_t threads : {1u, 4u}) {
+    set_parallel_threads(threads);
+    for (const bool batched : {false, true}) {
+      for (const bool receive : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << threads << " threads, batched " << batched
+                     << ", receive " << receive);
+        Network sync(2);
+        SimNetwork sim(2, parse_scenario("ideal"));
+        for (Fabric* net : {static_cast<Fabric*>(&sync),
+                            static_cast<Fabric*>(&sim)}) {
+          TaskGraph g;
+          (void)g.add({TaskKind::kCompute, 0, "touches-fabric",
+                       [net, receive] {
+                         if (receive) {
+                           (void)net->downlink(0).receive_by(kNoRound);
+                         } else {
+                           net->uplink(0).send(encode_scalar(1.0));
+                         }
+                       },
+                       {}});
+          if (batched) (void)g.add({TaskKind::kCompute, 1, "idle", {}, {}});
+          EXPECT_THROW(PhaseScheduler(*net).run(g), invariant_error);
+          EXPECT_EQ(net->total_uplink().messages, 0u);
+          net->uplink(0).send(encode_scalar(1.0));
+          EXPECT_EQ(net->total_uplink().messages, 1u);
+        }
+      }
+    }
+  }
 }
 
 TEST(Scheduler, BarrierNeverRunsBeforeItsInputsNorSiteTasksBeforeTheirs) {
