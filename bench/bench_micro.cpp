@@ -1,8 +1,8 @@
-// google-benchmark microbenchmarks for the substrates: the matrix
-// product kernel, truncated and thin SVD, JL apply, PCA, sensitivity
-// sampling, FSS, quantizer, k-means, codec. These guard the complexity
-// claims of Table 2 at the kernel level (e.g. thin SVD scaling with d vs
-// JL apply scaling with d').
+// google-benchmark microbenchmarks for the substrates: the MNIST-like
+// generator, the matrix product kernel, truncated and thin SVD, JL apply,
+// PCA, sensitivity sampling, FSS, quantizer, k-means, codec. These guard
+// the complexity claims of Table 2 at the kernel level (e.g. thin SVD
+// scaling with d vs JL apply scaling with d').
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -32,6 +32,24 @@ Dataset bench_data(std::size_t n, std::size_t d) {
   spec.latent_dim = 12;
   return make_mnist_like(spec, rng);
 }
+
+// The MNIST-like generator at bklw_mnist's shape (20000x784) and at a
+// tenth of it: serial draws, then the rows decoded on the pool, so it
+// times wall clock. Args: rows, cols.
+void BM_MakeMnistLike(benchmark::State& state) {
+  MnistLikeSpec spec;
+  spec.n = static_cast<std::size_t>(state.range(0));
+  spec.dim = static_cast<std::size_t>(state.range(1));
+  for (auto _ : state) {
+    Rng rng = make_rng(1, 0xdadaULL);
+    benchmark::DoNotOptimize(make_mnist_like(spec, rng));
+  }
+}
+BENCHMARK(BM_MakeMnistLike)
+    ->Args({20000, 784})
+    ->Args({2000, 784})
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Rate counter for a kernel that does `flops` floating-point operations
 // per call. The products run on the pool, so their benchmarks time wall

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/timer.hpp"
 #include "core/calibration.hpp"
@@ -15,6 +16,42 @@
 
 namespace ekm {
 namespace {
+
+std::string shape(const Matrix& m) {
+  return std::to_string(m.rows()) + "x" + std::to_string(m.cols());
+}
+
+// The decoders do not know the shapes a receive expects, so each receive
+// checks its frame before a wrong shape reaches a solve or a lift.
+
+// Pushed centers are j x d with 1 <= j <= k: the server's solve keeps
+// fewer than k centers when its summary has fewer points.
+void expect_centers_shape(const std::string& site, const Matrix& centers,
+                          std::size_t k, std::size_t d) {
+  EKM_EXPECTS_MSG(centers.rows() >= 1 && centers.rows() <= k &&
+                      centers.cols() == d,
+                  "refine round: " + site + " received centers " +
+                      shape(centers) + ", expected centers jx" +
+                      std::to_string(d) + " with 1 <= j <= " +
+                      std::to_string(k));
+}
+
+// A single-source summary is points of the wire's width w and no basis,
+// or coordinates in a basis t x w.
+void expect_summary_shape(const Coreset& summary, std::size_t w) {
+  const std::size_t cols = summary.points.dim();
+  const bool ok = summary.size() >= 1 &&
+                  (summary.basis ? summary.basis->rows() == cols &&
+                                       summary.basis->cols() == w
+                                 : cols == w);
+  EKM_EXPECTS_MSG(
+      ok, "single-source summary: the source sent points " +
+              std::to_string(summary.size()) + "x" + std::to_string(cols) +
+              (summary.basis ? " in a basis " + shape(*summary.basis)
+                             : std::string(" and no basis")) +
+              ", expected points mx" + std::to_string(w) +
+              ", or coordinates in a basis tx" + std::to_string(w));
+}
 
 KMeansOptions solver_options(const PipelineConfig& cfg) {
   KMeansOptions opts;
@@ -85,6 +122,8 @@ Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
         if (!pushed_frame.has_value()) continue;  // lost the broadcast
         if (!parts[i].empty()) {
           const Matrix pushed = decode_matrix(*pushed_frame);
+          expect_centers_shape("source " + std::to_string(i), pushed, k,
+                               parts[i].dim());
           // Batched assignment of the whole shard, then a serial
           // sufficient-statistics accumulation (order-deterministic).
           std::vector<std::size_t> assign(parts[i].size());
@@ -109,6 +148,10 @@ Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
       if (!frame.has_value()) continue;
       responders += 1;
       const Matrix stats = decode_matrix(*frame);
+      EKM_EXPECTS_MSG(stats.rows() == k && stats.cols() == d + 1,
+                      "refine round: source " + std::to_string(i) +
+                          " sent statistics " + shape(stats) + ", expected " +
+                          std::to_string(k) + "x" + std::to_string(d + 1));
       for (std::size_t c = 0; c < k; ++c) {
         auto src = stats.row(c);
         auto dst = sums.row(c);
@@ -148,6 +191,9 @@ PipelineResult finish_single_source(Coreset summary, Fabric& net,
   net.uplink(0).send(encode_coreset(summary, cfg.significant_bits));
   // Server: decode, solve, lift back to the original space.
   const Coreset received = decode_coreset(net.uplink(0).receive());
+  const LinearMap* wire_map = lift2 != nullptr ? lift2 : lift1;
+  expect_summary_shape(received, wire_map != nullptr ? wire_map->output_dim()
+                                                     : original.dim());
   Matrix centers = solve_summary(received, cfg);
   if (lift2 != nullptr) centers = lift2->lift(centers);
   if (lift1 != nullptr) centers = lift1->lift(centers);
@@ -160,6 +206,7 @@ PipelineResult finish_single_source(Coreset summary, Fabric& net,
     net.downlink(0).send(encode_matrix(centers));
     Timer timer;
     const Matrix pushed = decode_matrix(net.downlink(0).receive());
+    expect_centers_shape("the device", pushed, cfg.k, original.dim());
     KMeansOptions ropts;
     ropts.k = pushed.rows();
     ropts.max_iters = cfg.refine_iters;
@@ -199,10 +246,16 @@ bool pipeline_is_distributed(PipelineKind kind) {
 
 PipelineResult run_pipeline(PipelineKind kind, const Dataset& data,
                             const PipelineConfig& cfg) {
+  Network net(1);
+  return run_pipeline(kind, data, cfg, net);
+}
+
+PipelineResult run_pipeline(PipelineKind kind, const Dataset& data,
+                            const PipelineConfig& cfg, Fabric& net) {
   EKM_EXPECTS(!pipeline_is_distributed(kind));
   EKM_EXPECTS(!data.empty());
   EKM_EXPECTS(cfg.k >= 1);
-  Network net(1);
+  EKM_EXPECTS(net.num_sources() == 1);
   const std::size_t n = data.size();
   const std::size_t d = data.dim();
   Rng rng = make_rng(cfg.seed, 0xc0ULL);
@@ -217,6 +270,10 @@ PipelineResult run_pipeline(PipelineKind kind, const Dataset& data,
       const double device_s = timer.seconds();
       net.uplink(0).send(encode_matrix(payload, cfg.significant_bits));
       const Matrix raw = decode_matrix(net.uplink(0).receive());
+      EKM_EXPECTS_MSG(raw.rows() == n && raw.cols() == d,
+                      "NR: the source sent a matrix " + shape(raw) +
+                          ", expected " + std::to_string(n) + "x" +
+                          std::to_string(d));
       const KMeansResult res = kmeans(Dataset(raw), solver_options(cfg));
 
       PipelineResult result;

@@ -150,9 +150,16 @@ struct PipelineResult {
 };
 
 /// Runs a single-source pipeline (kNoReduction, kFss, kJlFss, kFssJl,
-/// kJlFssJl) end to end. Precondition: !pipeline_is_distributed(kind).
+/// kJlFssJl) end to end through an idealized synchronous Network.
+/// Precondition: !pipeline_is_distributed(kind).
 [[nodiscard]] PipelineResult run_pipeline(PipelineKind kind, const Dataset& data,
                                           const PipelineConfig& config);
+
+/// Same, but over a caller-provided one-source fabric.
+/// Precondition: net.num_sources() == 1.
+[[nodiscard]] PipelineResult run_pipeline(PipelineKind kind, const Dataset& data,
+                                          const PipelineConfig& config,
+                                          Fabric& net);
 
 /// Runs a multi-source pipeline (kNoReduction, kBklw, kJlBklw) over one
 /// dataset per source through an idealized synchronous Network.

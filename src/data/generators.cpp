@@ -3,8 +3,23 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <vector>
+
+#include "common/chain_step.hpp"
+#include "common/parallel.hpp"
 
 namespace ekm {
+namespace {
+
+// Rows per decode chunk: about 1.3 ms at d = 784, most of it in tanh.
+constexpr std::size_t kDecodeRows = 32;
+// Bytes per block of latent vectors, under glibc's default 128 KB mmap
+// threshold. A bigger buffer would be mapped, and freeing it would raise
+// the threshold for the rest of the process and move where later
+// allocations land (docs/performance.md, "Parallel data generation").
+constexpr std::size_t kLatentBlockBytes = 64 * 1024;
+
+}  // namespace
 
 Dataset make_gaussian_mixture(const GaussianMixtureSpec& spec, Rng& rng) {
   EKM_EXPECTS(spec.k >= 1 && spec.n >= spec.k && spec.dim >= 1);
@@ -47,30 +62,61 @@ Dataset make_mnist_like(const MnistLikeSpec& spec, Rng& rng) {
   Matrix class_means =
       Matrix::gaussian(spec.classes, spec.latent_dim, rng, spec.class_separation);
 
+  // Every draw stays on the calling thread, in one order: per row its
+  // class pick, its latent draws, then its pixel noise, which waits in the
+  // row it will perturb. The latent vectors go to blocks of block_rows.
+  const std::size_t block_rows = std::max<std::size_t>(
+      1, kLatentBlockBytes / (spec.latent_dim * sizeof(double)));
+  std::vector<std::vector<double>> latent((spec.n + block_rows - 1) /
+                                          block_rows);
+  const auto latent_row = [&](std::size_t i) {
+    return latent[i / block_rows].data() + i % block_rows * spec.latent_dim;
+  };
   Matrix pts(spec.n, spec.dim);
   std::normal_distribution<double> latent_noise(0.0, 1.0);
   std::normal_distribution<double> pixel_noise(0.0, 0.05);
   std::uniform_int_distribution<std::size_t> pick(0, spec.classes - 1);
-  std::vector<double> z(spec.latent_dim);
-
   for (std::size_t i = 0; i < spec.n; ++i) {
+    if (i % block_rows == 0) {
+      latent[i / block_rows].resize(std::min(block_rows, spec.n - i) *
+                                    spec.latent_dim);
+    }
     const std::size_t c = (i < spec.classes) ? i : pick(rng);
+    double* z = latent_row(i);
     for (std::size_t l = 0; l < spec.latent_dim; ++l) {
       z[l] = class_means(c, l) + latent_noise(rng);
     }
-    auto row = pts.row(i);
-    for (std::size_t j = 0; j < spec.dim; ++j) {
-      double v = 0.0;
-      for (std::size_t l = 0; l < spec.latent_dim; ++l) v += z[l] * decoder(l, j);
-      // Squash to [0,1] like a pixel intensity; tanh keeps the cluster
-      // geometry while bounding the range, then clamp tiny values to an
-      // exact 0 to mimic MNIST's dark background.
-      v = 0.5 * (std::tanh(v) + 1.0) + pixel_noise(rng);
-      v = std::clamp(v, 0.0, 1.0);
-      if (v < 0.12) v = 0.0;
-      row[j] = v;
-    }
+    for (double& v : pts.row(i)) v = pixel_noise(rng);
   }
+
+  // Then the rows decode on the pool. Each pixel's decoder product is the
+  // serial loop's chain, ascending in l from +0 with each step a
+  // chain_step, vectorized across the row's pixels. No pixel reads another
+  // row, so the output does not depend on the pool size.
+  parallel_for(spec.n, kDecodeRows, [&](std::size_t begin, std::size_t end) {
+    std::vector<double> acc(spec.dim);
+    for (std::size_t i = begin; i < end; ++i) {
+      std::fill(acc.begin(), acc.end(), 0.0);
+      const double* z = latent_row(i);
+      for (std::size_t l = 0; l < spec.latent_dim; ++l) {
+        const double zl = z[l];
+        const double* dec = decoder.row_ptr(l);
+        for (std::size_t j = 0; j < spec.dim; ++j) {
+          acc[j] = chain_step(acc[j], zl, dec[j]);
+        }
+      }
+      auto row = pts.row(i);
+      for (std::size_t j = 0; j < spec.dim; ++j) {
+        // Squash to [0,1] like a pixel intensity; tanh keeps the cluster
+        // geometry while bounding the range, then clamp tiny values to an
+        // exact 0 to mimic MNIST's dark background.
+        double v = 0.5 * (std::tanh(acc[j]) + 1.0) + row[j];
+        v = std::clamp(v, 0.0, 1.0);
+        if (v < 0.12) v = 0.0;
+        row[j] = v;
+      }
+    }
+  });
 
   Dataset out(std::move(pts));
   normalize_zero_mean_unit_range(out);

@@ -35,7 +35,9 @@ struct GaussianMixtureSpec {
 /// R^dim, pushed through a squashing nonlinearity and clipped to [0, 1]
 /// like pixel intensities, with a sparse background. Matches MNIST's
 /// "dense but low intrinsic dimension" regime that makes PCA-based FSS
-/// effective.
+/// effective. Every draw comes from `rng` on the calling thread and the
+/// rows decode on the thread pool, so the output, and the state `rng` is
+/// left in, do not depend on EKM_THREADS.
 struct MnistLikeSpec {
   std::size_t n = 10000;
   std::size_t dim = 784;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/chain_step.hpp"
 #include "common/parallel.hpp"
 #include "obs/recorder.hpp"
 
@@ -39,19 +40,6 @@ inline double dot4(const double* a, const double* b, std::size_t d) {
   double s = (s0 + s1) + (s2 + s3);
   for (; j < d; ++j) s += a[j] * b[j];
   return s;
-}
-
-// One step of an accumulator chain, s + x·y, fused where the target has a
-// fast FMA, as the compiler contracts the kernel's vector steps. A plain
-// loop over scalars may instead be vectorized into separately rounded
-// products added in order, or left unfused, so the weighted-cost folds
-// and the own-cell tail spell the step out.
-inline double chain_step(double s, double x, double y) {
-#if defined(__FP_FAST_FMA)
-  return std::fma(x, y, s);
-#else
-  return s + x * y;
-#endif
 }
 
 // The first 64-byte boundary in `buf`, which holds kLanes spare doubles

@@ -4,15 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <string>
 
 #include "core/calibration.hpp"
 #include "core/experiment.hpp"
 #include "core/pipeline.hpp"
 #include "data/generators.hpp"
 #include "kmeans/cost.hpp"
+#include "net/summary_codec.hpp"
+#include "swapped_frame.hpp"
 
 namespace ekm {
 namespace {
+
+using test::Link;
+using test::SwappedFrame;
 
 Dataset small_mnist_like(std::size_t n = 600, std::size_t dim = 100) {
   Rng rng = make_rng(200);
@@ -284,6 +291,104 @@ TEST(Pipeline, NoReductionRejectsShardOfWrongWidth) {
         << what;
     EXPECT_NE(what.find("dimension is 16"), std::string::npos) << what;
   }
+}
+
+// `run` must throw a precondition_error whose message holds each of
+// `parts`.
+template <class Run>
+void expect_rejected(Run run, std::initializer_list<const char*> parts) {
+  try {
+    run();
+    ADD_FAILURE() << "a frame of the wrong shape was accepted";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    for (const char* part : parts) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+}
+
+// Each single-source receive checks its frame's shape: a wrong shape is
+// bad input that names the frame and both shapes, not a failure, or a
+// quiet result, somewhere in the solve or the lift.
+TEST(Pipeline, SingleSourceNoReductionRejectsMatrixOfWrongShape) {
+  const Dataset data = small_mnist_like(300, 16);
+  Rng rng = make_rng(204);
+  SwappedFrame net(1, 0, Link::kUplink, 1,
+                   encode_matrix(Matrix::gaussian(300, 15, rng)));
+  expect_rejected(
+      [&] {
+        (void)run_pipeline(PipelineKind::kNoReduction, data, test_config(),
+                           net);
+      },
+      {"NR: the source sent a matrix 300x15", "expected 300x16"});
+}
+
+TEST(Pipeline, SingleSourceRejectsSummaryOfWrongShape) {
+  const Dataset data = small_mnist_like(300, 16);
+  Rng rng = make_rng(205);
+  // FSS ships coordinates in a basis of the data's width.
+  Coreset wide_basis;
+  wide_basis.points = Dataset(Matrix::gaussian(50, 4, rng));
+  wide_basis.basis = Matrix::gaussian(4, 15, rng);
+  SwappedFrame fss_net(1, 0, Link::kUplink, 1, encode_coreset(wide_basis));
+  expect_rejected(
+      [&] {
+        (void)run_pipeline(PipelineKind::kFss, data, test_config(), fss_net);
+      },
+      {"single-source summary: the source sent points 50x4 in a basis 4x15",
+       "expected points mx16, or coordinates in a basis tx16"});
+  // FSS+JL ships points of the JL width, 8 here, and no basis.
+  Coreset narrow;
+  narrow.points = Dataset(Matrix::gaussian(50, 7, rng));
+  SwappedFrame jl_net(1, 0, Link::kUplink, 1, encode_coreset(narrow));
+  PipelineConfig cfg = test_config();
+  cfg.jl_dim = 8;
+  expect_rejected(
+      [&] { (void)run_pipeline(PipelineKind::kFssJl, data, cfg, jl_net); },
+      {"the source sent points 50x7 and no basis", "expected points mx8"});
+}
+
+TEST(Pipeline, SingleSourceRefineRejectsCentersOfWrongShape) {
+  const Dataset data = small_mnist_like(300, 16);
+  Rng rng = make_rng(206);
+  SwappedFrame net(1, 0, Link::kDownlink, 1,
+                   encode_matrix(Matrix::gaussian(2, 15, rng)));
+  PipelineConfig cfg = test_config();
+  cfg.refine_iters = 2;
+  expect_rejected(
+      [&] { (void)run_pipeline(PipelineKind::kFss, data, cfg, net); },
+      {"refine round: the device received centers 2x15",
+       "expected centers jx16 with 1 <= j <= 2"});
+}
+
+// The distributed refine round checks the pushed centers at each source
+// and each source's sufficient statistics at the server, whose rows are
+// k sums d + 1 wide. BKLW's frames come first: each source hears the
+// basis and its sample allocation, and uplinks disPCA's Σ and V and
+// disSS's cost and coreset; so the push is the third downlink frame and
+// the statistics the fifth uplink frame.
+TEST(Pipeline, DistributedRefineRejectsFramesOfWrongShape) {
+  const Dataset data = small_mnist_like(300, 16);
+  Rng rng = make_rng(207);
+  const std::vector<Dataset> parts = partition_random(data, 3, rng);
+  PipelineConfig cfg = test_config();
+  cfg.refine_iters = 1;
+  SwappedFrame push(3, 1, Link::kDownlink, 3,
+                    encode_matrix(Matrix::gaussian(2, 15, rng)));
+  expect_rejected(
+      [&] {
+        (void)run_distributed_pipeline(PipelineKind::kBklw, parts, cfg, push);
+      },
+      {"refine round: source 1 received centers 2x15",
+       "expected centers jx16 with 1 <= j <= 2"});
+  SwappedFrame stats(3, 1, Link::kUplink, 5,
+                     encode_matrix(Matrix::gaussian(2, 16, rng)));
+  expect_rejected(
+      [&] {
+        (void)run_distributed_pipeline(PipelineKind::kBklw, parts, cfg, stats);
+      },
+      {"refine round: source 1 sent statistics 2x16", "expected 2x17"});
 }
 
 TEST(Experiment, ContextMetricsAreNormalized) {

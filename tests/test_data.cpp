@@ -2,12 +2,17 @@
 // partitioning, synthetic generators, and file loaders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
+#include "common/parallel.hpp"
 #include "data/dataset.hpp"
 #include "data/generators.hpp"
 #include "data/loaders.hpp"
@@ -184,6 +189,81 @@ TEST(Generators, DeterministicGivenSeed) {
   const Dataset a = make_mnist_like(spec, rng1);
   const Dataset b = make_mnist_like(spec, rng2);
   EXPECT_EQ(a.points(), b.points());
+}
+
+// The serial MNIST-like generator, kept as the oracle: each row's class
+// pick, latent draws, decoder products and pixel noise in one loop.
+Dataset mnist_like_serial(const MnistLikeSpec& spec, Rng& rng) {
+  const Matrix decoder =
+      Matrix::gaussian(spec.latent_dim, spec.dim, rng,
+                       1.0 / std::sqrt(static_cast<double>(spec.latent_dim)));
+  Matrix class_means =
+      Matrix::gaussian(spec.classes, spec.latent_dim, rng, spec.class_separation);
+
+  Matrix pts(spec.n, spec.dim);
+  std::normal_distribution<double> latent_noise(0.0, 1.0);
+  std::normal_distribution<double> pixel_noise(0.0, 0.05);
+  std::uniform_int_distribution<std::size_t> pick(0, spec.classes - 1);
+  std::vector<double> z(spec.latent_dim);
+
+  for (std::size_t i = 0; i < spec.n; ++i) {
+    const std::size_t c = (i < spec.classes) ? i : pick(rng);
+    for (std::size_t l = 0; l < spec.latent_dim; ++l) {
+      z[l] = class_means(c, l) + latent_noise(rng);
+    }
+    auto row = pts.row(i);
+    for (std::size_t j = 0; j < spec.dim; ++j) {
+      double v = 0.0;
+      for (std::size_t l = 0; l < spec.latent_dim; ++l) v += z[l] * decoder(l, j);
+      v = 0.5 * (std::tanh(v) + 1.0) + pixel_noise(rng);
+      v = std::clamp(v, 0.0, 1.0);
+      if (v < 0.12) v = 0.0;
+      row[j] = v;
+    }
+  }
+
+  Dataset out(std::move(pts));
+  normalize_zero_mean_unit_range(out);
+  return out;
+}
+
+// make_mnist_like draws on the calling thread and decodes rows on the
+// pool; its bytes, and the state it leaves the caller's generator in,
+// are the serial loop's at any pool size. The shapes give a ragged last
+// row chunk, a width that is no multiple of the vector length, one latent
+// dimension, latent_dim = dim over several latent blocks, and
+// n = classes.
+TEST(Generators, MnistLikeMatchesSerialReference) {
+  struct Shape {
+    std::size_t n, dim, classes, latent_dim;
+  };
+  const Shape shapes[] = {
+      {1037, 33, 10, 5}, {300, 33, 4, 1}, {1037, 33, 10, 33}, {10, 40, 10, 8}};
+  for (const std::size_t threads : {1u, 4u}) {
+    set_parallel_threads(threads);
+    for (const Shape& shape : shapes) {
+      SCOPED_TRACE(::testing::Message()
+                   << threads << " threads, " << shape.n << "x" << shape.dim
+                   << ", " << shape.classes << " classes, latent_dim "
+                   << shape.latent_dim);
+      MnistLikeSpec spec;
+      spec.n = shape.n;
+      spec.dim = shape.dim;
+      spec.classes = shape.classes;
+      spec.latent_dim = shape.latent_dim;
+      Rng want_rng = make_rng(21);
+      Rng got_rng = make_rng(21);
+      const Dataset want = mnist_like_serial(spec, want_rng);
+      const Dataset got = make_mnist_like(spec, got_rng);
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_EQ(got.dim(), want.dim());
+      EXPECT_EQ(std::memcmp(got.points().row_ptr(0), want.points().row_ptr(0),
+                            shape.n * shape.dim * sizeof(double)),
+                0);
+      EXPECT_EQ(got_rng(), want_rng());
+    }
+  }
+  set_parallel_threads(0);
 }
 
 TEST(Generators, MnistLikeShapeAndNormalization) {

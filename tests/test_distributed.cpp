@@ -16,9 +16,15 @@
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
 #include "net/summary_codec.hpp"
+#include "swapped_frame.hpp"
 
 namespace ekm {
 namespace {
+
+// In the protocols the second uplink frame is disPCA's V or disSS's
+// coreset, the first downlink frame BKLW's basis broadcast.
+using test::Link;
+using test::SwappedFrame;
 
 std::vector<Dataset> make_parts(std::size_t n, std::size_t dim, std::size_t k,
                                 std::size_t m, std::uint64_t seed) {
@@ -87,66 +93,6 @@ TEST(DisPca, ToleratesEmptySource) {
   const DisPcaResult res = dispca(parts, opts, net, work);
   EXPECT_EQ(res.v.cols(), 4u);
 }
-
-enum class Link { kUplink, kDownlink };
-
-// A Network whose source `victim` has the nth frame on one of its links
-// replaced by `frame` on the way: the second uplink frame is disPCA's V
-// or disSS's coreset, the first downlink frame BKLW's basis broadcast.
-class SwappedFrame final : public Fabric {
- public:
-  SwappedFrame(std::size_t sources, std::size_t victim, Link link,
-               std::size_t nth, Message frame)
-      : net_(sources),
-        victim_(victim),
-        link_(link),
-        port_(link == Link::kUplink ? net_.uplink(victim)
-                                    : net_.downlink(victim),
-              nth, std::move(frame)) {}
-  [[nodiscard]] std::size_t num_sources() const override {
-    return net_.num_sources();
-  }
-  [[nodiscard]] Port& uplink(std::size_t source) override {
-    return swapped(source, Link::kUplink) ? static_cast<Port&>(port_)
-                                          : net_.uplink(source);
-  }
-  [[nodiscard]] Port& downlink(std::size_t source) override {
-    return swapped(source, Link::kDownlink) ? static_cast<Port&>(port_)
-                                            : net_.downlink(source);
-  }
-
- private:
-  [[nodiscard]] bool swapped(std::size_t source, Link link) const {
-    return source == victim_ && link == link_;
-  }
-
-  class SwapPort final : public Port {
-   public:
-    SwapPort(Port& inner, std::size_t nth, Message frame)
-        : inner_(inner), nth_(nth), frame_(std::move(frame)) {}
-    void send(Message msg) override {
-      inner_.send(++sent_ == nth_ ? frame_ : std::move(msg));
-    }
-    [[nodiscard]] bool has_pending() const override {
-      return inner_.has_pending();
-    }
-    [[nodiscard]] Message receive() override { return inner_.receive(); }
-    [[nodiscard]] const TrafficLedger& ledger() const override {
-      return inner_.ledger();
-    }
-
-   private:
-    Port& inner_;
-    std::size_t nth_;
-    Message frame_;
-    std::size_t sent_ = 0;
-  };
-
-  Network net_;
-  std::size_t victim_;
-  Link link_;
-  SwapPort port_;
-};
 
 // The collect site checks each decoded (Σ, V) pair against the round's
 // dimension: a V of d - 1 rows is bad input that names the source and
