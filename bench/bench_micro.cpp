@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the substrates: the MNIST-like
-// generator, the matrix product kernel, truncated and thin SVD, JL apply,
-// PCA, sensitivity sampling, FSS, quantizer, k-means, codec. These guard
-// the complexity claims of Table 2 at the kernel level (e.g. thin SVD
-// scaling with d vs JL apply scaling with d').
+// generator, the matrix product kernel, truncated SVD, JL apply, PCA,
+// sensitivity sampling, FSS, quantizer, k-means, codec. These guard the
+// complexity claims of Table 2 at the kernel level (e.g. FSS scaling
+// with d vs JL apply scaling with d').
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -157,16 +157,6 @@ BENCHMARK(BM_Matmul)
     ->Args({2013, 784, 16})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-void BM_ThinSvd(benchmark::State& state) {
-  const auto d = static_cast<std::size_t>(state.range(0));
-  const Dataset data = bench_data(1024, d);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(thin_svd(data.points()));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(d));
-}
-BENCHMARK(BM_ThinSvd)->Arg(64)->Arg(128)->Arg(256)->Complexity();
 
 void BM_JlApply(benchmark::State& state) {
   const auto d_out = static_cast<std::size_t>(state.range(0));

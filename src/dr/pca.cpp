@@ -10,15 +10,22 @@ PcaProjection pca_project(const Dataset& data, std::size_t t) {
   const std::size_t r = std::min({t, data.size(), data.dim()});
   EKM_EXPECTS_MSG(r >= 1, "PCA target dimension must be >= 1");
 
-  Svd svd = thin_svd(data.points());
+  const Matrix& a = data.points();
+  Svd svd = truncated_svd(a, r);
+  Matrix coords = matmul(a, svd.v);
   PcaProjection out;
-  // Residual energy = sum of squared singular values beyond t.
-  for (std::size_t j = r; j < svd.rank(); ++j) {
-    out.residual_sq += svd.sigma[j] * svd.sigma[j];
+  // Δ = Σ_{j>r} σ_j², taken as the residual ||A - (A V_r) V_r^T||_F^2 of
+  // the coordinates: ||A||_F^2 less the kept energy would cancel when Δ
+  // is small. At r = min(n, d) nothing is discarded, and Δ is exactly 0.
+  if (r < std::min(data.size(), data.dim())) {
+    const Matrix approx = matmul_a_bt(coords, svd.v);
+    const auto x = a.flat();
+    const auto y = approx.flat();
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      out.residual_sq += (x[i] - y[i]) * (x[i] - y[i]);
+    }
   }
-  svd.truncate(r);
-  out.map = LinearMap(svd.v);  // d x r
-  Matrix coords = matmul(data.points(), svd.v);
+  out.map = LinearMap(std::move(svd.v));  // d x r
   out.coords = data.is_weighted() ? Dataset(std::move(coords), *data.weights())
                                   : Dataset(std::move(coords));
   return out;

@@ -28,7 +28,8 @@ struct PcaProjection {
                           ///< constant of Definition 3.2 / Theorem 5.1
 };
 
-/// Exact PCA via thin SVD. `t` is clamped to min(n, d). O(nd min(n, d)).
+/// Exact PCA via the top-t SVD (`truncated_svd`). `t` is clamped to
+/// min(n, d). O(nd min(n, d)).
 [[nodiscard]] PcaProjection pca_project(const Dataset& data, std::size_t t);
 
 /// Ā = A V_t V_t^T in the ambient space (rows still d-dimensional).

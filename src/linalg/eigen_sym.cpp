@@ -28,76 +28,6 @@ double pythag(double a, double b) {
   return absb * std::sqrt(1.0 + r * r);
 }
 
-// Householder reduction of a real symmetric matrix to tridiagonal form
-// (tred2). On exit `z` holds the accumulated orthogonal transform, `d`
-// the diagonal and `e` the subdiagonal (e[0] unused).
-void tred2(Matrix& z, std::vector<double>& d, std::vector<double>& e) {
-  const std::size_t n = z.rows();
-  d.assign(n, 0.0);
-  e.assign(n, 0.0);
-  if (n == 0) return;
-
-  for (std::size_t i = n - 1; i > 0; --i) {
-    const std::size_t l = i - 1;
-    double h = 0.0;
-    double scale = 0.0;
-    if (l > 0) {
-      for (std::size_t k = 0; k <= l; ++k) scale += std::fabs(z(i, k));
-      if (scale == 0.0) {
-        e[i] = z(i, l);
-      } else {
-        for (std::size_t k = 0; k <= l; ++k) {
-          z(i, k) /= scale;
-          h += z(i, k) * z(i, k);
-        }
-        double f = z(i, l);
-        double g = (f >= 0.0) ? -std::sqrt(h) : std::sqrt(h);
-        e[i] = scale * g;
-        h -= f * g;
-        z(i, l) = f - g;
-        f = 0.0;
-        for (std::size_t j = 0; j <= l; ++j) {
-          z(j, i) = z(i, j) / h;
-          g = 0.0;
-          for (std::size_t k = 0; k <= j; ++k) g += z(j, k) * z(i, k);
-          for (std::size_t k = j + 1; k <= l; ++k) g += z(k, j) * z(i, k);
-          e[j] = g / h;
-          f += e[j] * z(i, j);
-        }
-        const double hh = f / (h + h);
-        for (std::size_t j = 0; j <= l; ++j) {
-          f = z(i, j);
-          e[j] = g = e[j] - hh * f;
-          for (std::size_t k = 0; k <= j; ++k) {
-            z(j, k) -= f * e[k] + g * z(i, k);
-          }
-        }
-      }
-    } else {
-      e[i] = z(i, l);
-    }
-    d[i] = h;
-  }
-
-  d[0] = 0.0;
-  e[0] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (d[i] != 0.0) {
-      for (std::size_t j = 0; j < i; ++j) {
-        double g = 0.0;
-        for (std::size_t k = 0; k < i; ++k) g += z(i, k) * z(k, j);
-        for (std::size_t k = 0; k < i; ++k) z(k, j) -= g * z(k, i);
-      }
-    }
-    d[i] = z(i, i);
-    z(i, i) = 1.0;
-    for (std::size_t j = 0; j < i; ++j) {
-      z(j, i) = 0.0;
-      z(i, j) = 0.0;
-    }
-  }
-}
-
 // True when the off-diagonal e coupling diagonal entries d0 and d1 is
 // negligible: QL deflates there, and the top-t solver splits there. The
 // absolute term is LAPACK's safmin: a T that deflates by about ε per
@@ -108,12 +38,11 @@ bool negligible(double e, double d0, double d1) {
          std::fabs(e) <= 2.3e-16 * (std::fabs(d0) + std::fabs(d1));
 }
 
-// Implicit-shift QL (tql2). `d` in/out: diagonal -> eigenvalues
+// Implicit-shift QL for the eigenvalues only (EISPACK tql2 without its
+// eigenvector rotations). `d` in/out: diagonal -> eigenvalues
 // (unsorted); `e`: subdiagonal with e[i] coupling rows i-1 and i, e[0]
-// unused (destroyed). With `z` (the transform from tred2) the rotations
-// accumulate the eigenvectors into its columns; without it only the
-// values are computed. Returns false on non-convergence.
-bool tql2(std::span<double> d, std::span<double> e, Matrix* z) {
+// unused (destroyed). Returns false on non-convergence.
+bool tql2(std::span<double> d, std::span<double> e) {
   const std::size_t n = d.size();
   if (n <= 1) return true;
 
@@ -136,7 +65,7 @@ bool tql2(std::span<double> d, std::span<double> e, Matrix* z) {
         double c = 1.0;
         double p = 0.0;
         for (std::size_t i = m; i-- > l;) {
-          double f = s * e[i];
+          const double f = s * e[i];
           const double b = c * e[i];
           r = pythag(f, g);
           e[i + 1] = r;
@@ -152,12 +81,6 @@ bool tql2(std::span<double> d, std::span<double> e, Matrix* z) {
           p = s * r;
           d[i + 1] = g + p;
           g = c * r - b;
-          if (z == nullptr) continue;
-          for (std::size_t k = 0; k < n; ++k) {
-            f = (*z)(k, i + 1);
-            (*z)(k, i + 1) = s * (*z)(k, i) + c * f;
-            (*z)(k, i) = c * (*z)(k, i) - s * f;
-          }
         }
         if (r == 0.0 && m > l + 1) continue;
         d[l] -= p;
@@ -167,23 +90,6 @@ bool tql2(std::span<double> d, std::span<double> e, Matrix* z) {
     } while (m != l);
   }
   return true;
-}
-
-void sort_descending(SymmetricEigen& eig) {
-  const std::size_t n = eig.values.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return eig.values[a] > eig.values[b];
-  });
-  std::vector<double> vals(n);
-  Matrix vecs(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    vals[j] = eig.values[order[j]];
-    for (std::size_t i = 0; i < n; ++i) vecs(i, j) = eig.vectors(i, order[j]);
-  }
-  eig.values = std::move(vals);
-  eig.vectors = std::move(vecs);
 }
 
 // Dot product with eight independent partial sums folded in a fixed
@@ -727,27 +633,7 @@ void inverse_iteration(std::span<const double> d, std::span<const double> e,
 }  // namespace
 
 SymmetricEigen eigen_symmetric(const Matrix& a) {
-  EKM_EXPECTS_MSG(a.rows() == a.cols(), "eigen_symmetric needs a square matrix");
-  const std::size_t n = a.rows();
-
-  SymmetricEigen eig;
-  eig.vectors = Matrix(n, n);
-  // Symmetrize from the upper triangle so tiny asymmetries from Gram
-  // accumulation cannot push the iteration off the symmetric manifold.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      const double v = 0.5 * (a(i, j) + a(j, i));
-      eig.vectors(i, j) = v;
-      eig.vectors(j, i) = v;
-    }
-  }
-
-  std::vector<double> d, e;
-  tred2(eig.vectors, d, e);
-  EKM_ENSURES_MSG(tql2(d, e, &eig.vectors), "tql2 failed to converge");
-  eig.values = std::move(d);
-  sort_descending(eig);
-  return eig;
+  return eigen_symmetric_top(a, a.rows());
 }
 
 SymmetricEigen eigen_symmetric_top(const Matrix& a, std::size_t t) {
@@ -787,7 +673,7 @@ SymmetricEigen eigen_symmetric_top(const Matrix& a, std::size_t t) {
                 d.begin() + static_cast<std::ptrdiff_t>(b1));
       be.assign(b1 - b0, 0.0);  // tql2 layout: be[i] couples i-1 and i
       for (std::size_t i = b0 + 1; i < b1; ++i) be[i - b0] = e[i - 1];
-      EKM_ENSURES_MSG(tql2(bd, be, nullptr), "tql2 failed to converge");
+      EKM_ENSURES_MSG(tql2(bd, be), "tql2 failed to converge");
     }
     for (const double v : bd) pairs.push_back({v, starts.size()});
     starts.push_back(b0);
@@ -838,66 +724,6 @@ SymmetricEigen eigen_symmetric_top(const Matrix& a, std::size_t t) {
   eig.values.resize(t);
   for (std::size_t j = 0; j < t; ++j) eig.values[j] = pairs[j].value;
   eig.vectors = z.transposed();
-  return eig;
-}
-
-SymmetricEigen eigen_symmetric_jacobi(const Matrix& a, int max_sweeps) {
-  EKM_EXPECTS_MSG(a.rows() == a.cols(), "eigen needs a square matrix");
-  const std::size_t n = a.rows();
-
-  Matrix m = a;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double v = 0.5 * (m(i, j) + m(j, i));
-      m(i, j) = v;
-      m(j, i) = v;
-    }
-  }
-  Matrix v = Matrix::identity(n);
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    double off = 0.0;
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) off += m(p, q) * m(p, q);
-    }
-    if (off < 1e-24 * (1.0 + m.frobenius_norm())) break;
-
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = m(p, q);
-        if (std::fabs(apq) < 1e-300) continue;
-        const double theta = (m(q, q) - m(p, p)) / (2.0 * apq);
-        const double t = std::copysign(
-            1.0 / (std::fabs(theta) + std::sqrt(theta * theta + 1.0)), theta);
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        for (std::size_t k = 0; k < n; ++k) {
-          const double mkp = m(k, p);
-          const double mkq = m(k, q);
-          m(k, p) = c * mkp - s * mkq;
-          m(k, q) = s * mkp + c * mkq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double mpk = m(p, k);
-          const double mqk = m(q, k);
-          m(p, k) = c * mpk - s * mqk;
-          m(q, k) = s * mpk + c * mqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
-
-  SymmetricEigen eig;
-  eig.values.resize(n);
-  for (std::size_t i = 0; i < n; ++i) eig.values[i] = m(i, i);
-  eig.vectors = std::move(v);
-  sort_descending(eig);
   return eig;
 }
 

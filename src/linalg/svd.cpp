@@ -35,33 +35,41 @@ void orthonormalize_column(Matrix& m, std::size_t j, Rng& rng) {
   // Degenerate only if j >= rank of the whole space; leave the column zero.
 }
 
-// Smallest Gram eigenvalue distinguishable from rounding noise: the
-// solvers behind both SVDs — tridiagonalization, then QL (tql2 in
-// eigen_symmetric; in eigen_symmetric_top values-only QL up to dim 128
-// and Sturm-count bisection above, with inverse iteration for the top-t
-// vectors) — resolve eigenvalues to O(dim·eps·λmax), so anything below
-// that is noise and its square root must be reported as an exact zero
-// (σ below √eps·σmax is unresolvable through A^T A by construction).
+// Smallest Gram eigenvalue distinguishable from rounding noise:
+// eigen_symmetric_top (tridiagonalization, then values-only QL up to
+// dim 128 and Sturm-count bisection above, with inverse iteration for
+// the top-t vectors) resolves eigenvalues to O(dim·eps·λmax), so
+// anything below that is noise and its square root must be reported as
+// an exact zero (σ below √eps·σmax is unresolvable through A^T A by
+// construction).
 double gram_noise_floor(double lambda_max, std::size_t dim) {
   return 32.0 * std::numeric_limits<double>::epsilon() *
          static_cast<double>(std::max<std::size_t>(dim, 1)) * lambda_max;
 }
 
-// The Gram matrix the SVD eigendecomposes: A^T A (d x d) when d <= n,
-// else A A^T (n x n).
-Matrix gram(const Matrix& a) {
-  return a.cols() <= a.rows() ? matmul_at_b(a, a) : matmul_a_bt(a, a);
+}  // namespace
+
+Matrix Svd::reconstruct() const {
+  Matrix us = u;  // scale columns of U by sigma
+  for (std::size_t i = 0; i < us.rows(); ++i) {
+    for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= sigma[j];
+  }
+  return matmul_a_bt(us, v);
 }
 
-// Completes an SVD of `a` from eigenpairs of gram(a): they give V and
-// sigma^2 when d <= n (U and sigma^2 when n < d), and the other factor's
-// columns are A V Sigma^{-1} (A^T U Sigma^{-1}) for those pairs only.
-// Components with sigma at the Gram noise floor become exact zeros whose
-// other-factor column is an orthonormalized fill-in.
-Svd svd_from_gram(const Matrix& a, SymmetricEigen eig) {
+Svd truncated_svd(const Matrix& a, std::size_t t) {
+  EKM_EXPECTS_MSG(!a.empty(), "truncated_svd of empty matrix");
   const std::size_t n = a.rows();
   const std::size_t d = a.cols();
   const bool tall = d <= n;
+  // The top eigenpairs of the Gram, A^T A (d x d) when d <= n, else
+  // A A^T (n x n), give V and sigma^2 (U and sigma^2 when n < d). The
+  // other factor's columns are A V Sigma^{-1} (A^T U Sigma^{-1}) for
+  // those pairs only. Components with sigma at the Gram noise floor
+  // become exact zeros whose other-factor column is an orthonormalized
+  // fill-in.
+  SymmetricEigen eig = eigen_symmetric_top(
+      tall ? matmul_at_b(a, a) : matmul_a_bt(a, a), std::min({t, n, d}));
   const std::size_t r = eig.values.size();
   Rng rng = make_rng(0x5bdULL, n * 1315423911ULL + d);
 
@@ -72,8 +80,7 @@ Svd svd_from_gram(const Matrix& a, SymmetricEigen eig) {
     out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
   }
   Matrix other = tall ? matmul(a, eig.vectors) : matmul_at_b(a, eig.vectors);
-  const double tol = std::max(1e-8 * std::sqrt(smax2),
-                              std::sqrt(gram_noise_floor(smax2, tall ? d : n)));
+  const double tol = std::sqrt(gram_noise_floor(smax2, tall ? d : n));
   for (std::size_t j = 0; j < r; ++j) {
     if (out.sigma[j] > tol) {
       const double inv = 1.0 / out.sigma[j];
@@ -93,38 +100,12 @@ Svd svd_from_gram(const Matrix& a, SymmetricEigen eig) {
   return out;
 }
 
-}  // namespace
-
-Matrix Svd::reconstruct() const {
-  Matrix us = u;  // scale columns of U by sigma
-  for (std::size_t i = 0; i < us.rows(); ++i) {
-    for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= sigma[j];
-  }
-  return matmul_a_bt(us, v);
-}
-
-void Svd::truncate(std::size_t t) {
-  EKM_EXPECTS(t <= sigma.size());
-  sigma.resize(t);
-  u = u.first_cols(t);
-  v = v.first_cols(t);
-}
-
-Svd thin_svd(const Matrix& a) {
-  EKM_EXPECTS_MSG(!a.empty(), "thin_svd of empty matrix");
-  return svd_from_gram(a, eigen_symmetric(gram(a)));
-}
-
-Svd truncated_svd(const Matrix& a, std::size_t t) {
-  EKM_EXPECTS_MSG(!a.empty(), "truncated_svd of empty matrix");
-  const std::size_t r = std::min(a.rows(), a.cols());
-  return svd_from_gram(a, eigen_symmetric_top(gram(a), std::min(t, r)));
-}
-
-Matrix pseudoinverse(const Matrix& a, double rcond) {
-  Svd s = thin_svd(a);
+Matrix pseudoinverse(const Matrix& a) {
+  // Singular values at or below this fraction of sigma_max count as zero.
+  constexpr double kRcond = 1e-12;
+  Svd s = truncated_svd(a, std::min(a.rows(), a.cols()));
   const double smax = s.sigma.empty() ? 0.0 : s.sigma[0];
-  const double tol = rcond * smax;
+  const double tol = kRcond * smax;
   // A^+ = V diag(1/sigma) U^T, zeroing tiny components.
   Matrix vs = s.v;  // d x r, scale columns
   for (std::size_t j = 0; j < s.rank(); ++j) {

@@ -1,18 +1,18 @@
-// Thin / truncated singular value decomposition and Moore–Penrose
+// Truncated singular value decomposition and Moore–Penrose
 // pseudoinverse.
 //
 // Roles in the reproduction:
-//  * `thin_svd` — the full "exact SVD" FSS uses (Theorem 3.2, through
-//    `pca_project`). Cost O(nd * min(n,d)), matching the complexity the
-//    paper charges FSS with.
-//  * `truncated_svd` — the exact top-t path: the same Gram route, but it
-//    solves only the t largest eigenpairs (`eigen_symmetric_top`) and
-//    forms only the t kept columns of the other factor. Each data source
-//    in disPCA (§5.1, step 1) and the server's merge use it; it is exact
-//    to roundoff and in the same O(nd * min(n,d)) class, not a sketch.
+//  * `truncated_svd` — the exact top-t SVD by the Gram route: it solves
+//    only the t largest eigenpairs of A^T A or A A^T
+//    (`eigen_symmetric_top`) and forms only the t kept columns of the
+//    other factor. FSS (Theorem 3.2, through `pca_project`), each data
+//    source in disPCA (§5.1, step 1) and the server's merge use it. It is
+//    exact to roundoff and costs O(nd * min(n, d)), the complexity the
+//    paper charges FSS with; it is not a sketch.
 //  * `pseudoinverse` — Π⁺ for lifting k-means centers back through a
 //    linear DR map (π⁻¹ in Algorithms 1–4, via the Moore–Penrose inverse
-//    as discussed under Table 1 of the paper).
+//    as discussed under Table 1 of the paper), from the full
+//    t = min(n, d) truncated SVD.
 #pragma once
 
 #include <vector>
@@ -21,9 +21,10 @@
 
 namespace ekm {
 
-/// A = U diag(sigma) V^T with U: n x r, sigma: r, V: d x r, where
-/// r = min(n, d) (thin) or the requested truncation rank.
-/// Singular values are non-negative and sorted descending.
+/// The rank-r SVD U diag(sigma) V^T of A with U: n x r, sigma: r,
+/// V: d x r: A itself to roundoff when r = min(n, d), else its best
+/// rank-r approximation. Singular values are non-negative and sorted
+/// descending.
 struct Svd {
   Matrix u;
   std::vector<double> sigma;
@@ -34,25 +35,21 @@ struct Svd {
 
   /// Reconstructs U diag(sigma) V^T (for tests / lift-backs).
   [[nodiscard]] Matrix reconstruct() const;
-
-  /// Keeps only the top-t components (t <= rank()).
-  void truncate(std::size_t t);
 };
 
-/// Thin SVD via the Gram-matrix route: eigendecompose A^T A (d <= n) or
-/// A A^T (n < d) and recover the other factor. Accurate for the dominant
-/// part of the spectrum, which is all k-means PCA needs; components with
-/// sigma below ~1e-8 * sigma_max are orthogonalized rather than divided.
-[[nodiscard]] Svd thin_svd(const Matrix& a);
-
-/// Top-min(t, n, d) SVD by the same Gram route, solving only the kept
-/// eigenpairs: the leading columns of thin_svd's factors and values to
-/// roundoff (signs may differ), with the same zero-sigma fill-in.
+/// Top-min(t, n, d) SVD via the Gram-matrix route: the t largest
+/// eigenpairs of A^T A (d <= n) or A A^T (n < d) give V (or U) and
+/// sigma^2, and the other factor's t columns follow. Accurate for the
+/// dominant part of the spectrum, which is all k-means PCA needs:
+/// components with sigma^2 at the Gram's noise floor,
+/// 32 * eps * min(n, d) * sigma_max^2, become exact zeros, and their
+/// other-factor columns are orthonormalized rather than divided.
 [[nodiscard]] Svd truncated_svd(const Matrix& a, std::size_t t);
 
-/// Moore–Penrose pseudoinverse via thin SVD. Components with singular
-/// value <= rcond * sigma_max are treated as zero.
-[[nodiscard]] Matrix pseudoinverse(const Matrix& a, double rcond = 1e-12);
+/// Moore–Penrose pseudoinverse from truncated_svd(a, min(n, d)).
+/// Components with singular value <= 1e-12 * sigma_max are treated as
+/// zero.
+[[nodiscard]] Matrix pseudoinverse(const Matrix& a);
 
 /// disPCA's associative summary merge (§5.1 step 2): appends the rows
 /// Y_i = Σ_i^(t1) V_i^(t1)^T of one local SVD summary — row j is

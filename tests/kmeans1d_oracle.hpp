@@ -1,11 +1,22 @@
-#include "kmeans/kmeans1d.hpp"
+// Exact 1-D k-means by dynamic programming (Wang & Song, R Journal 2011
+// style, O(k n²) with prefix sums): the test oracle for the heuristic
+// solvers. The general problem is NP-hard (§1 of the paper, refs [8][9]),
+// but on the line it is easy, so test_kmeans and test_baselines hold
+// Lloyd's and the baselines' costs against this optimum.
+#pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <utility>
+#include <vector>
 
-namespace ekm {
-namespace {
+#include "kmeans/lloyd.hpp"
+
+namespace ekm::test {
+namespace detail {
 
 // Weighted SSE of the sorted range [i, j] around its weighted mean,
 // computed from prefix sums in O(1):
@@ -41,10 +52,14 @@ struct PrefixSums {
   }
 };
 
-}  // namespace
+}  // namespace detail
 
-KMeansResult kmeans_1d_exact(std::span<const double> values,
-                             std::span<const double> weights, std::size_t k) {
+/// Exact optimal k-means of weighted scalars. Returns optimal centers
+/// (ascending), the optimal cost, and the assignment (by sorted order of
+/// the input: contiguous clusters). O(k n²) time, O(k n) memory.
+inline KMeansResult kmeans_1d_exact(std::span<const double> values,
+                                    std::span<const double> weights,
+                                    std::size_t k) {
   EKM_EXPECTS(!values.empty());
   EKM_EXPECTS(values.size() == weights.size());
   EKM_EXPECTS(k >= 1);
@@ -63,7 +78,7 @@ KMeansResult kmeans_1d_exact(std::span<const double> values,
     ws[i] = weights[order[i]];
     EKM_EXPECTS_MSG(ws[i] >= 0.0, "negative weight");
   }
-  const PrefixSums ps(xs, ws);
+  const detail::PrefixSums ps(xs, ws);
 
   // dp[c][j] = optimal cost of clustering xs[0..j] into c+1 clusters;
   // cut[c][j] = first index of the last cluster in that optimum.
@@ -106,9 +121,11 @@ KMeansResult kmeans_1d_exact(std::span<const double> values,
   return res;
 }
 
-KMeansResult kmeans_1d_exact(std::span<const double> values, std::size_t k) {
+/// Unweighted convenience overload.
+inline KMeansResult kmeans_1d_exact(std::span<const double> values,
+                                    std::size_t k) {
   const std::vector<double> ones(values.size(), 1.0);
   return kmeans_1d_exact(values, ones, k);
 }
 
-}  // namespace ekm
+}  // namespace ekm::test

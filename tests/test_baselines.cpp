@@ -6,11 +6,13 @@
 #include "data/generators.hpp"
 #include "distributed/baselines.hpp"
 #include "kmeans/cost.hpp"
-#include "kmeans/kmeans1d.hpp"
 #include "kmeans/lloyd.hpp"
+#include "kmeans1d_oracle.hpp"
 
 namespace ekm {
 namespace {
+
+using test::kmeans_1d_exact;
 
 std::vector<Dataset> make_parts(std::size_t n, std::size_t dim, std::size_t k,
                                 std::size_t m, std::uint64_t seed,

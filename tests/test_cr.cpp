@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "cr/coreset.hpp"
@@ -14,9 +15,9 @@
 #include "cr/merge.hpp"
 #include "cr/sensitivity.hpp"
 #include "data/generators.hpp"
+#include "eigen_oracle.hpp"
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
-#include "linalg/svd.hpp"
 
 namespace ekm {
 namespace {
@@ -181,23 +182,36 @@ TEST(Fss, CoresetEpsilonPropertyWithDelta) {
 }
 
 TEST(Fss, DeltaEqualsDiscardedEnergy) {
+  // Δ against the Jacobi oracle's tail Σ_{j>t} λ_j(AᵀA), on a tall input,
+  // a wide one (n < d, where the SVD takes the A Aᵀ Gram) and one of
+  // rank 3 < t, whose Δ is zero.
   Rng rng = make_rng(47);
-  const Dataset d(Matrix::gaussian(100, 20, rng));
-  FssOptions opts;
-  opts.k = 2;
-  opts.intrinsic_dim = 5;
-  opts.sample_size = 200;  // >= n => passthrough sampling, pure PCA effect
-  Rng frng = make_rng(48);
-  const Coreset cs = fss_coreset(d, opts, frng);
-  const Svd svd = thin_svd(d.points());
-  double tail = 0.0;
-  for (std::size_t j = 5; j < svd.rank(); ++j) tail += svd.sigma[j] * svd.sigma[j];
-  EXPECT_NEAR(cs.delta, tail, 1e-6 * (1.0 + tail));
-  // With passthrough sampling the coreset is exact: cost identity holds
-  // for the optimal 1-mean center of the full data.
-  const Matrix mu(1, 20);  // origin is near-optimal for centered Gaussian
-  EXPECT_NEAR(coreset_cost(cs, mu), kmeans_cost(d, mu),
-              0.02 * kmeans_cost(d, mu));
+  const Matrix tall = Matrix::gaussian(100, 20, rng);
+  const Matrix wide = Matrix::gaussian(15, 40, rng);
+  const Matrix rank3 =
+      matmul(Matrix::gaussian(100, 3, rng), Matrix::gaussian(3, 20, rng));
+  for (const Matrix* points : {&tall, &wide, &rank3}) {
+    SCOPED_TRACE(std::to_string(points->rows()) + "x" +
+                 std::to_string(points->cols()) +
+                 (points == &rank3 ? " rank 3" : ""));
+    const Dataset d(*points);
+    FssOptions opts;
+    opts.k = 2;
+    opts.intrinsic_dim = 5;
+    opts.sample_size = 200;  // >= n => passthrough sampling, pure PCA effect
+    Rng frng = make_rng(48);
+    const Coreset cs = fss_coreset(d, opts, frng);
+    const std::vector<double> lambda =
+        test::eigen_symmetric_jacobi(matmul_at_b(*points, *points)).values;
+    double tail = 0.0;
+    for (std::size_t j = 5; j < lambda.size(); ++j) tail += lambda[j];
+    EXPECT_NEAR(cs.delta, tail, 1e-6 * (1.0 + tail));
+    // With passthrough sampling the coreset is exact: cost identity holds
+    // for the optimal 1-mean center of the full data.
+    const Matrix mu(1, d.dim());  // origin: near-optimal for centered data
+    EXPECT_NEAR(coreset_cost(cs, mu), kmeans_cost(d, mu),
+                0.02 * kmeans_cost(d, mu));
+  }
 }
 
 TEST(Fss, BasisRowsOrthonormal) {

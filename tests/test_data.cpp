@@ -289,7 +289,7 @@ TEST(Generators, MnistLikeHasLowIntrinsicDimension) {
   spec.latent_dim = 8;
   Rng rng = make_rng(9);
   const Dataset d = make_mnist_like(spec, rng);
-  const Svd svd = thin_svd(d.points());
+  const Svd svd = truncated_svd(d.points(), std::min(d.size(), d.dim()));
   double total = 0.0;
   for (double s : svd.sigma) total += s * s;
   double top = 0.0;

@@ -184,6 +184,7 @@ TEST(Pca, ClampsRankAndRejectsEmpty) {
   const Dataset d(Matrix::gaussian(5, 3, rng));
   const PcaProjection pca = pca_project(d, 100);
   EXPECT_EQ(pca.coords.dim(), 3u);
+  EXPECT_EQ(pca.residual_sq, 0.0);  // nothing discarded at t = min(n, d)
   EXPECT_THROW((void)pca_project(Dataset(), 2), precondition_error);
 }
 

@@ -7,11 +7,13 @@
 #include "data/generators.hpp"
 #include "kmeans/bicriteria.hpp"
 #include "kmeans/cost.hpp"
-#include "kmeans/kmeans1d.hpp"
 #include "kmeans/lloyd.hpp"
+#include "kmeans1d_oracle.hpp"
 
 namespace ekm {
 namespace {
+
+using test::kmeans_1d_exact;
 
 Dataset two_clusters() {
   // Cluster A near 0, cluster B near 10 (1-D for hand computation).

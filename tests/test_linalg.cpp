@@ -1,6 +1,7 @@
 // Tests for src/linalg: matrix algebra, symmetric eigendecomposition,
 // SVD and pseudoinverse. Property suites sweep shapes via TEST_P; the
-// top-t solvers are held to residual accuracy contracts.
+// top-t solvers are held to residual accuracy contracts, with reference
+// values from the Jacobi oracle (eigen_oracle.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +13,15 @@
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "eigen_oracle.hpp"
 #include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/svd.hpp"
 
 namespace ekm {
 namespace {
+
+using test::eigen_symmetric_jacobi;
 
 double max_abs_diff(const Matrix& a, const Matrix& b) {
   return subtract(a, b).frobenius_norm();
@@ -323,16 +327,25 @@ TEST(EigenSym, RejectsNonSquare) {
 struct SvdShape {
   std::size_t rows;
   std::size_t cols;
+  std::size_t rank = 0;  // 0: a Gaussian matrix, of full rank
 };
+
+// A Gaussian matrix, or a product of Gaussian factors through `rank`.
+Matrix svd_input(const SvdShape& shape, Rng& rng) {
+  if (shape.rank == 0) return Matrix::gaussian(shape.rows, shape.cols, rng);
+  const Matrix left = Matrix::gaussian(shape.rows, shape.rank, rng);
+  return matmul(left, Matrix::gaussian(shape.rank, shape.cols, rng));
+}
 
 class SvdProperty : public ::testing::TestWithParam<SvdShape> {};
 
+// The thin SVD: truncated_svd at t = min(n, d).
 TEST_P(SvdProperty, ThinSvdAxioms) {
-  const auto [n, d] = GetParam();
+  const auto [n, d, rank] = GetParam();
   Rng rng = make_rng(31 * n + d);
-  const Matrix a = Matrix::gaussian(n, d, rng);
-  const Svd s = thin_svd(a);
+  const Matrix a = svd_input(GetParam(), rng);
   const std::size_t r = std::min(n, d);
+  const Svd s = truncated_svd(a, r);
   ASSERT_EQ(s.rank(), r);
 
   // Reconstruction.
@@ -354,9 +367,9 @@ TEST_P(SvdProperty, ThinSvdAxioms) {
 }
 
 TEST_P(SvdProperty, PseudoinversePenroseAxioms) {
-  const auto [n, d] = GetParam();
+  const auto [n, d, rank] = GetParam();
   Rng rng = make_rng(77 * n + d);
-  const Matrix a = Matrix::gaussian(n, d, rng);
+  const Matrix a = svd_input(GetParam(), rng);
   const Matrix ap = pseudoinverse(a);
   EXPECT_EQ(ap.rows(), d);
   EXPECT_EQ(ap.cols(), n);
@@ -371,11 +384,14 @@ TEST_P(SvdProperty, PseudoinversePenroseAxioms) {
   EXPECT_LT(max_abs_diff(apa, apa.transposed()), 1e-8 * scale);
 }
 
+// The last two are rank 3, tall and wide: their zero sigma take the
+// orthonormalized fill-in, and the pseudoinverse must zero them.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SvdProperty,
     ::testing::Values(SvdShape{1, 1}, SvdShape{5, 5}, SvdShape{20, 5},
                       SvdShape{5, 20}, SvdShape{40, 17}, SvdShape{17, 40},
-                      SvdShape{64, 64}));
+                      SvdShape{64, 64}, SvdShape{30, 10, 3},
+                      SvdShape{10, 30, 3}));
 
 TEST(Svd, RankDeficientInput) {
   // Rank-1 matrix: outer product.
@@ -385,7 +401,7 @@ TEST(Svd, RankDeficientInput) {
       a(i, j) = static_cast<double>(i + 1) * static_cast<double>(j + 1);
     }
   }
-  const Svd s = thin_svd(a);
+  const Svd s = truncated_svd(a, 4);
   EXPECT_GT(s.sigma[0], 0.0);
   for (std::size_t j = 1; j < s.rank(); ++j) {
     EXPECT_LT(s.sigma[j], 1e-8 * s.sigma[0]);
@@ -400,34 +416,35 @@ TEST(Svd, RankDeficientInput) {
 TEST(Svd, TruncationKeepsTopComponents) {
   Rng rng = make_rng(5);
   const Matrix a = Matrix::gaussian(30, 10, rng);
-  const Svd full = thin_svd(a);
+  const std::vector<double> lambda =
+      eigen_symmetric_jacobi(matmul_at_b(a, a)).values;
   const Svd trunc = truncated_svd(a, 3);
   ASSERT_EQ(trunc.rank(), 3u);
   for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(trunc.sigma[j], full.sigma[j], 1e-10);
+    EXPECT_NEAR(trunc.sigma[j], std::sqrt(lambda[j]), 1e-10);
   }
   // Truncated reconstruction is the best rank-3 approximation: its error
   // equals the discarded energy (Eckart–Young).
   double tail = 0.0;
-  for (std::size_t j = 3; j < full.rank(); ++j) {
-    tail += full.sigma[j] * full.sigma[j];
-  }
+  for (std::size_t j = 3; j < lambda.size(); ++j) tail += lambda[j];
   const double err = subtract(trunc.reconstruct(), a).frobenius_norm();
   EXPECT_NEAR(err * err, tail, 1e-6 * (1.0 + tail));
 }
 
 TEST(Svd, EmptyMatrixRejected) {
-  EXPECT_THROW((void)thin_svd(Matrix()), precondition_error);
   EXPECT_THROW((void)truncated_svd(Matrix(), 2), precondition_error);
+  EXPECT_THROW((void)pseudoinverse(Matrix()), precondition_error);
 }
 
 // ---- Residual accuracy contracts for the top-t solvers --------------------
 //
 // One registered suite per solver, each run over the same named shapes:
-// the edge sizes, t = 1 and t = n, the n < d branch, rank deficiency
-// (zero sigma with fill-in columns), repeated eigenvalues and a graded
-// spectrum. Bounds are c·n·eps relative to the matrix's scale, the
-// backward error an exact-to-roundoff solver owes.
+// the edge sizes, t = 1 and t = n (below and above the blocked
+// crossover), the n < d branch, rank deficiency (zero sigma with fill-in
+// columns), repeated eigenvalues and a graded spectrum. Bounds are
+// c·n·eps relative to the matrix's scale, the backward error an
+// exact-to-roundoff solver owes. Reference values are the spectrum a
+// case constructs, else the Jacobi oracle's, computed once per case.
 
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 constexpr double kC = 16.0;
@@ -436,16 +453,23 @@ struct SpectrumCase {
   std::string name;
   Matrix a;       // truncated_svd input; eigen_symmetric_top gets gram(a)
   std::size_t t;
+  // gram(a)'s eigenvalues, descending, where the case constructs them.
+  std::vector<double> spectrum = {};
 };
 
 Matrix gram(const Matrix& a) {
   return a.cols() <= a.rows() ? matmul_at_b(a, a) : matmul_a_bt(a, a);
 }
 
+// A random orthogonal Q: the Gram eigenvectors of a Gaussian matrix.
+Matrix random_orthogonal(std::size_t n, Rng& rng) {
+  return truncated_svd(Matrix::gaussian(n, n, rng), n).v;
+}
+
 // Q diag(values) Qᵀ for a random orthogonal Q.
 Matrix rotated_diagonal(const std::vector<double>& values, Rng& rng) {
   const std::size_t n = values.size();
-  const Matrix q = thin_svd(Matrix::gaussian(n, n, rng)).u;
+  const Matrix q = random_orthogonal(n, rng);
   Matrix qd = q;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) qd(i, j) *= values[j];
@@ -469,21 +493,29 @@ const std::vector<SpectrumCase>& spectrum_cases() {
     const Matrix right = Matrix::gaussian(3, 10, rng);
     c.push_back({"rank_deficient", matmul(left, right), 6});
     c.push_back({"identity", Matrix::identity(10), 4});
+    // A rotated diagonal's Gram has the squares of its values.
+    const auto squares = [](std::vector<double> values) {
+      for (double& x : values) x *= x;
+      return values;
+    };
+    const std::vector<double> multiplicities{
+        4.0, 4.0, 4.0, 4.0, 4.0, 2.0, 2.0, 2.0, 1.0, 0.5, 0.25, 0.125};
     c.push_back({"multiplicities_5_and_3",
-                 rotated_diagonal({4.0, 4.0, 4.0, 4.0, 4.0, 2.0, 2.0, 2.0, 1.0,
-                                   0.5, 0.25, 0.125},
-                                  rng),
-                 9});
+                 rotated_diagonal(multiplicities, rng), 9,
+                 squares(multiplicities)});
     // 600 x 200 with singular values graded from 1 down to 1e-6.
-    const Matrix u = thin_svd(Matrix::gaussian(600, 200, rng)).u;
-    const Matrix v = thin_svd(Matrix::gaussian(200, 200, rng)).u;
+    const Matrix u = truncated_svd(Matrix::gaussian(600, 200, rng), 200).u;
+    const Matrix v = random_orthogonal(200, rng);
+    std::vector<double> graded(200);
+    for (std::size_t j = 0; j < graded.size(); ++j) {
+      graded[j] = std::pow(10.0, -6.0 * static_cast<double>(j) / 199.0);
+    }
     Matrix us = u;
     for (std::size_t i = 0; i < us.rows(); ++i) {
-      for (std::size_t j = 0; j < us.cols(); ++j) {
-        us(i, j) *= std::pow(10.0, -6.0 * static_cast<double>(j) / 199.0);
-      }
+      for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= graded[j];
     }
-    c.push_back({"graded_600x200", matmul_a_bt(us, v), 16});
+    c.push_back(
+        {"graded_600x200", matmul_a_bt(us, v), 16, squares(graded)});
     // Above 128 the top-t solver reduces in panels of 32 and takes the
     // eigenvalues by bisection. 129 is one one-column panel; 197 is
     // panels of 32, 32 and 5; at 320 the first panels' matvecs run on
@@ -509,8 +541,8 @@ const std::vector<SpectrumCase>& spectrum_cases() {
                     : j < 20 ? 3.0
                              : std::pow(10.0, -3.0 * (x - 20.0) / 279.0);
     }
-    c.push_back(
-        {"blocked_repeated_straddles_t", rotated_diagonal(repeated, rng), 16});
+    c.push_back({"blocked_repeated_straddles_t",
+                 rotated_diagonal(repeated, rng), 16, squares(repeated)});
     // Exact zero columns at the order values-only QL still handles: T
     // deflates by about ε per step into subnormals, so only an absolute
     // split term (LAPACK's safmin) lets QL converge.
@@ -525,6 +557,10 @@ const std::vector<SpectrumCase>& spectrum_cases() {
       c.push_back({"zero_cols_every_" + std::to_string(stride) + "th",
                    zero_cols, 16});
     }
+    // Every pair above the crossover, as eigen_symmetric asks: bisection
+    // for all 160 values, inverse iteration across the wide cluster of
+    // the spectrum's lower edge.
+    c.push_back({"blocked_t_is_n", Matrix::gaussian(200, 160, rng), 160});
     return c;
   }();
   return cases;
@@ -532,6 +568,23 @@ const std::vector<SpectrumCase>& spectrum_cases() {
 
 std::string case_name(const ::testing::TestParamInfo<std::size_t>& info) {
   return spectrum_cases()[info.param].name;
+}
+
+// gram(a)'s eigenvalues, descending: the case's own spectrum where it
+// constructs one, else the Jacobi oracle's, computed once per case for
+// both suites.
+const std::vector<double>& gram_spectrum(std::size_t i) {
+  static std::vector<std::vector<double>> oracle(spectrum_cases().size());
+  const SpectrumCase& c = spectrum_cases()[i];
+  if (!c.spectrum.empty()) return c.spectrum;
+  if (oracle[i].empty()) oracle[i] = eigen_symmetric_jacobi(gram(c.a)).values;
+  return oracle[i];
+}
+
+// truncated_svd reports sigma_j as an exact zero when the Gram's lambda_j
+// is at its noise floor, 32·eps·dim·lambda_1 for a dim x dim Gram.
+double zero_sigma_level(double lambda1, std::size_t dim) {
+  return 32.0 * kEps * static_cast<double>(dim) * lambda1;
 }
 
 // Largest |entry| of VᵀV - I over the first k columns of v.
@@ -563,19 +616,19 @@ TEST_P(EigenTopContract, ResidualOrthogonalityAndValues) {
   const Matrix g = gram(c.a);
   const std::size_t n = g.rows();
   const SymmetricEigen top = eigen_symmetric_top(g, c.t);
-  const SymmetricEigen full = eigen_symmetric(g);
+  const std::vector<double>& want = gram_spectrum(GetParam());
   ASSERT_EQ(top.values.size(), c.t);
   ASSERT_EQ(top.vectors.rows(), n);
   ASSERT_EQ(top.vectors.cols(), c.t);
 
   const double bound = kC * static_cast<double>(n) * kEps;
-  const double g_norm = std::max(std::fabs(full.values.front()),
-                                 std::fabs(full.values.back()));
+  const double g_norm =
+      std::max(std::fabs(want.front()), std::fabs(want.back()));
   for (std::size_t j = 0; j < c.t; ++j) {
     EXPECT_LE(column_residual(g, top.vectors, top.values[j], top.vectors, j),
               bound * g_norm)
         << "pair " << j;
-    EXPECT_NEAR(top.values[j], full.values[j], bound * g_norm) << "value " << j;
+    EXPECT_NEAR(top.values[j], want[j], bound * g_norm) << "value " << j;
     if (j > 0) {
       EXPECT_GE(top.values[j - 1], top.values[j]);
     }
@@ -594,7 +647,7 @@ TEST_P(TruncatedSvdContract, ResidualsOrthogonalityAndThreadInvariance) {
   const Matrix& a = c.a;
   const std::size_t k = std::min({c.t, a.rows(), a.cols()});
   const Svd s = truncated_svd(a, c.t);
-  const Svd thin = thin_svd(a);
+  const std::vector<double>& lambda = gram_spectrum(GetParam());
   ASSERT_EQ(s.rank(), k);
   ASSERT_EQ(s.u.rows(), a.rows());
   ASSERT_EQ(s.u.cols(), k);
@@ -605,17 +658,18 @@ TEST_P(TruncatedSvdContract, ResidualsOrthogonalityAndThreadInvariance) {
   // so the singular-vector residuals scale with sigma_1 / sigma_j.
   const double bound =
       kC * static_cast<double>(std::max(a.rows(), a.cols())) * kEps;
-  const double s1 = thin.sigma.front();
+  const double s1 = std::sqrt(lambda.front());
+  const double zero_level =
+      zero_sigma_level(lambda.front(), std::min(a.rows(), a.cols()));
   double kappa_max = 1.0;  // sigma_1 over the smallest nonzero sigma
   for (std::size_t j = 0; j < k; ++j) {
     EXPECT_GE(s.sigma[j], 0.0);
     if (j > 0) {
       EXPECT_GE(s.sigma[j - 1], s.sigma[j]);
     }
-    EXPECT_NEAR(s.sigma[j] * s.sigma[j], thin.sigma[j] * thin.sigma[j],
-                bound * s1 * s1)
+    EXPECT_NEAR(s.sigma[j] * s.sigma[j], lambda[j], bound * s1 * s1)
         << "sigma " << j;
-    EXPECT_EQ(s.sigma[j] == 0.0, thin.sigma[j] == 0.0) << "sigma " << j;
+    EXPECT_EQ(s.sigma[j] == 0.0, lambda[j] <= zero_level) << "sigma " << j;
     if (s.sigma[j] == 0.0) continue;
     const double kappa = s1 / s.sigma[j];
     kappa_max = kappa;
@@ -625,8 +679,8 @@ TEST_P(TruncatedSvdContract, ResidualsOrthogonalityAndThreadInvariance) {
               bound * s1 * kappa)
         << "A^T u - sigma v, " << j;
   }
-  // Zero sigma keeps thin_svd's orthonormalized fill-in, so every column
-  // is held to the bound.
+  // Zero sigma get orthonormalized fill-in columns, so every column is
+  // held to the bound.
   const double orth_bound = bound * kappa_max * kappa_max;
   EXPECT_LE(orthogonality_error(s.u, k), orth_bound);
   EXPECT_LE(orthogonality_error(s.v, k), orth_bound);
