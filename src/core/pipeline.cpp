@@ -98,6 +98,7 @@ Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
                           const PipelineConfig& cfg) {
   const std::size_t k = centers.rows();
   const std::size_t d = centers.cols();
+  const RoundPolicy& policy = net.round_policy();
   // Shard points never change across refine rounds; norms hoisted.
   std::vector<std::vector<double>> shard_norms(parts.size());
   for (std::size_t i = 0; i < parts.size(); ++i) {
@@ -110,7 +111,7 @@ Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
     // Each refine iteration is one deadline-driven collection round:
     // stragglers' sufficient statistics are left out, and the center
     // update divides by the responding mass only (FedAvg-style).
-    const RoundId round = net.open_round(cfg.round_deadline_s);
+    const RoundId round = net.open_round(policy.deadline_s);
     Matrix sums(k, d);
     std::vector<double> mass(k, 0.0);
     std::vector<char> sent(parts.size(), 0);
@@ -159,7 +160,7 @@ Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
         mass[c] += src[d];
       }
     }
-    enforce_availability_floor(responders, cfg.min_round_responders,
+    enforce_availability_floor(responders, policy.min_responders,
                                "refine round", net.rounds_opened());
     for (std::size_t c = 0; c < k; ++c) {
       if (mass[c] > 0.0) {
@@ -180,6 +181,17 @@ FssOptions fss_options(const PipelineConfig& cfg, double stage_epsilon) {
   fo.sample_size = cfg.coreset_size;
   fo.intrinsic_dim = cfg.pca_dim;
   return fo;
+}
+
+BklwOptions bklw_options(const PipelineConfig& cfg, double stage_epsilon) {
+  BklwOptions bo;
+  bo.k = cfg.k;
+  bo.epsilon = stage_epsilon;
+  bo.delta = cfg.delta;
+  bo.intrinsic_dim = cfg.pca_dim;
+  bo.total_samples = cfg.coreset_size;
+  bo.significant_bits = cfg.significant_bits;
+  return bo;
 }
 
 PipelineResult finish_single_source(Coreset summary, Fabric& net,
@@ -395,7 +407,8 @@ PipelineResult run_distributed_pipeline(PipelineKind kind,
 
   switch (kind) {
     case PipelineKind::kNoReduction: {
-      const RoundId round = net.open_round(cfg.round_deadline_s);
+      const RoundPolicy& policy = net.round_policy();
+      const RoundId round = net.open_round(policy.deadline_s);
       const bool qt = cfg.significant_bits < kDoubleSignificandBits;
       for (std::size_t i = 0; i < parts.size(); ++i) {
         // Without QT the shard is encoded where it lies.
@@ -425,7 +438,7 @@ PipelineResult run_distributed_pipeline(PipelineKind kind,
                             std::to_string(d));
         shards.emplace_back(std::move(part));
       }
-      enforce_availability_floor(responders, cfg.min_round_responders,
+      enforce_availability_floor(responders, policy.min_responders,
                                  "NR round", net.rounds_opened());
       EKM_ENSURES_MSG(!shards.empty(),
                       "no data source delivered before the round deadline");
@@ -441,20 +454,8 @@ PipelineResult run_distributed_pipeline(PipelineKind kind,
 
     case PipelineKind::kBklw: {
       const double eps = epsilon_for_bklw(cfg.epsilon);
-      BklwOptions opts;
-      opts.k = cfg.k;
-      opts.epsilon = eps;
-      opts.delta = cfg.delta;
-      opts.intrinsic_dim = cfg.pca_dim;
-      opts.total_samples = cfg.coreset_size;
-      opts.significant_bits = cfg.significant_bits;
-      opts.quant = cfg.quant_policy;
-      opts.round_deadline_s = cfg.round_deadline_s;
-      opts.min_responders = cfg.min_round_responders;
-      opts.reallocate = cfg.reallocate_budget;
-      opts.realloc_reserve = cfg.realloc_reserve;
-      opts.pipeline = cfg.pipeline_rounds;
-      Coreset cs = bklw_coreset(parts, opts, net, device_work, cfg.seed);
+      Coreset cs = bklw_coreset(parts, bklw_options(cfg, eps), net,
+                                device_work, cfg.seed);
       // QT on the server-held coreset is a no-op for communication (the
       // billing happened inside disSS); the points were quantized by each
       // source pre-transmission, which we reproduce here for the cost:
@@ -489,20 +490,8 @@ PipelineResult run_distributed_pipeline(PipelineKind kind,
         auto scope = device_work.measure();
         projected[i] = pi1.apply(parts[i]);
       }
-      BklwOptions opts;
-      opts.k = cfg.k;
-      opts.epsilon = eps;
-      opts.delta = cfg.delta;
-      opts.intrinsic_dim = cfg.pca_dim;
-      opts.total_samples = cfg.coreset_size;
-      opts.significant_bits = cfg.significant_bits;
-      opts.quant = cfg.quant_policy;
-      opts.round_deadline_s = cfg.round_deadline_s;
-      opts.min_responders = cfg.min_round_responders;
-      opts.reallocate = cfg.reallocate_budget;
-      opts.realloc_reserve = cfg.realloc_reserve;
-      opts.pipeline = cfg.pipeline_rounds;
-      Coreset cs = bklw_coreset(projected, opts, net, device_work, cfg.seed);
+      Coreset cs = bklw_coreset(projected, bklw_options(cfg, eps), net,
+                                device_work, cfg.seed);
       if (cfg.significant_bits < kDoubleSignificandBits) {
         quantize_points(cs, cfg.significant_bits);
       }

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 
@@ -29,7 +28,6 @@
 #include "kmeans/lloyd.hpp"
 #include "linalg/matrix.hpp"
 #include "net/channel.hpp"
-#include "qt/policy.hpp"
 
 namespace ekm {
 
@@ -54,12 +52,6 @@ struct PipelineConfig {
   double delta = 0.1;
   std::uint64_t seed = 1;  ///< master seed; also the shared JL seed
   int significant_bits = 52;  ///< QT setting (52 = off)
-  /// Per-frame quantization policy (qt/policy.hpp; scenario key
-  /// `quant=`): kAdaptive lets a site narrow a coreset frame below
-  /// `significant_bits` when the remaining round budget cannot carry
-  /// the full width — graceful degradation instead of a deadline miss.
-  /// kFixed (the default) is the paper's §6 billing, bit for bit.
-  QuantPolicy quant_policy = QuantPolicy::kFixed;
 
   /// Overrides (0 = derive from k/ε/δ per the paper's formulas). The
   /// experiments in §7 tune these so all algorithms land at similar
@@ -73,46 +65,6 @@ struct PipelineConfig {
   /// Server-side weighted k-means solver settings (k is taken from `k`).
   int solver_restarts = 5;
   int solver_max_iters = 100;
-
-  /// Deadline-driven rounds (src/sim/round_policy.hpp): each collection
-  /// round of a distributed pipeline gets this wall-clock budget on the
-  /// fabric's virtual clock; sites whose uplink has not delivered by
-  /// the deadline are dropped from that round and the server
-  /// aggregates over the partial responder set. Infinity (the default)
-  /// reproduces the paper's wait-for-everyone protocol bit for bit.
-  /// Only a time-aware Fabric (SimNetwork) can actually miss a
-  /// deadline; over the synchronous Network this is a no-op.
-  double round_deadline_s = std::numeric_limits<double>::infinity();
-  /// Availability floor: a collection round that leaves fewer
-  /// responding sites than this throws instead of aggregating a
-  /// degenerate summary.
-  std::size_t min_round_responders = 1;
-  /// Deadline-aware budget reallocation (disSS step 4b): when a site
-  /// misses the summary round, re-split its sample allocation among
-  /// the responders in a second within-round wave so the server's
-  /// coreset keeps ≈ the full sample budget. A round with no misses
-  /// never opens a wave, so this cannot perturb fault-free or
-  /// infinite-deadline runs. Scenario key `realloc=` can veto it.
-  bool reallocate_budget = true;
-  /// Fraction of a finite round budget reserved for the wave (see
-  /// RoundPolicy::realloc_reserve). 0 (the default) keeps finite-
-  /// deadline rounds exactly PR 3-shaped — the wave then only acts on
-  /// unbounded rounds; the scenario (`realloc-reserve=`, or the
-  /// deadline-fleet preset) schedules a positive reserve explicitly.
-  double realloc_reserve = 0.0;
-  /// Cross-round pipelining (RoundPolicy::pipeline; scenario key
-  /// `pipeline=`, CLI `--pipeline`). Two coupled changes: the task
-  /// graphs let round r+1 depend only on round r's *committed* merge
-  /// barrier (instead of every collect of round r), and the SimNetwork
-  /// fires sender-side predicted-arrival NAKs so that barrier commits
-  /// the moment each straggler's miss is provable — round r+1's
-  /// broadcast then rides the fabric while round r's stragglers
-  /// resolve, tracked per round in SimNetwork's RoundContext table.
-  /// Barriers never speculate, so fault-free and infinite-deadline
-  /// runs stay bitwise identical with this on or off; straggler fleets
-  /// keep identical centers/ledgers/energy with strictly earlier
-  /// server completion. Default off = PR 8's round-serial timing.
-  bool pipeline_rounds = false;
 
   /// Optional flight recorder (src/obs/; non-owning, may be null = the
   /// default). The Coordinator attaches it to the SimNetwork it builds,

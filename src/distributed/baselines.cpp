@@ -54,12 +54,13 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
   }
   EKM_EXPECTS_MSG(d > 0, "all sources empty");
   const std::size_t k = opts.k;
+  const RoundPolicy& policy = net.round_policy();
 
   // Seeding round: every source uplinks k weight-proportional local
   // samples; the server keeps k of them at random. Like every
   // collection round here, it is deadline-bounded: late candidates are
   // simply not in the draw.
-  const RoundId seed_round = net.open_round(opts.round_deadline_s);
+  const RoundId seed_round = net.open_round(policy.deadline_s);
   Matrix candidates;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     Matrix local(0, d);
@@ -85,7 +86,7 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
     const Matrix local = decode_matrix(*frame);
     if (local.rows() > 0) candidates.append_rows(local);
   }
-  enforce_availability_floor(seed_responders, opts.min_responders,
+  enforce_availability_floor(seed_responders, policy.min_responders,
                              "seeding round", net.rounds_opened());
   EKM_ENSURES(candidates.rows() >= 1);
   Rng server_rng = make_rng(opts.seed, 0x5eedULL);
@@ -108,7 +109,7 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
     for (std::size_t i = 0; i < parts.size(); ++i) {
       net.downlink(i).send(encode_matrix(centers));
     }
-    const RoundId rid = net.open_round(opts.round_deadline_s);
+    const RoundId rid = net.open_round(policy.deadline_s);
     Matrix sums(k, d);
     std::vector<double> mass(k, 0.0);
     double round_cost = 0.0;
@@ -143,7 +144,7 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
         round_cost += row[d + 1];
       }
     }
-    enforce_availability_floor(responders, opts.min_responders, "Lloyd round",
+    enforce_availability_floor(responders, policy.min_responders, "Lloyd round",
                                net.rounds_opened());
     for (std::size_t c = 0; c < centers.rows(); ++c) {
       if (mass[c] > 0.0) {
@@ -177,7 +178,8 @@ DistributedBaselineResult mapreduce_kmeans(std::span<const Dataset> parts,
   EKM_EXPECTS_MSG(d > 0, "all sources empty");
 
   // Map: local k-means; uplink k centers + k cluster masses.
-  const RoundId round = net.open_round(opts.round_deadline_s);
+  const RoundPolicy& policy = net.round_policy();
+  const RoundId round = net.open_round(policy.deadline_s);
   for (std::size_t i = 0; i < parts.size(); ++i) {
     Matrix payload(0, d + 1);
     if (!parts[i].empty()) {
@@ -219,7 +221,7 @@ DistributedBaselineResult mapreduce_kmeans(std::span<const Dataset> parts,
       all_mass.push_back(payload(c, d));
     }
   }
-  enforce_availability_floor(responders, opts.min_responders, "map round",
+  enforce_availability_floor(responders, policy.min_responders, "map round",
                              net.rounds_opened());
   EKM_ENSURES(all_centers.rows() >= 1);
   KMeansOptions reduce;

@@ -36,12 +36,6 @@ struct DistributedLloydOptions {
   int max_rounds = 50;
   double rel_tol = 1e-6;  ///< stop when the global cost improves less
   std::uint64_t seed = 42;
-
-  /// Per-round deadline: stragglers' sufficient statistics are dropped
-  /// and the center update averages over the responders (the FedAvg
-  /// straggler-dropping model). Infinity = synchronous rounds.
-  double round_deadline_s = kNoDeadline;
-  std::size_t min_responders = 1;  ///< fewer responders than this throws
 };
 
 struct DistributedBaselineResult {
@@ -51,7 +45,11 @@ struct DistributedBaselineResult {
 };
 
 /// Federated-style synchronous distributed Lloyd. Seeds with a
-/// weight-proportional sample gathered in one extra round.
+/// weight-proportional sample gathered in one extra round. Every round
+/// follows net.round_policy(): under a deadline, stragglers' sufficient
+/// statistics are dropped and the center update averages over the
+/// responders (the FedAvg straggler-dropping model); fewer responders
+/// than its floor throws.
 [[nodiscard]] DistributedBaselineResult distributed_lloyd(
     std::span<const Dataset> parts, const DistributedLloydOptions& opts,
     Fabric& net, Stopwatch& device_work);
@@ -60,14 +58,11 @@ struct MapReduceOptions {
   std::size_t k = 2;
   int local_restarts = 3;
   std::uint64_t seed = 42;
-
-  /// Deadline for the single map round; late local solutions are left
-  /// out of the reduce. Infinity = wait for everyone.
-  double round_deadline_s = kNoDeadline;
-  std::size_t min_responders = 1;  ///< fewer responders than this throws
 };
 
-/// One-shot local-solve + merge ([28]-style).
+/// One-shot local-solve + merge ([28]-style). The map round follows
+/// net.round_policy(): late local solutions are left out of the reduce,
+/// and fewer responders than its floor throws.
 [[nodiscard]] DistributedBaselineResult mapreduce_kmeans(
     std::span<const Dataset> parts, const MapReduceOptions& opts, Fabric& net,
     Stopwatch& device_work);

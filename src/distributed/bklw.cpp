@@ -55,8 +55,6 @@ Coreset bklw_coreset(std::span<const Dataset> parts, const BklwOptions& opts,
                             : fss_intrinsic_dim(opts.k, opts.epsilon, n_total, d);
   popts.t1 = t;
   popts.t2 = t;
-  popts.round_deadline_s = opts.round_deadline_s;
-  popts.min_responders = opts.min_responders;
   const DisPcaResult pca = dispca(parts, popts, net, device_work);
 
   // --- each source projects locally: coords_i = A_i V (n_i x t2). ---
@@ -111,12 +109,6 @@ Coreset bklw_coreset(std::span<const Dataset> parts, const BklwOptions& opts,
           : disss_sample_size(opts.k, opts.epsilon, opts.delta, parts.size(),
                               n_total);
   sopts.significant_bits = opts.significant_bits;
-  sopts.quant = opts.quant;
-  sopts.round_deadline_s = opts.round_deadline_s;
-  sopts.min_responders = opts.min_responders;
-  sopts.reallocate = opts.reallocate;
-  sopts.realloc_reserve = opts.realloc_reserve;
-  sopts.pipeline = opts.pipeline;
   Coreset coreset = disss(projected, sopts, net, device_work, seed);
 
   coreset.delta = 0.0;

@@ -16,7 +16,6 @@
 #include "cr/coreset.hpp"
 #include "data/dataset.hpp"
 #include "net/channel.hpp"
-#include "qt/policy.hpp"
 
 namespace ekm {
 
@@ -27,35 +26,16 @@ struct BklwOptions {
   std::size_t intrinsic_dim = 0;   ///< 0 => k + ceil(4k/ε²) - 1
   std::size_t total_samples = 0;   ///< 0 => disss_sample_size(...)
   int significant_bits = 52;       ///< QT billing for coreset points
-  /// Forwarded to DisSsOptions::quant: per-frame quantization policy
-  /// (qt/policy.hpp) for the coreset uplinks under a finite deadline.
-  QuantPolicy quant = QuantPolicy::kFixed;
-
-  /// Per-collection-round deadline, forwarded to disPCA and disSS (each
-  /// of the three rounds gets the same budget). A source dropped from
-  /// the disPCA round may still rejoin disSS: the merged basis is
-  /// broadcast to every site. Infinity = wait for everyone.
-  double round_deadline_s = kNoDeadline;
-  /// Minimum sources that must make each round; fewer throws.
-  std::size_t min_responders = 1;
-  /// Forwarded to DisSsOptions::reallocate: re-split a summary-round
-  /// dropout's sample allocation among the responders inside the same
-  /// round (disSS step 4b) instead of shrinking the coreset.
-  bool reallocate = true;
-  /// Forwarded to DisSsOptions::realloc_reserve (0 = no first-wave
-  /// sub-deadline; finite-deadline rounds then skip the wave).
-  double realloc_reserve = 0.0;
-  /// Forwarded to DisSsOptions::pipeline: cross-round task-graph edges
-  /// (disSS's summary round opens on the cost round's committed
-  /// barrier instead of its broadcasts).
-  bool pipeline = false;
 };
 
 /// Runs the BKLW coreset construction over `parts` through `net`. The
 /// result has `basis` set to the merged principal basis (t2 x d) and
 /// Δ = 0, matching the paper's output (S, 0, w) — the Theorem 5.1 offset
 /// exists but is an unknown constant that cancels in the argmin.
-/// Source-side work accumulates into `device_work`.
+/// Source-side work accumulates into `device_work`. All three
+/// collection rounds (disPCA's, disSS's cost and summary rounds) follow
+/// net.round_policy(); a source dropped from the disPCA round may still
+/// rejoin disSS, since the merged basis is broadcast to every site.
 [[nodiscard]] Coreset bklw_coreset(std::span<const Dataset> parts,
                                    const BklwOptions& opts, Fabric& net,
                                    Stopwatch& device_work, std::uint64_t seed);

@@ -63,6 +63,7 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
   // Shared round state, written by the tasks below in dependency order.
   // (Everything a task lambda captures must live here, at function
   // scope — the graph runs long after any inner block has closed.)
+  const RoundPolicy& policy = net.round_policy();
   RoundId round = kNoRound;
   std::vector<Matrix> sigma(m);  // 1 x t1 each
   std::vector<Matrix> v(m);      // d x t1 each
@@ -76,7 +77,7 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
   // cancel retransmissions that would outlive the deadline.
   const TaskId open = graph.add(
       {TaskKind::kBarrier, kServerActor, "disPCA/open-round",
-       [&] { round = net.open_round(opts.round_deadline_s); },
+       [&] { round = net.open_round(policy.deadline_s); },
        {}});
 
   // --- data sources: local SVD, uplink (Σ^(t1), V^(t1)). ---
@@ -139,7 +140,7 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
   const TaskId merge = graph.add(
       {TaskKind::kBarrier, kServerActor, "disPCA/merge-basis",
        [&] {
-         enforce_availability_floor(responders, opts.min_responders,
+         enforce_availability_floor(responders, policy.min_responders,
                                     "disPCA round", net.rounds_opened());
          EKM_ENSURES_MSG(y.rows() > 0,
                          "all sources empty or dropped at the deadline");

@@ -21,13 +21,6 @@ namespace ekm {
 struct DisPcaOptions {
   std::size_t t1 = 8;  ///< components each source uplinks
   std::size_t t2 = 8;  ///< components of the merged subspace
-
-  /// Deadline budget for the collection round (Fabric::open_round);
-  /// sources whose (Σ, V) uplink misses it are left out of the merged
-  /// subspace. Infinity = the paper's wait-for-everyone round.
-  double round_deadline_s = kNoDeadline;
-  /// Minimum sources that must make the round; fewer throws.
-  std::size_t min_responders = 1;
 };
 
 struct DisPcaResult {
@@ -37,7 +30,10 @@ struct DisPcaResult {
 /// Runs disPCA over `parts` (one Dataset per source) through `net`.
 /// Source-side computation (the local SVDs) is accumulated into
 /// `device_work`; the server-side merge is not. The resulting basis is
-/// also pushed down every downlink, mirroring the real protocol.
+/// also pushed down every downlink, mirroring the real protocol. The
+/// collection round follows net.round_policy(): sources whose (Σ, V)
+/// uplink misses its deadline are left out of the merged subspace, and
+/// fewer than its min_responders throws.
 [[nodiscard]] DisPcaResult dispca(std::span<const Dataset> parts,
                                   const DisPcaOptions& opts, Fabric& net,
                                   Stopwatch& device_work);

@@ -132,8 +132,9 @@ Dataset coreset_from_picks(const Dataset& p, const Matrix& xi,
 /// bits (below that the width savings are marginal — 12 header bits
 /// dominate — and the frame ships at 8 even when it still cannot fit).
 int pick_significant_bits(const Coreset& cs, const DisSsOptions& opts,
-                          Fabric& net, std::size_t i, double deadline) {
-  if (opts.quant != QuantPolicy::kAdaptive || !std::isfinite(deadline)) {
+                          QuantPolicy quant, Fabric& net, std::size_t i,
+                          double deadline) {
+  if (quant != QuantPolicy::kAdaptive || !std::isfinite(deadline)) {
     return opts.significant_bits;
   }
   const double budget = deadline - net.site_time(i);
@@ -170,8 +171,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   EKM_EXPECTS(!parts.empty());
   EKM_EXPECTS(parts.size() == net.num_sources());
   EKM_EXPECTS(opts.total_samples >= parts.size());
-  EKM_EXPECTS_MSG(opts.realloc_reserve >= 0.0 && opts.realloc_reserve < 1.0,
-                  "realloc_reserve must be in [0, 1)");
+  const RoundPolicy& policy = net.round_policy();
   const std::size_t m = parts.size();
   std::size_t d = 0;
   for (const Dataset& p : parts) {
@@ -199,20 +199,20 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   std::size_t summary_responders = 0;
   Coreset merged;
 
-  // The wave schedule is a pure function of the options (see the
+  // The wave schedule is a pure function of the round policy (see the
   // summary-round open task below for the timing rationale).
   const bool reserve_scheduled =
-      std::isfinite(opts.round_deadline_s) && opts.realloc_reserve > 0.0;
+      std::isfinite(policy.deadline_s) && policy.realloc_reserve > 0.0;
   const bool realloc_armed =
-      opts.reallocate &&
-      (!std::isfinite(opts.round_deadline_s) || reserve_scheduled);
+      policy.reallocate &&
+      (!std::isfinite(policy.deadline_s) || reserve_scheduled);
 
   TaskGraph graph;
 
   // --- step 1: local bicriteria solutions, uplink local costs. ---
   const TaskId cost_open = graph.add(
       {TaskKind::kBarrier, kServerActor, "disSS/open-cost-round",
-       [&] { cost_round = net.open_round(opts.round_deadline_s); },
+       [&] { cost_round = net.open_round(policy.deadline_s); },
        {}});
   std::vector<TaskId> cost_uplinks(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -261,7 +261,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   const TaskId budget_split = graph.add(
       {TaskKind::kBarrier, kServerActor, "disSS/budget-split",
        [&] {
-         enforce_availability_floor(cost_responders, opts.min_responders,
+         enforce_availability_floor(cost_responders, policy.min_responders,
                                     "disSS cost round", net.rounds_opened());
        },
        cost_collects});
@@ -299,11 +299,11 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   // runs on the protocol thread; only the bicriteria solves above run
   // as computes, side by side.
   const std::vector<TaskId> summary_open_deps =
-      opts.pipeline ? std::vector<TaskId>{budget_split} : alloc_broadcasts;
+      policy.pipeline ? std::vector<TaskId>{budget_split} : alloc_broadcasts;
   const TaskId summary_open = graph.add(
       {TaskKind::kBarrier, kServerActor, "disSS/open-summary-round",
        [&] {
-         summary_round = net.open_round(opts.round_deadline_s);
+         summary_round = net.open_round(policy.deadline_s);
          summary_deadline = net.round_cutoff(summary_round);
          // The server only learns who missed a finite round when the
          // collection deadline passes, so a wave opened at the round
@@ -319,15 +319,15 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
          // transmissions against the *round* cutoff either way — the
          // wave split is the server's internal affair.)
          wave1_deadline =
-             opts.reallocate && reserve_scheduled
-                 ? summary_deadline - opts.realloc_reserve * opts.round_deadline_s
+             policy.reallocate && reserve_scheduled
+                 ? summary_deadline - policy.realloc_reserve * policy.deadline_s
                  : summary_deadline;
        },
        summary_open_deps});
   std::vector<TaskId> summary_uplinks(m);
   for (std::size_t i = 0; i < m; ++i) {
     const std::vector<TaskId> sample_deps =
-        opts.pipeline ? std::vector<TaskId>{summary_open, alloc_broadcasts[i]}
+        policy.pipeline ? std::vector<TaskId>{summary_open, alloc_broadcasts[i]}
                       : std::vector<TaskId>{summary_open};
     summary_uplinks[i] = graph.add(
         {TaskKind::kUplink, i, "disSS/sample+uplink",
@@ -380,8 +380,8 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
            // points are quantized on-device (billed as device work);
            // the server's re-check at the configured width is exact
            // because s-bit values are representable at every width >= s.
-           const int wire_s =
-               pick_significant_bits(local, opts, net, i, summary_deadline);
+           const int wire_s = pick_significant_bits(
+               local, opts, policy.quant, net, i, summary_deadline);
            // The committed width is an observability signal (the
            // "graceful degradation" column): note it on the recorder,
            // if one rides the fabric. Reads only, after the decision.
@@ -485,7 +485,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
          // delivers a supplement is still one site) and never
          // decrements it (a responder whose supplement misses keeps its
          // first-wave coreset).
-         enforce_availability_floor(summary_responders, opts.min_responders,
+         enforce_availability_floor(summary_responders, policy.min_responders,
                                     "disSS summary round",
                                     net.rounds_opened());
          if (!realloc_armed) {
@@ -576,7 +576,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
                                            total_cost, opts.total_samples);
                   }
                   const int wire_s = pick_significant_bits(
-                      supplement, opts, net, i, wave.deadline);
+                      supplement, opts, policy.quant, net, i, wave.deadline);
                   if (Recorder* rec = net.recorder()) {
                     rec->note_quant_width(i, wire_s, opts.significant_bits);
                   }

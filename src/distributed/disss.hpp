@@ -19,7 +19,6 @@
 #include "data/dataset.hpp"
 #include "kmeans/bicriteria.hpp"
 #include "net/channel.hpp"
-#include "qt/policy.hpp"
 
 namespace ekm {
 
@@ -30,62 +29,26 @@ struct DisSsOptions {
   /// Billing width for uplinked coreset points (12 + s bits when a
   /// quantizer with s significand bits runs before transmission).
   int significant_bits = 52;
-  /// Graceful degradation (qt/policy.hpp): with kAdaptive, a site about
-  /// to uplink its coreset under a finite round deadline narrows the
-  /// frame below `significant_bits` when the full-width airtime cannot
-  /// fit the remaining round budget — the frame shrinks instead of
-  /// expiring. kFixed (the default) always ships the configured width.
-  QuantPolicy quant = QuantPolicy::kFixed;
-
-  /// Deadline budget per collection round (the cost round and the
-  /// summary round each get one). A source that misses the cost round
-  /// is NAK'd out of the whole construction; a source that reported a
-  /// cost but misses the summary round loses only its sample mass —
-  /// the budget and weights are normalized over the cost-round
-  /// responders either way. Infinity = wait for everyone.
-  double round_deadline_s = kNoDeadline;
-  /// Minimum sources that must make each round; fewer throws. Counted
-  /// over distinct sites — the reallocation wave neither adds to nor
-  /// subtracts from a round's responder count.
-  std::size_t min_responders = 1;
-  /// Deadline-aware budget reallocation (step 4b): when a source that
-  /// was allocated samples misses the summary round, re-split its
-  /// allocation ∝ cost among the responders in a second within-round
-  /// wave (each extends its sample and uplinks a replacement coreset
-  /// under the same round cutoff). The union then carries ≈ the full
-  /// `total_samples` budget instead of shrinking with every dropped
-  /// site; per-shard mass is unchanged either way. A round with no
-  /// misses never opens a wave, so fault-free runs are bitwise
-  /// identical with this on or off.
-  bool reallocate = true;
-  /// Fraction of a *finite* round budget reserved for the wave: the
-  /// server collects first-wave summaries by `deadline − reserve ×
-  /// budget` and spends the reserve on the reallocation wave. A wave
-  /// opened at the round cutoff could never complete — the server
-  /// only learns who missed when the deadline passes — so reallocation
-  /// under a finite deadline necessarily trades first-wave waiting
-  /// time for budget conservation (a site that would have arrived
-  /// inside the reserve window is dropped and its budget re-split).
-  /// 0 (the default) schedules no reserve: finite-deadline rounds then
-  /// collect at the full deadline, bit-identical to PR 3, and skip the
-  /// wave (it could never deliver). Ignored when the deadline is
-  /// infinite: there the server learns of a miss the moment the
-  /// sender gives up, and the wave is unbounded.
-  double realloc_reserve = 0.0;
-  /// Cross-round pipelining (RoundPolicy::pipeline): the summary
-  /// round's open barrier depends only on the cost round's *committed*
-  /// budget-split barrier, and each site's sample task on its own
-  /// allocation broadcast — so on a time-aware fabric the summary
-  /// round opens (and its downlink allocations ride) while the cost
-  /// round's stragglers still resolve under their own RoundContext.
-  /// Task creation order is unchanged, so runs that never miss are
-  /// bitwise identical with this on or off.
-  bool pipeline = false;
 };
 
 /// Runs disSS over `parts` through `net`; returns the server-side coreset
 /// (no Δ, no basis — BKLW attaches the basis semantics). Source-side work
 /// accumulates into `device_work`. Source i uses RNG stream i of `seed`.
+///
+/// The cost round and the summary round follow net.round_policy()
+/// (src/sim/round_policy.hpp). A source that misses the cost round is
+/// NAK'd out of the whole construction; a source that reported a cost
+/// but misses the summary round loses only its sample mass — the
+/// budget and weights are normalized over the cost-round responders
+/// either way. With `reallocate` on, the lost allocation is re-split
+/// ∝ cost among the responders in a second within-round wave (step
+/// 4b), so the union keeps ≈ the full `total_samples` budget; under a
+/// finite deadline the wave runs only when `realloc_reserve` schedules
+/// a share of the round for it. `pipeline` opens the summary round on
+/// the cost round's committed budget-split barrier, and `quant`
+/// (kAdaptive) narrows a coreset frame whose full-width airtime cannot
+/// fit the remaining round budget. A round with no misses never opens
+/// a wave.
 [[nodiscard]] Coreset disss(std::span<const Dataset> parts,
                             const DisSsOptions& opts, Fabric& net,
                             Stopwatch& device_work, std::uint64_t seed);

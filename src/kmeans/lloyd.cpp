@@ -303,74 +303,4 @@ KMeansResult kmeans(const Dataset& data, const KMeansOptions& opts) {
   return best;
 }
 
-KMeansResult kmeans_brute_force(const Dataset& data, std::size_t k) {
-  EKM_EXPECTS(k >= 1 && !data.empty());
-  const std::size_t n = data.size();
-  const std::size_t d = data.dim();
-  double combos = std::pow(static_cast<double>(k), static_cast<double>(n));
-  EKM_EXPECTS_MSG(combos <= double(1 << 22), "instance too large for brute force");
-
-  std::vector<std::size_t> assign(n, 0);
-  std::vector<std::size_t> best_assign;
-  double best_cost = std::numeric_limits<double>::infinity();
-
-  // Enumerate all k^n assignments via an odometer.
-  while (true) {
-    // Centroids of the current assignment.
-    Matrix centers(k, d);
-    std::vector<double> w(k, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      w[assign[i]] += data.weight(i);
-      auto p = data.point(i);
-      auto c = centers.row(assign[i]);
-      for (std::size_t j = 0; j < d; ++j) c[j] += data.weight(i) * p[j];
-    }
-    bool feasible = true;
-    for (std::size_t c = 0; c < k; ++c) {
-      if (w[c] > 0.0) {
-        auto row = centers.row(c);
-        for (std::size_t j = 0; j < d; ++j) row[j] /= w[c];
-      }
-    }
-    if (feasible) {
-      double cost = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        cost +=
-            data.weight(i) * squared_distance(data.point(i), centers.row(assign[i]));
-      }
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_assign = assign;
-      }
-    }
-    // Advance odometer.
-    std::size_t pos = 0;
-    while (pos < n && ++assign[pos] == k) {
-      assign[pos] = 0;
-      ++pos;
-    }
-    if (pos == n) break;
-  }
-
-  // Rebuild the optimal centers from the best assignment.
-  KMeansResult res;
-  res.assignment = best_assign;
-  res.cost = best_cost;
-  res.centers = Matrix(k, d);
-  std::vector<double> w(k, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    w[best_assign[i]] += data.weight(i);
-    auto p = data.point(i);
-    auto c = res.centers.row(best_assign[i]);
-    for (std::size_t j = 0; j < d; ++j) c[j] += data.weight(i) * p[j];
-  }
-  for (std::size_t c = 0; c < k; ++c) {
-    if (w[c] > 0.0) {
-      auto row = res.centers.row(c);
-      for (std::size_t j = 0; j < d; ++j) row[j] /= w[c];
-    }
-  }
-  return res;
-}
-
 }  // namespace ekm

@@ -58,8 +58,4 @@ struct KMeansResult {
 /// a center on every point (zero cost).
 [[nodiscard]] KMeansResult kmeans(const Dataset& data, const KMeansOptions& opts);
 
-/// Exhaustive-search optimum for tiny instances (k^n assignments).
-/// Test oracle only; requires k^n <= 2^22 or so — enforced via EKM_EXPECTS.
-[[nodiscard]] KMeansResult kmeans_brute_force(const Dataset& data, std::size_t k);
-
 }  // namespace ekm

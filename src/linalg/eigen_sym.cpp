@@ -359,6 +359,25 @@ void reduce_panel(Matrix& w, std::size_t k0, std::size_t nb,
                  w.row_ptr(r0) + r0, n);
 }
 
+// dsyevx's range for the largest |w_ij|, [√(safmin/ε), min(√(ε/safmin),
+// safmin^(-1/4))]: inside it the reduction, bisection and inverse
+// iteration neither overflow nor lose the small values to underflow.
+const double kSafeMin = std::numeric_limits<double>::min();
+const double kEps = std::numeric_limits<double>::epsilon();
+const double kScaleMin = std::sqrt(kSafeMin / kEps);
+const double kScaleMax = std::min(std::sqrt(kEps / kSafeMin),
+                                  1.0 / std::sqrt(std::sqrt(kSafeMin)));
+
+// The power of two 2^p that brings `amax` = max|w_ij| into
+// [kScaleMin, kScaleMax]: p = 0 when it already lies there (or is 0, or
+// not finite, where scaling cannot help). Scaling by 2^p is exact.
+int scale_exponent(double amax) {
+  if (amax == 0.0 || !std::isfinite(amax)) return 0;
+  if (amax < kScaleMin) return std::ilogb(kScaleMin) + 1 - std::ilogb(amax);
+  if (amax > kScaleMax) return std::ilogb(kScaleMax) - 1 - std::ilogb(amax);
+  return 0;
+}
+
 // Householder reduction to tridiagonal form that keeps the reflectors
 // instead of accumulating Q (LAPACK's dsytrd). Only the upper triangle
 // of `w` is read and updated. On exit d is the diagonal, e[i] couples
@@ -643,8 +662,20 @@ SymmetricEigen eigen_symmetric_top(const Matrix& a, std::size_t t) {
   EKM_EXPECTS_MSG(t <= n, "eigen_symmetric_top: t exceeds the dimension");
 
   Matrix w(n, n);
+  double amax = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) w(i, j) = 0.5 * (a(i, j) + a(j, i));
+    for (std::size_t j = i; j < n; ++j) {
+      w(i, j) = 0.5 * (a(i, j) + a(j, i));
+      amax = std::max(amax, std::fabs(w(i, j)));
+    }
+  }
+  // Scale into dsyevx's range as it does; the values are scaled back at
+  // the end, and the vectors do not depend on the scale.
+  const int p = scale_exponent(amax);
+  if (p != 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i; j < n; ++j) w(i, j) = std::ldexp(w(i, j), p);
+    }
   }
   std::vector<double> d, e, tau;
   tridiagonalize(w, d, e, tau);
@@ -722,7 +753,9 @@ SymmetricEigen eigen_symmetric_top(const Matrix& a, std::size_t t) {
 
   SymmetricEigen eig;
   eig.values.resize(t);
-  for (std::size_t j = 0; j < t; ++j) eig.values[j] = pairs[j].value;
+  for (std::size_t j = 0; j < t; ++j) {
+    eig.values[j] = std::ldexp(pairs[j].value, -p);
+  }
   eig.vectors = z.transposed();
   return eig;
 }

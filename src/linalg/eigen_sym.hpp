@@ -8,6 +8,10 @@
 // and exact to roundoff, the "exact SVD" cost profile the paper charges
 // FSS and BKLW with (complexity O(nd * min(n, d)) in Table 2):
 //
+//  * a matrix whose largest entry lies outside dsyevx's safe range is
+//    first scaled into it by a power of two, and its values are scaled
+//    back at the end, so the Gram of data scaled by up to about 1e±150
+//    solves as accurately as the unscaled one;
 //  * a Householder tridiagonalization that keeps the reflectors instead
 //    of accumulating Q. Above d = 128 it is LAPACK's blocked dsytrd
 //    (panels of 32 columns, each followed by one symmetric rank-2k

@@ -49,14 +49,6 @@ double gram_noise_floor(double lambda_max, std::size_t dim) {
 
 }  // namespace
 
-Matrix Svd::reconstruct() const {
-  Matrix us = u;  // scale columns of U by sigma
-  for (std::size_t i = 0; i < us.rows(); ++i) {
-    for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= sigma[j];
-  }
-  return matmul_a_bt(us, v);
-}
-
 Svd truncated_svd(const Matrix& a, std::size_t t) {
   EKM_EXPECTS_MSG(!a.empty(), "truncated_svd of empty matrix");
   const std::size_t n = a.rows();

@@ -32,9 +32,6 @@ struct Svd {
 
   /// Number of retained components.
   [[nodiscard]] std::size_t rank() const { return sigma.size(); }
-
-  /// Reconstructs U diag(sigma) V^T (for tests / lift-backs).
-  [[nodiscard]] Matrix reconstruct() const;
 };
 
 /// Top-min(t, n, d) SVD via the Gram-matrix route: the t largest

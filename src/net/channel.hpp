@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/expects.hpp"
+#include "sim/round_policy.hpp"
 
 namespace ekm {
 
@@ -227,6 +228,18 @@ class Fabric {
   [[nodiscard]] virtual std::size_t num_sources() const = 0;
   [[nodiscard]] virtual Port& uplink(std::size_t source) = 0;
   [[nodiscard]] virtual Port& downlink(std::size_t source) = 0;
+
+  /// How this fabric's collection rounds end: the deadline, the
+  /// responder floor, budget reallocation and its reserve, cross-round
+  /// pipelining and adaptive quantization (src/sim/round_policy.hpp).
+  /// Every protocol reads it here, once, on the protocol thread, so a
+  /// protocol and its network always agree. RoundPolicy{} — the
+  /// paper's wait-for-everyone rounds — unless a fabric overrides it;
+  /// SimNetwork reports its scenario's policy.
+  [[nodiscard]] virtual const RoundPolicy& round_policy() const {
+    static const RoundPolicy kWaitForEveryone{};
+    return kWaitForEveryone;
+  }
 
   /// Opens one deadline-driven collection round (src/sim/round_policy.hpp)
   /// and returns its handle — what the round's receive_by calls scope

@@ -1,5 +1,6 @@
 // Per-frame quantization policy — graceful degradation under deadline
-// pressure (scenario key `quant=`, PipelineConfig::quant_policy).
+// pressure (scenario key `quant=`, RoundPolicy::quant; disSS reads it
+// from Fabric::round_policy()).
 //
 // `fixed` is the paper's §6 setting: every coreset frame ships at the
 // configured significand width (PipelineConfig::significant_bits),

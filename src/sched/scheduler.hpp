@@ -36,9 +36,9 @@
 // every input is final: delivered, or known to miss. Without
 // pipelining the server learns of a miss in a finite round only when
 // the round deadline passes, so one straggler pins every barrier to
-// its full deadline. With pipelining on (SimNetwork::
-// set_round_pipelining, scenario key `pipeline=`) one NAK rule
-// applies: the sender NAKs the server out-of-band (one control-frame
+// its full deadline. With pipelining on (RoundPolicy::pipeline,
+// scenario key `pipeline=`, read from Fabric::round_policy()) one NAK
+// rule applies: the sender NAKs the server out-of-band (one control-frame
 // latency, no payload airtime, nothing billed) at the first moment it
 // can prove the miss — an attempt whose best-case airtime overshoots
 // the cutoff, or the abandonment itself, whichever comes first. The

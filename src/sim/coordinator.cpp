@@ -1,6 +1,5 @@
 #include "sim/coordinator.hpp"
 
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -66,35 +65,6 @@ SimReport make_report(const SimScenario& scenario, std::string pipeline,
   return report;
 }
 
-/// The scenario's RoundPolicy backfills config defaults; an explicit
-/// config setting (a finite deadline, a floor above 1) always wins.
-/// Budget reallocation is on by default on both sides, so either side
-/// saying `off` (scenario `realloc=off`, or a config that cleared
-/// reallocate_budget) turns it off.
-PipelineConfig apply_round_policy(PipelineConfig cfg,
-                                  const SimScenario& scenario) {
-  const RoundPolicy& round = scenario.round;
-  if (!std::isfinite(cfg.round_deadline_s)) {
-    cfg.round_deadline_s = round.deadline_s;
-  }
-  if (cfg.min_round_responders <= 1) {
-    cfg.min_round_responders = round.min_responders;
-  }
-  cfg.reallocate_budget = cfg.reallocate_budget && round.reallocate;
-  if (cfg.realloc_reserve <= 0.0) {
-    cfg.realloc_reserve = round.realloc_reserve;
-  }
-  // Pipelining defaults off on both sides; either side opting in wins
-  // (scenario `pipeline=` / CLI `--pipeline`, or an explicit config).
-  cfg.pipeline_rounds = cfg.pipeline_rounds || round.pipeline;
-  // Quantization policy defaults to fixed on both sides; the scenario's
-  // `quant=` fills the config wherever it still holds the default.
-  if (cfg.quant_policy == QuantPolicy::kFixed) {
-    cfg.quant_policy = scenario.quant;
-  }
-  return cfg;
-}
-
 // A decoded streaming summary is empty, or ambient points of the round's
 // width d with no basis. The decoder does not know d, so the collect
 // site checks, before a wrong width reaches the merged solve.
@@ -114,19 +84,12 @@ void expect_summary_shape(std::size_t source, const Coreset& summary,
 SimReport Coordinator::run(PipelineKind kind, std::span<const Dataset> parts,
                            const PipelineConfig& cfg) const {
   EKM_EXPECTS(!parts.empty());
-  const PipelineConfig effective = apply_round_policy(cfg, scenario_);
   SimNetwork net(parts.size(), scenario_);
-  // Predicted-arrival NAKs live on the fabric: they change when the
-  // server *learns* of a miss, not what the protocol does, and only the
-  // network sees the sender's schedule that proves the miss. The
-  // Coordinator pushes the resolved setting down to the network that
-  // the phase scheduler will drive.
-  net.set_round_pipelining(effective.pipeline_rounds);
-  // The flight recorder (if any) rides the same path: the network owns
-  // the attachment point, and the scheduler/protocols reach it through
-  // Fabric::recorder(). Null — the default — records nothing.
-  net.set_recorder(effective.recorder);
-  PipelineResult result = run_distributed_pipeline(kind, parts, effective, net);
+  // The flight recorder (if any) hangs on the network, and the
+  // scheduler/protocols reach it through Fabric::recorder(). Null —
+  // the default — records nothing.
+  net.set_recorder(cfg.recorder);
+  PipelineResult result = run_distributed_pipeline(kind, parts, cfg, net);
   return make_report(scenario_, pipeline_name(kind), std::move(result), net);
 }
 
@@ -159,15 +122,15 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
   // merge-and-reduce tree and uplinks the finalized summary; the server
   // keeps the freshest summary per site. Sites progress on their own
   // virtual clocks — the server just drains arrivals. Under a round
-  // deadline (scenario round policy / cfg) a late summary is abandoned
+  // deadline (the network's round policy) a late summary is abandoned
   // and the server keeps that site's previous round's summary: a
   // deadline costs freshness here, never liveness — which is also why
-  // min_round_responders deliberately does not apply to streaming
-  // rounds (a round with zero fresh summaries just serves stale ones).
-  const PipelineConfig effective = apply_round_policy(cfg, scenario_);
-  const double deadline_s = effective.round_deadline_s;
-  net.set_round_pipelining(effective.pipeline_rounds);
-  net.set_recorder(effective.recorder);
+  // the policy's min_responders deliberately does not apply to
+  // streaming rounds (a round with zero fresh summaries just serves
+  // stale ones).
+  const RoundPolicy& policy = net.round_policy();
+  const double deadline_s = policy.deadline_s;
+  net.set_recorder(cfg.recorder);
   std::vector<Coreset> latest(m);
   // The rounds form a task graph rather than a loop so the cross-round
   // dependency is explicit and gateable: unpipelined, round r+1's open
@@ -187,8 +150,8 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
   for (std::size_t r = 0; r < rounds; ++r) {
     std::vector<TaskId> open_deps;
     if (r > 0) {
-      open_deps = effective.pipeline_rounds ? std::vector<TaskId>{prev_commit}
-                                            : prev_collects;
+      open_deps = policy.pipeline ? std::vector<TaskId>{prev_commit}
+                                  : prev_collects;
     }
     const TaskId open = graph.add(
         {TaskKind::kBarrier, kServerActor, "streaming/round-open",

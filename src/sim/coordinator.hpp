@@ -103,13 +103,13 @@ class Coordinator {
   [[nodiscard]] const SimScenario& scenario() const { return scenario_; }
 
   /// Runs a distributed pipeline (kNoReduction, kBklw, kJlBklw) over a
-  /// simulated network. With a fault-free scenario and no (or infinite)
-  /// round deadline the report's ledgers and centers are bitwise
-  /// identical to run_distributed_pipeline over the synchronous
-  /// Network. The scenario's RoundPolicy (SimScenario::round, CLI
-  /// `deadline=` / `--deadline`) fills cfg's round_deadline_s /
-  /// min_round_responders wherever cfg still holds the defaults — an
-  /// explicit cfg setting wins.
+  /// SimNetwork built from the scenario: exactly
+  /// run_distributed_pipeline(kind, parts, cfg, net), with cfg.recorder
+  /// attached to the network, plus the deployment report. The protocols
+  /// read the scenario's RoundPolicy (SimScenario::round) from that
+  /// network. With a fault-free scenario and no (or infinite) round
+  /// deadline the report's ledgers and centers are bitwise identical
+  /// to run_distributed_pipeline over the synchronous Network.
   [[nodiscard]] SimReport run(PipelineKind kind, std::span<const Dataset> parts,
                               const PipelineConfig& cfg) const;
 

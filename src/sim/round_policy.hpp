@@ -10,13 +10,15 @@
 // responder set (FedAvg-style straggler dropping, applied to the
 // paper's summary protocols).
 //
-// The policy rides the scenario (SimScenario::round, CLI key
-// `deadline=`, flag `--deadline`); the Coordinator copies it into
-// PipelineConfig::round_deadline_s, and the protocols in
-// src/distributed enforce it through Fabric::open_round /
-// Port::receive_by — so the same protocol code runs the paper's
-// wait-for-everyone rounds (deadline = infinity) and deadline-driven
-// partial rounds, over either fabric.
+// The policy has one home: the scenario (SimScenario::round, set by the
+// scenario keys and CLI flags), which SimNetwork reports through
+// Fabric::round_policy(). Every protocol (src/distributed, the NR and
+// refine rounds in src/core/pipeline.cpp, streaming in the Coordinator)
+// reads it from the fabric it runs over and enforces it through
+// Fabric::open_round / Port::receive_by. The synchronous Network
+// reports RoundPolicy{}, the paper's wait-for-everyone rounds — so the
+// same protocol code runs those and deadline-driven partial rounds,
+// and a protocol cannot disagree with its network about a round.
 //
 // A RetryPolicy governs what a sender does *between* attempts of one
 // frame. PR 2/3 hard-coded the fixed ack-timeout (one per-frame
@@ -32,6 +34,8 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+
+#include "qt/policy.hpp"
 
 namespace ekm {
 
@@ -121,9 +125,11 @@ struct RoundPolicy {
   /// first moment it can *prove* the miss — the attempt start whose
   /// best-case (minimum-jitter) airtime overshoots the cutoff, or the
   /// abandonment itself (retry budget spent, give-up, cancelation,
-  /// orphaning), whichever comes first. Merge barriers therefore
-  /// commit as early as the physics allows, for abandoned and
-  /// delivered-but-late frames alike. In the task graphs, round r+1's
+  /// orphaning), whichever comes first. The NAK is a control-plane
+  /// frame — no energy, no ledger entry, no event pushed — and the
+  /// receiver consults it only on its miss path. Merge barriers
+  /// therefore commit as early as the physics allows, for abandoned
+  /// and delivered-but-late frames alike. In the task graphs, round r+1's
   /// tasks depend only on round r's *committed* barrier, so the next
   /// round's downlink broadcast rides the fabric while round r's
   /// stragglers resolve (per-round RoundContext state in SimNetwork
@@ -133,6 +139,14 @@ struct RoundPolicy {
   /// centers/ledgers/energy with a strictly earlier server completion.
   /// Off (the default) is PR 8's round-serial behavior, bit for bit.
   bool pipeline = false;
+
+  /// Per-frame quantization policy (scenario key `quant=`,
+  /// qt/policy.hpp): with kAdaptive, a site about to uplink a coreset
+  /// under a finite round deadline narrows the frame's significand
+  /// width when the full-width airtime cannot fit the remaining round
+  /// budget — the frame shrinks instead of expiring. kFixed (the
+  /// default) is the paper's §6 fixed-width billing, bit for bit.
+  QuantPolicy quant = QuantPolicy::kFixed;
 
   /// True when rounds can actually drop sites.
   [[nodiscard]] bool active() const { return std::isfinite(deadline_s); }

@@ -361,7 +361,7 @@ void apply_override(SimScenario& s, const std::string& key,
     EKM_EXPECTS_MSG(policy.has_value(),
                     "unknown quantization policy '" + value +
                         "' for scenario key 'quant' (expected fixed|adaptive)");
-    s.quant = *policy;
+    s.round.quant = *policy;
   } else if (key == "backoff-base") {
     s.retry.backoff_base = parse_double(key, value);
     EKM_EXPECTS_MSG(std::isfinite(s.retry.backoff_base) &&

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "net/link_model.hpp"
-#include "qt/policy.hpp"
 #include "sim/round_policy.hpp"
 
 namespace ekm {
@@ -70,9 +69,10 @@ struct SimScenario {
   /// Per-site deviations, applied on top of everything above.
   std::vector<SiteOverride> site_overrides;
 
-  /// Deadline policy for collection rounds (round_policy.hpp). The
-  /// default — no deadline — reproduces the paper's wait-for-everyone
-  /// protocol bit for bit.
+  /// How collection rounds end (round_policy.hpp): deadline, responder
+  /// floor, reallocation and its reserve, pipelining and quantization.
+  /// SimNetwork reports it as its Fabric::round_policy(). The default
+  /// reproduces the paper's wait-for-everyone protocol bit for bit.
   RoundPolicy round;
 
   /// Retransmission policy (round_policy.hpp): what a sender does
@@ -140,13 +140,6 @@ struct SimScenario {
   /// of thousands of trace entries per cell in memory. The default
   /// (unlimited) keeps PR 2–4 behavior bit for bit.
   std::size_t event_log_limit = static_cast<std::size_t>(-1);
-
-  /// Per-frame quantization policy (`quant=fixed|adaptive`): with
-  /// `adaptive`, a site about to uplink a coreset under a finite round
-  /// deadline narrows the frame's significand width when the full-width
-  /// airtime cannot fit the remaining budget (see qt/policy.hpp). The
-  /// default reproduces the paper's fixed-width billing bit for bit.
-  QuantPolicy quant = QuantPolicy::kFixed;
 
   std::uint64_t seed = 1;
 

@@ -47,13 +47,16 @@ std::optional<Message> SimLink::receive_by(RoundId round, double deadline_cap) {
 }
 
 SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
-    : scenario_(scenario), pipelining_(scenario.round.pipeline) {
+    : scenario_(scenario) {
   EKM_EXPECTS(num_sites >= 1);
   EKM_EXPECTS(scenario_.radio.bandwidth_bps > 0.0);
   EKM_EXPECTS(scenario_.seconds_per_scalar >= 0.0);
   for (const LinkModel& r : scenario_.radio_cycle) {
     EKM_EXPECTS(r.bandwidth_bps > 0.0);
   }
+  EKM_EXPECTS_MSG(scenario_.round.realloc_reserve >= 0.0 &&
+                      scenario_.round.realloc_reserve < 1.0,
+                  "realloc_reserve must be in [0, 1)");
 
   // A cold fleet's first round pushes O(sites) events before the first
   // receive drains any; reserving here keeps a 10k-site sweep from
@@ -344,7 +347,7 @@ void SimNetwork::do_send(SimLink& link, Message msg) {
   // consult nak_at (fault-free, unbounded rounds, pipelining off) are
   // bitwise unperturbed.
   const bool predict_nak =
-      pipelining_ && link.uplink_ && std::isfinite(cutoff);
+      scenario_.round.pipeline && link.uplink_ && std::isfinite(cutoff);
   double provable_miss_at = kNoDeadline;
   const double base_airtime =
       bits / radio.bandwidth_bps + radio.per_message_latency_s;
@@ -572,7 +575,7 @@ std::optional<Message> SimNetwork::do_receive_by(SimLink& link, RoundId round,
     // The receiver waits the round out (or, with no deadline, learns
     // of the expiry when the sender gives up).
     double learn = std::isfinite(deadline) ? deadline : frame.arrival;
-    if (pipelining_ && std::isfinite(deadline) && link.uplink_) {
+    if (scenario_.round.pipeline && std::isfinite(deadline) && link.uplink_) {
       // Predicted-arrival NAK (round pipelining): the sender proved the
       // miss — at the first provably-late attempt or at abandonment,
       // whichever came first, so a late delivery is covered too — and

@@ -178,6 +178,12 @@ class SimNetwork final : public Fabric {
   [[nodiscard]] Port& uplink(std::size_t source) override;
   [[nodiscard]] Port& downlink(std::size_t source) override;
 
+  /// The scenario's round policy (SimScenario::round). Its `pipeline`
+  /// switch also arms this fabric's predicted-arrival NAKs.
+  [[nodiscard]] const RoundPolicy& round_policy() const override {
+    return scenario_.round;
+  }
+
   /// Opens collection round r (handles are 1-based, in open order) and
   /// anchors its cutoff at the server's current virtual clock. Cutoff
   /// and wave state live in a per-round RoundContext table — NOT one
@@ -251,24 +257,6 @@ class SimNetwork final : public Fabric {
   /// The most recently opened round's handle (kNoRound before the
   /// first open_round). New uplink frames are tagged with this round.
   [[nodiscard]] RoundId current_round() const { return current_round_; }
-
-  /// Cross-round pipelining (RoundPolicy::pipeline, scenario
-  /// `pipeline=`, CLI `--pipeline`): when on, sender-side
-  /// predicted-arrival NAKs fire the moment a site's uplink frame
-  /// *provably* misses its round's cutoff — at the attempt start
-  /// whose minimum-possible (best-jitter) airtime cannot finish in
-  /// time, or at abandonment, whichever comes first — so the server
-  /// learns of a miss (and commits the round's barrier) as early as
-  /// the physics allows, and the next round's downlink broadcast rides
-  /// the fabric while the straggler's timeline still runs. The NAK is
-  /// a control-plane frame: no payload airtime, no energy, nothing on
-  /// any ledger, no event pushed — which is why fault-free and
-  /// infinite-deadline runs are bitwise identical with this on or off
-  /// (the miss path never consults nak_at). Initialized from the
-  /// scenario; the Coordinator may override it from
-  /// PipelineConfig::pipeline_rounds.
-  void set_round_pipelining(bool on) { pipelining_ = on; }
-  [[nodiscard]] bool round_pipelining() const { return pipelining_; }
 
   /// Critical-path lower bound on the server commit clock: mirrors
   /// every server_clock_ advancement that is real work or a real
@@ -392,7 +380,6 @@ class SimNetwork final : public Fabric {
   RoundId current_round_ = kNoRound;  ///< latest open_round handle;
                                       ///< tags new uplink frames
 
-  bool pipelining_ = false;  ///< predicted-arrival NAKs (see above)
   std::uint64_t missed_frames_ = 0;
   std::uint64_t supplemental_misses_ = 0;
   std::uint64_t rounds_opened_ = 0;

@@ -9,11 +9,13 @@
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
 #include "kmeans1d_oracle.hpp"
+#include "kmeans_brute_force.hpp"
 
 namespace ekm {
 namespace {
 
 using test::kmeans_1d_exact;
+using test::kmeans_brute_force;
 
 Dataset two_clusters() {
   // Cluster A near 0, cluster B near 10 (1-D for hand computation).

@@ -27,6 +27,15 @@ double max_abs_diff(const Matrix& a, const Matrix& b) {
   return subtract(a, b).frobenius_norm();
 }
 
+// U diag(sigma) V^T.
+Matrix reconstruct(const Svd& s) {
+  Matrix us = s.u;  // scale columns of U by sigma
+  for (std::size_t i = 0; i < us.rows(); ++i) {
+    for (std::size_t j = 0; j < us.cols(); ++j) us(i, j) *= s.sigma[j];
+  }
+  return matmul_a_bt(us, s.v);
+}
+
 TEST(Matrix, InitializerListAndAccess) {
   const Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
   EXPECT_EQ(m.rows(), 2u);
@@ -328,20 +337,35 @@ struct SvdShape {
   std::size_t rows;
   std::size_t cols;
   std::size_t rank = 0;  // 0: a Gaussian matrix, of full rank
+  double scale = 1.0;    // every entry times this
 };
 
-// A Gaussian matrix, or a product of Gaussian factors through `rank`.
+// A Gaussian matrix, or a product of Gaussian factors through `rank`,
+// times the shape's scale.
 Matrix svd_input(const SvdShape& shape, Rng& rng) {
-  if (shape.rank == 0) return Matrix::gaussian(shape.rows, shape.cols, rng);
-  const Matrix left = Matrix::gaussian(shape.rows, shape.rank, rng);
-  return matmul(left, Matrix::gaussian(shape.rank, shape.cols, rng));
+  Matrix a;
+  if (shape.rank == 0) {
+    a = Matrix::gaussian(shape.rows, shape.cols, rng);
+  } else {
+    const Matrix left = Matrix::gaussian(shape.rows, shape.rank, rng);
+    a = matmul(left, Matrix::gaussian(shape.rank, shape.cols, rng));
+  }
+  a.scale(shape.scale);
+  return a;
+}
+
+// The shape's input at scale 1, drawn from a fresh `seed` stream.
+Matrix unscaled_input(const SvdShape& shape, std::uint64_t seed) {
+  Rng rng = make_rng(seed);
+  return svd_input({shape.rows, shape.cols, shape.rank}, rng);
 }
 
 class SvdProperty : public ::testing::TestWithParam<SvdShape> {};
 
-// The thin SVD: truncated_svd at t = min(n, d).
+// The thin SVD: truncated_svd at t = min(n, d). Bounds carry the input's
+// scale, so a scaled case is held to the unscaled one's relative bars.
 TEST_P(SvdProperty, ThinSvdAxioms) {
-  const auto [n, d, rank] = GetParam();
+  const auto [n, d, rank, scale] = GetParam();
   Rng rng = make_rng(31 * n + d);
   const Matrix a = svd_input(GetParam(), rng);
   const std::size_t r = std::min(n, d);
@@ -349,49 +373,70 @@ TEST_P(SvdProperty, ThinSvdAxioms) {
   ASSERT_EQ(s.rank(), r);
 
   // Reconstruction.
-  EXPECT_LT(max_abs_diff(s.reconstruct(), a),
-            1e-9 * (1.0 + a.frobenius_norm()));
+  EXPECT_LT(max_abs_diff(reconstruct(s), a),
+            1e-9 * (scale + a.frobenius_norm()));
   // Orthonormal factors.
   EXPECT_LT(max_abs_diff(matmul_at_b(s.u, s.u), Matrix::identity(r)), 1e-9);
   EXPECT_LT(max_abs_diff(matmul_at_b(s.v, s.v), Matrix::identity(r)), 1e-9);
   // Ordering and non-negativity.
   for (std::size_t j = 0; j + 1 < r; ++j) {
-    EXPECT_GE(s.sigma[j], s.sigma[j + 1] - 1e-12);
+    EXPECT_GE(s.sigma[j], s.sigma[j + 1] - 1e-12 * scale);
   }
   EXPECT_GE(s.sigma[r - 1], 0.0);
   // Energy identity: ||A||_F^2 = sum sigma_j^2.
   double energy = 0.0;
   for (double sv : s.sigma) energy += sv * sv;
   EXPECT_NEAR(energy, a.frobenius_norm() * a.frobenius_norm(),
-              1e-7 * (1.0 + energy));
+              1e-7 * (scale * scale + energy));
+  // Scaling the input scales sigma and nothing else: the solver scales
+  // a Gram outside its safe range into it first, as LAPACK's dsyevx does.
+  if (scale != 1.0) {
+    const Svd unit = truncated_svd(unscaled_input(GetParam(), 31 * n + d), r);
+    for (std::size_t j = 0; j < r; ++j) {
+      EXPECT_NEAR(s.sigma[j] / scale, unit.sigma[j], 1e-12 * unit.sigma[0]);
+    }
+  }
 }
 
 TEST_P(SvdProperty, PseudoinversePenroseAxioms) {
-  const auto [n, d, rank] = GetParam();
+  const auto [n, d, rank, scale] = GetParam();
   Rng rng = make_rng(77 * n + d);
   const Matrix a = svd_input(GetParam(), rng);
   const Matrix ap = pseudoinverse(a);
   EXPECT_EQ(ap.rows(), d);
   EXPECT_EQ(ap.cols(), n);
-  const double scale = 1.0 + a.frobenius_norm();
+  // A's size; A+ scales as 1/scale, A A+ and A+ A not at all.
+  const double size = scale + a.frobenius_norm();
   // 1) A A+ A = A;  2) A+ A A+ = A+.
-  EXPECT_LT(max_abs_diff(matmul(matmul(a, ap), a), a), 1e-8 * scale);
-  EXPECT_LT(max_abs_diff(matmul(matmul(ap, a), ap), ap), 1e-8 * scale);
+  EXPECT_LT(max_abs_diff(matmul(matmul(a, ap), a), a), 1e-8 * size);
+  EXPECT_LT(max_abs_diff(matmul(matmul(ap, a), ap), ap),
+            1e-8 * size / (scale * scale));
   // 3) (A A+)^T = A A+;  4) (A+ A)^T = A+ A.
   const Matrix aap = matmul(a, ap);
   const Matrix apa = matmul(ap, a);
-  EXPECT_LT(max_abs_diff(aap, aap.transposed()), 1e-8 * scale);
-  EXPECT_LT(max_abs_diff(apa, apa.transposed()), 1e-8 * scale);
+  EXPECT_LT(max_abs_diff(aap, aap.transposed()), 1e-8 * size / scale);
+  EXPECT_LT(max_abs_diff(apa, apa.transposed()), 1e-8 * size / scale);
+  // (s A)+ = A+ / s.
+  if (scale != 1.0) {
+    const Matrix unit = pseudoinverse(unscaled_input(GetParam(), 77 * n + d));
+    Matrix back = ap;
+    back.scale(scale);
+    EXPECT_LT(max_abs_diff(back, unit), 1e-12 * unit.frobenius_norm());
+  }
 }
 
-// The last two are rank 3, tall and wide: their zero sigma take the
-// orthonormalized fill-in, and the pseudoinverse must zero them.
+// The rank-3 tall and wide cases take the orthonormalized fill-in for
+// their zero sigma, and the pseudoinverse must zero them. The scaled
+// 30x10 Gaussians lie outside the eigensolver's safe range: their Grams'
+// entries sit near 1e-300, 1e-150, 1e150 and 1e300.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SvdProperty,
     ::testing::Values(SvdShape{1, 1}, SvdShape{5, 5}, SvdShape{20, 5},
                       SvdShape{5, 20}, SvdShape{40, 17}, SvdShape{17, 40},
                       SvdShape{64, 64}, SvdShape{30, 10, 3},
-                      SvdShape{10, 30, 3}));
+                      SvdShape{10, 30, 3}, SvdShape{30, 10, 0, 1e-150},
+                      SvdShape{30, 10, 0, 1e-75}, SvdShape{30, 10, 0, 1e75},
+                      SvdShape{30, 10, 0, 1e150}));
 
 TEST(Svd, RankDeficientInput) {
   // Rank-1 matrix: outer product.
@@ -406,7 +451,7 @@ TEST(Svd, RankDeficientInput) {
   for (std::size_t j = 1; j < s.rank(); ++j) {
     EXPECT_LT(s.sigma[j], 1e-8 * s.sigma[0]);
   }
-  EXPECT_LT(max_abs_diff(s.reconstruct(), a), 1e-9 * (1.0 + a.frobenius_norm()));
+  EXPECT_LT(max_abs_diff(reconstruct(s), a), 1e-9 * (1.0 + a.frobenius_norm()));
   // Pseudoinverse of rank-deficient input still satisfies A A+ A = A.
   const Matrix ap = pseudoinverse(a);
   EXPECT_LT(max_abs_diff(matmul(matmul(a, ap), a), a),
@@ -427,7 +472,7 @@ TEST(Svd, TruncationKeepsTopComponents) {
   // equals the discarded energy (Eckart–Young).
   double tail = 0.0;
   for (std::size_t j = 3; j < lambda.size(); ++j) tail += lambda[j];
-  const double err = subtract(trunc.reconstruct(), a).frobenius_norm();
+  const double err = subtract(reconstruct(trunc), a).frobenius_norm();
   EXPECT_NEAR(err * err, tail, 1e-6 * (1.0 + tail));
 }
 

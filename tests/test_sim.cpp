@@ -21,6 +21,7 @@
 #include "sim/round_policy.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sim_network.hpp"
+#include "swapped_frame.hpp"
 
 namespace ekm {
 namespace {
@@ -508,7 +509,6 @@ TEST(Deadline, PartialCoresetWeightsSumOverResponders) {
   opts.epsilon = 0.3;
   opts.intrinsic_dim = 6;
   opts.total_samples = 150;
-  opts.round_deadline_s = 2.0;
   const Coreset cs = bklw_coreset(parts, opts, net, device_work, 91);
   (void)net.finish();  // also asserts the ledger invariants
 
@@ -533,9 +533,7 @@ TEST(Deadline, PartialCoresetWeightsSumOverResponders) {
   // The full-responder construction covers the whole fleet's mass.
   SimNetwork full_net(m, parse_scenario("radio=5g,seed=91"));
   Stopwatch full_work;
-  BklwOptions full_opts = opts;
-  full_opts.round_deadline_s = kNoDeadline;
-  const Coreset full = bklw_coreset(parts, full_opts, full_net, full_work, 91);
+  const Coreset full = bklw_coreset(parts, opts, full_net, full_work, 91);
   double full_mass = 0.0, fleet_mass = 0.0;
   for (std::size_t p = 0; p < full.size(); ++p) {
     full_mass += full.points.weight(p);
@@ -612,6 +610,77 @@ TEST(Deadline, StreamingKeepsStaleSummariesForLateSites) {
   EXPECT_EQ(report.sites_dropped, 1u);
   EXPECT_EQ(report.result.centers.rows(), cfg.k);
   EXPECT_GT(report.result.summary_points, 0u);
+}
+
+// --- one round policy, read from the fabric ------------------------------
+
+void expect_same_policy(const RoundPolicy& got, const RoundPolicy& want) {
+  EXPECT_EQ(got.deadline_s, want.deadline_s);
+  EXPECT_EQ(got.min_responders, want.min_responders);
+  EXPECT_EQ(got.reallocate, want.reallocate);
+  EXPECT_EQ(got.realloc_reserve, want.realloc_reserve);
+  EXPECT_EQ(got.pipeline, want.pipeline);
+  EXPECT_EQ(got.quant, want.quant);
+}
+
+TEST(RoundPolicyHome, FabricsReportTheirPolicy) {
+  // The synchronous star and any fabric that does not override it
+  // report the paper's wait-for-everyone rounds.
+  expect_same_policy(Network(3).round_policy(), RoundPolicy{});
+  const test::SwappedFrame swapped(3, 1, test::Link::kUplink, 1, Message{});
+  expect_same_policy(swapped.round_policy(), RoundPolicy{});
+
+  // The simulator reports its scenario's policy, quant included.
+  const SimScenario s = parse_scenario(
+      "radio=5g,deadline=3,min-responders=2,realloc=off,"
+      "realloc-reserve=0.25,pipeline=on,quant=adaptive");
+  const SimNetwork net(3, s);
+  EXPECT_EQ(net.round_policy().deadline_s, 3.0);
+  EXPECT_EQ(net.round_policy().min_responders, 2u);
+  EXPECT_FALSE(net.round_policy().reallocate);
+  EXPECT_EQ(net.round_policy().realloc_reserve, 0.25);
+  EXPECT_TRUE(net.round_policy().pipeline);
+  EXPECT_EQ(net.round_policy().quant, QuantPolicy::kAdaptive);
+}
+
+TEST(RoundPolicyHome, DirectRunOverSimNetworkMatchesCoordinator) {
+  // A protocol driven straight over a SimNetwork honours every round
+  // setting of its scenario, exactly as the Coordinator's run of the
+  // same scenario does: the deadline (site 1 straggles past it), the
+  // reallocation reserve, adaptive quantization and pipelining.
+  const std::size_t m = 4;
+  const auto parts = make_parts(m, 1600, 12, 91);
+  const PipelineConfig cfg = base_config(91);
+  const SimScenario s = parse_scenario(
+      "radio=5g,sps=1e-3,deadline=2,site1.speed=0.02,realloc-reserve=0.5,"
+      "quant=adaptive,pipeline=on,seed=91");
+  const Coordinator coord(s);
+  for (const PipelineKind kind : {PipelineKind::kBklw, PipelineKind::kJlBklw}) {
+    SimNetwork net(m, s);
+    const PipelineResult direct =
+        run_distributed_pipeline(kind, parts, cfg, net);
+    (void)net.finish();
+    const SimReport report = coord.run(kind, parts, cfg);
+    EXPECT_GT(report.deadline_misses, 0u) << pipeline_name(kind);
+    EXPECT_EQ(direct.centers, report.result.centers) << pipeline_name(kind);
+    EXPECT_EQ(direct.uplink, report.result.uplink) << pipeline_name(kind);
+    EXPECT_EQ(net.missed_frames(), report.deadline_misses)
+        << pipeline_name(kind);
+    EXPECT_EQ(net.server_clock(), report.server_completion_seconds)
+        << pipeline_name(kind);
+  }
+}
+
+TEST(RoundPolicyHome, ReserveOutsideUnitIntervalThrows) {
+  // The scenario parser rejects realloc-reserve=1; a scenario built in
+  // code meets the same check when the network is built from it.
+  SimScenario s = parse_scenario("radio=5g,deadline=2");
+  s.round.realloc_reserve = 1.0;
+  EXPECT_THROW(SimNetwork(2, s), precondition_error);
+  s.round.realloc_reserve = -0.5;
+  EXPECT_THROW(SimNetwork(2, s), precondition_error);
+  s.round.realloc_reserve = 0.5;
+  EXPECT_NO_THROW(SimNetwork(2, s));
 }
 
 // --- retry-budget exhaustion (first-class frame drops) --------------------
@@ -890,20 +959,19 @@ TEST(Realloc, WaveRestoresBudgetAndConservesMass) {
   // resolution, never phantom mass.
   const std::size_t m = 4;
   const auto parts = make_parts(m, 1600, 12, 91);
-  const char* spec = "radio=5g,sps=1e-3,deadline=2,site1.speed=0.02,seed=91";
+  // realloc-reserve schedules the wave's share of the round.
+  const std::string spec =
+      "radio=5g,sps=1e-3,deadline=2,site1.speed=0.02,realloc-reserve=0.5,"
+      "seed=91";
   BklwOptions opts;
   opts.k = 3;
   opts.epsilon = 0.3;
   opts.intrinsic_dim = 6;
   opts.total_samples = 150;
-  opts.round_deadline_s = 2.0;
-  opts.realloc_reserve = 0.5;  // schedule the wave's share of the round
 
-  SimNetwork net_off(m, parse_scenario(spec));
+  SimNetwork net_off(m, parse_scenario(spec + ",realloc=off"));
   Stopwatch work_off;
-  BklwOptions opts_off = opts;
-  opts_off.reallocate = false;
-  const Coreset off = bklw_coreset(parts, opts_off, net_off, work_off, 91);
+  const Coreset off = bklw_coreset(parts, opts, net_off, work_off, 91);
   (void)net_off.finish();
   EXPECT_EQ(net_off.subrounds_opened(), 0u);
   EXPECT_GT(net_off.uplink_view(1).stats().missed, 0u);
@@ -1215,8 +1283,8 @@ TEST(Pipeline, LateFrameNeverAliasesTheNextRound) {
   // (abandoning it); an r+1-scoped receive reaching the same link while
   // the r frame is queued is cross-round aliasing and must trip the
   // fabric's assert rather than hand round r's data to round r+1.
-  SimNetwork net(3, parse_scenario("radio=wifi,site2.bandwidth=1000"));
-  net.set_round_pipelining(true);
+  SimNetwork net(3,
+                 parse_scenario("radio=wifi,site2.bandwidth=1000,pipeline=on"));
   const auto send_late = [&] {
     Message msg;
     msg.payload.resize(1 << 14);
@@ -1392,7 +1460,7 @@ TEST(Scenario, ParserHandlesChurnTraceAndQuant) {
       "radio=wifi,churn=0.05,quant=adaptive,site0.join=2,site1.leave=3.5,"
       "site0.trace=0:8000:0.1;5:1e6:0:0.25");
   EXPECT_DOUBLE_EQ(s.churn_rate, 0.05);
-  EXPECT_EQ(s.quant, QuantPolicy::kAdaptive);
+  EXPECT_EQ(s.round.quant, QuantPolicy::kAdaptive);
   ASSERT_EQ(s.site_overrides.size(), 3u);
   EXPECT_DOUBLE_EQ(s.site_overrides[0].join_s.value(), 2.0);
   EXPECT_DOUBLE_EQ(s.site_overrides[1].leave_s.value(), 3.5);
@@ -1411,7 +1479,7 @@ TEST(Scenario, ParserHandlesChurnTraceAndQuant) {
   // Defaults: fixed quantization, no churn. A membership schedule or a
   // loss/dropout-injecting trace makes the scenario faulty; a
   // bandwidth-only trace shifts timing but never a frame's fate.
-  EXPECT_EQ(parse_scenario("ideal").quant, QuantPolicy::kFixed);
+  EXPECT_EQ(parse_scenario("ideal").round.quant, QuantPolicy::kFixed);
   EXPECT_DOUBLE_EQ(parse_scenario("ideal").churn_rate, 0.0);
   EXPECT_TRUE(parse_scenario("site0.trace=0:8000:0").fault_free());
   EXPECT_FALSE(parse_scenario("site0.trace=0:8000:0.1").fault_free());

@@ -374,6 +374,9 @@ Dataset make_input(const CliArgs& a) {
 
 void write_centers_csv(const std::string& path, const Matrix& centers) {
   std::ofstream out(path);
+  // Round-trip precision: two runs' files are byte-equal exactly when
+  // their centers are bit-equal, so `cmp` checks determinism.
+  out.precision(std::numeric_limits<double>::max_digits10);
   for (std::size_t c = 0; c < centers.rows(); ++c) {
     auto row = centers.row(c);
     for (std::size_t j = 0; j < row.size(); ++j) {
@@ -543,8 +546,7 @@ int run_cli(int argc, char** argv) {
       scenario.retry.strategy = *retry_strategy_from_name(args->retry);
     }
     // --pipeline turns cross-round pipelining on; it never turns a
-    // scenario's `pipeline=on` off (same either-side-opts-in layering
-    // as the Coordinator's config merge).
+    // scenario's `pipeline=on` off.
     if (args->pipeline) scenario.round.pipeline = true;
     // --event-log overrides the scenario's retention cap, like --deadline.
     if (args->event_log_set) scenario.event_log_limit = args->event_log_limit;
@@ -611,7 +613,7 @@ int run_cli(int argc, char** argv) {
                   static_cast<unsigned long long>(report.leaves),
                   static_cast<unsigned long long>(report.orphaned_frames));
     }
-    if (scenario.quant == QuantPolicy::kAdaptive) {
+    if (scenario.round.quant == QuantPolicy::kAdaptive) {
       std::printf("quantization   : adaptive (frames narrow under deadline "
                   "pressure)\n");
     }
