@@ -109,10 +109,12 @@ BENCHMARK(BM_TruncatedSvd)
 
 // The server's solve, kmeans() with the pipeline's five restarts
 // advanced in lock step: on nr_mnist's 20000x784 shape at k = 10, where
-// each pass reads 125 MB of points; on 20000x64 at k = 50, where the
-// pass is compute-bound and Hamerly's bounds skip most of it; and on a
-// weighted 300x16 input at k = 10, the size of BKLW's server coreset,
-// where per-pass overhead dominates. Args: rows, cols, weighted, k.
+// each pass reads 125 MB of points and, after the first, re-adds only
+// the members of the per-chunk update sums that a point joined or left;
+// on 20000x64 at k = 50, where the pass is compute-bound and Hamerly's
+// bounds skip most of it; and on a weighted 300x16 input at k = 10, the
+// size of BKLW's server coreset, below the bounds gate, where per-pass
+// overhead dominates. Args: rows, cols, weighted, k.
 void BM_KMeans(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto cols = static_cast<std::size_t>(state.range(1));

@@ -408,6 +408,10 @@ PipelineResult run_distributed_pipeline(PipelineKind kind,
   switch (kind) {
     case PipelineKind::kNoReduction: {
       const RoundPolicy& policy = net.round_policy();
+      // Only disSS narrows frames; the raw shards keep cfg's width.
+      EKM_EXPECTS_MSG(policy.quant != QuantPolicy::kAdaptive,
+                      "NR round: quant=adaptive is not supported; only "
+                      "disSS coreset frames (bklw, jl+bklw) narrow");
       const RoundId round = net.open_round(policy.deadline_s);
       const bool qt = cfg.significant_bits < kDoubleSignificandBits;
       for (std::size_t i = 0; i < parts.size(); ++i) {

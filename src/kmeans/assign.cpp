@@ -337,8 +337,9 @@ constexpr double kShrink = 1.0 - 2.0 * std::numeric_limits<double>::epsilon();
 
 // Adds point i, weighted, to `cluster`'s chunk sums: the update step's
 // one accumulation. Each cluster's chunk sums see its points in
-// ascending order, bounded pass or not, so their bits do not depend on
-// which points were scanned.
+// ascending order from +0, bounded pass or not, written in full or
+// rewritten after a carry, so their bits do not depend on which points
+// were scanned.
 inline void add_point(const Dataset& data, std::size_t i, std::size_t cluster,
                       double* psums, double* pweight) {
   const double w = data.weight(i);
@@ -367,8 +368,17 @@ std::size_t sub_block(std::size_t d) {
 // keeps its center, and that d² is the one a full scan would return. The
 // others are gathered per set and scanned in blocks against only that
 // set's tiles, or, when a point fails every set, against all the tiles
-// at once; their bound restarts from the runner-up. Then the
-// sub-block's update sums, through add_point as in the unbounded pass.
+// at once; their bound restarts from the runner-up.
+//
+// The update sums follow the carry rule (assign.hpp). A set with a zero
+// bound in the chunk (a first pass) has its partials zeroed and written
+// per sub-block, through add_point as in the unbounded pass. The other
+// sets carry theirs: a point of nonzero weight that a scan moves marks
+// the cluster it left and the one it joined, and after the last
+// sub-block each marked partial is rewritten from +0 over the chunk's
+// members in ascending order, the chain a full write computes. An
+// unmarked partial has the same members as in the previous pass, so it
+// already holds that chain.
 void bounded_chunk(const Dataset& data, const Matrix& centers,
                    const PackedCenters& pc, std::span<const SetBounds> sb,
                    const double* pnorm, std::size_t begin, std::size_t end,
@@ -387,6 +397,21 @@ void bounded_chunk(const Dataset& data, const Matrix& centers,
     return margin * r * r;
   };
 
+  // fresh[s]: set s writes all its partials, since a zero bound leaves
+  // some point's previous cluster unknown. moved[s·k + c]: a carried
+  // partial that a point joined or left.
+  std::vector<char> fresh(sets);
+  std::vector<char> moved(sets * k);
+  for (std::size_t s = 0; s < sets; ++s) {
+    const double* l = lower + s * n;
+    fresh[s] = std::any_of(l + begin, l + end,
+                           [](double b) { return !(b > 0.0); });
+    if (fresh[s] != 0) {
+      std::fill_n(psums + s * k * d, k * d, 0.0);
+      std::fill_n(pweight + s * k, k, 0.0);
+    }
+  }
+
   // The sub-block's points to scan against every set (a first pass, or
   // large drifts), scanned once over all the tiles, at every_set[0,
   // count_all); set s's others at todo[s·width, s·width + count[s]).
@@ -398,6 +423,10 @@ void bounded_chunk(const Dataset& data, const Matrix& centers,
   auto rescan = [&](std::size_t i, std::size_t s, std::size_t c, double d2,
                     const double* cells) {
     const std::size_t x = s * n + i;
+    if (fresh[s] == 0 && index[x] != c && data.weight(i) != 0.0) {
+      moved[s * k + index[x]] = 1;
+      moved[s * k + c] = 1;
+    }
     index[x] = c;
     sq_dist[x] = d2;
     double second = std::numeric_limits<double>::infinity();
@@ -467,11 +496,26 @@ void bounded_chunk(const Dataset& data, const Matrix& centers,
       scan_ids(points, pc, pnorm, todo.data() + s * width, count[s], s, s + 1,
                nullptr, buf, rescan);
     }
-    // The update sums, now that every point's assignment is final.
+    // The fresh sets' sums, now that every point's assignment is final.
     for (std::size_t i = b0; i < b1; ++i) {
       for (std::size_t s = 0; s < sets; ++s) {
-        add_point(data, i, s * k + index[s * n + i], psums, pweight);
+        if (fresh[s] != 0) {
+          add_point(data, i, s * k + index[s * n + i], psums, pweight);
+        }
       }
+    }
+  }
+  if (std::find(moved.begin(), moved.end(), 1) == moved.end()) return;
+  for (std::size_t x = 0; x < sets * k; ++x) {
+    if (moved[x] != 0) {
+      std::fill_n(psums + x * d, d, 0.0);
+      pweight[x] = 0.0;
+    }
+  }
+  for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t s = 0; s < sets; ++s) {
+      const std::size_t x = s * k + index[s * n + i];
+      if (moved[x] != 0) add_point(data, i, x, psums, pweight);
     }
   }
 }
@@ -608,14 +652,14 @@ std::vector<double> assign_and_accumulate(
       n, grain, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         double* psums = chunk_sums.data() + chunk * sets * k * d;
         double* pweight = chunk_weights.data() + chunk * sets * k;
-        std::fill_n(psums, sets * k * d, 0.0);
-        std::fill_n(pweight, sets * k, 0.0);
         if (bounded) {
           bounded_chunk(data, centers, pc, sb, point_sq_norms.data(), begin,
                         end, index.data(), sq_dist.data(), lower.data(),
                         psums, pweight);
           return;
         }
+        std::fill_n(psums, sets * k * d, 0.0);
+        std::fill_n(pweight, sets * k, 0.0);
         // Each point's sums are added right after its block is scanned,
         // while its row is still in L1.
         scan_points(points, pc, point_sq_norms.data(), begin, end, nullptr,

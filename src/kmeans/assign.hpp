@@ -21,7 +21,9 @@
 //   - weighted-cost reductions fold per-tile partials in tile order.
 // Lloyd's fused pass can also keep Hamerly's lower bounds, which let it
 // skip the scan for points that provably keep their center; a skipped
-// point's d² comes from the same per-cell chain, so the bits hold.
+// point's d² comes from the same per-cell chain, so the bits hold. Its
+// per-chunk update sums carry from pass to pass, and only those whose
+// members changed are summed again, in the same order.
 //
 // The identity can go slightly negative under cancellation; distances are
 // clamped to >= 0. Values differ from the subtract-form by O(eps·‖p‖‖c‖),
@@ -73,15 +75,16 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
 /// [s·k, s·k + k). For each set the pass computes assign_and_cost's
 /// assignment, distances and cost plus the update step's per-cluster
 /// sums. `index` and `sq_dist` hold sets·n entries, set s's at
-/// [s·n, s·n + n). Chunk g of the grid over [0, n) with `grain` points
-/// per chunk accumulates, in ascending point order and skipping zero
-/// weights, Σ w_i·p_i into chunk_sums[((g·sets + s)·k + c)·d, +d) and
-/// Σ w_i into chunk_weights[(g·sets + s)·k + c] for each cluster c of
-/// set s; the spans hold parallel_chunk_count(n, grain) chunks, which
-/// the pass overwrites. `point_sq_norms` is n long. Returns one cost per
-/// set. Each set's outputs are bit-identical to an assign_and_cost call
-/// on its k centers alone followed by a separate per-chunk sum: a
-/// center's distances do not depend on the sets packed beside it.
+/// [s·n, s·n + n). The sums are kept per chunk of the grid over [0, n)
+/// with `grain` points per chunk: the partial of chunk g, set s and
+/// cluster c is Σ w_i·p_i in chunk_sums[((g·sets + s)·k + c)·d, +d) and
+/// Σ w_i in chunk_weights[(g·sets + s)·k + c], each one chain from +0
+/// over the chunk's points assigned to c, in ascending point order and
+/// skipping zero weights; the spans hold parallel_chunk_count(n, grain)
+/// chunks. `point_sq_norms` is n long. Returns one cost per set. Each
+/// set's outputs are bit-identical to an assign_and_cost call on its k
+/// centers alone followed by a separate per-chunk sum: a center's
+/// distances do not depend on the sets packed beside it.
 ///
 /// With `lower` (sets·n) and `drift` (sets·k) the pass uses Hamerly's
 /// bounds and keeps the same bits. lower[s·n + i] is 0, or a lower bound
@@ -92,6 +95,18 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
 /// own-center d²; the others get the full scan, and the pass leaves a
 /// bound on the current centers in `lower`. A zero bound skips nothing
 /// and reads nothing of `index`, so a first pass passes zeros.
+///
+/// Without bounds the pass writes every partial. A bounded pass carries
+/// them: where every point of chunk g has a nonzero bound in set s, the
+/// chunk's partials of set s must hold what the previous pass over the
+/// same data and grain left for the assignment in `index`, and the pass
+/// rewrites only those of clusters that a point of nonzero weight joined
+/// or left. The others keep their members, so they already hold the
+/// chain a rewrite would compute. Where some point has a zero bound, the
+/// chunk's partials of that set are all written, and their previous
+/// contents are not read. A caller that drops sets between passes moves
+/// each kept set's partials to its new slot, with its `index` and
+/// `lower`.
 [[nodiscard]] std::vector<double> assign_and_accumulate(
     const Dataset& data, const Matrix& centers, std::size_t sets,
     std::span<const double> point_sq_norms, std::size_t grain,

@@ -130,7 +130,8 @@ std::vector<KMeansResult> lloyd_lock_step(
   const std::size_t k = initial.front().rows();
   const std::size_t runs = initial.size();
   // Per-chunk accumulation slots for the update sums, merged in chunk
-  // order below so the result is thread-count-independent.
+  // order below so the result is thread-count-independent. Bounded
+  // passes carry them from one pass to the next (assign_and_accumulate).
   const std::size_t grain = update_grain(n, k, d);
   const std::size_t chunks = parallel_chunk_count(n, grain);
 
@@ -150,10 +151,12 @@ std::vector<KMeansResult> lloyd_lock_step(
   // Hamerly's bounds: per run and point a lower bound on the distance to
   // every center but its own, and per run and center its drift since the
   // last pass. Both live in the run's slot, and move with its
-  // assignment when runs leave.
+  // assignment and carried chunk sums when runs leave; kept_slot[t] is
+  // the slot that the t-th kept run held in the pass.
   const bool bounded = k >= kBoundsMinCenters && n >= kBoundsMinPoints;
   std::vector<double> lower(bounded ? runs * n : 0, 0.0);
   std::vector<double> drift(bounded ? runs * k : 0, 0.0);
+  std::vector<std::size_t> kept_slot(runs);
 
   for (int it = 0; it < opts.max_iters && !live.empty(); ++it) {
     const std::size_t sets = live.size();
@@ -235,12 +238,31 @@ std::vector<KMeansResult> lloyd_lock_step(
           drift[kept * k + c] =
               center_drift(stacked.row(s * k + c), run.centers.row(c));
         }
-        if (kept != s) {
-          std::copy_n(index.begin() + s * n, n, index.begin() + kept * n);
-          std::copy_n(lower.begin() + s * n, n, lower.begin() + kept * n);
+      }
+      kept_slot[kept] = s;
+      live[kept++] = r;
+    }
+    if (bounded && kept < sets) {
+      // Slot kept_slot[t] becomes slot t, and chunk sums slot (chunk,
+      // kept_slot[t]) of this pass's layout becomes (chunk, t) of the
+      // next one. In ascending order no slot is written before it is read.
+      for (std::size_t t = 0; t < kept; ++t) {
+        const std::size_t src = kept_slot[t];
+        if (src == t) continue;
+        std::copy_n(index.begin() + src * n, n, index.begin() + t * n);
+        std::copy_n(lower.begin() + src * n, n, lower.begin() + t * n);
+      }
+      for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+        for (std::size_t t = 0; t < kept; ++t) {
+          const std::size_t src = chunk * sets + kept_slot[t];
+          const std::size_t dst = chunk * kept + t;
+          if (src == dst) continue;
+          std::copy_n(part_sums.begin() + src * k * d, k * d,
+                      part_sums.begin() + dst * k * d);
+          std::copy_n(part_weight.begin() + src * k, k,
+                      part_weight.begin() + dst * k);
         }
       }
-      live[kept++] = r;
     }
     live.resize(kept);
   }

@@ -50,10 +50,12 @@ struct KMeansResult {
 /// serves every restart still running, and a restart that converges
 /// leaves at once. From 7 centers and 4096 points up, each restart keeps
 /// Hamerly's lower bounds across its Lloyd passes, and a pass skips the
-/// center scan for every point they prove keeps its center. Restart r
-/// draws only from stream r of `seed`, and every restart's arithmetic is
-/// what it would be alone, so the result is bit-identical to running the
-/// restarts one after another, without bounds, at any EKM_THREADS.
+/// center scan for every point they prove keeps its center; the pass
+/// also carries its per-chunk update sums and re-adds only those whose
+/// members changed, in the same order. Restart r draws only from stream
+/// r of `seed`, and every restart's arithmetic is what it would be
+/// alone, so the result is bit-identical to running the restarts one
+/// after another, without bounds, at any EKM_THREADS.
 /// Requires 1 <= k; if k >= number of distinct points the result places
 /// a center on every point (zero cost).
 [[nodiscard]] KMeansResult kmeans(const Dataset& data, const KMeansOptions& opts);

@@ -129,6 +129,10 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
   // streaming rounds (a round with zero fresh summaries just serves
   // stale ones).
   const RoundPolicy& policy = net.round_policy();
+  // Only disSS narrows frames; the summaries keep cfg's width.
+  EKM_EXPECTS_MSG(policy.quant != QuantPolicy::kAdaptive,
+                  "streaming round: quant=adaptive is not supported; only "
+                  "disSS coreset frames (bklw, jl+bklw) narrow");
   const double deadline_s = policy.deadline_s;
   net.set_recorder(cfg.recorder);
   std::vector<Coreset> latest(m);

@@ -144,8 +144,10 @@ struct RoundPolicy {
   /// qt/policy.hpp): with kAdaptive, a site about to uplink a coreset
   /// under a finite round deadline narrows the frame's significand
   /// width when the full-width airtime cannot fit the remaining round
-  /// budget — the frame shrinks instead of expiring. kFixed (the
-  /// default) is the paper's §6 fixed-width billing, bit for bit.
+  /// budget — the frame shrinks instead of expiring. Only disSS's
+  /// coreset frames narrow; the NR and streaming rounds throw
+  /// precondition_error under kAdaptive. kFixed (the default) is the
+  /// paper's §6 fixed-width billing, bit for bit.
   QuantPolicy quant = QuantPolicy::kFixed;
 
   /// True when rounds can actually drop sites.

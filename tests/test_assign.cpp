@@ -228,6 +228,7 @@ struct RefPaths {
   bool converged = false;  // stopped on the tolerance test
   bool capped = false;     // stopped at max_iters
   int reseeds = 0;         // empty clusters reseated
+  int late_reseeds = 0;    // of those, after a pass other than the first
 };
 
 // A plain two-pass Lloyd: assign and cost, then sum per 2048-point chunk
@@ -295,6 +296,7 @@ KMeansResult ref_lloyd(const Dataset& data, Matrix centers,
       }
       a.sq_dist[worst_i] = 0.0;
       paths.reseeds += 1;
+      paths.late_reseeds += it > 0;
     }
   }
   (converged ? paths.converged : paths.capped) = true;
@@ -399,7 +401,9 @@ constexpr Share kAll = Share::kAll;
 // k = 7 and n = 4096 up, Lloyd's pass keeps Hamerly's bounds: the
 // bounds_ cases run the own-cell tail (d mod 4 = 1), converge and stop
 // at max_iters side by side (so restarts leave mid-batch and their
-// bounds move slots), reseat empty clusters (a large drift), put
+// bounds move slots), reseat empty clusters (a large drift), also
+// after a later pass (bounds_d9_late_reseat: coincident centers tie,
+// so its chunks write their sums afresh instead of carrying them), put
 // near-ties on bisectors, and sit on the gate's edge (k = 7, n = 4097:
 // a one-point last chunk).
 const ContractCase kContractCases[] = {
@@ -425,6 +429,8 @@ const ContractCase kContractCases[] = {
      kNone, kSome, kSome},
     {"bounds_d65_duplicates_reseed", 4402, 65, 10, Weights::kWithZeros, 6,
      100, 2, kAll, kAll, kNone},
+    {"bounds_d9_late_reseat", 4099, 9, 8, Weights::kWithZeros, 4, 100, 2,
+     kAll, kAll, kNone},
     {"bounds_d33_r20_capped", 4099, 33, 8, Weights::kRandom, 0, 6, 20, kNone,
      kNone, kAll},
     {"bounds_d33_bisector_ties", 4101, 33, 8, Weights::kRandom, 0, 100, 3,
@@ -571,6 +577,27 @@ TEST_P(AssignContract, KMeansEqualsTwoPassLloyd) {
   }
 }
 
+// A bounded row reseats an empty cluster after a pass other than its
+// first, so an update reads sums that a bounded pass left after an
+// earlier one. Lloyd keeps bounds from 7 centers and 4096 points up.
+TEST(AssignContractTable, BoundedRowReseatsAfterItsFirstPass) {
+  std::size_t rows = 0;
+  for (const ContractCase& c : kContractCases) {
+    if (c.k < 7 || c.n < 4096 || c.reseeded == kNone) continue;
+    const Dataset data = contract_data(c);
+    KMeansOptions opts;
+    opts.k = c.k;
+    opts.max_iters = c.max_iters;
+    opts.restarts = c.restarts;
+    opts.seed = 17;
+    std::vector<RefPaths> paths;
+    (void)ref_kmeans(data, opts, paths);
+    rows += std::any_of(paths.begin(), paths.end(),
+                        [](const RefPaths& p) { return p.late_reseeds > 0; });
+  }
+  EXPECT_GT(rows, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Table, AssignContract, ::testing::ValuesIn(kContractCases),
     [](const ::testing::TestParamInfo<ContractCase>& info) {
@@ -645,6 +672,131 @@ TEST(AssignKernel, BoundedPassKeepsBitsAndLeavesValidBounds) {
     EXPECT_EQ(invalid, 0u);
     EXPECT_EQ(loose, 0u);
   }
+}
+
+// Bounded passes carry their chunk sums and rewrite only the partials
+// that a point joined or left. Six passes, each held bit for bit to a
+// from-scratch unbounded pass over the same centers: a first pass over
+// three sets; the centers move; they stand still, so no point moves;
+// they move again; one center of set 0 jumps far away, so its cluster
+// loses every member of the first chunk; then set 1 leaves, and the
+// kept sets' assignment, bounds and sums move slots as lloyd moves them.
+// Every fourth point has zero weight, and some of those move.
+TEST(AssignKernel, CarriedChunkSumsEqualFromScratchPass) {
+  constexpr std::size_t n = 3001, d = 9, k = 8, grain = 2048;
+  constexpr std::size_t far_set = 0, far_c = 2;
+  const Dataset base = random_weighted(n, d, 41);
+  std::vector<double> w = *base.weights();
+  for (std::size_t i = 0; i < n; i += 4) w[i] = 0.0;
+  const Dataset data(base.points(), std::move(w));
+  const std::vector<double> norms = row_sq_norms(data.points());
+  const std::size_t chunks = parallel_chunk_count(n, grain);
+  ASSERT_EQ(chunks, 2u);
+
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    set_parallel_threads(threads);
+    Rng rng = make_rng(42);
+    auto jitter = [&](Matrix m) {
+      for (double& x : m.flat()) {
+        x += std::normal_distribution<double>(0.0, 0.3)(rng);
+      }
+      return m;
+    };
+    std::size_t sets = 3;
+    Matrix centers(sets * k, d);
+    for (std::size_t c = 0; c < sets * k; ++c) {
+      const auto row = data.point(c * 113 + 7);
+      std::copy(row.begin(), row.end(), centers.row(c).begin());
+    }
+    std::vector<std::size_t> index(sets * n);
+    std::vector<double> sq(sets * n), lower(sets * n, 0.0),
+        drift(sets * k, 0.0), sums(chunks * sets * k * d),
+        weights(chunks * sets * k);
+    std::size_t zero_weight_moves = 0;
+
+    for (int step = 0; step < 6; ++step) {
+      SCOPED_TRACE(::testing::Message() << "pass " << step + 1);
+      Matrix next = centers;
+      if (step == 1 || step == 3) next = jitter(centers);
+      if (step == 4) {
+        for (double& x : next.row(far_set * k + far_c)) x += 1000.0;
+        ASSERT_GT(weights[far_set * k + far_c], 0.0);
+      }
+      if (step == 5) {
+        // Set 1 leaves: slot 2 becomes slot 1, and slot (chunk, s) of the
+        // three-set layout becomes (chunk, t) of the two-set one.
+        const std::size_t from[] = {0, 2};
+        std::copy_n(index.begin() + 2 * n, n, index.begin() + n);
+        std::copy_n(lower.begin() + 2 * n, n, lower.begin() + n);
+        for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+          for (std::size_t t = 0; t < 2; ++t) {
+            const std::size_t src = chunk * 3 + from[t], dst = chunk * 2 + t;
+            std::copy_n(sums.begin() + src * k * d, k * d,
+                        sums.begin() + dst * k * d);
+            std::copy_n(weights.begin() + src * k, k,
+                        weights.begin() + dst * k);
+          }
+        }
+        Matrix kept = centers.row_range(0, k);
+        kept.append_rows(centers.row_range(2 * k, 3 * k));
+        centers = kept;
+        next = jitter(kept);
+        sets = 2;
+      }
+      if (step > 0) {
+        // Every bound is nonzero, so the pass carries every partial.
+        ASSERT_TRUE(std::all_of(lower.begin(), lower.begin() + sets * n,
+                                [](double l) { return l > 0.0; }));
+        for (std::size_t c = 0; c < sets * k; ++c) {
+          drift[c] = center_drift(centers.row(c), next.row(c));
+        }
+      }
+      const std::vector<std::size_t> before(index.begin(),
+                                            index.begin() + sets * n);
+      const auto span_of = [&](auto& v, std::size_t per_set) {
+        return std::span(v).first(per_set * sets);
+      };
+      const std::vector<double> got = assign_and_accumulate(
+          data, next, sets, norms, grain, span_of(index, n), span_of(sq, n),
+          span_of(sums, chunks * k * d), span_of(weights, chunks * k),
+          span_of(lower, n), span_of(drift, k));
+      std::vector<std::size_t> want_index(sets * n);
+      std::vector<double> want_sq(sets * n), want_sums(chunks * sets * k * d),
+          want_weights(chunks * sets * k);
+      const std::vector<double> want =
+          assign_and_accumulate(data, next, sets, norms, grain, want_index,
+                                want_sq, want_sums, want_weights);
+      EXPECT_TRUE(same_bits(got, want));
+      EXPECT_TRUE(std::equal(want_index.begin(), want_index.end(),
+                             index.begin()));
+      EXPECT_TRUE(same_bits(span_of(sq, n), want_sq));
+      EXPECT_TRUE(same_bits(span_of(sums, chunks * k * d), want_sums));
+      EXPECT_TRUE(same_bits(span_of(weights, chunks * k), want_weights));
+
+      std::size_t moves = 0;
+      for (std::size_t x = 0; x < sets * n; ++x) {
+        if (step == 0 || before[x] == index[x]) continue;
+        ++moves;
+        zero_weight_moves += data.weight(x % n) == 0.0;
+      }
+      if (step == 2) {
+        EXPECT_EQ(moves, 0u);
+      } else if (step != 0) {
+        EXPECT_GT(moves, 0u);
+      }
+      if (step == 4) {
+        // The far cluster's first-chunk partial is exactly +0.0 again.
+        const std::size_t x = far_set * k + far_c;
+        EXPECT_TRUE(same_bits(weights[x], 0.0));
+        EXPECT_TRUE(same_bits(std::span(sums).subspan(x * d, d),
+                              std::vector<double>(d, 0.0)));
+      }
+      centers = next;
+    }
+    EXPECT_GT(zero_weight_moves, 0u);
+  }
+  set_parallel_threads(0);
 }
 
 // EKM_THREADS=1 vs EKM_THREADS=8 must produce bitwise-identical results;

@@ -1741,6 +1741,43 @@ TEST(Quant, AdaptiveNarrowsFramesToSurviveDeadlines) {
   EXPECT_EQ(b.result.centers.rows(), cfg.k);
 }
 
+// Only disSS narrows frames. The NR round and the streaming rounds send
+// at the configured width, so they reject quant=adaptive instead of
+// running as if it were fixed.
+TEST(Quant, AdaptiveRejectedByNrRound) {
+  const auto parts = make_parts(4, 800, 8, 64);
+  const Coordinator coord(
+      parse_scenario("radio=wifi,deadline=0.5,quant=adaptive,seed=64"));
+  try {
+    (void)coord.run(PipelineKind::kNoReduction, parts, base_config(64));
+    FAIL() << "the NR round accepted quant=adaptive";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("NR round: quant=adaptive"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Quant, AdaptiveRejectedByStreamingRounds) {
+  const auto parts = make_parts(3, 600, 8, 65);
+  const PipelineConfig cfg = base_config(65);
+  StreamingCoresetOptions sopts;
+  sopts.k = cfg.k;
+  sopts.leaf_size = 64;
+  sopts.coreset_size = 32;
+  sopts.seed = 65;
+  const Coordinator coord(
+      parse_scenario("radio=wifi,deadline=0.5,quant=adaptive,seed=65"));
+  try {
+    (void)coord.run_streaming(parts, sopts, cfg, 2);
+    FAIL() << "the streaming rounds accepted quant=adaptive";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("streaming round: quant=adaptive"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Exhaustion, EmptyShardWithRefineStaysFrameAligned) {
   // An empty site never projects or samples, but it still receives
   // every broadcast (basis, allocation, refine centers). Each must be
