@@ -112,9 +112,12 @@ BENCHMARK(BM_TruncatedSvd)
 // each pass reads 125 MB of points and, after the first, re-adds only
 // the members of the per-chunk update sums that a point joined or left;
 // on 20000x64 at k = 50, where the pass is compute-bound and Hamerly's
-// bounds skip most of it; and on a weighted 300x16 input at k = 10, the
+// bounds skip most of it; on a weighted 300x16 input at k = 10, the
 // size of BKLW's server coreset, below the bounds gate, where per-pass
-// overhead dominates. Args: rows, cols, weighted, k.
+// overhead dominates; and on a weighted 131072x16 input at k = 4, the
+// size of fleet_sim's server solve, where the unbounded pass runs 64
+// chunks of chunk-private sums and in-chunk cost tiles (bench_data needs
+// d >= 12, its latent dimension). Args: rows, cols, weighted, k.
 void BM_KMeans(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto cols = static_cast<std::size_t>(state.range(1));
@@ -136,6 +139,7 @@ BENCHMARK(BM_KMeans)
     ->Args({20000, 784, 0, 10})
     ->Args({20000, 64, 0, 50})
     ->Args({300, 16, 1, 10})
+    ->Args({131072, 16, 1, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

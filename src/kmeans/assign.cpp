@@ -180,16 +180,17 @@ void scan_block(const Matrix& points, const PackedCenters& pc,
                                 : std::numeric_limits<double>::infinity();
     }
     // The P points' minimum chains are independent: interleaving them
-    // hides the compare latency.
+    // hides the compare latency. Selects, not branches: the winner
+    // depends on the data, so a branch on it mispredicts often. The
+    // comparison is the same strict <, so ties and NaN keep the best.
     const std::size_t g0 = s * pc.per_set;
     for (std::size_t c = 0; c < pc.per_set; ++c) {
 #pragma GCC unroll 4
       for (std::size_t q = 0; q < P; ++q) {
         const double d2 = lanes[q][g0 + c];
-        if (d2 < best[q]) {
-          best[q] = d2;
-          best_c[q] = c;
-        }
+        const bool lt = d2 < best[q];
+        best_c[q] = lt ? c : best_c[q];
+        best[q] = lt ? d2 : best[q];
       }
     }
     for (std::size_t q = 0; q < P; ++q) {
@@ -349,6 +350,17 @@ inline void add_point(const Dataset& data, std::size_t i, std::size_t cluster,
   const double* p = data.points().row_ptr(i);
   double* sum = psums + cluster * d;
   for (std::size_t j = 0; j < d; ++j) sum[j] += w * p[j];
+}
+
+// Cost tile t's partial for one set: w·d² chained from +0 over the
+// tile's points in ascending order, as assign_and_cost's tiles fold it.
+double tile_cost(const Dataset& data, const double* sd, std::size_t t) {
+  const std::size_t i1 = std::min(data.size(), (t + 1) * kPointTile);
+  double local = 0.0;
+  for (std::size_t i = t * kPointTile; i < i1; ++i) {
+    local = chain_step(local, data.weight(i), sd[i]);
+  }
+  return local;
 }
 
 // Points per sub-block of a bounded chunk: their rows, about 512 KB,
@@ -648,6 +660,17 @@ std::vector<double> assign_and_accumulate(
   const PackedCenters pc(centers, sets);
   const std::vector<SetBounds> sb =
       bounded ? set_bounds(pc, drift) : std::vector<SetBounds>{};
+  // The cost takes assign_and_cost's association per set: one partial
+  // per 256-point tile, tile_costs[s·tiles + t], folded in tile order. A
+  // chunk folds the tiles that lie wholly inside it. A tile whose points
+  // span two chunks (only when the grain is not a multiple of the tile)
+  // is folded on the calling thread once the job is done, in the same
+  // chain.
+  const std::size_t tiles = parallel_chunk_count(n, kPointTile);
+  std::vector<double> tile_costs(sets * tiles);
+  auto tile_last = [&](std::size_t t) {
+    return std::min(n, (t + 1) * kPointTile) - 1;
+  };
   parallel_for_chunks(
       n, grain, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         double* psums = chunk_sums.data() + chunk * sets * k * d;
@@ -656,32 +679,47 @@ std::vector<double> assign_and_accumulate(
           bounded_chunk(data, centers, pc, sb, point_sq_norms.data(), begin,
                         end, index.data(), sq_dist.data(), lower.data(),
                         psums, pweight);
-          return;
+        } else {
+          // Chunk-private sums, copied to the chunk's slot once at the
+          // end: neighbouring slots share cache lines (at k = 4 one set's
+          // weights fill half of one), and adding into them point by
+          // point made two cores write the same line for every point.
+          // Each partial is still one chain from +0 over the chunk's
+          // members in ascending order.
+          std::vector<double> local(sets * k * (d + 1), 0.0);
+          double* lsums = local.data();
+          double* lweight = lsums + sets * k * d;
+          // Each point's sums are added right after its block is
+          // scanned, while its row is still in L1.
+          scan_points(points, pc, point_sq_norms.data(), begin, end, nullptr,
+                      [&](std::size_t i, std::size_t s, std::size_t c,
+                          double d2, const double*) {
+                        index[s * n + i] = c;
+                        sq_dist[s * n + i] = d2;
+                        add_point(data, i, s * k + c, lsums, lweight);
+                      });
+          std::copy_n(lsums, sets * k * d, psums);
+          std::copy_n(lweight, sets * k, pweight);
         }
-        std::fill_n(psums, sets * k * d, 0.0);
-        std::fill_n(pweight, sets * k, 0.0);
-        // Each point's sums are added right after its block is scanned,
-        // while its row is still in L1.
-        scan_points(points, pc, point_sq_norms.data(), begin, end, nullptr,
-                    [&](std::size_t i, std::size_t s, std::size_t c,
-                        double d2, const double*) {
-                      index[s * n + i] = c;
-                      sq_dist[s * n + i] = d2;
-                      add_point(data, i, s * k + c, psums, pweight);
-                    });
+        for (std::size_t s = 0; s < sets; ++s) {
+          const double* sd = sq_dist.data() + s * n;
+          for (std::size_t t = (begin + kPointTile - 1) / kPointTile;
+               t < tiles && tile_last(t) < end; ++t) {
+            tile_costs[s * tiles + t] = tile_cost(data, sd, t);
+          }
+        }
       });
-  // assign_and_cost's association, per set: one partial per point tile,
-  // folded in tile order.
+  // The tiles whose first and last points lie in different chunks, then
+  // every set's partials in tile order.
+  const std::size_t g = std::max<std::size_t>(grain, 1);  // as the grid
   std::vector<double> costs(sets, 0.0);
   for (std::size_t s = 0; s < sets; ++s) {
     const double* sd = sq_dist.data() + s * n;
-    for (std::size_t t0 = 0; t0 < n; t0 += kPointTile) {
-      const std::size_t t1 = std::min(n, t0 + kPointTile);
-      double local = 0.0;
-      for (std::size_t i = t0; i < t1; ++i) {
-        local = chain_step(local, data.weight(i), sd[i]);
+    for (std::size_t t = 0; t < tiles; ++t) {
+      if (t * kPointTile / g != tile_last(t) / g) {
+        tile_costs[s * tiles + t] = tile_cost(data, sd, t);
       }
-      costs[s] += local;
+      costs[s] += tile_costs[s * tiles + t];
     }
   }
   return costs;

@@ -799,6 +799,117 @@ TEST(AssignKernel, CarriedChunkSumsEqualFromScratchPass) {
   set_parallel_threads(0);
 }
 
+// The fused pass's folds, called directly on three chunk grids: 2048 and
+// 512 points, whose chunks hold whole cost tiles, and 300, where tiles
+// span two chunks. Unbounded at k = 2 and 4 with d = 1 and 8, so that
+// one set's slot is smaller than a cache line, and bounded at k = 8: a
+// first pass, then one that carries its sums after the centers move. At
+// 1 and 4 threads each set's cost, index and d² equal assign_and_cost on
+// that set's centers alone, and the chunk sums and weights equal a
+// per-chunk reference, the chain lloyd's update step documents. An
+// unbounded pass starts from NaN-filled slots, so a slot it skips shows.
+TEST(AssignKernel, FusedPassFoldsEqualPerChunkReference) {
+  constexpr std::size_t n = 5001, sets = 3;
+  const struct {
+    std::size_t k, d;
+    bool bounded;
+  } shapes[] = {{2, 1, false},
+                {4, 1, false},
+                {2, 8, false},
+                {4, 8, false},
+                {8, 8, true}};
+  for (const auto& shape : shapes) {
+    const std::size_t k = shape.k, d = shape.d;
+    const Dataset base = random_weighted(n, d, 50 + k * 10 + d);
+    std::vector<double> w = *base.weights();
+    for (std::size_t i = 0; i < n; i += 4) w[i] = 0.0;
+    const Dataset data(base.points(), std::move(w));
+    const std::vector<double> norms = row_sq_norms(data.points());
+    Matrix first(sets * k, d);
+    for (std::size_t c = 0; c < sets * k; ++c) {
+      const auto row = data.point(c * 151 + 3);
+      std::copy(row.begin(), row.end(), first.row(c).begin());
+    }
+    Matrix second = first;
+    Rng rng = make_rng(51);
+    for (double& x : second.flat()) {
+      x += std::normal_distribution<double>(0.0, 0.3)(rng);
+    }
+    std::vector<double> drift(sets * k);
+    for (std::size_t c = 0; c < sets * k; ++c) {
+      drift[c] = center_drift(first.row(c), second.row(c));
+    }
+    for (std::size_t grain : {2048u, 512u, 300u}) {
+      SCOPED_TRACE(::testing::Message() << "k " << k << ", d " << d
+                                        << ", grain " << grain);
+      const std::size_t chunks = parallel_chunk_count(n, grain);
+      std::vector<std::size_t> index_1t;
+      std::vector<double> sq_1t, sums_1t, weights_1t;
+      for (std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        set_parallel_threads(threads);
+        std::vector<std::size_t> index(sets * n);
+        std::vector<double> sq(sets * n), sums(chunks * sets * k * d),
+            weights(chunks * sets * k);
+        // Empty bounds make the pass unbounded.
+        std::vector<double> lower(shape.bounded ? sets * n : 0, 0.0);
+        const std::vector<double> still(lower.empty() ? 0 : sets * k, 0.0);
+        auto pass = [&](const Matrix& centers, std::span<const double> moved) {
+          if (lower.empty()) {
+            std::fill(sums.begin(), sums.end(), std::nan(""));
+            std::fill(weights.begin(), weights.end(), std::nan(""));
+          }
+          const std::vector<double> costs = assign_and_accumulate(
+              data, centers, sets, norms, grain, index, sq, sums, weights,
+              lower, moved);
+          for (std::size_t s = 0; s < sets; ++s) {
+            const Matrix own = centers.row_range(s * k, s * k + k);
+            std::vector<std::size_t> want_index(n);
+            std::vector<double> want_sq(n);
+            EXPECT_TRUE(same_bits(
+                costs[s], assign_and_cost(data, own, want_index, want_sq)));
+            EXPECT_TRUE(std::equal(want_index.begin(), want_index.end(),
+                                   index.begin() + s * n));
+            EXPECT_TRUE(same_bits(std::span(sq).subspan(s * n, n), want_sq));
+            for (std::size_t g = 0; g < chunks; ++g) {
+              std::vector<double> want_sums(k * d, 0.0), want_weights(k, 0.0);
+              for (std::size_t i = g * grain;
+                   i < std::min(n, g * grain + grain); ++i) {
+                if (data.weight(i) == 0.0) continue;
+                const std::size_t c = want_index[i];
+                want_weights[c] += data.weight(i);
+                for (std::size_t j = 0; j < d; ++j) {
+                  want_sums[c * d + j] = chain_step(
+                      want_sums[c * d + j], data.weight(i), data.point(i)[j]);
+                }
+              }
+              const std::size_t slot = g * sets + s;
+              EXPECT_TRUE(same_bits(
+                  std::span(sums).subspan(slot * k * d, k * d), want_sums));
+              EXPECT_TRUE(same_bits(std::span(weights).subspan(slot * k, k),
+                                    want_weights));
+            }
+          }
+        };
+        pass(first, still);
+        if (shape.bounded) pass(second, drift);
+        if (threads == 1) {
+          index_1t = index;
+          sq_1t = sq;
+          sums_1t = sums;
+          weights_1t = weights;
+        } else {
+          EXPECT_EQ(index, index_1t);
+          EXPECT_TRUE(same_bits(sq, sq_1t));
+          EXPECT_TRUE(same_bits(sums, sums_1t));
+          EXPECT_TRUE(same_bits(weights, weights_1t));
+        }
+      }
+    }
+  }
+  set_parallel_threads(0);
+}
+
 // EKM_THREADS=1 vs EKM_THREADS=8 must produce bitwise-identical results;
 // set_parallel_threads() is the same code path the env variable seeds.
 TEST(ThreadDeterminism, KMeansResultIdenticalAcrossThreadCounts) {
