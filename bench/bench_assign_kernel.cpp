@@ -8,8 +8,8 @@
 //                            [--threads T] [--json PATH]
 //                            [--meta key=value ...]
 // Defaults match the acceptance shape: n=50000, d=64, k=50.
-// Timing goes through bench_util's time_best_of — the recorder-backed
-// path shared with the sim sweeps — not a bench-local Timer loop.
+// Timing goes through bench_util's time_best_of, one WallSpan per
+// repetition (obs/span.hpp), the span the pipeline's stages also use.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -1,17 +1,16 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 #include <string>
 
-#include "common/timer.hpp"
 #include "core/calibration.hpp"
 #include "cr/fss.hpp"
-#include "kmeans/assign.hpp"
 #include "distributed/bklw.hpp"
 #include "dr/jl.hpp"
-#include "dr/pca.hpp"
+#include "kmeans/assign.hpp"
 #include "net/summary_codec.hpp"
+#include "obs/span.hpp"
 #include "qt/quantizer.hpp"
 
 namespace ekm {
@@ -53,49 +52,255 @@ void expect_summary_shape(const Coreset& summary, std::size_t w) {
               ", or coordinates in a basis tx" + std::to_string(w));
 }
 
-KMeansOptions solver_options(const PipelineConfig& cfg) {
-  KMeansOptions opts;
-  opts.k = cfg.k;
-  opts.restarts = cfg.solver_restarts;
-  opts.max_iters = cfg.solver_max_iters;
-  opts.seed = derive_seed(cfg.seed, 0x501feULL);  // solver stream
-  return opts;
+/// What runs at the sources between the JL maps: nothing (NR ships the
+/// raw shards), the FSS coreset of one source, or the BKLW protocol over
+/// several.
+enum class Cr { kNone, kFss, kBklw };
+
+/// One kind's stage list, as constants (see pipeline.hpp).
+struct Stages {
+  const char* name;
+  Cr cr;
+  double (*epsilon)(double);  ///< the calibrated per-stage ε; null for NR
+  bool jl1;                   ///< JL₁ runs before CR
+  bool jl2;                   ///< JL₂ runs after CR
+  /// JL₁ and JL₂ draw from derive_seed(seed, 1) and (seed, 2); otherwise
+  /// a kind's one map draws from the master seed itself.
+  bool derived_seeds;
+};
+
+const Stages& stages(PipelineKind kind) {
+  static constexpr Stages kTable[] = {
+      {"NR", Cr::kNone, nullptr, false, false, false},
+      {"FSS", Cr::kFss, epsilon_for_fss, false, false, false},
+      {"JL+FSS", Cr::kFss, epsilon_for_alg1, true, false, false},
+      {"FSS+JL", Cr::kFss, epsilon_for_alg2, false, true, false},
+      {"JL+FSS+JL", Cr::kFss, epsilon_for_alg3, true, true, true},
+      {"BKLW", Cr::kBklw, epsilon_for_bklw, false, false, false},
+      {"JL+BKLW", Cr::kBklw, epsilon_for_alg4, true, false, false},
+  };
+  return kTable[static_cast<std::size_t>(kind)];
 }
 
-/// Practical JL target dimension: the Theorem 3.1 form with a laptop
-/// constant, clamped to [4, input_dim] (projecting *up* is never useful).
-std::size_t practical_jl_dim(double epsilon, std::size_t n, std::size_t k,
-                             double delta, std::size_t input_dim) {
-  const double raw = std::ceil(
-      4.0 * std::log(4.0 * static_cast<double>(n) * static_cast<double>(k) /
-                     delta) /
-      (epsilon * epsilon));
-  return std::clamp<std::size_t>(static_cast<std::size_t>(std::max(raw, 4.0)),
-                                 4, std::max<std::size_t>(input_dim, 4));
+std::uint64_t jl_seed(const Stages& st, const PipelineConfig& cfg,
+                      std::uint64_t stream) {
+  return st.derived_seeds ? derive_seed(cfg.seed, stream) : cfg.seed;
 }
 
-/// Server side: weighted k-means in the summary's coordinate space, then
-/// lift through the subspace basis if the summary carries one.
-Matrix solve_summary(const Coreset& coreset, const PipelineConfig& cfg) {
-  const KMeansResult res = kmeans(coreset.points, solver_options(cfg));
-  if (coreset.basis) return matmul(res.centers, *coreset.basis);
-  return res.centers;
+/// A map's target dimension: the requested one, capped at its input
+/// width, else the practical rule over n points.
+std::size_t jl_dim(std::size_t requested, double eps, std::size_t n,
+                   const PipelineConfig& cfg, std::size_t input_dim) {
+  return requested > 0 ? std::min(requested, input_dim)
+                       : jl_target_dim(eps, n, cfg.k, cfg.delta, input_dim);
 }
 
-/// Applies the rounding quantizer to the coreset's point coordinates
-/// (only — weights, Δ and any basis stay full precision, §6 footnote 6).
-void quantize_points(Coreset& coreset, int significant_bits) {
-  if (significant_bits >= kDoubleSignificandBits) return;
-  const RoundingQuantizer q(significant_bits);
-  coreset.points = q.quantize(coreset.points);
+bool quantizes(const PipelineConfig& cfg) {
+  return cfg.significant_bits < kDoubleSignificandBits;
 }
 
-/// Distributed variant of the refine_iters extension: classic distributed
-/// Lloyd rounds seeded by the lifted centers. Per round each source
-/// uplinks k x (d + 1) weighted sufficient statistics; the server merges.
+FssOptions fss_options(const PipelineConfig& cfg, double stage_epsilon) {
+  FssOptions fo;
+  fo.k = cfg.k;
+  fo.epsilon = stage_epsilon;
+  fo.delta = cfg.delta;
+  fo.sample_size = cfg.coreset_size;
+  fo.intrinsic_dim = cfg.pca_dim;
+  return fo;
+}
+
+BklwOptions bklw_options(const PipelineConfig& cfg, double stage_epsilon) {
+  BklwOptions bo;
+  bo.k = cfg.k;
+  bo.epsilon = stage_epsilon;
+  bo.delta = cfg.delta;
+  bo.intrinsic_dim = cfg.pca_dim;
+  bo.total_samples = cfg.coreset_size;
+  bo.significant_bits = cfg.significant_bits;
+  return bo;
+}
+
+/// What the server holds once the source side and the transport are
+/// done: a coreset in the wire's coordinates (NR: the joined shards) and
+/// the maps its centers lift back through.
+struct Summary {
+  std::size_t size = 0;  ///< PipelineResult::summary_points
+  Coreset coreset;
+  std::optional<LinearMap> jl1;
+  std::optional<LinearMap> jl2;
+};
+
+/// NR: every source ships its raw shard, quantized if QT is on, in one
+/// collection round; the server joins the shards that made the deadline.
+Summary nr_round(std::span<const Dataset> parts, std::size_t n,
+                 std::size_t d, const PipelineConfig& cfg, Fabric& net,
+                 Stopwatch& device) {
+  const RoundPolicy& policy = net.round_policy();
+  // Only disSS narrows frames; the raw shards keep cfg's width.
+  EKM_EXPECTS_MSG(policy.quant != QuantPolicy::kAdaptive,
+                  "NR round: quant=adaptive is not supported; only "
+                  "disSS coreset frames (bklw, jl+bklw) narrow");
+  const WallSpan span("transport");
+  const RoundId round = net.open_round(policy.deadline_s);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    // Without QT the shard is encoded where it lies.
+    Matrix quantized;
+    if (quantizes(cfg)) {
+      const WallSpan qt("qt", &device);
+      quantized =
+          RoundingQuantizer(cfg.significant_bits).quantize(parts[i].points());
+    }
+    net.uplink(i).send(encode_matrix(
+        quantizes(cfg) ? quantized : parts[i].points(), cfg.significant_bits));
+  }
+  std::vector<Dataset> shards;
+  std::size_t responders = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    auto frame = net.uplink(i).receive_by(round);
+    if (!frame.has_value()) continue;
+    responders += 1;
+    Matrix part = decode_matrix(*frame);
+    if (part.rows() == 0 && parts[i].empty()) continue;
+    EKM_EXPECTS_MSG(part.cols() == d,
+                    "NR round: source " + std::to_string(i) + " sent " +
+                        std::to_string(part.cols()) +
+                        " columns, the round's dimension is " +
+                        std::to_string(d));
+    EKM_EXPECTS_MSG(part.rows() == parts[i].size(),
+                    "NR round: source " + std::to_string(i) +
+                        " sent a matrix " + shape(part) + ", expected " +
+                        std::to_string(parts[i].size()) + "x" +
+                        std::to_string(d));
+    shards.emplace_back(std::move(part));
+  }
+  enforce_availability_floor(responders, policy.min_responders, "NR round",
+                             net.rounds_opened());
+  EKM_ENSURES_MSG(!shards.empty(),
+                  "no data source delivered before the round deadline");
+  Summary out;
+  out.size = n;
+  out.coreset.points = concatenate(shards);
+  return out;
+}
+
+/// One source: [JL₁] → FSS → [JL₂] → QT; then the summary crosses the
+/// uplink, and the server decodes and checks it.
+Summary fss_side(const Dataset& data, const Stages& st, double eps,
+                 const PipelineConfig& cfg, Fabric& net, Stopwatch& device) {
+  Summary out;
+  Rng rng = make_rng(cfg.seed, 0xc0ULL);
+  Dataset projected;
+  if (st.jl1) {
+    const WallSpan span("dr", &device);
+    out.jl1 = make_jl_projection(
+        data.dim(), jl_dim(cfg.jl_dim, eps, data.size(), cfg, data.dim()),
+        jl_seed(st, cfg, 1));
+    projected = out.jl1->apply(data);
+  }
+  Coreset cs;
+  {
+    const WallSpan span("cr", &device);
+    cs = fss_coreset(st.jl1 ? projected : data, fss_options(cfg, eps), rng);
+  }
+  if (st.jl2) {
+    // JL after CR projects the *ambient* coreset points: the basis never
+    // crosses the wire. jl_dim names a kind's first map and jl_dim2 its
+    // second, so FSS+JL's only map reads jl_dim2, else jl_dim.
+    const WallSpan span("dr", &device);
+    const Dataset ambient = cs.to_ambient();
+    const std::size_t requested =
+        cfg.jl_dim2 > 0 ? cfg.jl_dim2 : st.jl1 ? 0 : cfg.jl_dim;
+    out.jl2 = make_jl_projection(
+        ambient.dim(),
+        jl_dim(requested, eps, std::max<std::size_t>(ambient.size(), 2), cfg,
+               ambient.dim()),
+        jl_seed(st, cfg, 2));
+    Coreset wire;
+    wire.points = out.jl2->apply(ambient);
+    wire.delta = cs.delta;
+    cs = std::move(wire);
+  }
+  if (quantizes(cfg)) {
+    // Γ rounds the point coordinates only: weights, Δ and any basis stay
+    // full precision (§6 footnote 6).
+    const WallSpan span("qt", &device);
+    cs.points = RoundingQuantizer(cfg.significant_bits).quantize(cs.points);
+  }
+  const WallSpan span("transport");
+  net.uplink(0).send(encode_coreset(cs, cfg.significant_bits));
+  out.coreset = decode_coreset(net.uplink(0).receive());
+  const LinearMap* wire_map =
+      out.jl2 ? &*out.jl2 : out.jl1 ? &*out.jl1 : nullptr;
+  expect_summary_shape(
+      out.coreset, wire_map != nullptr ? wire_map->output_dim() : data.dim());
+  out.size = out.coreset.size();
+  return out;
+}
+
+/// Several sources: [JL₁] at each source, then the BKLW protocol (disPCA,
+/// then disSS, which ships each source's coreset).
+Summary bklw_side(std::span<const Dataset> parts, std::size_t n,
+                  std::size_t d, const Stages& st, double eps,
+                  const PipelineConfig& cfg, Fabric& net, Stopwatch& device) {
+  Summary out;
+  std::vector<Dataset> projected;
+  if (st.jl1) {
+    // Data-oblivious: every source builds the same map from the shared
+    // seed; nothing about it crosses the network.
+    const WallSpan span("dr", &device);
+    out.jl1 = make_jl_projection(d, jl_dim(cfg.jl_dim, eps, n, cfg, d),
+                                 jl_seed(st, cfg, 1));
+    projected.resize(parts.size());
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      if (!parts[i].empty()) projected[i] = out.jl1->apply(parts[i]);
+    }
+  }
+  Coreset& cs = out.coreset;
+  {
+    const WallSpan span("cr");
+    cs = bklw_coreset(st.jl1 ? std::span<const Dataset>(projected) : parts,
+                      bklw_options(cfg, eps), net, device, cfg.seed);
+  }
+  if (quantizes(cfg)) {
+    // QT on the server-held coreset is a no-op for communication (disSS
+    // billed it); the sources quantize before transmission, which this
+    // reproduces for the cost.
+    const WallSpan span("qt");
+    cs.points = RoundingQuantizer(cfg.significant_bits).quantize(cs.points);
+  }
+  out.size = cs.size();
+  return out;
+}
+
+/// The single-source refine (PipelineConfig::refine_iters): the server
+/// pushes the lifted centers down; the device polishes them on its own
+/// data and uplinks the final model.
+Matrix refine_on_device(const Matrix& centers, const Dataset& data,
+                        Fabric& net, Stopwatch& device,
+                        const PipelineConfig& cfg) {
+  net.downlink(0).send(encode_matrix(centers));
+  Matrix refined;
+  {
+    const WallSpan span("refine", &device);
+    const Matrix pushed = decode_matrix(net.downlink(0).receive());
+    expect_centers_shape("the device", pushed, cfg.k, data.dim());
+    KMeansOptions ropts;
+    ropts.k = pushed.rows();
+    ropts.max_iters = cfg.refine_iters;
+    ropts.restarts = 1;
+    refined = lloyd(data, pushed, ropts).centers;
+  }
+  net.uplink(0).send(encode_matrix(refined));
+  return refined;
+}
+
+/// The distributed refine: classic distributed Lloyd rounds seeded by the
+/// lifted centers. Per round each source uplinks k x (d + 1) weighted
+/// sufficient statistics; the server merges.
 Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
-                          Fabric& net, Stopwatch& device_work,
+                          Fabric& net, Stopwatch& device,
                           const PipelineConfig& cfg) {
+  const WallSpan span("refine");
   const std::size_t k = centers.rows();
   const std::size_t d = centers.cols();
   const RoundPolicy& policy = net.round_policy();
@@ -118,7 +323,7 @@ Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
     for (std::size_t i = 0; i < parts.size(); ++i) {
       Matrix stats(k, d + 1);  // row c: [weighted sum | weighted count]
       {
-        auto scope = device_work.measure();
+        const WallSpan window(device);
         auto pushed_frame = net.downlink(i).receive_by(kNoRound);
         if (!pushed_frame.has_value()) continue;  // lost the broadcast
         if (!parts[i].empty()) {
@@ -173,87 +378,69 @@ Matrix refine_distributed(Matrix centers, std::span<const Dataset> parts,
   return centers;
 }
 
-FssOptions fss_options(const PipelineConfig& cfg, double stage_epsilon) {
-  FssOptions fo;
-  fo.k = cfg.k;
-  fo.epsilon = stage_epsilon;
-  fo.delta = cfg.delta;
-  fo.sample_size = cfg.coreset_size;
-  fo.intrinsic_dim = cfg.pca_dim;
-  return fo;
-}
+/// The stage driver: one source side per CR, then the one server side.
+PipelineResult drive(PipelineKind kind, std::span<const Dataset> parts,
+                     const PipelineConfig& cfg, Fabric& net) {
+  std::size_t n = 0;
+  std::size_t d = 0;
+  for (const Dataset& p : parts) {
+    n += p.size();
+    if (!p.empty()) d = p.dim();
+  }
+  EKM_EXPECTS(n > 0 && d > 0);
+  const Stages& st = stages(kind);
+  const double eps = st.epsilon != nullptr ? st.epsilon(cfg.epsilon) : 0.0;
+  Stopwatch device;
+  Summary summary =
+      st.cr == Cr::kNone  ? nr_round(parts, n, d, cfg, net, device)
+      : st.cr == Cr::kFss ? fss_side(parts[0], st, eps, cfg, net, device)
+                          : bklw_side(parts, n, d, st, eps, cfg, net, device);
 
-BklwOptions bklw_options(const PipelineConfig& cfg, double stage_epsilon) {
-  BklwOptions bo;
-  bo.k = cfg.k;
-  bo.epsilon = stage_epsilon;
-  bo.delta = cfg.delta;
-  bo.intrinsic_dim = cfg.pca_dim;
-  bo.total_samples = cfg.coreset_size;
-  bo.significant_bits = cfg.significant_bits;
-  return bo;
-}
-
-PipelineResult finish_single_source(Coreset summary, Fabric& net,
-                                    const PipelineConfig& cfg,
-                                    const LinearMap* lift1,
-                                    const LinearMap* lift2, double device_s,
-                                    const Dataset& original) {
-  // Transmit.
-  net.uplink(0).send(encode_coreset(summary, cfg.significant_bits));
-  // Server: decode, solve, lift back to the original space.
-  const Coreset received = decode_coreset(net.uplink(0).receive());
-  const LinearMap* wire_map = lift2 != nullptr ? lift2 : lift1;
-  expect_summary_shape(received, wire_map != nullptr ? wire_map->output_dim()
-                                                     : original.dim());
-  Matrix centers = solve_summary(received, cfg);
-  if (lift2 != nullptr) centers = lift2->lift(centers);
-  if (lift1 != nullptr) centers = lift1->lift(centers);
-
-  double refine_s = 0.0;
-  if (cfg.refine_iters > 0) {
-    // Extension (see PipelineConfig::refine_iters): server pushes the
-    // lifted centers down; the device polishes them on its own data and
-    // uplinks the final model.
-    net.downlink(0).send(encode_matrix(centers));
-    Timer timer;
-    const Matrix pushed = decode_matrix(net.downlink(0).receive());
-    expect_centers_shape("the device", pushed, cfg.k, original.dim());
-    KMeansOptions ropts;
-    ropts.k = pushed.rows();
-    ropts.max_iters = cfg.refine_iters;
-    ropts.restarts = 1;
-    centers = lloyd(original, pushed, ropts).centers;
-    refine_s = timer.seconds();
-    net.uplink(0).send(encode_matrix(centers));
+  Matrix centers;
+  {
+    const WallSpan span("server_solve");
+    centers =
+        kmeans(summary.coreset.points, server_solver_options(cfg)).centers;
+  }
+  {
+    // Back to R^d: the coreset's basis, then JL₂⁺, then JL₁⁺.
+    const WallSpan span("lift");
+    const std::optional<Matrix>& basis = summary.coreset.basis;
+    if (basis) centers = matmul(centers, *basis);
+    if (summary.jl2) centers = summary.jl2->lift(centers);
+    if (summary.jl1) centers = summary.jl1->lift(centers);
+  }
+  if (cfg.refine_iters > 0 && st.cr == Cr::kFss) {
+    centers = refine_on_device(centers, parts[0], net, device, cfg);
+  }
+  if (cfg.refine_iters > 0 && st.cr == Cr::kBklw) {
+    centers = refine_distributed(std::move(centers), parts, net, device, cfg);
   }
 
   PipelineResult result;
   result.centers = std::move(centers);
-  result.device_seconds = device_s + refine_s;
+  result.device_seconds = device.total_seconds();
   result.uplink = net.total_uplink();
   result.downlink = net.total_downlink();
-  result.summary_points = received.size();
+  result.summary_points = summary.size;
   return result;
 }
 
 }  // namespace
 
-const char* pipeline_name(PipelineKind kind) {
-  switch (kind) {
-    case PipelineKind::kNoReduction: return "NR";
-    case PipelineKind::kFss: return "FSS";
-    case PipelineKind::kJlFss: return "JL+FSS";
-    case PipelineKind::kFssJl: return "FSS+JL";
-    case PipelineKind::kJlFssJl: return "JL+FSS+JL";
-    case PipelineKind::kBklw: return "BKLW";
-    case PipelineKind::kJlBklw: return "JL+BKLW";
-  }
-  return "?";
-}
+const char* pipeline_name(PipelineKind kind) { return stages(kind).name; }
 
 bool pipeline_is_distributed(PipelineKind kind) {
-  return kind == PipelineKind::kBklw || kind == PipelineKind::kJlBklw;
+  return stages(kind).cr == Cr::kBklw;
+}
+
+KMeansOptions server_solver_options(const PipelineConfig& cfg) {
+  KMeansOptions opts;
+  opts.k = cfg.k;
+  opts.restarts = cfg.solver_restarts;
+  opts.max_iters = cfg.solver_max_iters;
+  opts.seed = derive_seed(cfg.seed, 0x501feULL);  // solver stream
+  return opts;
 }
 
 PipelineResult run_pipeline(PipelineKind kind, const Dataset& data,
@@ -268,117 +455,7 @@ PipelineResult run_pipeline(PipelineKind kind, const Dataset& data,
   EKM_EXPECTS(!data.empty());
   EKM_EXPECTS(cfg.k >= 1);
   EKM_EXPECTS(net.num_sources() == 1);
-  const std::size_t n = data.size();
-  const std::size_t d = data.dim();
-  Rng rng = make_rng(cfg.seed, 0xc0ULL);
-
-  switch (kind) {
-    case PipelineKind::kNoReduction: {
-      Timer timer;
-      Matrix payload = data.points();
-      if (cfg.significant_bits < kDoubleSignificandBits) {
-        payload = RoundingQuantizer(cfg.significant_bits).quantize(payload);
-      }
-      const double device_s = timer.seconds();
-      net.uplink(0).send(encode_matrix(payload, cfg.significant_bits));
-      const Matrix raw = decode_matrix(net.uplink(0).receive());
-      EKM_EXPECTS_MSG(raw.rows() == n && raw.cols() == d,
-                      "NR: the source sent a matrix " + shape(raw) +
-                          ", expected " + std::to_string(n) + "x" +
-                          std::to_string(d));
-      const KMeansResult res = kmeans(Dataset(raw), solver_options(cfg));
-
-      PipelineResult result;
-      result.centers = res.centers;
-      result.device_seconds = device_s;
-      result.uplink = net.total_uplink();
-      result.summary_points = n;
-      return result;
-    }
-
-    case PipelineKind::kFss: {
-      const double eps = epsilon_for_fss(cfg.epsilon);
-      Timer timer;
-      Coreset cs = fss_coreset(data, fss_options(cfg, eps), rng);
-      quantize_points(cs, cfg.significant_bits);
-      const double device_s = timer.seconds();
-      // The FSS summary ships basis + coordinates (Theorem 4.1's
-      // O(kd/ε²) communication comes from the d x t basis).
-      return finish_single_source(std::move(cs), net, cfg, nullptr, nullptr,
-                                  device_s, data);
-    }
-
-    case PipelineKind::kJlFss: {  // Algorithm 1
-      const double eps = epsilon_for_alg1(cfg.epsilon);
-      const std::size_t d1 =
-          cfg.jl_dim > 0 ? std::min(cfg.jl_dim, d)
-                         : practical_jl_dim(eps, n, cfg.k, cfg.delta, d);
-      const LinearMap pi1 = make_jl_projection(d, d1, cfg.seed);
-      Timer timer;
-      const Dataset projected = pi1.apply(data);
-      Coreset cs = fss_coreset(projected, fss_options(cfg, eps), rng);
-      quantize_points(cs, cfg.significant_bits);
-      const double device_s = timer.seconds();
-      return finish_single_source(std::move(cs), net, cfg, &pi1, nullptr,
-                                  device_s, data);
-    }
-
-    case PipelineKind::kFssJl: {  // Algorithm 2
-      const double eps = epsilon_for_alg2(cfg.epsilon);
-      Timer timer;
-      Coreset cs = fss_coreset(data, fss_options(cfg, eps), rng);
-      // JL after CR: project the *ambient* coreset points; the basis
-      // never crosses the wire.
-      const Dataset ambient = cs.to_ambient();
-      const std::size_t jl_override =
-          cfg.jl_dim2 > 0 ? cfg.jl_dim2 : cfg.jl_dim;
-      const std::size_t d2 =
-          jl_override > 0
-              ? std::min(jl_override, d)
-              : practical_jl_dim(eps, std::max<std::size_t>(ambient.size(), 2),
-                                 cfg.k, cfg.delta, d);
-      const LinearMap pi1 = make_jl_projection(d, d2, cfg.seed);
-      Coreset wire;
-      wire.points = pi1.apply(ambient);
-      wire.delta = cs.delta;
-      quantize_points(wire, cfg.significant_bits);
-      const double device_s = timer.seconds();
-      return finish_single_source(std::move(wire), net, cfg, &pi1, nullptr,
-                                  device_s, data);
-    }
-
-    case PipelineKind::kJlFssJl: {  // Algorithm 3
-      const double eps = epsilon_for_alg3(cfg.epsilon);
-      const std::size_t d1 =
-          cfg.jl_dim > 0 ? std::min(cfg.jl_dim, d)
-                         : practical_jl_dim(eps, n, cfg.k, cfg.delta, d);
-      const LinearMap pi1 =
-          make_jl_projection(d, d1, derive_seed(cfg.seed, 1));
-      Timer timer;
-      const Dataset projected = pi1.apply(data);
-      Coreset cs = fss_coreset(projected, fss_options(cfg, eps), rng);
-      const Dataset ambient = cs.to_ambient();  // in R^{d1}
-      const std::size_t d2 =
-          cfg.jl_dim2 > 0
-              ? std::min(cfg.jl_dim2, d1)
-              : practical_jl_dim(eps, std::max<std::size_t>(ambient.size(), 2),
-                                 cfg.k, cfg.delta, d1);
-      const LinearMap pi2 =
-          make_jl_projection(d1, d2, derive_seed(cfg.seed, 2));
-      Coreset wire;
-      wire.points = pi2.apply(ambient);
-      wire.delta = cs.delta;
-      quantize_points(wire, cfg.significant_bits);
-      const double device_s = timer.seconds();
-      return finish_single_source(std::move(wire), net, cfg, &pi1, &pi2,
-                                  device_s, data);
-    }
-
-    case PipelineKind::kBklw:
-    case PipelineKind::kJlBklw:
-      EKM_EXPECTS_MSG(false, "distributed pipeline requires parts");
-  }
-  return {};
+  return drive(kind, std::span<const Dataset>(&data, 1), cfg, net);
 }
 
 PipelineResult run_distributed_pipeline(PipelineKind kind,
@@ -395,129 +472,7 @@ PipelineResult run_distributed_pipeline(PipelineKind kind,
   EKM_EXPECTS(!parts.empty());
   EKM_EXPECTS(kind == PipelineKind::kNoReduction || pipeline_is_distributed(kind));
   EKM_EXPECTS(net.num_sources() == parts.size());
-  Stopwatch device_work;
-
-  std::size_t n_total = 0;
-  std::size_t d = 0;
-  for (const Dataset& p : parts) {
-    n_total += p.size();
-    if (!p.empty()) d = p.dim();
-  }
-  EKM_EXPECTS(n_total > 0 && d > 0);
-
-  switch (kind) {
-    case PipelineKind::kNoReduction: {
-      const RoundPolicy& policy = net.round_policy();
-      // Only disSS narrows frames; the raw shards keep cfg's width.
-      EKM_EXPECTS_MSG(policy.quant != QuantPolicy::kAdaptive,
-                      "NR round: quant=adaptive is not supported; only "
-                      "disSS coreset frames (bklw, jl+bklw) narrow");
-      const RoundId round = net.open_round(policy.deadline_s);
-      const bool qt = cfg.significant_bits < kDoubleSignificandBits;
-      for (std::size_t i = 0; i < parts.size(); ++i) {
-        // Without QT the shard is encoded where it lies.
-        Matrix quantized;
-        if (qt) {
-          auto scope = device_work.measure();
-          quantized = RoundingQuantizer(cfg.significant_bits)
-                          .quantize(parts[i].points());
-        }
-        net.uplink(i).send(encode_matrix(qt ? quantized : parts[i].points(),
-                                         cfg.significant_bits));
-      }
-      // Ship-everything is one collection round too: the server
-      // clusters whatever raw shards made the deadline, joined once.
-      std::vector<Dataset> shards;
-      std::size_t responders = 0;
-      for (std::size_t i = 0; i < parts.size(); ++i) {
-        auto frame = net.uplink(i).receive_by(round);
-        if (!frame.has_value()) continue;
-        responders += 1;
-        Matrix part = decode_matrix(*frame);
-        if (part.rows() == 0) continue;
-        EKM_EXPECTS_MSG(part.cols() == d,
-                        "NR round: source " + std::to_string(i) + " sent " +
-                            std::to_string(part.cols()) +
-                            " columns, the round's dimension is " +
-                            std::to_string(d));
-        shards.emplace_back(std::move(part));
-      }
-      enforce_availability_floor(responders, policy.min_responders,
-                                 "NR round", net.rounds_opened());
-      EKM_ENSURES_MSG(!shards.empty(),
-                      "no data source delivered before the round deadline");
-      const KMeansResult res = kmeans(concatenate(shards), solver_options(cfg));
-      PipelineResult result;
-      result.centers = res.centers;
-      result.device_seconds = device_work.total_seconds();
-      result.uplink = net.total_uplink();
-      result.downlink = net.total_downlink();
-      result.summary_points = n_total;
-      return result;
-    }
-
-    case PipelineKind::kBklw: {
-      const double eps = epsilon_for_bklw(cfg.epsilon);
-      Coreset cs = bklw_coreset(parts, bklw_options(cfg, eps), net,
-                                device_work, cfg.seed);
-      // QT on the server-held coreset is a no-op for communication (the
-      // billing happened inside disSS); the points were quantized by each
-      // source pre-transmission, which we reproduce here for the cost:
-      if (cfg.significant_bits < kDoubleSignificandBits) {
-        quantize_points(cs, cfg.significant_bits);
-      }
-      Matrix centers = solve_summary(cs, cfg);
-      if (cfg.refine_iters > 0) {
-        centers = refine_distributed(std::move(centers), parts, net,
-                                     device_work, cfg);
-      }
-      PipelineResult result;
-      result.centers = std::move(centers);
-      result.device_seconds = device_work.total_seconds();
-      result.uplink = net.total_uplink();
-      result.downlink = net.total_downlink();
-      result.summary_points = cs.size();
-      return result;
-    }
-
-    case PipelineKind::kJlBklw: {  // Algorithm 4
-      const double eps = epsilon_for_alg4(cfg.epsilon);
-      const std::size_t d1 =
-          cfg.jl_dim > 0 ? std::min(cfg.jl_dim, d)
-                         : practical_jl_dim(eps, n_total, cfg.k, cfg.delta, d);
-      // Data-oblivious: every source builds the same map from the shared
-      // seed; nothing about pi1 crosses the network.
-      const LinearMap pi1 = make_jl_projection(d, d1, cfg.seed);
-      std::vector<Dataset> projected(parts.size());
-      for (std::size_t i = 0; i < parts.size(); ++i) {
-        if (parts[i].empty()) continue;
-        auto scope = device_work.measure();
-        projected[i] = pi1.apply(parts[i]);
-      }
-      Coreset cs = bklw_coreset(projected, bklw_options(cfg, eps), net,
-                                device_work, cfg.seed);
-      if (cfg.significant_bits < kDoubleSignificandBits) {
-        quantize_points(cs, cfg.significant_bits);
-      }
-      Matrix centers = solve_summary(cs, cfg);  // lifts through V to R^{d1}
-      centers = pi1.lift(centers);              // back to R^d
-      if (cfg.refine_iters > 0) {
-        centers = refine_distributed(std::move(centers), parts, net,
-                                     device_work, cfg);
-      }
-      PipelineResult result;
-      result.centers = std::move(centers);
-      result.device_seconds = device_work.total_seconds();
-      result.uplink = net.total_uplink();
-      result.downlink = net.total_downlink();
-      result.summary_points = cs.size();
-      return result;
-    }
-
-    default:
-      EKM_EXPECTS_MSG(false, "single-source pipeline requires run_pipeline");
-  }
-  return {};
+  return drive(kind, parts, cfg, net);
 }
 
 }  // namespace ekm

@@ -15,9 +15,18 @@
 // points right before transmission, and the wire billing drops to
 // 12 + s bits per point coordinate.
 //
-// Every pipeline actually serializes its summary through a simulated
-// Channel, times the source-side computation, and lets the server decode,
-// solve weighted k-means and lift the centers back to the original space.
+// Every kind runs one stage list, written once in pipeline.cpp; a table
+// of constants says which stages a kind has:
+//   source side: [JL₁] → CR → [JL₂] → QT, where CR is FSS for one
+//                source, the BKLW protocol (disPCA, then disSS) for
+//                several, and nothing for NR, whose collection round
+//                ships the raw shards (one shard for a single source);
+//   server side: decode → solve weighted k-means → lift → [refine], the
+//                lift applying the coreset's basis, then JL₂⁺, then JL₁⁺.
+// Each summary really crosses the fabric as encoded frames. Each stage
+// opens one host span (obs/span.hpp): `dr`, `cr`, `qt`, `transport`,
+// `server_solve`, `lift`, `refine`. The source-side spans feed the
+// device time (see PipelineResult::device_seconds).
 #pragma once
 
 #include <cstdint>
@@ -95,11 +104,17 @@ struct PipelineConfig {
 
 struct PipelineResult {
   Matrix centers;             ///< k x d, in the ORIGINAL space
-  double device_seconds = 0;  ///< summed source-side computation time
+  /// Summed host seconds of the source-side windows; defined in
+  /// docs/observability.md (device time).
+  double device_seconds = 0;
   TrafficLedger uplink;       ///< measured source->server traffic
   TrafficLedger downlink;     ///< measured server->source traffic
   std::size_t summary_points = 0;  ///< |S| of the transmitted summary
 };
+
+/// The server's weighted k-means settings: k, the solver fields of
+/// `config`, and a seed stream derived from config.seed.
+[[nodiscard]] KMeansOptions server_solver_options(const PipelineConfig& config);
 
 /// Runs a single-source pipeline (kNoReduction, kFss, kJlFss, kFssJl,
 /// kJlFssJl) end to end through an idealized synchronous Network.

@@ -3,12 +3,10 @@
 #include <algorithm>
 
 #include "dr/pca.hpp"
-#include "obs/recorder.hpp"
 
 namespace ekm {
 
 Coreset fss_coreset(const Dataset& data, const FssOptions& opts, Rng& rng) {
-  ObsKernelScope obs_scope("fss_coreset");
   EKM_EXPECTS(!data.empty());
   const std::size_t n = data.size();
   const std::size_t d = data.dim();

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <random>
+#include <string>
 
 #include "common/sampling.hpp"
 #include "kmeans/cost.hpp"
@@ -39,6 +40,25 @@ Matrix local_stats(const Dataset& part, const Matrix& centers) {
   return stats;
 }
 
+// The decoders do not know the shapes a receive expects, so each receive
+// checks its frame: j x cols with min_rows <= j <= max_rows. `exchange`
+// names what the source sent or received.
+void expect_frame_shape(const char* round, std::size_t source,
+                        const char* exchange, const Matrix& m,
+                        std::size_t min_rows, std::size_t max_rows,
+                        std::size_t cols) {
+  EKM_EXPECTS_MSG(
+      m.rows() >= min_rows && m.rows() <= max_rows && m.cols() == cols,
+      std::string(round) + ": source " + std::to_string(source) + " " +
+          exchange + " " + std::to_string(m.rows()) + "x" +
+          std::to_string(m.cols()) + ", expected " +
+          (min_rows == max_rows ? std::to_string(min_rows) + "x" +
+                                      std::to_string(cols)
+                                : "jx" + std::to_string(cols) + " with " +
+                                      std::to_string(min_rows) +
+                                      " <= j <= " + std::to_string(max_rows)));
+}
+
 }  // namespace
 
 DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
@@ -65,7 +85,7 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
   for (std::size_t i = 0; i < parts.size(); ++i) {
     Matrix local(0, d);
     if (!parts[i].empty()) {
-      auto scope = device_work.measure();
+      const WallSpan window(device_work);
       Rng rng = make_rng(opts.seed, 0xfeedULL + i);
       std::vector<double> w(parts[i].size());
       for (std::size_t p = 0; p < parts[i].size(); ++p) w[p] = parts[i].weight(p);
@@ -84,6 +104,7 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
     if (!frame.has_value()) continue;
     seed_responders += 1;
     const Matrix local = decode_matrix(*frame);
+    expect_frame_shape("seeding round", i, "sent candidates", local, 0, k, d);
     if (local.rows() > 0) candidates.append_rows(local);
   }
   enforce_availability_floor(seed_responders, policy.min_responders,
@@ -117,10 +138,12 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
     for (std::size_t i = 0; i < parts.size(); ++i) {
       Matrix stats(k, d + 2);
       {
-        auto scope = device_work.measure();
+        const WallSpan window(device_work);
         auto pushed_frame = net.downlink(i).receive_by(kNoRound);
         if (!pushed_frame.has_value()) continue;  // lost the broadcast
         const Matrix pushed = decode_matrix(*pushed_frame);
+        expect_frame_shape("Lloyd round", i, "received centers", pushed, 1, k,
+                           d);
         if (!parts[i].empty()) stats = local_stats(parts[i], pushed);
       }
       net.uplink(i).send(encode_matrix(stats));
@@ -136,7 +159,9 @@ DistributedBaselineResult distributed_lloyd(std::span<const Dataset> parts,
       if (!frame.has_value()) continue;
       responders += 1;
       const Matrix stats = decode_matrix(*frame);
-      for (std::size_t c = 0; c < k && c < stats.rows(); ++c) {
+      expect_frame_shape("Lloyd round", i, "sent statistics", stats, k, k,
+                         d + 2);
+      for (std::size_t c = 0; c < k; ++c) {
         auto row = stats.row(c);
         auto dst = sums.row(c);
         for (std::size_t j = 0; j < d; ++j) dst[j] += row[j];
@@ -183,7 +208,7 @@ DistributedBaselineResult mapreduce_kmeans(std::span<const Dataset> parts,
   for (std::size_t i = 0; i < parts.size(); ++i) {
     Matrix payload(0, d + 1);
     if (!parts[i].empty()) {
-      auto scope = device_work.measure();
+      const WallSpan window(device_work);
       KMeansOptions kopts;
       kopts.k = opts.k;
       kopts.restarts = opts.local_restarts;
@@ -214,6 +239,8 @@ DistributedBaselineResult mapreduce_kmeans(std::span<const Dataset> parts,
     if (!frame.has_value()) continue;
     responders += 1;
     const Matrix payload = decode_matrix(*frame);
+    expect_frame_shape("map round", i, "sent local centers", payload, 0,
+                       opts.k, d + 1);
     for (std::size_t c = 0; c < payload.rows(); ++c) {
       Matrix row(1, d);
       std::copy_n(payload.row(c).begin(), d, row.row(0).begin());
@@ -255,7 +282,7 @@ DistributedBaselineResult gossip_kmeans(std::span<const Dataset> parts,
   std::vector<Matrix> local_centers(m);
   for (std::size_t i = 0; i < m; ++i) {
     if (parts[i].empty()) continue;
-    auto scope = device_work.measure();
+    const WallSpan window(device_work);
     KMeansOptions kopts;
     kopts.k = opts.k;
     kopts.restarts = 1;
@@ -283,7 +310,11 @@ DistributedBaselineResult gossip_kmeans(std::span<const Dataset> parts,
         if (!mine_frame.has_value() || !theirs_frame.has_value()) continue;
         const Matrix mine = decode_matrix(*mine_frame);
         const Matrix theirs = decode_matrix(*theirs_frame);
-        auto scope = device_work.measure();
+        expect_frame_shape("gossip exchange", i, "sent centers", mine, 1,
+                           opts.k, d);
+        expect_frame_shape("gossip exchange", j, "sent centers", theirs, 1,
+                           opts.k, d);
+        const WallSpan window(device_work);
         // Greedy matching: average each of my centers with its nearest
         // peer center.
         Matrix averaged = mine;
@@ -298,7 +329,7 @@ DistributedBaselineResult gossip_kmeans(std::span<const Dataset> parts,
       }
       // Local improvement step.
       if (!parts[i].empty()) {
-        auto scope = device_work.measure();
+        const WallSpan window(device_work);
         KMeansOptions kopts;
         kopts.k = opts.k;
         kopts.max_iters = 2;

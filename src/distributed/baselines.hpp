@@ -24,10 +24,10 @@
 #include <cstdint>
 #include <span>
 
-#include "common/timer.hpp"
 #include "data/dataset.hpp"
 #include "kmeans/lloyd.hpp"
 #include "net/channel.hpp"
+#include "obs/span.hpp"
 
 namespace ekm {
 

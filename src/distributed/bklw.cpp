@@ -8,7 +8,6 @@
 #include "distributed/disss.hpp"
 #include "dr/pca.hpp"
 #include "net/summary_codec.hpp"
-#include "obs/recorder.hpp"
 #include "sched/scheduler.hpp"
 
 namespace ekm {
@@ -38,7 +37,6 @@ void expect_basis_shape(std::size_t source, const Matrix& v, std::size_t d,
 // timeline is still doing.
 Coreset bklw_coreset(std::span<const Dataset> parts, const BklwOptions& opts,
                      Fabric& net, Stopwatch& device_work, std::uint64_t seed) {
-  ObsKernelScope obs_scope("bklw_coreset");
   EKM_EXPECTS(!parts.empty());
   std::size_t n_total = 0;
   std::size_t d = 0;
@@ -87,7 +85,7 @@ Coreset bklw_coreset(std::span<const Dataset> parts, const BklwOptions& opts,
            // only the empty-summary sentinel) instead of wedging the
            // protocol.
            if (!basis_frames[i].has_value()) return;
-           auto scope = device_work.measure();
+           const WallSpan window(device_work);
            const Matrix v = decode_matrix(*basis_frames[i]);
            basis_frames[i].reset();  // or m frames would live through disSS
            expect_basis_shape(i, v, d, t);

@@ -12,10 +12,10 @@
 #include <cstdint>
 #include <span>
 
-#include "common/timer.hpp"
 #include "cr/coreset.hpp"
 #include "data/dataset.hpp"
 #include "net/channel.hpp"
+#include "obs/span.hpp"
 
 namespace ekm {
 

@@ -95,7 +95,7 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
     const TaskId compute = graph.add(
         {TaskKind::kCompute, i, "disPCA/local-svd",
          [&, i] {
-           auto scope = device_work.measure();
+           const WallSpan window(device_work);
            const std::size_t t1 =
                std::min({opts.t1, parts[i].size(), parts[i].dim()});
            Svd svd = truncated_svd(parts[i].points(), t1);

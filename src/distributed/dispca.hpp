@@ -11,10 +11,10 @@
 
 #include <span>
 
-#include "common/timer.hpp"
 #include "data/dataset.hpp"
 #include "linalg/matrix.hpp"
 #include "net/channel.hpp"
+#include "obs/span.hpp"
 
 namespace ekm {
 

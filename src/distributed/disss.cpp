@@ -227,7 +227,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
         {TaskKind::kCompute, i, "disSS/bicriteria",
          [&, i] {
            Rng rng = make_rng(seed, 2 * i);
-           auto scope = device_work.measure();
+           const WallSpan window(device_work);
            BicriteriaOptions bopts = opts.bicriteria;
            bopts.k = opts.k;
            local_centers[i] = bicriteria_centers(parts[i], bopts, rng);
@@ -351,7 +351,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
            const auto si = static_cast<std::size_t>(si_signed);
            Coreset local;
            {
-             auto scope = device_work.measure();
+             const WallSpan window(device_work);
              SiteSample& st = samples[i];
              st.rng = make_rng(seed, 2 * i + 1);
              const Dataset& p = parts[i];
@@ -389,7 +389,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
              rec->note_quant_width(i, wire_s, opts.significant_bits);
            }
            if (wire_s < opts.significant_bits) {
-             auto scope = device_work.measure();
+             const WallSpan window(device_work);
              local.points = RoundingQuantizer(wire_s).quantize(local.points);
            }
            net.uplink(i).send(encode_coreset(local, wire_s));
@@ -564,7 +564,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
                       static_cast<std::size_t>(decode_scalar(*wave_frame));
                   Coreset supplement;
                   {
-                    auto scope = device_work.measure();
+                    const WallSpan window(device_work);
                     SiteSample& st = samples[i];
                     const std::size_t n = parts[i].size();
                     const std::size_t new_target =
@@ -581,7 +581,7 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
                     rec->note_quant_width(i, wire_s, opts.significant_bits);
                   }
                   if (wire_s < opts.significant_bits) {
-                    auto scope = device_work.measure();
+                    const WallSpan window(device_work);
                     supplement.points =
                         RoundingQuantizer(wire_s).quantize(supplement.points);
                   }

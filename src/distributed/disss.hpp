@@ -14,11 +14,11 @@
 #include <span>
 
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "cr/coreset.hpp"
 #include "data/dataset.hpp"
 #include "kmeans/bicriteria.hpp"
 #include "net/channel.hpp"
+#include "obs/span.hpp"
 
 namespace ekm {
 

@@ -1,19 +1,22 @@
 #include "dr/jl.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
 namespace ekm {
 
 std::size_t jl_target_dim(double epsilon, std::size_t n_points, std::size_t k,
-                          double delta) {
+                          double delta, std::size_t input_dim) {
   EKM_EXPECTS(epsilon > 0.0 && epsilon < 1.0);
   EKM_EXPECTS(delta > 0.0 && delta < 1.0);
   EKM_EXPECTS(n_points >= 1 && k >= 1);
-  const double nk = static_cast<double>(n_points) * static_cast<double>(k);
-  const double dim = std::ceil(8.0 * std::log(4.0 * nk / delta) /
-                               (epsilon * epsilon));
-  return static_cast<std::size_t>(std::max(1.0, dim));
+  const double raw = std::ceil(
+      4.0 * std::log(4.0 * static_cast<double>(n_points) *
+                     static_cast<double>(k) / delta) /
+      (epsilon * epsilon));
+  return std::clamp<std::size_t>(static_cast<std::size_t>(std::max(raw, 4.0)),
+                                 4, std::max<std::size_t>(input_dim, 4));
 }
 
 LinearMap make_jl_projection(std::size_t input_dim, std::size_t output_dim,

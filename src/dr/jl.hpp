@@ -22,12 +22,13 @@ enum class JlFamily {
   kSparse,      ///< sqrt(3/d') x {+1, 0, 0, -1, 0, 0} [Achlioptas sparse]
 };
 
-/// Target dimension for an ε-accurate JL projection protecting
-/// `n_points` x `k` candidate difference vectors with failure
-/// probability δ: d' = ceil(8 ln(4 n k / δ) / ε²) — the explicit constant
-/// the paper adopts in §6.3.2 (C2 = 24 discussion). Clamped to >= 1.
+/// The JL target dimension every JL pipeline uses when none is set: the
+/// Theorem 3.1 form ceil(4 ln(4 n k / δ) / ε²) with a laptop constant,
+/// clamped to [4, input_dim] (projecting *up* is never useful). Requires
+/// ε, δ in (0, 1) and n_points, k >= 1.
 [[nodiscard]] std::size_t jl_target_dim(double epsilon, std::size_t n_points,
-                                        std::size_t k, double delta);
+                                        std::size_t k, double delta,
+                                        std::size_t input_dim);
 
 /// Deterministically generates the projection matrix for (d, d', seed).
 /// Same arguments always yield the same map, on any node.

@@ -8,7 +8,7 @@
 
 #include "common/chain_step.hpp"
 #include "common/parallel.hpp"
-#include "obs/recorder.hpp"
+#include "obs/span.hpp"
 
 namespace ekm {
 namespace {
@@ -579,9 +579,9 @@ void assign_batch_into(const Matrix& points, const Matrix& centers,
                        std::span<std::size_t> index,
                        std::span<double> sq_dist,
                        std::span<const double> point_sq_norms) {
-  // Wall-clock span for the flight recorder (src/obs/); entered on the
-  // calling (protocol) thread, so no pool worker ever touches it.
-  ObsKernelScope obs_scope("assign_batch");
+  // Host span on the installed recorder (obs/span.hpp), opened on the
+  // calling thread around the whole pool job.
+  const WallSpan span("assign_batch");
   check_shapes(points, centers);
   const std::size_t n = points.rows();
   EKM_EXPECTS(index.empty() || index.size() == n);
@@ -606,7 +606,7 @@ double assign_and_cost(const Dataset& data, const Matrix& centers,
                        std::span<std::size_t> index,
                        std::span<double> sq_dist,
                        std::span<const double> point_sq_norms) {
-  ObsKernelScope obs_scope("assign_and_cost");
+  const WallSpan span("assign_and_cost");
   const Matrix& points = data.points();
   check_shapes(points, centers);
   const std::size_t n = points.rows();
@@ -643,7 +643,7 @@ std::vector<double> assign_and_accumulate(
     std::span<std::size_t> index, std::span<double> sq_dist,
     std::span<double> chunk_sums, std::span<double> chunk_weights,
     std::span<double> lower, std::span<const double> drift) {
-  ObsKernelScope obs_scope("assign_and_accumulate");
+  const WallSpan span("assign_and_accumulate");
   const Matrix& points = data.points();
   check_shapes(points, centers, sets);
   const std::size_t n = points.rows();

@@ -1,6 +1,5 @@
 #include "obs/recorder.hpp"
 
-#include <chrono>
 #include <cstdio>
 
 #include "common/expects.hpp"
@@ -8,15 +7,10 @@
 namespace ekm {
 namespace {
 
-Recorder* g_recorder = nullptr;
-
-/// Wall-clock origin for host-track spans: the first wall reading of
-/// the process. Monotonic, so span math never sees a negative duration.
-double wall_seconds() {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point origin = clock::now();
-  return std::chrono::duration<double>(clock::now() - origin).count();
-}
+/// Origin of the host track: the program's start-up, before any span
+/// opens.
+const std::chrono::steady_clock::time_point g_wall_origin =
+    std::chrono::steady_clock::now();
 
 }  // namespace
 
@@ -52,13 +46,14 @@ void Recorder::record_span(std::size_t actor, std::string label,
   spans_.push_back(std::move(s));
 }
 
-void Recorder::record_wall_span(std::string label, double start_s,
+void Recorder::record_wall_span(const char* label,
+                                std::chrono::steady_clock::time_point start,
                                 double duration_s) {
   RecordedSpan s;
-  s.label = std::move(label);
-  s.kind = "kernel";
-  s.start_s = start_s;
-  s.finish_s = start_s + duration_s;
+  s.label = label;
+  s.kind = "host";
+  s.start_s = std::chrono::duration<double>(start - g_wall_origin).count();
+  s.finish_s = s.start_s + duration_s;
   s.wall = true;
   const std::lock_guard<std::mutex> lock(spans_mu_);
   spans_.push_back(std::move(s));
@@ -145,29 +140,6 @@ void Recorder::begin_run() {
   registry_.reset_values();  // drop observations of a run that never closed
   // Segment marker for attribution: one segment per run.
   server_ops_.push_back({ServerOpKind::kBeginRun, 0, kNoCausalFrame, 0, 0.0});
-}
-
-void install_recorder(Recorder* recorder) { g_recorder = recorder; }
-
-double timed_section(const char* label, const std::function<void()>& fn) {
-  const double start = wall_seconds();
-  fn();
-  const double elapsed = wall_seconds() - start;
-  if (g_recorder != nullptr) {
-    g_recorder->record_wall_span(label, start, elapsed);
-  }
-  return elapsed;
-}
-
-ObsKernelScope::ObsKernelScope(const char* label)
-    : label_(g_recorder != nullptr ? label : nullptr) {
-  if (label_ != nullptr) start_s_ = wall_seconds();
-}
-
-ObsKernelScope::~ObsKernelScope() {
-  if (label_ != nullptr && g_recorder != nullptr) {
-    g_recorder->record_wall_span(label_, start_s_, wall_seconds() - start_s_);
-  }
 }
 
 }  // namespace ekm

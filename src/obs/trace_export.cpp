@@ -13,8 +13,8 @@ namespace {
 // Track layout inside the virtual-time process (pid 1): tid 0 is the
 // server, tid 1+i is site i, the event queue rides one past the
 // highest site track, and the critical path gets its own track one
-// past that. Wall-clock kernel spans live in their own
-// process (pid 2) so Perfetto never tries to align wall and virtual
+// past that. Host wall-clock spans (pipeline stages and kernels) live
+// in their own process (pid 2) so Perfetto never tries to align wall and virtual
 // timestamps on one timeline.
 constexpr int kVirtualPid = 1;
 constexpr int kHostPid = 2;
@@ -97,7 +97,7 @@ bool write_chrome_trace(const Recorder& recorder, const std::string& path) {
   first = false;
   std::fprintf(f,
                ",\n  {\"ph\": \"M\", \"name\": \"process_name\", \"pid\": %d, "
-               "\"args\": {\"name\": \"host wall clock (kernels)\"}}",
+               "\"args\": {\"name\": \"host wall clock\"}}",
                kHostPid);
   emit_thread_name(f, kVirtualPid, 0, "server", first);
   if (any_site) {
@@ -108,7 +108,7 @@ bool write_chrome_trace(const Recorder& recorder, const std::string& path) {
   }
   emit_thread_name(f, kVirtualPid, queue_tid, "event queue", first);
   emit_thread_name(f, kVirtualPid, cp_tid, "critical path", first);
-  emit_thread_name(f, kHostPid, 0, "kernels", first);
+  emit_thread_name(f, kHostPid, 0, "stages and kernels", first);
 
   for (const RecordedSpan& s : recorder.spans()) {
     const int pid = s.wall ? kHostPid : kVirtualPid;

@@ -206,12 +206,7 @@ SimReport Coordinator::run_streaming(std::span<const Dataset> parts,
   EKM_ENSURES_MSG(!pieces.empty(), "streaming deployment produced no summary");
   const Dataset merged = concatenate(pieces);
 
-  KMeansOptions solver;
-  solver.k = cfg.k;
-  solver.restarts = cfg.solver_restarts;
-  solver.max_iters = cfg.solver_max_iters;
-  solver.seed = derive_seed(cfg.seed, 0x501feULL);
-  const KMeansResult solved = kmeans(merged, solver);
+  const KMeansResult solved = kmeans(merged, server_solver_options(cfg));
 
   PipelineResult result;
   result.centers = solved.centers;

@@ -3,16 +3,23 @@
 // contrasts the paper asserts about them.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "data/generators.hpp"
 #include "distributed/baselines.hpp"
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
 #include "kmeans1d_oracle.hpp"
+#include "net/summary_codec.hpp"
+#include "swapped_frame.hpp"
 
 namespace ekm {
 namespace {
 
 using test::kmeans_1d_exact;
+using test::Link;
+using test::SwappedFrame;
 
 std::vector<Dataset> make_parts(std::size_t n, std::size_t dim, std::size_t k,
                                 std::size_t m, std::uint64_t seed,
@@ -195,6 +202,83 @@ TEST(Baselines, ValidateInputs) {
   GossipOptions go;
   EXPECT_THROW((void)gossip_kmeans(empty_parts, go, net, work),
                precondition_error);
+}
+
+// Each receive checks its frame's shape before reading it: a frame of
+// the wrong shape is rejected with a precondition_error that names the
+// round, the source and both shapes.
+template <typename Run>
+void expect_rejected(Run run, std::initializer_list<const char*> parts) {
+  try {
+    run();
+    ADD_FAILURE() << "a frame of the wrong shape was accepted";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    for (const char* part : parts) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+}
+
+Message frame_of(std::size_t rows, std::size_t cols) {
+  return encode_matrix(Matrix(rows, cols));
+}
+
+TEST(DistributedLloyd, RejectsSeedingCandidatesOfWrongShape) {
+  const auto parts = make_parts(300, 8, 2, 3, 710);
+  SwappedFrame net(3, 1, Link::kUplink, 1, frame_of(2, 14));
+  Stopwatch work;
+  DistributedLloydOptions opts;
+  opts.k = 2;
+  expect_rejected([&] { (void)distributed_lloyd(parts, opts, net, work); },
+                  {"seeding round: source 1 sent candidates 2x14",
+                   "expected jx8 with 0 <= j <= 2"});
+}
+
+TEST(DistributedLloyd, RejectsPushedCentersOfWrongShape) {
+  const auto parts = make_parts(300, 4, 2, 3, 711);
+  SwappedFrame net(3, 2, Link::kDownlink, 1, frame_of(2, 5));
+  Stopwatch work;
+  DistributedLloydOptions opts;
+  opts.k = 2;
+  expect_rejected([&] { (void)distributed_lloyd(parts, opts, net, work); },
+                  {"Lloyd round: source 2 received centers 2x5",
+                   "expected jx4 with 1 <= j <= 2"});
+}
+
+TEST(DistributedLloyd, RejectsStatisticsOfWrongShape) {
+  const auto parts = make_parts(300, 4, 2, 3, 712);
+  // The source's first uplink frame is its seeding sample, the second
+  // its first round's statistics.
+  SwappedFrame net(3, 1, Link::kUplink, 2, frame_of(2, 3));
+  Stopwatch work;
+  DistributedLloydOptions opts;
+  opts.k = 2;
+  expect_rejected([&] { (void)distributed_lloyd(parts, opts, net, work); },
+                  {"Lloyd round: source 1 sent statistics 2x3",
+                   "expected 2x6"});
+}
+
+TEST(MapReduce, RejectsLocalCentersOfWrongShape) {
+  const auto parts = make_parts(300, 4, 2, 3, 713);
+  SwappedFrame net(3, 1, Link::kUplink, 1, frame_of(2, 3));
+  Stopwatch work;
+  MapReduceOptions opts;
+  opts.k = 2;
+  expect_rejected([&] { (void)mapreduce_kmeans(parts, opts, net, work); },
+                  {"map round: source 1 sent local centers 2x3",
+                   "expected jx5 with 0 <= j <= 2"});
+}
+
+TEST(Gossip, RejectsPeerCentersOfWrongShape) {
+  const auto parts = make_parts(300, 4, 2, 3, 714);
+  SwappedFrame net(3, 0, Link::kUplink, 1, frame_of(2, 3));
+  Stopwatch work;
+  GossipOptions opts;
+  opts.k = 2;
+  expect_rejected([&] { (void)gossip_kmeans(parts, opts, net, work); },
+                  {"gossip exchange: source 0 sent centers 2x3",
+                   "expected jx4 with 1 <= j <= 2"});
 }
 
 }  // namespace

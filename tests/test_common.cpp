@@ -12,7 +12,6 @@
 #include "common/sampling.hpp"
 #include "common/serial.hpp"
 #include "common/stats.hpp"
-#include "common/timer.hpp"
 
 namespace ekm {
 namespace {
@@ -236,25 +235,6 @@ TEST(AliasTable, ExtremeWeightRatios) {
   std::size_t heavy = 0;
   for (int i = 0; i < 10000; ++i) heavy += (table.sample(rng) == 0);
   EXPECT_GE(heavy, 9990u);
-}
-
-TEST(Timer, StopwatchAccumulatesScopes) {
-  Stopwatch sw;
-  {
-    auto scope = sw.measure();
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i;
-  }
-  const double first = sw.total_seconds();
-  EXPECT_GT(first, 0.0);
-  {
-    auto scope = sw.measure();
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink = sink + i;
-  }
-  EXPECT_GT(sw.total_seconds(), first);
-  sw.reset();
-  EXPECT_DOUBLE_EQ(sw.total_seconds(), 0.0);
 }
 
 }  // namespace

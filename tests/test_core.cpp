@@ -312,16 +312,27 @@ void expect_rejected(Run run, std::initializer_list<const char*> parts) {
 // bad input that names the frame and both shapes, not a failure, or a
 // quiet result, somewhere in the solve or the lift.
 TEST(Pipeline, SingleSourceNoReductionRejectsMatrixOfWrongShape) {
+  // A single source's NR is the NR round over one shard: it checks the
+  // frame's columns against the round, then its rows against the shard.
   const Dataset data = small_mnist_like(300, 16);
   Rng rng = make_rng(204);
-  SwappedFrame net(1, 0, Link::kUplink, 1,
-                   encode_matrix(Matrix::gaussian(300, 15, rng)));
+  SwappedFrame narrow(1, 0, Link::kUplink, 1,
+                      encode_matrix(Matrix::gaussian(300, 15, rng)));
   expect_rejected(
       [&] {
         (void)run_pipeline(PipelineKind::kNoReduction, data, test_config(),
-                           net);
+                           narrow);
       },
-      {"NR: the source sent a matrix 300x15", "expected 300x16"});
+      {"NR round: source 0 sent 15 columns",
+       "the round's dimension is 16"});
+  SwappedFrame short_rows(1, 0, Link::kUplink, 1,
+                          encode_matrix(Matrix::gaussian(299, 16, rng)));
+  expect_rejected(
+      [&] {
+        (void)run_pipeline(PipelineKind::kNoReduction, data, test_config(),
+                           short_rows);
+      },
+      {"NR round: source 0 sent a matrix 299x16", "expected 300x16"});
 }
 
 TEST(Pipeline, SingleSourceRejectsSummaryOfWrongShape) {

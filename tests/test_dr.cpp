@@ -57,13 +57,25 @@ TEST(LinearMap, ComposeMatchesSequentialApply) {
   EXPECT_THROW((void)compose(b, a), precondition_error);
 }
 
-TEST(Jl, TargetDimFormula) {
-  // d' = ceil(8 ln(4nk/δ) / ε²); spot-check one value.
-  const std::size_t d = jl_target_dim(0.5, 1000, 2, 0.1);
-  const double expect = std::ceil(8.0 * std::log(4.0 * 2000.0 / 0.1) / 0.25);
-  EXPECT_EQ(d, static_cast<std::size_t>(expect));
-  EXPECT_THROW((void)jl_target_dim(0.0, 10, 2, 0.1), precondition_error);
-  EXPECT_THROW((void)jl_target_dim(0.5, 10, 2, 1.5), precondition_error);
+TEST(Jl, TargetDimIsClampedAndGrowsWithN) {
+  // Clamped to [4, input_dim]: a tight ε asks for more dims than the
+  // input has, and no map is narrower than 4.
+  EXPECT_EQ(jl_target_dim(0.999, 1, 1, 0.9, 784), 6u);
+  EXPECT_EQ(jl_target_dim(0.01, 1000, 2, 0.1, 784), 784u);
+  EXPECT_EQ(jl_target_dim(0.999, 1, 1, 0.9, 5), 5u);
+  EXPECT_EQ(jl_target_dim(0.01, 1000, 2, 0.1, 2), 4u);
+  // ceil(4 ln(4nk/δ) / ε²), non-decreasing in n.
+  const double expect = std::ceil(4.0 * std::log(4.0 * 2000.0 / 0.1) / 0.25);
+  EXPECT_EQ(jl_target_dim(0.5, 1000, 2, 0.1, 784),
+            static_cast<std::size_t>(expect));
+  std::size_t prev = 0;
+  for (std::size_t n = 1; n <= (1u << 20); n *= 4) {
+    const std::size_t dim = jl_target_dim(0.3, n, 5, 0.1, 1u << 20);
+    EXPECT_GE(dim, prev) << n;
+    prev = dim;
+  }
+  EXPECT_THROW((void)jl_target_dim(0.0, 10, 2, 0.1, 784), precondition_error);
+  EXPECT_THROW((void)jl_target_dim(0.5, 10, 2, 1.5, 784), precondition_error);
 }
 
 TEST(Jl, DataObliviousSameSeedSameMatrix) {

@@ -20,6 +20,7 @@
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
+#include "obs/span.hpp"
 #include "obs/trace_export.hpp"
 #include "sim/coordinator.hpp"
 #include "sim/scenario.hpp"
@@ -394,29 +395,185 @@ TEST(Obs, ExportersEmitValidJsonOnChurnPipelineStragglerScenario) {
   std::remove(metrics_path.c_str());
 }
 
-TEST(Obs, KernelTimingRecordsOnlyWhenInstalled) {
-  // Without an installed recorder, timed_section is a pure stopwatch.
-  bool ran = false;
-  const double s = timed_section("unit", [&] { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_GE(s, 0.0);
+TEST(Obs, WallSpanAddsItsWindowsToTheDeviceTotal) {
+  Stopwatch device;
+  {
+    const WallSpan window(device);
+    volatile double sink = 0.0;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
+  }
+  const double first = device.total_seconds();
+  EXPECT_GT(first, 0.0);
+  {
+    const WallSpan window("labelled", &device);
+    volatile double sink = 0.0;
+    for (int i = 0; i < 100000; ++i) sink = sink + i;
+  }
+  EXPECT_GT(device.total_seconds(), first);
+}
 
-  // With one installed, the same call lands a wall-clock kernel span —
-  // the single timing path bench_util::time_best_of builds on.
+TEST(Obs, HostSpansRecordOnlyWhenInstalled) {
+  // With one installed, a labelled span lands on the host track; an
+  // unlabelled device window records nothing.
   Recorder rec;
+  Stopwatch device;
   install_recorder(&rec);
-  (void)timed_section("unit", [] {});
-  { ObsKernelScope scope("scoped"); }
+  { const WallSpan span("unit"); }
+  { const WallSpan window(device); }
+  { const WallSpan span("scoped", &device); }
   install_recorder(nullptr);
   ASSERT_EQ(rec.spans().size(), 2u);
   EXPECT_EQ(rec.spans()[0].label, "unit");
   EXPECT_TRUE(rec.spans()[0].wall);
   EXPECT_EQ(rec.spans()[1].label, "scoped");
-  EXPECT_EQ(rec.spans()[1].kind, "kernel");
+  EXPECT_EQ(rec.spans()[1].kind, "host");
+  EXPECT_LE(rec.spans()[1].start_s, rec.spans()[1].finish_s);
 
   // Uninstalled again: no further spans accumulate.
-  (void)timed_section("after", [] {});
+  { const WallSpan span("after"); }
   EXPECT_EQ(rec.spans().size(), 2u);
+}
+
+// ---- the pipeline's stage spans ---------------------------------------
+
+const std::vector<std::string>& stage_labels() {
+  static const std::vector<std::string> labels = {
+      "dr", "cr", "qt", "transport", "server_solve", "lift", "refine"};
+  return labels;
+}
+
+// The labels of the recorded spans that are pipeline stages, in the
+// order they closed (kernel spans are left out).
+std::vector<std::string> recorded_stages(const Recorder& rec) {
+  std::vector<std::string> out;
+  for (const RecordedSpan& s : rec.spans()) {
+    for (const std::string& label : stage_labels()) {
+      if (s.label == label) out.push_back(label);
+    }
+  }
+  return out;
+}
+
+PipelineConfig stage_config() {
+  PipelineConfig cfg = base_config(17);
+  cfg.coreset_size = 120;
+  cfg.jl_dim = 12;
+  cfg.pca_dim = 6;
+  cfg.significant_bits = 16;
+  cfg.refine_iters = 1;
+  return cfg;
+}
+
+PipelineResult run_kind(PipelineKind kind, const std::vector<Dataset>& parts,
+                        const PipelineConfig& cfg) {
+  return parts.size() > 1 ? run_distributed_pipeline(kind, parts, cfg)
+                          : run_pipeline(kind, parts[0], cfg);
+}
+
+void expect_same_result(const PipelineResult& a, const PipelineResult& b) {
+  ASSERT_EQ(a.centers.rows(), b.centers.rows());
+  ASSERT_EQ(a.centers.cols(), b.centers.cols());
+  for (std::size_t i = 0; i < a.centers.flat().size(); ++i) {
+    EXPECT_EQ(a.centers.flat()[i], b.centers.flat()[i]) << i;
+  }
+  EXPECT_EQ(a.uplink.bits, b.uplink.bits);
+  EXPECT_EQ(a.uplink.scalars, b.uplink.scalars);
+  EXPECT_EQ(a.uplink.messages, b.uplink.messages);
+  EXPECT_EQ(a.downlink.bits, b.downlink.bits);
+  EXPECT_EQ(a.downlink.messages, b.downlink.messages);
+  EXPECT_EQ(a.summary_points, b.summary_points);
+}
+
+struct StageCase {
+  PipelineKind kind;
+  bool several_sources;
+  std::vector<std::string> stages;
+};
+
+// Every kind runs the paper's stage list, [JL₁] → CR → [JL₂] → QT at the
+// sources, then decode → solve → lift → [refine] at the server, and each
+// stage records one span in that order (NR's per-source QT closes inside
+// its round's transport span). Recording moves no bit of the result.
+TEST(Obs, EveryKindRecordsItsStagesInOrderAndStaysBitwiseNeutral) {
+  const std::vector<Dataset> parts = make_parts(3, 900, 24, 41);
+  const std::vector<Dataset> one = {concatenate(parts)};
+  const PipelineConfig cfg = stage_config();
+  const std::vector<StageCase> cases = {
+      {PipelineKind::kNoReduction, false,
+       {"qt", "transport", "server_solve", "lift"}},
+      {PipelineKind::kFss, false,
+       {"cr", "qt", "transport", "server_solve", "lift", "refine"}},
+      {PipelineKind::kJlFss, false,
+       {"dr", "cr", "qt", "transport", "server_solve", "lift", "refine"}},
+      {PipelineKind::kFssJl, false,
+       {"cr", "dr", "qt", "transport", "server_solve", "lift", "refine"}},
+      {PipelineKind::kJlFssJl, false,
+       {"dr", "cr", "dr", "qt", "transport", "server_solve", "lift",
+        "refine"}},
+      {PipelineKind::kNoReduction, true,
+       {"qt", "qt", "qt", "transport", "server_solve", "lift"}},
+      {PipelineKind::kBklw, true,
+       {"cr", "qt", "server_solve", "lift", "refine"}},
+      {PipelineKind::kJlBklw, true,
+       {"dr", "cr", "qt", "server_solve", "lift", "refine"}},
+  };
+  for (const StageCase& c : cases) {
+    SCOPED_TRACE(pipeline_name(c.kind));
+    const std::vector<Dataset>& input = c.several_sources ? parts : one;
+    const PipelineResult plain = run_kind(c.kind, input, cfg);
+    Recorder rec;
+    install_recorder(&rec);
+    const PipelineResult recorded = run_kind(c.kind, input, cfg);
+    install_recorder(nullptr);
+    EXPECT_EQ(recorded_stages(rec), c.stages);
+    expect_same_result(plain, recorded);
+
+    // Without a recorder nothing is recorded.
+    const std::size_t spans = rec.spans().size();
+    (void)run_kind(c.kind, input, cfg);
+    EXPECT_EQ(rec.spans().size(), spans);
+  }
+
+  // A stage that does not run records nothing: without QT and refine,
+  // Algorithm 3 records its two maps around CR, then the server side.
+  PipelineConfig bare = cfg;
+  bare.significant_bits = 52;
+  bare.refine_iters = 0;
+  Recorder rec;
+  install_recorder(&rec);
+  (void)run_pipeline(PipelineKind::kJlFssJl, one[0], bare);
+  install_recorder(nullptr);
+  EXPECT_EQ(recorded_stages(rec),
+            (std::vector<std::string>{"dr", "cr", "dr", "transport",
+                                      "server_solve", "lift"}));
+}
+
+// A single source's device time is exactly its device stages' windows:
+// the maps, the coreset, the quantizer and the refine.
+TEST(Obs, SingleSourceDeviceTimeIsTheSumOfItsDeviceStageSpans) {
+  const std::vector<Dataset> parts = make_parts(1, 900, 24, 43);
+  const PipelineConfig cfg = stage_config();
+  for (PipelineKind kind :
+       {PipelineKind::kNoReduction, PipelineKind::kFss, PipelineKind::kJlFss,
+        PipelineKind::kFssJl, PipelineKind::kJlFssJl}) {
+    SCOPED_TRACE(pipeline_name(kind));
+    Recorder rec;
+    install_recorder(&rec);
+    const PipelineResult res = run_pipeline(kind, parts[0], cfg);
+    install_recorder(nullptr);
+    double device = 0.0;
+    std::size_t windows = 0;
+    for (const RecordedSpan& s : rec.spans()) {
+      if (s.label == "dr" || s.label == "cr" || s.label == "qt" ||
+          s.label == "refine") {
+        device += s.finish_s - s.start_s;
+        windows += 1;
+      }
+    }
+    EXPECT_GE(windows, 1u);
+    EXPECT_GT(res.device_seconds, 0.0);
+    EXPECT_NEAR(res.device_seconds, device, 1e-9);
+  }
 }
 
 }  // namespace

@@ -11,11 +11,11 @@
 #include <utility>
 
 #include "common/parallel.hpp"
-#include "common/timer.hpp"
 #include "core/pipeline.hpp"
 #include "data/generators.hpp"
 #include "distributed/bklw.hpp"
 #include "net/summary_codec.hpp"
+#include "obs/span.hpp"
 #include "sim/coordinator.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/round_policy.hpp"
