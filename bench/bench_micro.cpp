@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks for the substrates: the MNIST-like
-// generator, the matrix product kernel, truncated SVD, JL apply, PCA,
+// generator, the matrix product kernel, truncated SVD (alone on the pool,
+// and disPCA's batch of ten shard SVDs, BM_TruncatedSvdBatch), JL apply, PCA,
 // sensitivity sampling, FSS, quantizer, k-means, codec. These guard the
 // complexity claims of Table 2 at the kernel level (e.g. FSS scaling
 // with d vs JL apply scaling with d').
@@ -9,6 +10,7 @@
 #include <random>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "cr/fss.hpp"
 #include "cr/sensitivity.hpp"
 #include "data/generators.hpp"
@@ -106,6 +108,30 @@ BENCHMARK(BM_TruncatedSvd)
     ->Args({16, 16, 8})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// disPCA's local step on bklw_mnist as the phase scheduler runs it: ten
+// 2013x784 shard SVDs at t = 16, one per chunk of one
+// parallel_for_chunks(10, 1, ...) job, each taking Σ and V only. Inside
+// the job each SVD's Gram, reduction and matvecs run inline on its
+// thread (packed single-chunk products), which BM_TruncatedSvd, one SVD
+// on the whole pool, does not time.
+void BM_TruncatedSvdBatch(benchmark::State& state) {
+  constexpr std::size_t kShards = 10;
+  constexpr std::size_t kRows = 2013;
+  const Dataset data = bench_data(kShards * kRows, 784);
+  std::vector<Matrix> shards;
+  for (std::size_t c = 0; c < kShards; ++c) {
+    shards.push_back(data.points().row_range(c * kRows, (c + 1) * kRows));
+  }
+  for (auto _ : state) {
+    parallel_for_chunks(kShards, 1,
+                        [&](std::size_t c, std::size_t, std::size_t) {
+                          benchmark::DoNotOptimize(
+                              truncated_svd(shards[c], 16, SvdFactors::kV));
+                        });
+  }
+}
+BENCHMARK(BM_TruncatedSvdBatch)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The server's solve, kmeans() with the pipeline's five restarts
 // advanced in lock step: on nr_mnist's 20000x784 shape at k = 10, where

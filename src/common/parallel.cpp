@@ -188,6 +188,10 @@ std::size_t parallel_chunk_count(std::size_t n, std::size_t grain) {
   return (n + grain - 1) / grain;
 }
 
+bool parallel_runs_inline() {
+  return t_in_pool_worker || parallel_threads() == 1;
+}
+
 void parallel_for_chunks(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
@@ -199,7 +203,7 @@ void parallel_for_chunks(
     const std::size_t end = std::min(n, begin + grain);
     body(c, begin, end);
   };
-  if (chunks == 1 || t_in_pool_worker || parallel_threads() == 1) {
+  if (chunks == 1 || parallel_runs_inline()) {
     for (std::size_t c = 0; c < chunks; ++c) run_chunk(c);
     return;
   }

@@ -16,7 +16,10 @@
 // once, at first use), defaulting to std::thread::hardware_concurrency();
 // set_parallel_threads() overrides it at runtime (tests sweep 1 vs 8 and
 // assert identical output). Nested parallel_for calls from inside a pool
-// worker degrade to serial execution of the inner loop.
+// worker degrade to serial execution of the inner loop, on the same grid;
+// parallel_runs_inline() tells a kernel so, and the product kernel then
+// runs a product as one chunk that packs its operand once
+// (src/linalg/matrix.cpp).
 #pragma once
 
 #include <cstddef>
@@ -36,6 +39,13 @@ void set_parallel_threads(std::size_t n);
 /// grain), with grain clamped to >= 1. Depends only on the arguments.
 [[nodiscard]] std::size_t parallel_chunk_count(std::size_t n,
                                                std::size_t grain);
+
+/// True when a parallel_for_chunks called from this thread runs its
+/// chunks inline, one after another: on a pool thread inside a job's
+/// chunk, or with a one-thread pool. A kernel may read it to choose how
+/// it lays out work that one thread will do anyway; what it computes
+/// must not depend on it.
+[[nodiscard]] bool parallel_runs_inline();
 
 /// Runs body(chunk, begin, end) for every chunk of the grid over [0, n).
 /// Chunks run concurrently in unspecified order; body must only write

@@ -36,9 +36,9 @@ class ByteWriter {
   void put_doubles(std::span<const double> vals) {
     put_u64(vals.size());
     if (vals.empty()) return;  // empty span's data() may be null
-    const auto old = buf_.size();
-    buf_.resize(old + vals.size_bytes());
-    std::memcpy(buf_.data() + old, vals.data(), vals.size_bytes());
+    // Appended as they are: no zero-filled run to copy over.
+    const auto* bytes = reinterpret_cast<const std::byte*>(vals.data());
+    buf_.insert(buf_.end(), bytes, bytes + vals.size_bytes());
   }
 
   [[nodiscard]] std::size_t size_bytes() const { return buf_.size(); }
@@ -68,17 +68,31 @@ class ByteReader {
   [[nodiscard]] std::uint64_t get_u64() { return get<std::uint64_t>(); }
   [[nodiscard]] double get_f64() { return get<double>(); }
 
-  [[nodiscard]] std::vector<double> get_doubles() {
+  /// The length prefix of a run of doubles, checked against the bytes
+  /// left; append_doubles then reads the run.
+  [[nodiscard]] std::size_t get_doubles_count() {
     const auto n = get_u64();
     // Divide instead of multiply: n * sizeof(double) could wrap for a
     // hostile length field and sneak past the bound.
     EKM_EXPECTS_MSG(n <= (data_.size() - pos_) / sizeof(double),
                     "ByteReader overrun (doubles)");
-    std::vector<double> vals(n);
-    if (n > 0) {
-      std::memcpy(vals.data(), data_.data() + pos_, n * sizeof(double));
-      pos_ += n * sizeof(double);
-    }
+    return static_cast<std::size_t>(n);
+  }
+
+  /// Appends the next n doubles to `out`.
+  void append_doubles(std::size_t n, std::vector<double>& out) {
+    EKM_EXPECTS_MSG(n <= (data_.size() - pos_) / sizeof(double),
+                    "ByteReader overrun (doubles)");
+    if (n == 0) return;  // empty out's data() may be null
+    const std::size_t old = out.size();
+    out.resize(old + n);
+    std::memcpy(out.data() + old, data_.data() + pos_, n * sizeof(double));
+    pos_ += n * sizeof(double);
+  }
+
+  [[nodiscard]] std::vector<double> get_doubles() {
+    std::vector<double> vals;
+    append_doubles(get_doubles_count(), vals);
     return vals;
   }
 

@@ -132,6 +132,9 @@ struct Summary {
 
 /// NR: every source ships its raw shard, quantized if QT is on, in one
 /// collection round; the server joins the shards that made the deadline.
+/// Each frame's header is checked against its shard before any of its
+/// cells are read, and the cells then decode straight into their rows of
+/// the one joined matrix.
 Summary nr_round(std::span<const Dataset> parts, std::size_t n,
                  std::size_t d, const PipelineConfig& cfg, Fabric& net,
                  Stopwatch& device) {
@@ -153,33 +156,37 @@ Summary nr_round(std::span<const Dataset> parts, std::size_t n,
     net.uplink(i).send(encode_matrix(
         quantizes(cfg) ? quantized : parts[i].points(), cfg.significant_bits));
   }
-  std::vector<Dataset> shards;
+  std::vector<double> cells;
+  cells.reserve(n * d);  // address space only; rows that arrive fill it
+  std::size_t rows = 0;
   std::size_t responders = 0;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     auto frame = net.uplink(i).receive_by(round);
     if (!frame.has_value()) continue;
     responders += 1;
-    Matrix part = decode_matrix(*frame);
-    if (part.rows() == 0 && parts[i].empty()) continue;
-    EKM_EXPECTS_MSG(part.cols() == d,
+    const MatrixShape got = matrix_frame_shape(*frame);
+    if (got.rows == 0 && parts[i].empty()) continue;
+    EKM_EXPECTS_MSG(got.cols == d,
                     "NR round: source " + std::to_string(i) + " sent " +
-                        std::to_string(part.cols()) +
+                        std::to_string(got.cols) +
                         " columns, the round's dimension is " +
                         std::to_string(d));
-    EKM_EXPECTS_MSG(part.rows() == parts[i].size(),
+    EKM_EXPECTS_MSG(got.rows == parts[i].size(),
                     "NR round: source " + std::to_string(i) +
-                        " sent a matrix " + shape(part) + ", expected " +
+                        " sent a matrix " + std::to_string(got.rows) + "x" +
+                        std::to_string(got.cols) + ", expected " +
                         std::to_string(parts[i].size()) + "x" +
                         std::to_string(d));
-    shards.emplace_back(std::move(part));
+    (void)append_matrix_cells(*frame, cells);
+    rows += got.rows;
   }
   enforce_availability_floor(responders, policy.min_responders, "NR round",
                              net.rounds_opened());
-  EKM_ENSURES_MSG(!shards.empty(),
+  EKM_ENSURES_MSG(rows > 0,
                   "no data source delivered before the round deadline");
   Summary out;
   out.size = n;
-  out.coreset.points = concatenate(shards);
+  out.coreset.points = Dataset(Matrix(rows, d, std::move(cells)));
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "linalg/svd.hpp"
 #include "net/summary_codec.hpp"
@@ -98,12 +99,13 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
            const WallSpan window(device_work);
            const std::size_t t1 =
                std::min({opts.t1, parts[i].size(), parts[i].dim()});
-           Svd svd = truncated_svd(parts[i].points(), t1);
+           // The uplink carries Σ and V; a tall shard's U is never formed.
+           Svd svd = truncated_svd(parts[i].points(), t1, SvdFactors::kV);
            sigma[i] = Matrix(1, svd.rank());
            for (std::size_t j = 0; j < svd.rank(); ++j) {
              sigma[i](0, j) = svd.sigma[j];
            }
-           v[i] = svd.v;
+           v[i] = std::move(svd.v);
          },
          {open}});
     uplinks[i] = graph.add({TaskKind::kUplink, i, "disPCA/uplink-frames",
@@ -145,8 +147,8 @@ DisPcaResult dispca(std::span<const Dataset> parts, const DisPcaOptions& opts,
          EKM_ENSURES_MSG(y.rows() > 0,
                          "all sources empty or dropped at the deadline");
          const std::size_t t2 = std::min({opts.t2, y.rows(), d});
-         Svd global = truncated_svd(y, t2);
-         result.v = global.v;  // d x t2
+         // Only V is read: a tall Y (many sources, small d) skips U.
+         result.v = truncated_svd(y, t2, SvdFactors::kV).v;  // d x t2
        },
        collects});
 

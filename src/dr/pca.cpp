@@ -11,7 +11,7 @@ PcaProjection pca_project(const Dataset& data, std::size_t t) {
   EKM_EXPECTS_MSG(r >= 1, "PCA target dimension must be >= 1");
 
   const Matrix& a = data.points();
-  Svd svd = truncated_svd(a, r);
+  Svd svd = truncated_svd(a, r, SvdFactors::kV);
   Matrix coords = matmul(a, svd.v);
   PcaProjection out;
   // Δ = Σ_{j>r} σ_j², taken as the residual ||A - (A V_r) V_r^T||_F^2 of

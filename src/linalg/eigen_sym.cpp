@@ -655,18 +655,21 @@ SymmetricEigen eigen_symmetric(const Matrix& a) {
   return eigen_symmetric_top(a, a.rows());
 }
 
-SymmetricEigen eigen_symmetric_top(const Matrix& a, std::size_t t) {
-  EKM_EXPECTS_MSG(a.rows() == a.cols(),
+SymmetricEigen eigen_symmetric_top(Matrix w, std::size_t t) {
+  EKM_EXPECTS_MSG(w.rows() == w.cols(),
                   "eigen_symmetric_top needs a square matrix");
-  const std::size_t n = a.rows();
+  const std::size_t n = w.rows();
   EKM_EXPECTS_MSG(t <= n, "eigen_symmetric_top: t exceeds the dimension");
 
-  Matrix w(n, n);
+  // (w + wᵀ) / 2 into the upper triangle, in place: cell (i, j), j >= i,
+  // reads its mirror (j, i) below the diagonal, which nothing writes
+  // before the reduction and which the solver never reads.
   double amax = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
+    double* row = w.row_ptr(i);
     for (std::size_t j = i; j < n; ++j) {
-      w(i, j) = 0.5 * (a(i, j) + a(j, i));
-      amax = std::max(amax, std::fabs(w(i, j)));
+      row[j] = 0.5 * (row[j] + w.row_ptr(j)[i]);
+      amax = std::max(amax, std::fabs(row[j]));
     }
   }
   // Scale into dsyevx's range as it does; the values are scaled back at

@@ -8,6 +8,8 @@
 // and exact to roundoff, the "exact SVD" cost profile the paper charges
 // FSS and BKLW with (complexity O(nd * min(n, d)) in Table 2):
 //
+//  * the input is symmetrized and reduced in its own storage, so a Gram
+//    moved in costs no n x n workspace;
 //  * a matrix whose largest entry lies outside dsyevx's safe range is
 //    first scaled into it by a power of two, and its values are scaled
 //    back at the end, so the Gram of data scaled by up to about 1e±150
@@ -52,7 +54,9 @@ struct SymmetricEigen {
 /// asymmetries from Gram accumulation cannot matter. Each vector's sign
 /// is deterministic. Throws invariant_error if values-only QL fails to
 /// converge (does not happen for well-formed symmetric input).
-[[nodiscard]] SymmetricEigen eigen_symmetric_top(const Matrix& a,
-                                                 std::size_t t);
+/// The solver works in `a`'s storage: a caller that moves its matrix in
+/// (truncated_svd moves the Gram it forms) spares an n x n workspace,
+/// and one that passes an lvalue pays a copy, with the same result.
+[[nodiscard]] SymmetricEigen eigen_symmetric_top(Matrix a, std::size_t t);
 
 }  // namespace ekm

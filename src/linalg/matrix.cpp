@@ -43,7 +43,8 @@ constexpr std::size_t kNc = (1u << 20) / (kKc * sizeof(double)) / kNr * kNr;
 // Rows of C per pool chunk. A chunk runs every slab of its rows, so a
 // product costs one pool job however deep its summation is.
 constexpr std::size_t kMc = 64;
-// Products below this many flops run inline, as one chunk.
+// Products below this many flops run inline, as one chunk that reads B̃
+// in place.
 constexpr std::size_t kInlineFlops = 4u << 20;
 
 using Vec = double __attribute__((vector_size(kLanes * sizeof(double))));
@@ -143,11 +144,13 @@ struct Operand {
   bool by_rows;
 
   // Panel of x in [x0, x0 + w) over steps [k0, k0 + kc), `width` wide.
-  // Full-width in-place panels are read where they lie; the rest are
-  // packed into dst, zero-padded to `width` (padded cells never reach C).
+  // Full-width in-place panels are read where they lie unless `pack`;
+  // the rest are packed into dst, zero-padded to `width` (padded cells
+  // never reach C).
   Panel panel(std::size_t x0, std::size_t w, std::size_t width,
-              std::size_t k0, std::size_t kc, double* dst) const {
-    if (!by_rows && w == width) return {data + k0 * ld + x0, ld};
+              std::size_t k0, std::size_t kc, double* dst,
+              bool pack = false) const {
+    if (!by_rows && !pack && w == width) return {data + k0 * ld + x0, ld};
     for (std::size_t p = 0; p < kc; ++p) {
       std::fill(dst + p * width + w, dst + (p + 1) * width, 0.0);
     }
@@ -175,26 +178,28 @@ struct Product {
   double* c;
   std::size_t ldc;
 
-  // Adds to rows [i0, i1) of C: every slab of each column block.
-  void form_rows(std::size_t i0, std::size_t i1) const {
-    // Packed panels: a by-rows B̃ packs every panel of a block's slab,
-    // an in-place one at most its ragged last panel; Ã packs one panel.
+  // Adds to rows [i0, i1) of C: every slab of each column block. With
+  // `pack_b` an in-place B̃ is packed like a by-rows one.
+  void form_rows(std::size_t i0, std::size_t i1, bool pack_b) const {
+    // Packed panels: a packed B̃ packs every panel of a block's slab, an
+    // in-place one at most its ragged last panel; Ã packs one panel.
     thread_local std::vector<double> b_pack;
     thread_local std::array<double, kKc * kMr> a_pack{};
     std::array<Panel, kNc / kNr> b_panels{};
+    const bool packs = b.by_rows || pack_b;
     const std::size_t j0 = upper ? i0 : 0;
     for (std::size_t jc = j0; jc < n; jc += kNc) {
       const std::size_t jc_end = std::min(n, jc + kNc);
       const std::size_t panels = (jc_end - jc + kNr - 1) / kNr;
-      const std::size_t packed = b.by_rows ? panels : 1;
+      const std::size_t packed = packs ? panels : 1;
       b_pack.resize(std::max(b_pack.size(), packed * kKc * kNr));
       for (std::size_t k0 = 0; k0 < k; k0 += kKc) {
         const std::size_t kc = std::min(kKc, k - k0);
         for (std::size_t q = 0; q < panels; ++q) {
           const std::size_t j = jc + q * kNr;
           const std::size_t w = std::min(kNr, jc_end - j);
-          double* dst = b_pack.data() + (b.by_rows ? q * kKc * kNr : 0);
-          b_panels[q] = b.panel(j, w, lanes_for(w), k0, kc, dst);
+          double* dst = b_pack.data() + (packs ? q * kKc * kNr : 0);
+          b_panels[q] = b.panel(j, w, lanes_for(w), k0, kc, dst, pack_b);
         }
         for (std::size_t i = i0; i < i1; i += kMr) {
           const std::size_t mr = std::min(kMr, i1 - i);
@@ -226,14 +231,20 @@ struct Product {
 };
 
 // Runs `product` over its m rows on the pool; `mirror` then copies each
-// chunk's upper triangle into its columns.
+// chunk's upper triangle into its columns. Where its chunks would run
+// inline anyway (on a pool thread inside a job, or on a one-thread
+// pool), a product of several chunks runs as one instead, which packs
+// each slab of B̃ once and runs every row of C over it rather than
+// re-reading B̃ in place for each chunk. No product folds across
+// chunks, so the grain does not move a bit.
 void run(const Product& product, std::size_t m, bool mirror) {
-  const std::size_t grain =
-      2 * m * product.n * product.k < kInlineFlops ? m : kMc;
-  parallel_for(m, grain, [&](std::size_t i0, std::size_t i1) {
-    product.form_rows(i0, i1);
-    if (mirror) product.mirror(i0, i1);
-  });
+  const bool small = 2 * m * product.n * product.k < kInlineFlops;
+  const bool pack_b = !small && m > kMc && parallel_runs_inline();
+  parallel_for(m, small || pack_b ? m : kMc,
+               [&](std::size_t i0, std::size_t i1) {
+                 product.form_rows(i0, i1, pack_b);
+                 if (mirror) product.mirror(i0, i1);
+               });
 }
 
 // C = Ã·B̃ (m x n). When Ã = B̃ᵀ (`symmetric`, the Gram products) C is

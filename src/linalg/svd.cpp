@@ -49,36 +49,41 @@ double gram_noise_floor(double lambda_max, std::size_t dim) {
 
 }  // namespace
 
-Svd truncated_svd(const Matrix& a, std::size_t t) {
+Svd truncated_svd(const Matrix& a, std::size_t t, SvdFactors factors) {
   EKM_EXPECTS_MSG(!a.empty(), "truncated_svd of empty matrix");
   const std::size_t n = a.rows();
   const std::size_t d = a.cols();
   const bool tall = d <= n;
   // The top eigenpairs of the Gram, A^T A (d x d) when d <= n, else
-  // A A^T (n x n), give V and sigma^2 (U and sigma^2 when n < d). The
-  // other factor's columns are A V Sigma^{-1} (A^T U Sigma^{-1}) for
-  // those pairs only. Components with sigma at the Gram noise floor
-  // become exact zeros whose other-factor column is an orthonormalized
-  // fill-in.
+  // A A^T (n x n), give V and sigma^2 (U and sigma^2 when n < d); the
+  // solver works in the Gram's storage. The other factor's columns are
+  // A V Sigma^{-1} (A^T U Sigma^{-1}) for those pairs only, and a tall
+  // matrix's U is formed only for callers that read it. Components with
+  // sigma at the Gram noise floor become exact zeros whose other-factor
+  // column is an orthonormalized fill-in.
   SymmetricEigen eig = eigen_symmetric_top(
       tall ? matmul_at_b(a, a) : matmul_a_bt(a, a), std::min({t, n, d}));
   const std::size_t r = eig.values.size();
-  Rng rng = make_rng(0x5bdULL, n * 1315423911ULL + d);
 
   Svd out;
   out.sigma.resize(r);
   const double smax2 = std::max(eig.values.empty() ? 0.0 : eig.values[0], 0.0);
+  const double tol = std::sqrt(gram_noise_floor(smax2, tall ? d : n));
   for (std::size_t j = 0; j < r; ++j) {
-    out.sigma[j] = std::sqrt(std::max(eig.values[j], 0.0));
+    const double sigma = std::sqrt(std::max(eig.values[j], 0.0));
+    out.sigma[j] = sigma > tol ? sigma : 0.0;
+  }
+  if (tall && factors == SvdFactors::kV) {
+    out.v = std::move(eig.vectors);
+    return out;
   }
   Matrix other = tall ? matmul(a, eig.vectors) : matmul_at_b(a, eig.vectors);
-  const double tol = std::sqrt(gram_noise_floor(smax2, tall ? d : n));
+  Rng rng = make_rng(0x5bdULL, n * 1315423911ULL + d);
   for (std::size_t j = 0; j < r; ++j) {
     if (out.sigma[j] > tol) {
       const double inv = 1.0 / out.sigma[j];
       for (std::size_t i = 0; i < other.rows(); ++i) other(i, j) *= inv;
     } else {
-      out.sigma[j] = 0.0;
       orthonormalize_column(other, j, rng);
     }
   }
@@ -86,7 +91,7 @@ Svd truncated_svd(const Matrix& a, std::size_t t) {
     out.v = std::move(eig.vectors);
     out.u = std::move(other);
   } else {
-    out.u = std::move(eig.vectors);
+    if (factors == SvdFactors::kUAndV) out.u = std::move(eig.vectors);
     out.v = std::move(other);
   }
   return out;

@@ -33,19 +33,42 @@ void put_matrix(ByteWriter& w, const Matrix& m) {
   w.put_doubles(m.flat());
 }
 
-Matrix get_matrix(ByteReader& r, const char* frame, const char* field) {
+// A matrix field's header: its shape, checked against the count of the
+// cells that follow, which `r` is left at.
+MatrixShape get_shape(ByteReader& r, const char* frame, const char* field) {
   const auto rows = r.get_u64();
   const auto cols = r.get_u64();
-  std::vector<double> data = r.get_doubles();
+  const std::size_t count = r.get_doubles_count();
   // Guard the product against wrap-around from hostile headers before
   // trusting rows x cols as a shape.
-  EKM_EXPECTS_MSG(rows == 0 || cols == data.size() / rows,
+  EKM_EXPECTS_MSG(rows == 0 || cols == count / rows,
                   frame_error(frame, field, "shape does not match its cells"));
-  EKM_EXPECTS_MSG(data.size() == rows * cols,
+  EKM_EXPECTS_MSG(count == rows * cols,
                   frame_error(frame, field, "shape does not match its cells"));
-  EKM_EXPECTS_MSG(all_finite(data),
+  return {static_cast<std::size_t>(rows), static_cast<std::size_t>(cols)};
+}
+
+// Appends the cells of a field of that shape to `cells` and checks them.
+void append_cells(ByteReader& r, const MatrixShape& shape,
+                  std::vector<double>& cells, const char* frame,
+                  const char* field) {
+  const std::size_t old = cells.size();
+  r.append_doubles(shape.rows * shape.cols, cells);
+  EKM_EXPECTS_MSG(all_finite(std::span<const double>(cells).subspan(old)),
                   frame_error(frame, field, "holds a non-finite value"));
-  return Matrix(rows, cols, std::move(data));
+}
+
+Matrix get_matrix(ByteReader& r, const char* frame, const char* field) {
+  const MatrixShape shape = get_shape(r, frame, field);
+  std::vector<double> cells;
+  append_cells(r, shape, cells, frame, field);
+  return Matrix(shape.rows, shape.cols, std::move(cells));
+}
+
+// A matrix frame's tag and header; `r` is left at its first cell.
+MatrixShape open_matrix_frame(ByteReader& r) {
+  EKM_EXPECTS_MSG(r.get_u32() == kTagMatrix, "not a matrix frame");
+  return get_shape(r, "matrix", "cells");
 }
 
 void expect_consumed(const ByteReader& r, const char* frame) {
@@ -132,11 +155,32 @@ Message encode_matrix(const Matrix& m, int significant_bits) {
 }
 
 Matrix decode_matrix(const Message& msg) {
+  std::vector<double> cells;
+  const MatrixShape shape = append_matrix_cells(msg, cells);
+  return Matrix(shape.rows, shape.cols, std::move(cells));
+}
+
+MatrixShape matrix_frame_shape(const Message& msg) {
   ByteReader r(msg.payload);
-  EKM_EXPECTS_MSG(r.get_u32() == kTagMatrix, "not a matrix frame");
-  Matrix m = get_matrix(r, "matrix", "cells");
-  expect_consumed(r, "matrix");
-  return m;
+  const MatrixShape shape = open_matrix_frame(r);
+  // A frame without cells is checked whole: a receiver may skip it here.
+  if (shape.rows * shape.cols == 0) expect_consumed(r, "matrix");
+  return shape;
+}
+
+MatrixShape append_matrix_cells(const Message& msg,
+                                std::vector<double>& cells) {
+  ByteReader r(msg.payload);
+  const MatrixShape shape = open_matrix_frame(r);
+  const std::size_t old = cells.size();
+  try {
+    append_cells(r, shape, cells, "matrix", "cells");
+    expect_consumed(r, "matrix");
+  } catch (...) {
+    cells.resize(old);
+    throw;
+  }
+  return shape;
 }
 
 Message encode_scalar(double value) {

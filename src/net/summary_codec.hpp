@@ -10,7 +10,9 @@
 // precondition_error naming the frame kind and the field.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "cr/coreset.hpp"
 #include "linalg/matrix.hpp"
@@ -43,6 +45,25 @@ namespace ekm {
 [[nodiscard]] Message encode_matrix(const Matrix& m, int significant_bits = 52);
 
 [[nodiscard]] Matrix decode_matrix(const Message& msg);
+
+/// The shape a matrix frame declares.
+struct MatrixShape {
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+};
+
+/// A matrix frame's shape, with its tag and header checked as
+/// decode_matrix checks them; its cells are not read, and a frame with
+/// none is checked whole, as decode_matrix checks it. A receiver checks
+/// the shape against the one it expects before it commits any storage.
+[[nodiscard]] MatrixShape matrix_frame_shape(const Message& msg);
+
+/// Appends a matrix frame's cells, row-major, to `cells` and returns its
+/// shape, with every check decode_matrix makes; on a throw `cells` is
+/// left as it was. A receiver that joins frames decodes each straight
+/// into its rows of one buffer, reserving their total first.
+MatrixShape append_matrix_cells(const Message& msg,
+                                std::vector<double>& cells);
 
 /// Encodes a bare scalar (e.g. a local bicriteria cost in disSS step 1).
 [[nodiscard]] Message encode_scalar(double value);

@@ -12,6 +12,7 @@
 #include "core/pipeline.hpp"
 #include "data/generators.hpp"
 #include "kmeans/cost.hpp"
+#include "kmeans/lloyd.hpp"
 #include "net/summary_codec.hpp"
 #include "swapped_frame.hpp"
 
@@ -333,6 +334,58 @@ TEST(Pipeline, SingleSourceNoReductionRejectsMatrixOfWrongShape) {
                            short_rows);
       },
       {"NR round: source 0 sent a matrix 299x16", "expected 300x16"});
+}
+
+// The NR round decodes each frame straight into its rows of one matrix:
+// the server solves on exactly concatenate(parts). A frame one row short,
+// one column wide or of another kind is rejected by its header, naming
+// the source, before any of its rows is read. An empty shard's frame is
+// skipped by its header but still checked whole.
+TEST(Pipeline, NoReductionJoinsFramesAsConcatenate) {
+  const Dataset data = small_mnist_like(300, 16);
+  Rng rng = make_rng(206);
+  const std::vector<Dataset> parts = partition_random(data, 3, rng);
+  const PipelineConfig cfg = test_config();
+  const PipelineResult nr =
+      run_distributed_pipeline(PipelineKind::kNoReduction, parts, cfg);
+  EXPECT_EQ(nr.summary_points, data.size());
+  EXPECT_EQ(nr.centers,
+            kmeans(concatenate(parts), server_solver_options(cfg)).centers);
+
+  const auto run = [&](Fabric& net) {
+    (void)run_distributed_pipeline(PipelineKind::kNoReduction, parts, cfg,
+                                   net);
+  };
+  const std::size_t rows = parts[1].size();
+  SwappedFrame short_rows(3, 1, Link::kUplink, 1,
+                          encode_matrix(Matrix::gaussian(rows - 1, 16, rng)));
+  const std::string sent = "NR round: source 1 sent a matrix " +
+                           std::to_string(rows - 1) + "x16";
+  const std::string expected = "expected " + std::to_string(rows) + "x16";
+  expect_rejected([&] { run(short_rows); }, {sent.c_str(), expected.c_str()});
+  SwappedFrame wide(3, 1, Link::kUplink, 1,
+                    encode_matrix(Matrix::gaussian(rows, 17, rng)));
+  expect_rejected([&] { run(wide); },
+                  {"NR round: source 1 sent 17 columns",
+                   "the round's dimension is 16"});
+  SwappedFrame scalar(3, 1, Link::kUplink, 1, encode_scalar(1.0));
+  expect_rejected([&] { run(scalar); }, {"not a matrix frame"});
+
+  std::vector<Dataset> with_empty = parts;
+  with_empty.emplace_back();
+  EXPECT_EQ(
+      run_distributed_pipeline(PipelineKind::kNoReduction, with_empty, cfg)
+          .centers,
+      nr.centers);
+  Message padded = encode_matrix(Matrix());
+  padded.payload.push_back(std::byte{0});
+  SwappedFrame trailing(4, 3, Link::kUplink, 1, padded);
+  expect_rejected(
+      [&] {
+        (void)run_distributed_pipeline(PipelineKind::kNoReduction,
+                                       with_empty, cfg, trailing);
+      },
+      {"matrix frame: payload has trailing bytes"});
 }
 
 TEST(Pipeline, SingleSourceRejectsSummaryOfWrongShape) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -131,12 +132,24 @@ Matrix with_zeros(std::size_t rows, std::size_t cols, Rng& rng) {
   return m;
 }
 
+// Runs `product` as a task of a pool job, the way a compute batch runs
+// its sites: the product's own chunks then run inline on that thread.
+Matrix inside_a_job(const std::function<Matrix()>& product) {
+  std::vector<Matrix> out(2);
+  parallel_for_chunks(2, 1, [&](std::size_t c, std::size_t, std::size_t) {
+    if (c == 0) out[0] = product();
+  });
+  return out[0];
+}
+
 TEST(Matrix, ProductsBitIdenticalAcrossPoolSizes) {
   // Each product equals the per-cell reference loop bit for bit at any
-  // pool size. Shapes (rows of C, columns of C, summation depth) reach
-  // every edge of the tiled kernel: 1×1; ragged tiles in all three
-  // dimensions; fewer output columns than one vector; several slabs,
-  // pool chunks and column blocks; exact zeros in both operands.
+  // pool size, called on the pool or from inside a pool job (where a
+  // product of several chunks runs as one that packs B̃). Shapes (rows
+  // of C, columns of C, summation depth) reach every edge of the tiled
+  // kernel: 1×1; ragged tiles in all three dimensions; fewer output
+  // columns than one vector; several slabs, pool chunks and column
+  // blocks; exact zeros in both operands.
   struct Shape {
     std::size_t m, n, k;
   };
@@ -158,6 +171,12 @@ TEST(Matrix, ProductsBitIdenticalAcrossPoolSizes) {
       EXPECT_EQ(matmul(a, b), ab) << threads << " threads";
       EXPECT_EQ(matmul_at_b(at, b), at_b) << threads << " threads";
       EXPECT_EQ(matmul_a_bt(a, bt), a_bt) << threads << " threads";
+      EXPECT_EQ(inside_a_job([&] { return matmul(a, b); }), ab)
+          << threads << " threads, inline";
+      EXPECT_EQ(inside_a_job([&] { return matmul_at_b(at, b); }), at_b)
+          << threads << " threads, inline";
+      EXPECT_EQ(inside_a_job([&] { return matmul_a_bt(a, bt); }), a_bt)
+          << threads << " threads, inline";
     }
   }
 
@@ -186,11 +205,15 @@ TEST(Matrix, ProductsBitIdenticalAcrossPoolSizes) {
       EXPECT_EQ(g, ata) << threads << " threads";
       EXPECT_EQ(g, matmul_at_b(a, copy)) << threads << " threads";
       EXPECT_EQ(g, g.transposed()) << threads << " threads";
+      EXPECT_EQ(inside_a_job([&] { return matmul_at_b(a, a); }), ata)
+          << threads << " threads, inline";
       if (!wide_gram) continue;
       const Matrix h = matmul_a_bt(a, a);
       EXPECT_EQ(h, aat) << threads << " threads";
       EXPECT_EQ(h, matmul_a_bt(a, copy)) << threads << " threads";
       EXPECT_EQ(h, h.transposed()) << threads << " threads";
+      EXPECT_EQ(inside_a_job([&] { return matmul_a_bt(a, a); }), aat)
+          << threads << " threads, inline";
     }
   }
 
@@ -220,15 +243,22 @@ TEST(Matrix, ProductsBitIdenticalAcrossPoolSizes) {
     }
     for (const std::size_t threads : {1, 4}) {
       set_parallel_threads(threads);
-      Matrix c = before;
-      add_at_b_upper(s.m, s.k, a.flat().data(), b.flat().data(), ld,
-                     c.row_ptr(2) + 1, ld);
-      for (std::size_t i = 0; i < s.m; ++i) {  // below the diagonal: free
-        for (std::size_t j = 0; j < i; ++j) {
-          want(2 + i, 1 + j) = c(2 + i, 1 + j);
+      for (const bool inline_job : {false, true}) {
+        const auto update = [&] {
+          Matrix c = before;
+          add_at_b_upper(s.m, s.k, a.flat().data(), b.flat().data(), ld,
+                         c.row_ptr(2) + 1, ld);
+          return c;
+        };
+        const Matrix c = inline_job ? inside_a_job(update) : update();
+        for (std::size_t i = 0; i < s.m; ++i) {  // below the diagonal: free
+          for (std::size_t j = 0; j < i; ++j) {
+            want(2 + i, 1 + j) = c(2 + i, 1 + j);
+          }
         }
+        EXPECT_EQ(c, want) << threads << " threads"
+                           << (inline_job ? ", inline" : "");
       }
-      EXPECT_EQ(c, want) << threads << " threads";
     }
   }
   set_parallel_threads(0);
@@ -606,6 +636,12 @@ const std::vector<SpectrumCase>& spectrum_cases() {
     // for all 160 values, inverse iteration across the wide cluster of
     // the spectrum's lower edge.
     c.push_back({"blocked_t_is_n", Matrix::gaussian(200, 160, rng), 160});
+    // rank_deficient transposed: wide, so its zero sigma take fill-in
+    // columns in V, not U.
+    c.push_back({"wide_rank_deficient",
+                 matmul(right.transposed(), left.transposed()), 6});
+    // fleet_sim's per-site solve.
+    c.push_back({"site_16x16", Matrix::gaussian(16, 16, rng), 8});
     return c;
   }();
   return cases;
@@ -738,11 +774,43 @@ TEST_P(TruncatedSvdContract, ResidualsOrthogonalityAndThreadInvariance) {
   EXPECT_EQ(one.u, four.u);
   EXPECT_EQ(one.sigma, four.sigma);
   EXPECT_EQ(one.v, four.v);
+
+  // Callers that read only sigma and V (disPCA's local step, pca_project)
+  // take SvdFactors::kV: a tall input skips U = A V Σ⁻¹, a wide one still
+  // forms V from U, and sigma and V are the full call's bit for bit.
+  const Svd v_only = truncated_svd(a, c.t, SvdFactors::kV);
+  EXPECT_TRUE(v_only.u.empty());
+  EXPECT_EQ(v_only.sigma, s.sigma);
+  EXPECT_EQ(v_only.v, s.v);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, TruncatedSvdContract,
     ::testing::Range<std::size_t>(0, spectrum_cases().size()), case_name);
+
+// The solver symmetrizes in its input's storage, reading each cell's
+// mirror below the diagonal before it writes there: an input that is not
+// exactly symmetric gives the pairs of its explicit symmetrization, whose
+// lower triangle differs, bit for bit. 40 is solved column by column
+// with QL; 300 in blocked panels, with pooled matvecs, and by bisection.
+TEST(EigenSymTop, SkewedInputEqualsItsSymmetrization) {
+  Rng rng = make_rng(0x3e);
+  for (const std::size_t n : {40, 300}) {
+    SCOPED_TRACE(n);
+    const Matrix skewed = matmul_at_b(Matrix::gaussian(n + 20, n, rng),
+                                      Matrix::gaussian(n + 20, n, rng));
+    Matrix sym(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        sym(i, j) = 0.5 * (skewed(i, j) + skewed(j, i));
+      }
+    }
+    const SymmetricEigen got = eigen_symmetric_top(skewed, 8);
+    const SymmetricEigen want = eigen_symmetric_top(std::move(sym), 8);
+    EXPECT_EQ(got.values, want.values);
+    EXPECT_EQ(got.vectors, want.vectors);
+  }
+}
 
 TEST(EigenSymTop, RejectsNonSquareAndOversizedT) {
   EXPECT_THROW((void)eigen_symmetric_top(Matrix(2, 3), 1), precondition_error);

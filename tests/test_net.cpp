@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "net/channel.hpp"
 #include "net/link_model.hpp"
@@ -302,6 +304,56 @@ TEST(Codec, CoresetBasisFlagMustBeZeroOrOne) {
   std::memcpy(msg.payload.data() + msg.payload.size() - sizeof(flag), &flag,
               sizeof(flag));
   expect_rejected(decode_coreset, msg, "coreset frame: basis flag");
+}
+
+// A receiver that joins frames reads each one's shape before any cell,
+// then appends the cells to one buffer: matrix_frame_shape rejects what
+// decode_matrix rejects in the tag and header, and append_matrix_cells
+// appends exactly decode_matrix's cells or, from a bad frame, nothing.
+// A frame without cells has nothing left to read, so its shape check
+// takes in the trailing-bytes check too.
+TEST(Codec, MatrixFramesAppendTheirDecodedCells) {
+  Rng rng = make_rng(902);
+  const Matrix a = Matrix::gaussian(3, 4, rng);
+  const Matrix b = Matrix::gaussian(300, 4, rng);
+  const MatrixShape shape = matrix_frame_shape(encode_matrix(a));
+  EXPECT_EQ(shape.rows, 3u);
+  EXPECT_EQ(shape.cols, 4u);
+  expect_rejected(matrix_frame_shape, encode_scalar(1.0),
+                  "not a matrix frame");
+  Message lying = encode_matrix(a);  // declares 4 rows over 12 cells
+  const std::uint64_t rows = 4;
+  std::memcpy(lying.payload.data() + sizeof(std::uint32_t), &rows,
+              sizeof(rows));
+  expect_rejected(matrix_frame_shape, lying,
+                  "matrix frame: cells shape does not match");
+  Message empty = encode_matrix(Matrix());
+  EXPECT_EQ(matrix_frame_shape(empty).rows, 0u);
+  empty.payload.push_back(std::byte{0});
+  expect_rejected(matrix_frame_shape, empty,
+                  "matrix frame: payload has trailing");
+
+  Matrix joined = a;
+  joined.append_rows(b);
+  std::vector<double> cells;
+  const MatrixShape got = append_matrix_cells(encode_matrix(a), cells);
+  EXPECT_EQ(got.rows, 3u);
+  EXPECT_EQ(got.cols, 4u);
+  (void)append_matrix_cells(encode_matrix(b), cells);
+  EXPECT_EQ(Matrix(303, 4, cells), joined);
+
+  const Message marked = encode_matrix(Matrix{{1.25, 2.5}, {3.75, 4.5}});
+  Message trailing = marked;
+  trailing.payload.push_back(std::byte{0});
+  const std::vector<double> before = cells;
+  const auto append = [&](const Message& msg) {
+    return append_matrix_cells(msg, cells);
+  };
+  expect_rejected(append, with_replaced(marked, 3.75, kNaN),
+                  "matrix frame: cells holds a non-finite value");
+  expect_rejected(append, trailing, "matrix frame: payload has trailing");
+  expect_rejected(append, lying, "matrix frame: cells shape does not match");
+  EXPECT_EQ(cells, before);
 }
 
 TEST(Codec, RandomBytesNeverCrashDecoders) {
