@@ -57,13 +57,6 @@ EmpiricalCdf empirical_cdf(std::span<const double> xs) {
   return cdf;
 }
 
-double EmpiricalCdf::at(double value) const {
-  const auto it = std::upper_bound(x.begin(), x.end(), value);
-  if (it == x.begin()) return 0.0;
-  const auto idx = static_cast<std::size_t>(it - x.begin()) - 1;
-  return p[idx];
-}
-
 std::string format_cdf(const EmpiricalCdf& cdf, std::size_t max_rows) {
   std::ostringstream out;
   const std::size_t n = cdf.x.size();

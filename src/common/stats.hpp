@@ -32,9 +32,6 @@ struct Summary {
 struct EmpiricalCdf {
   std::vector<double> x;  ///< sorted sample values
   std::vector<double> p;  ///< P(X <= x[i]) = (i+1)/n
-
-  /// Evaluates the CDF at an arbitrary point.
-  [[nodiscard]] double at(double value) const;
 };
 
 [[nodiscard]] EmpiricalCdf empirical_cdf(std::span<const double> xs);

@@ -124,7 +124,6 @@ BklwOptions bklw_options(const PipelineConfig& cfg, double stage_epsilon) {
 /// done: a coreset in the wire's coordinates (NR: the joined shards) and
 /// the maps its centers lift back through.
 struct Summary {
-  std::size_t size = 0;  ///< PipelineResult::summary_points
   Coreset coreset;
   std::optional<LinearMap> jl1;
   std::optional<LinearMap> jl2;
@@ -185,7 +184,6 @@ Summary nr_round(std::span<const Dataset> parts, std::size_t n,
   EKM_ENSURES_MSG(rows > 0,
                   "no data source delivered before the round deadline");
   Summary out;
-  out.size = n;
   out.coreset.points = Dataset(Matrix(rows, d, std::move(cells)));
   return out;
 }
@@ -240,7 +238,6 @@ Summary fss_side(const Dataset& data, const Stages& st, double eps,
       out.jl2 ? &*out.jl2 : out.jl1 ? &*out.jl1 : nullptr;
   expect_summary_shape(
       out.coreset, wire_map != nullptr ? wire_map->output_dim() : data.dim());
-  out.size = out.coreset.size();
   return out;
 }
 
@@ -275,7 +272,6 @@ Summary bklw_side(std::span<const Dataset> parts, std::size_t n,
     const WallSpan span("qt");
     cs.points = RoundingQuantizer(cfg.significant_bits).quantize(cs.points);
   }
-  out.size = cs.size();
   return out;
 }
 
@@ -429,7 +425,7 @@ PipelineResult drive(PipelineKind kind, std::span<const Dataset> parts,
   result.device_seconds = device.total_seconds();
   result.uplink = net.total_uplink();
   result.downlink = net.total_downlink();
-  result.summary_points = summary.size;
+  result.summary_points = summary.coreset.size();
   return result;
 }
 

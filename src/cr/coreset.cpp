@@ -1,10 +1,5 @@
 #include "cr/coreset.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "kmeans/cost.hpp"
-
 namespace ekm {
 
 Dataset Coreset::to_ambient() const {
@@ -14,28 +9,6 @@ Dataset Coreset::to_ambient() const {
   Matrix ambient = matmul(points.points(), *basis);  // (|S| x t) * (t x d)
   return points.is_weighted() ? Dataset(std::move(ambient), *points.weights())
                               : Dataset(std::move(ambient));
-}
-
-std::size_t Coreset::scalar_count() const {
-  std::size_t count = points.size() * points.dim();  // coordinates
-  count += points.size();                            // weights
-  count += 1;                                        // delta
-  if (basis) count += basis->rows() * basis->cols(); // subspace basis
-  return count;
-}
-
-double coreset_cost(const Coreset& coreset, const Matrix& centers) {
-  const Dataset ambient = coreset.to_ambient();
-  return kmeans_cost(ambient, centers) + coreset.delta;
-}
-
-double coreset_eps_for(const Coreset& coreset, const Dataset& full,
-                       const Matrix& centers) {
-  const double true_cost = kmeans_cost(full, centers);
-  const double approx = coreset_cost(coreset, centers);
-  if (true_cost == 0.0) return approx == 0.0 ? 0.0 : INFINITY;
-  // (1-eps) cost <= approx <= (1+eps) cost  =>  eps >= |approx/cost - 1|.
-  return std::fabs(approx / true_cost - 1.0);
 }
 
 }  // namespace ekm

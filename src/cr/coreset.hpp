@@ -30,20 +30,6 @@ struct Coreset {
 
   /// Materializes ambient points (identity if there is no basis).
   [[nodiscard]] Dataset to_ambient() const;
-
-  /// Number of scalars a data source must transmit for this coreset:
-  /// points (+basis if present) + weights + Δ. This is the paper's
-  /// "communication cost in scalars" for one summary.
-  [[nodiscard]] std::size_t scalar_count() const;
 };
-
-/// cost(S, X) per eq. (4): weighted cost of the (ambient) points plus Δ.
-[[nodiscard]] double coreset_cost(const Coreset& coreset, const Matrix& centers);
-
-/// Checks the ε-coreset inequality (3) for one candidate center set.
-/// Returns the tightest ε' such that the costs agree within 1 ± ε'
-/// (useful in property tests: assert eps_for(...) <= eps).
-[[nodiscard]] double coreset_eps_for(const Coreset& coreset, const Dataset& full,
-                                     const Matrix& centers);
 
 }  // namespace ekm

@@ -14,16 +14,6 @@ StreamingCoreset::StreamingCoreset(const StreamingCoresetOptions& opts)
   EKM_EXPECTS(opts_.k >= 1);
 }
 
-void StreamingCoreset::insert(std::span<const double> point) {
-  EKM_EXPECTS(!point.empty());
-  if (dim_ == 0) dim_ = point.size();
-  EKM_EXPECTS_MSG(point.size() == dim_, "stream dimension changed");
-  leaf_.emplace_back(point.begin(), point.end());
-  leaf_weights_.push_back(1.0);
-  ++points_seen_;
-  if (leaf_.size() >= opts_.leaf_size) flush_leaf();
-}
-
 void StreamingCoreset::insert(const Dataset& batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (dim_ == 0) dim_ = batch.dim();

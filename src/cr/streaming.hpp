@@ -34,11 +34,8 @@ class StreamingCoreset {
  public:
   explicit StreamingCoreset(const StreamingCoresetOptions& opts);
 
-  /// Feeds one point (unweighted). O(1) amortized plus the periodic
-  /// compressions.
-  void insert(std::span<const double> point);
-
-  /// Feeds a batch (weights honoured).
+  /// Feeds a batch (weights honoured), point by point: O(1) amortized
+  /// per point plus the periodic compressions.
   void insert(const Dataset& batch);
 
   /// Weighted union of all live levels plus the partial leaf, compressed

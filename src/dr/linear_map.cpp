@@ -16,10 +16,4 @@ Matrix LinearMap::lift(const Matrix& points) const {
   return matmul(points, pinv_);
 }
 
-LinearMap compose(const LinearMap& first, const LinearMap& second) {
-  EKM_EXPECTS_MSG(first.projection().cols() == second.projection().rows(),
-                  "compose dimension mismatch");
-  return LinearMap(matmul(first.projection(), second.projection()));
-}
-
 }  // namespace ekm

@@ -40,8 +40,4 @@ class LinearMap {
   mutable Matrix pinv_;  // cached Π⁺ (empty until first lift)
 };
 
-/// Composition (π2 ∘ π1): first π1, then π2 — as in Algorithm 3's
-/// (π1^(2) ∘ π1^(1))⁻¹ lift-back.
-[[nodiscard]] LinearMap compose(const LinearMap& first, const LinearMap& second);
-
 }  // namespace ekm

@@ -31,15 +31,6 @@ PcaProjection pca_project(const Dataset& data, std::size_t t) {
   return out;
 }
 
-Dataset pca_project_within(const PcaProjection& pca) {
-  // Ā = (A V_t) V_t^T — lift the coordinates back with the basis itself
-  // (V_t is orthonormal, so V_t^T is its pseudoinverse).
-  Matrix ambient = matmul_a_bt(pca.coords.points(), pca.map.projection());
-  return pca.coords.is_weighted()
-             ? Dataset(std::move(ambient), *pca.coords.weights())
-             : Dataset(std::move(ambient));
-}
-
 std::size_t fss_intrinsic_dim(std::size_t k, double epsilon, std::size_t n,
                               std::size_t d) {
   EKM_EXPECTS(epsilon > 0.0);

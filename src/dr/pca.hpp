@@ -1,15 +1,11 @@
 // PCA-based dimensionality reduction (§2 "feature extraction", and the
 // intrinsic-dimension reduction step of FSS / disPCA).
 //
-// Two flavours are needed by the paper's algorithms:
-//  * `pca_map` — a LinearMap onto the top-t right singular vectors
-//    (coordinates in R^t); transmitting its output requires also
-//    transmitting the basis, which is what makes FSS's communication cost
-//    linear in d (Theorem 4.1).
-//  * `pca_project_within` — Ā = A V_t V_t^T: points stay in R^d but lie
-//    in the t-dimensional principal subspace (the form used in Theorem
-//    5.1 and in FSS's intrinsic-dimension reduction), together with the
-//    squared projection residual that becomes the coreset's Δ term.
+// `pca_project` maps the points onto their top-t right singular vectors
+// (coordinates in R^t) and keeps the squared projection residual, which
+// becomes the coreset's Δ term (Theorem 5.1). Transmitting the
+// coordinates requires also transmitting the basis, which is what makes
+// FSS's communication cost linear in d (Theorem 4.1).
 #pragma once
 
 #include <cstddef>
@@ -31,9 +27,6 @@ struct PcaProjection {
 /// Exact PCA via the top-t SVD (`truncated_svd`). `t` is clamped to
 /// min(n, d). O(nd min(n, d)).
 [[nodiscard]] PcaProjection pca_project(const Dataset& data, std::size_t t);
-
-/// Ā = A V_t V_t^T in the ambient space (rows still d-dimensional).
-[[nodiscard]] Dataset pca_project_within(const PcaProjection& pca);
 
 /// FSS/disPCA intrinsic dimension t1 = t2 = k + ceil(4k/ε²) - 1
 /// (Theorem 5.1), clamped to the data's rank bound.

@@ -18,35 +18,4 @@ double kmeans_cost(const Dataset& data, const Matrix& centers) {
   return assign_and_cost(data, centers, {});
 }
 
-std::vector<std::size_t> assign_to_centers(const Dataset& data,
-                                           const Matrix& centers) {
-  std::vector<std::size_t> assign(data.size());
-  assign_batch_into(data.points(), centers, assign, {});
-  return assign;
-}
-
-std::vector<double> weighted_mean(const Dataset& data) {
-  EKM_EXPECTS(!data.empty());
-  std::vector<double> mean(data.dim(), 0.0);
-  double total = 0.0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const double w = data.weight(i);
-    total += w;
-    auto p = data.point(i);
-    for (std::size_t j = 0; j < data.dim(); ++j) mean[j] += w * p[j];
-  }
-  EKM_EXPECTS_MSG(total > 0.0, "total weight must be positive");
-  for (double& v : mean) v /= total;
-  return mean;
-}
-
-double one_means_cost(const Dataset& data) {
-  const std::vector<double> mu = weighted_mean(data);
-  double cost = 0.0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    cost += data.weight(i) * squared_distance(data.point(i), mu);
-  }
-  return cost;
-}
-
 }  // namespace ekm

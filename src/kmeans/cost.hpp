@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "data/dataset.hpp"
 #include "linalg/matrix.hpp"
@@ -24,16 +23,5 @@ struct NearestCenter {
 /// for unweighted datasets this is exactly eq. (1); for a coreset's point
 /// set it is the sum in eq. (4) (the caller adds Δ).
 [[nodiscard]] double kmeans_cost(const Dataset& data, const Matrix& centers);
-
-/// Assignment of every point to its nearest center.
-[[nodiscard]] std::vector<std::size_t> assign_to_centers(const Dataset& data,
-                                                         const Matrix& centers);
-
-/// Optimal 1-means center μ(P): the weighted sample mean (§3.1).
-[[nodiscard]] std::vector<double> weighted_mean(const Dataset& data);
-
-/// cost(P, {μ(P)}): the optimal 1-means cost, used by sensitivity
-/// sampling and by the disSS bicriteria step.
-[[nodiscard]] double one_means_cost(const Dataset& data);
 
 }  // namespace ekm

@@ -279,13 +279,6 @@ std::vector<KMeansResult> lloyd_lock_step(
 
 }  // namespace
 
-Matrix kmeanspp_seed(const Dataset& data, std::size_t k, Rng& rng) {
-  EKM_EXPECTS(k >= 1 && !data.empty());
-  return std::move(seed_lock_step(data, k, std::span<Rng>(&rng, 1),
-                                  row_sq_norms(data.points()))
-                       .front());
-}
-
 KMeansResult lloyd(const Dataset& data, Matrix initial_centers,
                    const KMeansOptions& opts) {
   EKM_EXPECTS(!data.empty());

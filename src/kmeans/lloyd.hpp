@@ -33,12 +33,6 @@ struct KMeansResult {
   int iterations = 0;                ///< Lloyd iterations of the best run
 };
 
-/// k-means++ (D^2) seeding over a weighted dataset: the first center is
-/// drawn with probability ∝ weight, subsequent ones ∝ weight × squared
-/// distance to the nearest chosen center. At most n centers. The
-/// one-restart case of kmeans()'s seeding.
-[[nodiscard]] Matrix kmeanspp_seed(const Dataset& data, std::size_t k, Rng& rng);
-
 /// One seeded Lloyd run from the given initial centers: the one-restart
 /// case of kmeans()'s Lloyd.
 [[nodiscard]] KMeansResult lloyd(const Dataset& data, Matrix initial_centers,

@@ -269,12 +269,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::gaussian(std::size_t rows, std::size_t cols, Rng& rng,
                         double stddev) {
   Matrix m(rows, cols);
@@ -291,17 +285,6 @@ Matrix Matrix::transposed() const {
     }
   }
   return t;
-}
-
-Matrix Matrix::first_cols(std::size_t c) const {
-  EKM_EXPECTS(c <= cols_);
-  Matrix m(rows_, c);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* src = data_.data() + i * cols_;
-    double* dst = m.data_.data() + i * c;
-    for (std::size_t j = 0; j < c; ++j) dst[j] = src[j];
-  }
-  return m;
 }
 
 Matrix Matrix::row_range(std::size_t r0, std::size_t r1) const {
@@ -325,12 +308,6 @@ void Matrix::append_rows(const Matrix& other) {
 
 void Matrix::scale(double s) {
   for (double& v : data_) v *= s;
-}
-
-double Matrix::frobenius_norm() const {
-  double ss = 0.0;
-  for (double v : data_) ss += v * v;
-  return std::sqrt(ss);
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -358,15 +335,6 @@ void add_at_b_upper(std::size_t m, std::size_t k, const double* a,
                     const double* b, std::size_t ld, double* c,
                     std::size_t ldc) {
   run({m, k, {a, ld, false}, {b, ld, false}, true, c, ldc}, m, false);
-}
-
-Matrix subtract(const Matrix& a, const Matrix& b) {
-  EKM_EXPECTS(a.rows() == b.rows() && a.cols() == b.cols());
-  Matrix c = a;
-  auto cf = c.flat();
-  auto bf = b.flat();
-  for (std::size_t i = 0; i < cf.size(); ++i) cf[i] -= bf[i];
-  return c;
 }
 
 double squared_distance(std::span<const double> a, std::span<const double> b) {

@@ -34,8 +34,6 @@ class Matrix {
   /// Row-of-rows literal, for tests: Matrix{{1,2},{3,4}}.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   /// Entries drawn i.i.d. N(0, stddev^2).
   [[nodiscard]] static Matrix gaussian(std::size_t rows, std::size_t cols,
                                        Rng& rng, double stddev = 1.0);
@@ -78,9 +76,6 @@ class Matrix {
 
   [[nodiscard]] Matrix transposed() const;
 
-  /// Copy of the first `c` columns (c <= cols).
-  [[nodiscard]] Matrix first_cols(std::size_t c) const;
-
   /// Copy of rows [r0, r1).
   [[nodiscard]] Matrix row_range(std::size_t r0, std::size_t r1) const;
 
@@ -88,8 +83,6 @@ class Matrix {
   void append_rows(const Matrix& other);
 
   void scale(double s);
-
-  [[nodiscard]] double frobenius_norm() const;
 
   friend bool operator==(const Matrix&, const Matrix&) = default;
 
@@ -134,9 +127,6 @@ class Matrix {
 void add_at_b_upper(std::size_t m, std::size_t k, const double* a,
                     const double* b, std::size_t ld, double* c,
                     std::size_t ldc);
-
-/// A - B.
-[[nodiscard]] Matrix subtract(const Matrix& a, const Matrix& b);
 
 /// Euclidean helpers on raw spans (hot path of k-means).
 [[nodiscard]] double squared_distance(std::span<const double> a,

@@ -92,16 +92,6 @@ void MetricsRegistry::observe(Id id, double value) {
   m.value += value;
 }
 
-std::uint64_t MetricsRegistry::counter_value(Id id) const {
-  EKM_EXPECTS(id < metrics_.size() && metrics_[id].kind == Kind::kCounter);
-  return metrics_[id].count;
-}
-
-double MetricsRegistry::gauge_value(Id id) const {
-  EKM_EXPECTS(id < metrics_.size() && metrics_[id].kind == Kind::kGauge);
-  return metrics_[id].value;
-}
-
 std::string MetricsRegistry::to_json() const {
   std::string out = "{";
   for (std::size_t i = 0; i < metrics_.size(); ++i) {

@@ -45,8 +45,6 @@ class MetricsRegistry {
   void set(Id id, double value);          ///< gauge = value
   void observe(Id id, double value);      ///< histogram sample
 
-  [[nodiscard]] std::uint64_t counter_value(Id id) const;
-  [[nodiscard]] double gauge_value(Id id) const;
   [[nodiscard]] std::size_t size() const { return metrics_.size(); }
 
   /// One JSON object: {"name": value, ...} in registration order.

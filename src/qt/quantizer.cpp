@@ -40,16 +40,4 @@ double RoundingQuantizer::max_error_bound(double max_point_norm) const noexcept 
   return std::ldexp(max_point_norm, -s_);  // 2^{-s} * max ||p||
 }
 
-double measured_quantization_error(const Dataset& original,
-                                   const Dataset& quantized) {
-  EKM_EXPECTS(original.size() == quantized.size());
-  EKM_EXPECTS(original.dim() == quantized.dim());
-  double worst = 0.0;
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    worst = std::max(
-        worst, squared_distance(original.point(i), quantized.point(i)));
-  }
-  return std::sqrt(worst);
-}
-
 }  // namespace ekm

@@ -51,9 +51,4 @@ class RoundingQuantizer {
   int s_;
 };
 
-/// Measured quantization error max_p ||p - Γ(p)|| over a dataset (the
-/// exact ∆_QT of §6.1; tests check measured <= bound).
-[[nodiscard]] double measured_quantization_error(const Dataset& original,
-                                                 const Dataset& quantized);
-
 }  // namespace ekm

@@ -8,16 +8,8 @@
 namespace ekm {
 namespace {
 
-SimScenario ideal() {
-  SimScenario s;
-  s.name = "ideal";
-  s.radio = wifi_link();
-  return s;
-}
-
 SimScenario wifi_office() {
   SimScenario s;
-  s.name = "wifi-office";
   s.radio = wifi_link();
   s.loss_rate = 0.01;
   s.jitter_frac = 0.05;
@@ -26,7 +18,6 @@ SimScenario wifi_office() {
 
 SimScenario ble_swarm() {
   SimScenario s;
-  s.name = "ble-swarm";
   s.radio = ble_link();
   s.loss_rate = 0.02;
   s.dropout_rate = 0.05;
@@ -37,7 +28,6 @@ SimScenario ble_swarm() {
 
 SimScenario lora_field() {
   SimScenario s;
-  s.name = "lora-field";
   s.radio = lora_link();
   s.loss_rate = 0.05;
   s.dropout_rate = 0.02;
@@ -49,7 +39,6 @@ SimScenario lora_field() {
 
 SimScenario nr5g_fleet() {
   SimScenario s;
-  s.name = "nr5g-fleet";
   s.radio = nr5g_link();
   s.loss_rate = 0.005;
   s.straggler_fraction = 0.25;
@@ -59,7 +48,6 @@ SimScenario nr5g_fleet() {
 
 SimScenario lossy_mesh() {
   SimScenario s;
-  s.name = "lossy-mesh";
   s.radio = wifi_link();
   s.loss_rate = 0.2;
   s.dropout_rate = 0.1;
@@ -70,7 +58,6 @@ SimScenario lossy_mesh() {
 
 SimScenario hetero_mesh() {
   SimScenario s;
-  s.name = "hetero-mesh";
   s.radio = wifi_link();
   s.radio_cycle = {wifi_link(), ble_link(), lora_link()};
   s.loss_rate = 0.05;
@@ -83,7 +70,6 @@ SimScenario hetero_mesh() {
 
 SimScenario deadline_fleet() {
   SimScenario s;
-  s.name = "deadline-fleet";
   s.radio = nr5g_link();
   s.loss_rate = 0.01;
   s.jitter_frac = 0.05;
@@ -103,6 +89,23 @@ SimScenario deadline_fleet() {
   s.round.realloc_reserve = 0.5;
   return s;
 }
+
+// The named presets in listing order: the one place a preset's name is
+// written. A default SimScenario is `ideal`.
+struct Preset {
+  const char* name;
+  SimScenario (*make)();
+};
+constexpr Preset kPresets[] = {
+    {"ideal", [] { return SimScenario{}; }},
+    {"wifi-office", wifi_office},
+    {"ble-swarm", ble_swarm},
+    {"lora-field", lora_field},
+    {"nr5g-fleet", nr5g_fleet},
+    {"lossy-mesh", lossy_mesh},
+    {"hetero-mesh", hetero_mesh},
+    {"deadline-fleet", deadline_fleet},
+};
 
 LinkModel radio_by_name(const std::string& key, const std::string& name) {
   if (name == "lora") return lora_link();
@@ -389,6 +392,15 @@ void apply_override(SimScenario& s, const std::string& key,
   }
 }
 
+// The preset names as the unknown-scenario error lists them.
+std::string known_scenarios() {
+  std::string known;
+  for (const std::string& name : sim_scenario_names()) {
+    known += (known.empty() ? "" : "|") + name;
+  }
+  return known;
+}
+
 }  // namespace
 
 std::optional<RetryStrategy> retry_strategy_from_name(const std::string& name) {
@@ -399,24 +411,23 @@ std::optional<RetryStrategy> retry_strategy_from_name(const std::string& name) {
 }
 
 std::vector<std::string> sim_scenario_names() {
-  return {"ideal",      "wifi-office", "ble-swarm",   "lora-field",
-          "nr5g-fleet", "lossy-mesh",  "hetero-mesh", "deadline-fleet"};
+  std::vector<std::string> names;
+  for (const Preset& preset : kPresets) names.emplace_back(preset.name);
+  return names;
 }
 
 std::optional<SimScenario> sim_scenario_preset(const std::string& name) {
-  if (name == "ideal") return ideal();
-  if (name == "wifi-office") return wifi_office();
-  if (name == "ble-swarm") return ble_swarm();
-  if (name == "lora-field") return lora_field();
-  if (name == "nr5g-fleet") return nr5g_fleet();
-  if (name == "lossy-mesh") return lossy_mesh();
-  if (name == "hetero-mesh") return hetero_mesh();
-  if (name == "deadline-fleet") return deadline_fleet();
+  for (const Preset& preset : kPresets) {
+    if (name != preset.name) continue;
+    SimScenario s = preset.make();
+    s.name = preset.name;
+    return s;
+  }
   return std::nullopt;
 }
 
 SimScenario parse_scenario(const std::string& spec) {
-  SimScenario s = ideal();
+  SimScenario s;
   bool named = false;
   std::size_t pos = 0;
   bool first = true;
@@ -434,7 +445,9 @@ SimScenario parse_scenario(const std::string& spec) {
     if (eq == std::string::npos) {
       EKM_EXPECTS_MSG(first && !named, "scenario name must come first");
       const auto preset = sim_scenario_preset(token);
-      EKM_EXPECTS_MSG(preset.has_value(), "unknown scenario '" + token + "'");
+      EKM_EXPECTS_MSG(preset.has_value(), "unknown scenario '" + token +
+                                              "' (expected " +
+                                              known_scenarios() + ")");
       s = *preset;
       named = true;
     } else {

@@ -46,51 +46,36 @@ std::optional<Message> SimLink::receive_by(RoundId round, double deadline_cap) {
   return net_->do_receive_by(*this, round, deadline_cap);
 }
 
-SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
-    : scenario_(scenario) {
-  EKM_EXPECTS(num_sites >= 1);
-  EKM_EXPECTS(scenario_.radio.bandwidth_bps > 0.0);
-  EKM_EXPECTS(scenario_.seconds_per_scalar >= 0.0);
-  for (const LinkModel& r : scenario_.radio_cycle) {
-    EKM_EXPECTS(r.bandwidth_bps > 0.0);
-  }
-  EKM_EXPECTS_MSG(scenario_.round.realloc_reserve >= 0.0 &&
-                      scenario_.round.realloc_reserve < 1.0,
-                  "realloc_reserve must be in [0, 1)");
-
-  // A cold fleet's first round pushes O(sites) events before the first
-  // receive drains any; reserving here keeps a 10k-site sweep from
-  // growing the heap through a dozen reallocations mid-round.
-  queue_.reserve(4 * num_sites);
-
-  sites_.resize(num_sites);
+std::vector<Site> make_fleet(std::size_t num_sites,
+                             const SimScenario& scenario) {
+  std::vector<Site> sites(num_sites);
   for (std::size_t i = 0; i < num_sites; ++i) {
-    Site& s = sites_[i];
-    s.radio = scenario_.radio_cycle.empty()
-                  ? scenario_.radio
-                  : scenario_.radio_cycle[i % scenario_.radio_cycle.size()];
-    s.loss_rate = scenario_.loss_rate;
-    s.dropout_rate = scenario_.dropout_rate;
-    s.retry = scenario_.retry.strategy;
+    Site& s = sites[i];
+    s.radio = scenario.radio_cycle.empty()
+                  ? scenario.radio
+                  : scenario.radio_cycle[i % scenario.radio_cycle.size()];
+    s.loss_rate = scenario.loss_rate;
+    s.dropout_rate = scenario.dropout_rate;
+    s.retry = scenario.retry.strategy;
   }
 
   // Site heterogeneity, all drawn once from the scenario seed: an
   // optional uniform speed skew per site, then a straggler subset
   // chosen by shuffle and slowed down.
-  Rng rng = make_rng(scenario_.seed, 0x517e5ULL);
-  if (scenario_.site_speed_skew > 1.0) {
-    std::uniform_real_distribution<double> unif(1.0 / scenario_.site_speed_skew,
+  Rng rng = make_rng(scenario.seed, 0x517e5ULL);
+  if (scenario.site_speed_skew > 1.0) {
+    std::uniform_real_distribution<double> unif(1.0 / scenario.site_speed_skew,
                                                 1.0);
-    for (Site& s : sites_) s.compute_speed *= unif(rng);
+    for (Site& s : sites) s.compute_speed *= unif(rng);
   }
-  if (scenario_.straggler_fraction > 0.0) {
+  if (scenario.straggler_fraction > 0.0) {
     const auto stragglers = static_cast<std::size_t>(
-        std::ceil(scenario_.straggler_fraction * static_cast<double>(num_sites)));
+        std::ceil(scenario.straggler_fraction * static_cast<double>(num_sites)));
     std::vector<std::size_t> order(num_sites);
     std::iota(order.begin(), order.end(), 0);
     std::shuffle(order.begin(), order.end(), rng);
     for (std::size_t i = 0; i < std::min(stragglers, num_sites); ++i) {
-      sites_[order[i]].compute_speed /= scenario_.straggler_slowdown;
+      sites[order[i]].compute_speed /= scenario.straggler_slowdown;
     }
   }
 
@@ -101,12 +86,12 @@ SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
   // silently inert, which hid fleet-size typos behind clean runs.
   std::vector<std::optional<double>> join(num_sites);
   std::vector<std::optional<double>> leave(num_sites);
-  for (const SiteOverride& o : scenario_.site_overrides) {
+  for (const SiteOverride& o : scenario.site_overrides) {
     EKM_EXPECTS_MSG(o.site < num_sites,
                     "scenario override '" + o.key + "' names site " +
                         std::to_string(o.site) + " but the fleet has only " +
                         std::to_string(num_sites) + " site(s)");
-    Site& s = sites_[o.site];
+    Site& s = sites[o.site];
     if (o.radio) s.radio = *o.radio;
     if (o.bandwidth_bps) s.radio.bandwidth_bps = *o.bandwidth_bps;
     if (o.loss_rate) s.loss_rate = *o.loss_rate;
@@ -118,14 +103,9 @@ SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
     if (o.leave_s) leave[o.site] = o.leave_s;
   }
 
-  // Merge explicit membership schedules into per-site toggle lists,
-  // then arm stochastic churn for the sites no override pinned. A
-  // static fleet (no joins, no leaves, churn=0) keeps
-  // membership_active_ false, and every membership check short-circuits
-  // — zero extra work, zero extra draws, bit-for-bit prior behavior.
-  bool any_toggles = false;
+  // Merge explicit membership schedules into per-site toggle lists.
   for (std::size_t i = 0; i < num_sites; ++i) {
-    Site& s = sites_[i];
+    Site& s = sites[i];
     if (join[i] && leave[i]) {
       EKM_EXPECTS_MSG(*join[i] != *leave[i],
                       "site" + std::to_string(i) +
@@ -144,8 +124,37 @@ SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
     } else if (leave[i]) {
       s.membership_toggles = {*leave[i]};
     }
-    any_toggles = any_toggles || !s.membership_toggles.empty();
   }
+  return sites;
+}
+
+SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
+    : scenario_(scenario) {
+  EKM_EXPECTS(num_sites >= 1);
+  EKM_EXPECTS(scenario_.radio.bandwidth_bps > 0.0);
+  EKM_EXPECTS(scenario_.seconds_per_scalar >= 0.0);
+  for (const LinkModel& r : scenario_.radio_cycle) {
+    EKM_EXPECTS(r.bandwidth_bps > 0.0);
+  }
+  EKM_EXPECTS_MSG(scenario_.round.realloc_reserve >= 0.0 &&
+                      scenario_.round.realloc_reserve < 1.0,
+                  "realloc_reserve must be in [0, 1)");
+
+  // A cold fleet's first round pushes O(sites) events before the first
+  // receive drains any; reserving here keeps a 10k-site sweep from
+  // growing the heap through a dozen reallocations mid-round.
+  queue_.reserve(4 * num_sites);
+
+  sites_ = make_fleet(num_sites, scenario_);
+
+  // Arm stochastic churn for the sites no override pinned. A static
+  // fleet (no joins, no leaves, churn=0) keeps membership_active_
+  // false, and every membership check short-circuits — zero extra
+  // work, zero extra draws, bit-for-bit prior behavior.
+  const bool any_toggles =
+      std::any_of(sites_.begin(), sites_.end(), [](const Site& site) {
+        return !site.membership_toggles.empty();
+      });
   membership_active_ = any_toggles || scenario_.churn_rate > 0.0;
   if (scenario_.churn_rate > 0.0) {
     churn_managed_.assign(num_sites, 0);
@@ -156,7 +165,7 @@ SimNetwork::SimNetwork(std::size_t num_sites, const SimScenario& scenario)
       // RNGs, so arming churn shifts no loss/jitter/dropout draw.
       churn_rng_.push_back(make_rng(churn_seed, i));
       churn_managed_[i] =
-          static_cast<char>(!join[i].has_value() && !leave[i].has_value());
+          static_cast<char>(sites_[i].membership_toggles.empty());
     }
   }
 
@@ -188,11 +197,6 @@ const SimLink& SimNetwork::uplink_view(std::size_t source) const {
 const SimLink& SimNetwork::downlink_view(std::size_t source) const {
   EKM_EXPECTS(source < down_.size());
   return down_[source];
-}
-
-const Site& SimNetwork::site(std::size_t i) const {
-  EKM_EXPECTS(i < sites_.size());
-  return sites_[i];
 }
 
 RoundId SimNetwork::open_round(double deadline_seconds) {

@@ -164,6 +164,14 @@ class SimLink final : public Port {
   std::uint64_t deliveries_done_ = 0;       ///< kDeliver events processed
 };
 
+/// The fleet a SimNetwork of `num_sites` runs: each site's radio (the
+/// scenario's, or its radio_cycle round-robin), fault rates and retry
+/// strategy; the seeded speed skew and stragglers; then the per-site
+/// overrides, in declaration order, and the join/leave schedules. An
+/// override naming a site beyond the fleet throws precondition_error.
+[[nodiscard]] std::vector<Site> make_fleet(std::size_t num_sites,
+                                           const SimScenario& scenario);
+
 class SimNetwork final : public Fabric {
  public:
   SimNetwork(std::size_t num_sites, const SimScenario& scenario);
@@ -208,7 +216,6 @@ class SimNetwork final : public Fabric {
   // --- inspection ---------------------------------------------------------
   [[nodiscard]] const SimLink& uplink_view(std::size_t source) const;
   [[nodiscard]] const SimLink& downlink_view(std::size_t source) const;
-  [[nodiscard]] const Site& site(std::size_t i) const;
   [[nodiscard]] const SimScenario& scenario() const { return scenario_; }
 
   /// Virtual time of the latest processed event.

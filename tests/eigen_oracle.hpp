@@ -15,6 +15,7 @@
 
 #include "linalg/eigen_sym.hpp"
 #include "linalg/matrix.hpp"
+#include "matrix_helpers.hpp"
 
 namespace ekm::test {
 
@@ -52,7 +53,7 @@ inline SymmetricEigen eigen_symmetric_jacobi(const Matrix& a,
       m(j, i) = v;
     }
   }
-  Matrix v = Matrix::identity(n);
+  Matrix v = identity(n);
   double* const mf = m.flat().data();
   double* const vf = v.flat().data();
 
@@ -63,7 +64,7 @@ inline SymmetricEigen eigen_symmetric_jacobi(const Matrix& a,
         off += mf[p * n + q] * mf[p * n + q];
       }
     }
-    if (off < 1e-24 * (1.0 + m.frobenius_norm())) break;
+    if (off < 1e-24 * (1.0 + frobenius_norm(m))) break;
 
     for (std::size_t p = 0; p < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {

@@ -1,8 +1,8 @@
 // Exact 1-D k-means by dynamic programming (Wang & Song, R Journal 2011
 // style, O(k n²) with prefix sums): the test oracle for the heuristic
 // solvers. The general problem is NP-hard (§1 of the paper, refs [8][9]),
-// but on the line it is easy, so test_kmeans and test_baselines hold
-// Lloyd's and the baselines' costs against this optimum.
+// but on the line it is easy, so test_kmeans holds Lloyd's cost against
+// this optimum.
 #pragma once
 
 #include <algorithm>

@@ -89,13 +89,16 @@ TEST(AssignKernel, WeightedCostMatchesNaiveSum) {
   Rng rng = make_rng(78);
   const Matrix centers = Matrix::gaussian(6, 9, rng);
   double naive = 0.0;
+  std::vector<std::size_t> naive_idx(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
-    naive += data.weight(i) * nearest_center(data.point(i), centers).sq_dist;
+    const NearestCenter nc = nearest_center(data.point(i), centers);
+    naive += data.weight(i) * nc.sq_dist;
+    naive_idx[i] = nc.index;
   }
   std::vector<std::size_t> idx(data.size());
   const double batched = assign_and_cost(data, centers, idx);
   EXPECT_NEAR(batched, naive, 1e-9 * (1.0 + naive));
-  EXPECT_EQ(idx, assign_to_centers(data, centers));
+  EXPECT_EQ(idx, naive_idx);
 
   // Precomputed point norms (the per-iteration cache Lloyd uses) must be
   // bitwise-equivalent to the internally computed ones.
@@ -943,14 +946,19 @@ TEST(ThreadDeterminism, KMeansResultIdenticalAcrossThreadCounts) {
 TEST(ThreadDeterminism, CostAndSeedingIdenticalAcrossThreadCounts) {
   const Dataset data = random_weighted(3000, 16, 1234);
 
+  // kmeans()'s k-means++ seeding alone: one restart and no Lloyd pass.
+  KMeansOptions seeding;
+  seeding.k = 12;
+  seeding.max_iters = 0;
+  seeding.restarts = 1;
+  seeding.seed = 7;
+
   set_parallel_threads(1);
-  Rng rng1 = make_rng(7);
-  const Matrix seeds1 = kmeanspp_seed(data, 12, rng1);
+  const Matrix seeds1 = kmeans(data, seeding).centers;
   const double cost1 = kmeans_cost(data, seeds1);
 
   set_parallel_threads(8);
-  Rng rng2 = make_rng(7);
-  const Matrix seeds2 = kmeanspp_seed(data, 12, rng2);
+  const Matrix seeds2 = kmeans(data, seeding).centers;
   const double cost2 = kmeans_cost(data, seeds2);
   set_parallel_threads(0);
 

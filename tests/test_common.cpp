@@ -117,13 +117,8 @@ TEST(Stats, QuantileInterpolates) {
 TEST(Stats, EmpiricalCdfIsAStaircase) {
   const std::vector<double> xs{3.0, 1.0, 2.0, 2.0};
   const EmpiricalCdf cdf = empirical_cdf(xs);
-  ASSERT_EQ(cdf.x.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(cdf.x.begin(), cdf.x.end()));
-  EXPECT_DOUBLE_EQ(cdf.p.back(), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.at(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.at(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(cdf.at(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(cdf.at(100.0), 1.0);
+  EXPECT_EQ(cdf.x, (std::vector<double>{1.0, 2.0, 2.0, 3.0}));
+  EXPECT_EQ(cdf.p, (std::vector<double>{0.25, 0.5, 0.75, 1.0}));
 }
 
 TEST(Stats, FormatCdfSubsamples) {

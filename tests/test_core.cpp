@@ -275,6 +275,72 @@ TEST(Pipeline, JlBklwBeatsBklwOnWire) {
   EXPECT_LT(jl.uplink.bits, bklw.uplink.bits);
 }
 
+// Every point times s = 2^j: exact in binary floating point, short of
+// overflow and underflow.
+Dataset scaled(const Dataset& data, double s) {
+  Matrix points = data.points();
+  points.scale(s);
+  return data.is_weighted() ? Dataset(std::move(points), *data.weights())
+                            : Dataset(std::move(points));
+}
+
+Matrix scaled(Matrix m, double s) {
+  m.scale(s);
+  return m;
+}
+
+// No stage uses an absolute threshold: scaling the data by a power of
+// two scales every kind's centers by exactly that power and leaves its
+// uplink ledger as it was, with QT and a refine round too, and it scales
+// the k-means cost by exactly its square.
+TEST(Pipeline, PowerOfTwoScalingCommutes) {
+  const Dataset data = small_mnist_like(800, 100);
+  Rng rng = make_rng(203);
+  const std::vector<Dataset> parts = partition_random(data, 4, rng);
+  PipelineConfig quantized = test_config();
+  quantized.significant_bits = 12;
+  quantized.refine_iters = 1;
+  for (const PipelineConfig& cfg : {test_config(), quantized}) {
+    for (const PipelineKind kind :
+         {PipelineKind::kNoReduction, PipelineKind::kFss, PipelineKind::kJlFss,
+          PipelineKind::kFssJl, PipelineKind::kJlFssJl}) {
+      const PipelineResult base = run_pipeline(kind, data, cfg);
+      for (const double s : {0.5, 8.0}) {
+        const PipelineResult res = run_pipeline(kind, scaled(data, s), cfg);
+        EXPECT_EQ(res.centers, scaled(base.centers, s))
+            << pipeline_name(kind) << " s=" << s;
+        EXPECT_EQ(res.uplink, base.uplink) << pipeline_name(kind) << " s=" << s;
+      }
+    }
+    for (const PipelineKind kind :
+         {PipelineKind::kNoReduction, PipelineKind::kBklw,
+          PipelineKind::kJlBklw}) {
+      const PipelineResult base = run_distributed_pipeline(kind, parts, cfg);
+      for (const double s : {0.5, 8.0}) {
+        std::vector<Dataset> scaled_parts;
+        for (const Dataset& part : parts) {
+          scaled_parts.push_back(scaled(part, s));
+        }
+        const PipelineResult res =
+            run_distributed_pipeline(kind, scaled_parts, cfg);
+        EXPECT_EQ(res.centers, scaled(base.centers, s))
+            << pipeline_name(kind) << " s=" << s;
+        EXPECT_EQ(res.uplink, base.uplink) << pipeline_name(kind) << " s=" << s;
+      }
+    }
+  }
+
+  KMeansOptions opts;
+  opts.k = 4;
+  opts.seed = 5;
+  const KMeansResult base = kmeans(data, opts);
+  for (const double s : {0.25, 2.0, 1024.0}) {
+    const KMeansResult res = kmeans(scaled(data, s), opts);
+    EXPECT_EQ(res.cost, base.cost * s * s) << "s=" << s;
+    EXPECT_EQ(res.centers, scaled(base.centers, s)) << "s=" << s;
+  }
+}
+
 // The NR server checks each decoded shard's width against the round's
 // dimension; a mismatch is bad input naming the source and both widths.
 TEST(Pipeline, NoReductionRejectsShardOfWrongWidth) {

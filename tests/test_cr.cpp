@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "coreset_eps.hpp"
 #include "cr/coreset.hpp"
 #include "cr/fss.hpp"
 #include "cr/merge.hpp"
@@ -18,9 +19,16 @@
 #include "eigen_oracle.hpp"
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
+#include "matrix_helpers.hpp"
 
 namespace ekm {
 namespace {
+
+using test::coreset_cost;
+using test::coreset_eps_for;
+using test::frobenius_norm;
+using test::identity;
+using test::subtract;
 
 Dataset mixture(std::size_t n, std::size_t dim, std::size_t k,
                 std::uint64_t seed, double separation = 10.0) {
@@ -49,14 +57,6 @@ TEST(Coreset, ToAmbientAppliesBasis) {
   EXPECT_EQ(ambient.dim(), 2u);
   EXPECT_DOUBLE_EQ(ambient.point(0)[0], 1.2);
   EXPECT_DOUBLE_EQ(ambient.point(0)[1], 1.6);
-}
-
-TEST(Coreset, ScalarCountAccounting) {
-  Coreset cs;
-  cs.points = Dataset(Matrix(10, 3), std::vector<double>(10, 1.0));
-  EXPECT_EQ(cs.scalar_count(), 10u * 3 + 10 + 1);
-  cs.basis = Matrix(3, 50);
-  EXPECT_EQ(cs.scalar_count(), 10u * 3 + 10 + 1 + 150);
 }
 
 TEST(Coreset, EpsForExactCoresetIsZero) {
@@ -224,7 +224,7 @@ TEST(Fss, BasisRowsOrthonormal) {
   ASSERT_TRUE(cs.basis.has_value());
   const Matrix btb = matmul_a_bt(*cs.basis, *cs.basis);  // t x t
   EXPECT_LT(
-      subtract(btb, Matrix::identity(btb.rows())).frobenius_norm(), 1e-9);
+      frobenius_norm(subtract(btb, identity(btb.rows()))), 1e-9);
 }
 
 TEST(Fss, SolveOnCoresetApproximatesFullSolve) {

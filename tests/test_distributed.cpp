@@ -7,6 +7,7 @@
 
 #include "common/parallel.hpp"
 #include "core/pipeline.hpp"
+#include "coreset_eps.hpp"
 #include "cr/coreset.hpp"
 #include "data/generators.hpp"
 #include "distributed/bklw.hpp"
@@ -15,6 +16,7 @@
 #include "dr/pca.hpp"
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
+#include "matrix_helpers.hpp"
 #include "net/summary_codec.hpp"
 #include "swapped_frame.hpp"
 
@@ -23,7 +25,11 @@ namespace {
 
 // In the protocols the second uplink frame is disPCA's V or disSS's
 // coreset, the first downlink frame BKLW's basis broadcast.
+using test::coreset_eps_for;
+using test::frobenius_norm;
+using test::identity;
 using test::Link;
+using test::subtract;
 using test::SwappedFrame;
 
 std::vector<Dataset> make_parts(std::size_t n, std::size_t dim, std::size_t k,
@@ -52,14 +58,14 @@ TEST(DisPca, MergedSubspaceCapturesEnergyLikeCentralizedPca) {
 
   // Orthonormal columns.
   const Matrix vtv = matmul_at_b(res.v, res.v);
-  EXPECT_LT(subtract(vtv, Matrix::identity(6)).frobenius_norm(), 1e-8);
+  EXPECT_LT(frobenius_norm(subtract(vtv, identity(6))), 1e-8);
 
   // Captured energy within a whisker of centralized top-6 PCA.
   const Matrix coords = matmul(full.points(), res.v);
-  const double captured = std::pow(coords.frobenius_norm(), 2);
+  const double captured = std::pow(frobenius_norm(coords), 2);
   const PcaProjection central = pca_project(full, 6);
   const double central_captured =
-      std::pow(central.coords.points().frobenius_norm(), 2);
+      std::pow(frobenius_norm(central.coords.points()), 2);
   EXPECT_GT(captured, 0.95 * central_captured);
 
   // Communication: each source ships t1 + t1*d scalars (+ headers).
@@ -79,7 +85,7 @@ TEST(DisPca, SingleSourceEqualsLocalPca) {
   // Subspaces coincide: projector difference is ~0.
   const Matrix p1 = matmul_a_bt(res.v, res.v);
   const Matrix p2 = matmul_a_bt(local.map.projection(), local.map.projection());
-  EXPECT_LT(subtract(p1, p2).frobenius_norm(), 1e-6);
+  EXPECT_LT(frobenius_norm(subtract(p1, p2)), 1e-6);
 }
 
 TEST(DisPca, ToleratesEmptySource) {

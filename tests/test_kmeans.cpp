@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "data/generators.hpp"
+#include "kmeans/assign.hpp"
 #include "kmeans/bicriteria.hpp"
 #include "kmeans/cost.hpp"
 #include "kmeans/lloyd.hpp"
@@ -20,6 +21,16 @@ using test::kmeans_brute_force;
 Dataset two_clusters() {
   // Cluster A near 0, cluster B near 10 (1-D for hand computation).
   return Dataset(Matrix{{0.0}, {0.5}, {1.0}, {10.0}, {10.5}, {11.0}});
+}
+
+// kmeans()'s k-means++ seeding alone: one restart and no Lloyd pass.
+Matrix kmeanspp_seeds(const Dataset& d, std::size_t k, std::uint64_t seed) {
+  KMeansOptions opts;
+  opts.k = k;
+  opts.max_iters = 0;
+  opts.restarts = 1;
+  opts.seed = seed;
+  return kmeans(d, opts).centers;
 }
 
 TEST(Cost, NearestCenterAndCost) {
@@ -40,10 +51,13 @@ TEST(Cost, WeightedCostScalesWithWeights) {
 
 TEST(Cost, WeightedMeanIsOptimalOneMeans) {
   const Dataset d(Matrix{{0.0}, {4.0}}, {1.0, 3.0});
-  const std::vector<double> mu = weighted_mean(d);
-  EXPECT_DOUBLE_EQ(mu[0], 3.0);
+  KMeansOptions one;
+  one.k = 1;
+  const KMeansResult res = kmeans(d, one);
+  EXPECT_DOUBLE_EQ(res.centers(0, 0), 3.0);  // the weighted mean μ
   // Sweep candidate 1-means centers: μ must minimize.
-  const double at_mu = one_means_cost(d);
+  const double at_mu = kmeans_cost(d, res.centers);
+  EXPECT_DOUBLE_EQ(at_mu, 12.0);  // 1·3² + 3·1²
   for (double c : {2.0, 2.9, 3.1, 4.0}) {
     const Matrix center{{c}};
     EXPECT_GE(kmeans_cost(d, center) + 1e-12, at_mu);
@@ -52,13 +66,14 @@ TEST(Cost, WeightedMeanIsOptimalOneMeans) {
 
 TEST(Cost, ZeroTotalWeightRejected) {
   const Dataset d(Matrix{{1.0}}, {0.0});
-  EXPECT_THROW((void)weighted_mean(d), precondition_error);
+  EXPECT_THROW((void)kmeans(d, KMeansOptions{}), precondition_error);
 }
 
 TEST(Assign, MatchesNearest) {
   const Dataset d = two_clusters();
   const Matrix centers{{0.5}, {10.5}};
-  const std::vector<std::size_t> assign = assign_to_centers(d, centers);
+  std::vector<std::size_t> assign(d.size());
+  (void)assign_and_cost(d, centers, assign);
   EXPECT_EQ(assign, (std::vector<std::size_t>{0, 0, 0, 1, 1, 1}));
 }
 
@@ -66,8 +81,7 @@ TEST(KMeansPp, SpreadsSeedsAcrossClusters) {
   const Dataset d = two_clusters();
   int split = 0;
   for (std::uint64_t s = 0; s < 20; ++s) {
-    Rng rng = make_rng(s);
-    const Matrix seeds = kmeanspp_seed(d, 2, rng);
+    const Matrix seeds = kmeanspp_seeds(d, 2, s);
     // D² seeding should almost always pick one seed per cluster.
     const bool one_low = seeds(0, 0) < 5.0;
     const bool other_high = seeds(1, 0) >= 5.0;
@@ -81,8 +95,7 @@ TEST(KMeansPp, RespectsWeights) {
   const Dataset d(Matrix{{0.0}, {5.0}}, {1e-9, 1.0});
   int heavy_first = 0;
   for (std::uint64_t s = 0; s < 20; ++s) {
-    Rng rng = make_rng(100 + s);
-    const Matrix seeds = kmeanspp_seed(d, 1, rng);
+    const Matrix seeds = kmeanspp_seeds(d, 1, 100 + s);
     if (seeds(0, 0) == 5.0) ++heavy_first;
   }
   EXPECT_GE(heavy_first, 19);
@@ -117,8 +130,7 @@ TEST(Lloyd, IteratesBeyondSeeding) {
   // Regression guard for the early-termination bug: Lloyd must actually
   // improve on the raw seeding, which takes > 1 iteration.
   EXPECT_GT(res.iterations, 1);
-  Rng rng2 = make_rng(5, 0);
-  const Matrix seeds = kmeanspp_seed(d, 4, rng2);
+  const Matrix seeds = kmeanspp_seeds(d, 4, 5);
   EXPECT_LE(res.cost, kmeans_cost(d, seeds) + 1e-9);
 }
 

@@ -93,8 +93,6 @@ TEST(Metrics, RegistryIsDeterministicAndTyped) {
   reg.observe(widths, 17.0);  // third bucket (<= 24)
   reg.observe(widths, 99.0);  // overflow
 
-  EXPECT_EQ(reg.counter_value(misses), 3u);
-  EXPECT_EQ(reg.gauge_value(energy), 0.5);
   EXPECT_EQ(reg.to_json(),
             "{\"round.misses\": 3, \"fleet.energy\": 0.5, "
             "\"quant.bits\": {\"buckets\": [8, 16, 24], "
@@ -112,7 +110,6 @@ TEST(Metrics, RegistryIsDeterministicAndTyped) {
   // reset_values clears values, not registrations — the serialized
   // shape (and therefore the JSONL column order) is stable.
   reg.reset_values();
-  EXPECT_EQ(reg.counter_value(misses), 0u);
   EXPECT_EQ(reg.to_json(),
             "{\"round.misses\": 0, \"fleet.energy\": 0, "
             "\"quant.bits\": {\"buckets\": [8, 16, 24], "

@@ -2,6 +2,7 @@
 // the §6.3 configuration optimizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <random>
@@ -11,6 +12,20 @@
 
 namespace ekm {
 namespace {
+
+// Measured quantization error max_p ||p - Γ(p)|| over a dataset: the
+// exact ∆_QT of §6.1, which the a-priori bound (14) must cover.
+double measured_quantization_error(const Dataset& original,
+                                   const Dataset& quantized) {
+  EKM_EXPECTS(original.size() == quantized.size());
+  EKM_EXPECTS(original.dim() == quantized.dim());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    worst = std::max(
+        worst, squared_distance(original.point(i), quantized.point(i)));
+  }
+  return std::sqrt(worst);
+}
 
 TEST(Quantizer, FullPrecisionIsIdentity) {
   const RoundingQuantizer q(52);

@@ -75,6 +75,20 @@ TEST(Scenario, PresetsExistAndParse) {
     EXPECT_EQ(parsed.name, name);
   }
   EXPECT_FALSE(sim_scenario_preset("no-such-scenario").has_value());
+  // The error for an unknown name lists the known ones.
+  try {
+    (void)parse_scenario("no-such-scenario");
+    FAIL() << "expected precondition_error";
+  } catch (const precondition_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unknown scenario 'no-such-scenario' (expected "
+                        "ideal|wifi-office|"),
+              std::string::npos)
+        << what;
+    for (const std::string& name : sim_scenario_names()) {
+      EXPECT_NE(what.find(name), std::string::npos) << name;
+    }
+  }
 }
 
 TEST(Scenario, ParserRejectsMalformedValues) {
@@ -159,14 +173,14 @@ TEST(Scenario, SiteOverridesShapeTheFleet) {
   const SimScenario s = parse_scenario(
       "radio=wifi,loss=0.1,site1.radio=lora,site1.loss=0.5,"
       "site0.speed=0.25,site0.bandwidth=1000");
-  SimNetwork net(3, s);
-  EXPECT_EQ(net.site(0).radio.name, "Wi-Fi 802.11n");
-  EXPECT_DOUBLE_EQ(net.site(0).radio.bandwidth_bps, 1000.0);
-  EXPECT_DOUBLE_EQ(net.site(0).compute_speed, 0.25);
-  EXPECT_DOUBLE_EQ(net.site(0).loss_rate, 0.1);  // fleet default
-  EXPECT_EQ(net.site(1).radio.name, "LoRa SF7");
-  EXPECT_DOUBLE_EQ(net.site(1).loss_rate, 0.5);
-  EXPECT_DOUBLE_EQ(net.site(2).loss_rate, 0.1);
+  const std::vector<Site> fleet = make_fleet(3, s);
+  EXPECT_EQ(fleet[0].radio.name, "Wi-Fi 802.11n");
+  EXPECT_DOUBLE_EQ(fleet[0].radio.bandwidth_bps, 1000.0);
+  EXPECT_DOUBLE_EQ(fleet[0].compute_speed, 0.25);
+  EXPECT_DOUBLE_EQ(fleet[0].loss_rate, 0.1);  // fleet default
+  EXPECT_EQ(fleet[1].radio.name, "LoRa SF7");
+  EXPECT_DOUBLE_EQ(fleet[1].loss_rate, 0.5);
+  EXPECT_DOUBLE_EQ(fleet[2].loss_rate, 0.1);
   EXPECT_FALSE(s.fault_free());
 
   // An override naming a site beyond the fleet is a configuration
@@ -182,11 +196,11 @@ TEST(Scenario, SiteOverridesShapeTheFleet) {
   }
 
   // hetero-mesh assigns radios round-robin from the cycle.
-  SimNetwork hetero(4, parse_scenario("hetero-mesh"));
-  EXPECT_EQ(hetero.site(0).radio.name, "Wi-Fi 802.11n");
-  EXPECT_EQ(hetero.site(1).radio.name, "BLE 1M");
-  EXPECT_EQ(hetero.site(2).radio.name, "LoRa SF7");
-  EXPECT_EQ(hetero.site(3).radio.name, "Wi-Fi 802.11n");
+  const std::vector<Site> hetero = make_fleet(4, parse_scenario("hetero-mesh"));
+  EXPECT_EQ(hetero[0].radio.name, "Wi-Fi 802.11n");
+  EXPECT_EQ(hetero[1].radio.name, "BLE 1M");
+  EXPECT_EQ(hetero[2].radio.name, "LoRa SF7");
+  EXPECT_EQ(hetero[3].radio.name, "Wi-Fi 802.11n");
 }
 
 TEST(Scenario, ParserAppliesOverrides) {
@@ -233,6 +247,35 @@ TEST(Sim, ZeroFaultMatchesSynchronousNetwork) {
     EXPECT_EQ(sim.uplink_stats.retransmit_bits, 0u);
     EXPECT_EQ(sim.uplink_stats.attempts, sim.result.uplink.messages);
   }
+}
+
+TEST(Sim, NrSummaryCountsTheRowsThatArrived) {
+  // With retries off, lossy-mesh loses some of NR's raw-shard uplinks;
+  // the server joins the shards that arrived, and the summary size
+  // counts their rows, not the n points the sources hold.
+  const auto parts = make_parts(6, 3000, 16, 41);
+  const PipelineConfig cfg = base_config(41);
+  SimNetwork net(parts.size(),
+                 parse_scenario("lossy-mesh,loss=0.5,retries=0,seed=41"));
+  const PipelineResult lossy = run_distributed_pipeline(
+      PipelineKind::kNoReduction, parts, cfg, net);
+  std::size_t joined = 0;
+  std::size_t lost = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (net.uplink_view(i).stats().missed == 0) {
+      joined += parts[i].size();
+    } else {
+      lost += 1;
+    }
+  }
+  ASSERT_GT(lost, 0u);
+  ASSERT_LT(lost, parts.size());
+  EXPECT_EQ(lossy.summary_points, joined);
+
+  // Fault-free, every shard arrives.
+  const PipelineResult clean =
+      run_distributed_pipeline(PipelineKind::kNoReduction, parts, cfg);
+  EXPECT_EQ(clean.summary_points, 3000u);
 }
 
 TEST(Sim, EventOrderDeterministicAcrossThreadCounts) {
@@ -780,10 +823,10 @@ TEST(Scenario, ParserHandlesRetryReallocAndOverflow) {
   ASSERT_EQ(s.site_overrides.size(), 1u);
   EXPECT_EQ(s.site_overrides[0].retry.value(), RetryStrategy::kGiveUp);
   // The fleet default and the per-site override both materialize.
-  SimNetwork net(3, s);
-  EXPECT_EQ(net.site(0).retry, RetryStrategy::kBackoff);
-  EXPECT_EQ(net.site(1).retry, RetryStrategy::kBackoff);
-  EXPECT_EQ(net.site(2).retry, RetryStrategy::kGiveUp);
+  const std::vector<Site> fleet = make_fleet(3, s);
+  EXPECT_EQ(fleet[0].retry, RetryStrategy::kBackoff);
+  EXPECT_EQ(fleet[1].retry, RetryStrategy::kBackoff);
+  EXPECT_EQ(fleet[2].retry, RetryStrategy::kGiveUp);
   EXPECT_TRUE(parse_scenario("realloc=on").round.reallocate);
   EXPECT_EQ(parse_scenario("ideal").retry.strategy, RetryStrategy::kFixed);
   // The wave's reserve is part of the round schedule: default 0, the
@@ -1525,10 +1568,10 @@ TEST(Scenario, LaterSiteOverridesWin) {
   const SimScenario s = parse_scenario(
       "radio=wifi,site0.bandwidth=1000,site0.loss=0.2,site0.retry=backoff,"
       "site0.bandwidth=2000,site0.loss=0.4,site0.retry=giveup");
-  SimNetwork net(1, s);
-  EXPECT_DOUBLE_EQ(net.site(0).radio.bandwidth_bps, 2000.0);
-  EXPECT_DOUBLE_EQ(net.site(0).loss_rate, 0.4);
-  EXPECT_EQ(net.site(0).retry, RetryStrategy::kGiveUp);
+  const std::vector<Site> fleet = make_fleet(1, s);
+  EXPECT_DOUBLE_EQ(fleet[0].radio.bandwidth_bps, 2000.0);
+  EXPECT_DOUBLE_EQ(fleet[0].loss_rate, 0.4);
+  EXPECT_EQ(fleet[0].retry, RetryStrategy::kGiveUp);
 }
 
 TEST(Churn, MidRoundLeaveDropsTheSiteOnceNotPerFrame) {

@@ -1,6 +1,7 @@
 // Tests for the merge-and-reduce streaming coreset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "cr/streaming.hpp"
@@ -61,7 +62,11 @@ TEST(Streaming, FinalCoresetSupportsNearOptimalSolve) {
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return d.point(a)[0] < d.point(b)[0];
   });
-  for (std::size_t i : order) stream.insert(d.point(i));
+  Matrix sorted(d.size(), d.dim());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    std::copy_n(d.point(order[i]).data(), d.dim(), sorted.row_ptr(i));
+  }
+  stream.insert(Dataset(std::move(sorted)));
 
   const Coreset cs = stream.finalize();
   EXPECT_LE(cs.size(), 2u * opts.coreset_size + opts.leaf_size);
@@ -98,10 +103,9 @@ TEST(Streaming, PartialLeafOnlyStream) {
 TEST(Streaming, RejectsDimensionChangeAndEmptyFinalize) {
   StreamingCoreset stream(small_opts());
   EXPECT_THROW((void)stream.finalize(), precondition_error);
-  const std::vector<double> p2{1.0, 2.0};
-  const std::vector<double> p3{1.0, 2.0, 3.0};
-  stream.insert(std::span<const double>(p2));
-  EXPECT_THROW(stream.insert(std::span<const double>(p3)), precondition_error);
+  stream.insert(Dataset(Matrix{{1.0, 2.0}}));
+  EXPECT_THROW(stream.insert(Dataset(Matrix{{1.0, 2.0, 3.0}})),
+               precondition_error);
 }
 
 TEST(Streaming, EquivalentToBatchCoresetQuality) {
