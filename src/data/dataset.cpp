@@ -200,14 +200,17 @@ std::vector<Dataset> partition_noniid(const Dataset& data, std::size_t m,
 
 Dataset concatenate(std::span<const Dataset> parts) {
   EKM_EXPECTS(!parts.empty());
-  const std::size_t d = parts[0].dim();
+  std::size_t d = 0;
   std::size_t n = 0;
   bool weighted = false;
   for (const Dataset& p : parts) {
-    EKM_EXPECTS_MSG(p.dim() == d || p.empty(), "dimension mismatch");
+    if (p.empty()) continue;
+    if (n == 0) d = p.dim();
+    EKM_EXPECTS_MSG(p.dim() == d, "dimension mismatch");
     n += p.size();
     weighted = weighted || p.is_weighted();
   }
+  if (n == 0) return {};
   Matrix pts(n, d);
   std::vector<double> w;
   if (weighted) w.reserve(n);

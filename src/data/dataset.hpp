@@ -80,7 +80,9 @@ double normalize_zero_mean_unit_range(Dataset& data);
                                                     std::size_t skew_clusters,
                                                     Rng& rng);
 
-/// Concatenates datasets (same dim). Weighted iff any part is weighted.
+/// Concatenates datasets in order, skipping empty parts; the others must
+/// share one width. Weighted iff a non-empty part is weighted. Returns an
+/// empty Dataset when every part is empty.
 [[nodiscard]] Dataset concatenate(std::span<const Dataset> parts);
 
 }  // namespace ekm

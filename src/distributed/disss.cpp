@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "cr/merge.hpp"
 #include "kmeans/cost.hpp"
 #include "net/summary_codec.hpp"
 #include "obs/recorder.hpp"
@@ -436,9 +435,9 @@ Coreset disss(std::span<const Dataset> parts, const DisSsOptions& opts,
   const auto add_union_task = [&](std::vector<TaskId> deps) {
     (void)graph.add({TaskKind::kBarrier, kServerActor, "disSS/union",
                      [&] {
-                       // merge_union (cr/merge.hpp) skips empty pieces
-                       // and concatenates the rest in site order.
-                       merged.points = merge_union(std::move(piece));
+                       // concatenate skips the empty pieces and joins
+                       // the rest in site order.
+                       merged.points = concatenate(piece);
                        EKM_ENSURES_MSG(merged.size() > 0,
                                        "disSS produced an empty coreset");
                      },

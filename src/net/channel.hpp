@@ -194,8 +194,8 @@ class Port {
 /// keeps a multi-frame summary (disPCA's Σ/V pair) from being
 /// half-aggregated when only part of it arrived in time. The
 /// dispca/disss round collects all go through this helper; the other
-/// single-frame collection loops (NR, refine, streaming) still call
-/// receive_by directly.
+/// single-frame collection loops (NR, refine) still call receive_by
+/// directly.
 [[nodiscard]] inline std::optional<std::vector<Message>> receive_frames_by(
     Port& port, std::size_t count, RoundId round,
     double deadline_cap = kNoDeadline) {

@@ -3,10 +3,7 @@
 //
 // The Coordinator owns the scenario. run() wires a SimNetwork between
 // the data sources and the server and executes one of the distributed
-// pipelines (NR / BKLW / JL+BKLW) through it; run_streaming() instead
-// runs the merge-and-reduce streaming path (src/cr/streaming) as a
-// multi-round deployment where every site periodically uplinks its
-// current summary and the server solves on the latest round's union.
+// pipelines (NR / BKLW / JL+BKLW) through it.
 //
 // "Asynchronous rounds" here means virtual-time asynchrony: each site
 // progresses on its own clock (compute skew, outages, retransmissions),
@@ -21,7 +18,6 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
-#include "cr/streaming.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sim_network.hpp"
 
@@ -29,7 +25,6 @@ namespace ekm {
 
 struct SimReport {
   std::string scenario;
-  std::string pipeline;
   PipelineResult result;  ///< centers + the paper's goodput ledgers
 
   // --- what the simulator adds over the synchronous Network ---------------
@@ -112,17 +107,6 @@ class Coordinator {
   /// to run_distributed_pipeline over the synchronous Network.
   [[nodiscard]] SimReport run(PipelineKind kind, std::span<const Dataset> parts,
                               const PipelineConfig& cfg) const;
-
-  /// Streaming deployment: each site feeds its shard through a
-  /// merge-and-reduce tree in `rounds` equal batches and uplinks the
-  /// finalized summary after each batch; the server solves weighted
-  /// k-means on the union of the latest summaries. Communication grows
-  /// linearly in `rounds` — the price of freshness the simulator makes
-  /// visible in airtime and energy.
-  [[nodiscard]] SimReport run_streaming(std::span<const Dataset> parts,
-                                        const StreamingCoresetOptions& sopts,
-                                        const PipelineConfig& cfg,
-                                        std::size_t rounds = 4) const;
 
  private:
   SimScenario scenario_;

@@ -13,9 +13,9 @@
 // The policy has one home: the scenario (SimScenario::round, set by the
 // scenario keys and CLI flags), which SimNetwork reports through
 // Fabric::round_policy(). Every protocol (src/distributed, the NR and
-// refine rounds in src/core/pipeline.cpp, streaming in the Coordinator)
-// reads it from the fabric it runs over and enforces it through
-// Fabric::open_round / Port::receive_by. The synchronous Network
+// refine rounds in src/core/pipeline.cpp) reads it from the fabric it
+// runs over and enforces it through Fabric::open_round /
+// Port::receive_by. The synchronous Network
 // reports RoundPolicy{}, the paper's wait-for-everyone rounds — so the
 // same protocol code runs those and deadline-driven partial rounds,
 // and a protocol cannot disagree with its network about a round.
@@ -145,9 +145,9 @@ struct RoundPolicy {
   /// under a finite round deadline narrows the frame's significand
   /// width when the full-width airtime cannot fit the remaining round
   /// budget — the frame shrinks instead of expiring. Only disSS's
-  /// coreset frames narrow; the NR and streaming rounds throw
-  /// precondition_error under kAdaptive. kFixed (the default) is the
-  /// paper's §6 fixed-width billing, bit for bit.
+  /// coreset frames narrow; the NR round throws precondition_error
+  /// under kAdaptive. kFixed (the default) is the paper's §6
+  /// fixed-width billing, bit for bit.
   QuantPolicy quant = QuantPolicy::kFixed;
 
   /// True when rounds can actually drop sites.

@@ -475,7 +475,7 @@ void SimNetwork::do_send(SimLink& link, Message msg) {
   frame.msg = std::move(msg);
   // Uplink frames carry the round they were sent under; round-scoped
   // receives assert the tag matches, which structurally enforces the
-  // convention every protocol in src/distributed and streaming
+  // convention every protocol in src/distributed and src/core
   // observes — a late straggler from round r can never be consumed as
   // round r+1's frame. Downlink traffic stays round-less (kNoRound): a
   // later protocol phase may broadcast before it opens its own round

@@ -1,7 +1,6 @@
-// Tests for src/cr: coreset semantics, sensitivity sampling, FSS, and
-// the weighted-union merge layer. The central property test sweeps
-// random center sets and checks the ε-coreset inequality (3)
-// empirically.
+// Tests for src/cr: coreset semantics, sensitivity sampling and FSS.
+// The central property test sweeps random center sets and checks the
+// ε-coreset inequality (3) empirically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +12,6 @@
 #include "coreset_eps.hpp"
 #include "cr/coreset.hpp"
 #include "cr/fss.hpp"
-#include "cr/merge.hpp"
 #include "cr/sensitivity.hpp"
 #include "data/generators.hpp"
 #include "eigen_oracle.hpp"
@@ -255,80 +253,6 @@ TEST(Fss, RejectsEmptyInput) {
   FssOptions opts;
   Rng rng = make_rng(54);
   EXPECT_THROW((void)fss_coreset(Dataset(), opts, rng), precondition_error);
-}
-
-Coreset make_coreset(std::size_t n, std::size_t d, std::uint64_t salt) {
-  Rng rng = make_rng(97, salt);
-  std::normal_distribution<double> normal;
-  std::uniform_real_distribution<double> uniform;
-  Matrix pts(n, d);
-  std::vector<double> weights(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < d; ++j) pts(i, j) = normal(rng);
-    weights[i] = 1.0 + uniform(rng);
-  }
-  Coreset c;
-  c.points = Dataset(std::move(pts), std::move(weights));
-  return c;
-}
-
-/// A dataset's weighted rows as a sortable multiset.
-std::vector<std::vector<double>> weighted_rows(const Dataset& ds) {
-  std::vector<std::vector<double>> rows;
-  rows.reserve(ds.size());
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    auto p = ds.point(i);
-    std::vector<double> row(p.begin(), p.end());
-    row.push_back(ds.weight(i));
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
-TEST(Merge, WeightedUnionIsOrderInvariantAndStable) {
-  const Coreset a = make_coreset(7, 4, 0xaULL);
-  const Coreset b = make_coreset(5, 4, 0xbULL);
-
-  const Dataset ab = merge_weighted(a, b);
-  const Dataset ba = merge_weighted(b, a);
-  ASSERT_EQ(ab.size(), 12u);
-  ASSERT_EQ(ba.size(), 12u);
-  // Permuting the operands permutes rows but preserves the weighted
-  // point multiset exactly — no tolerance needed, the merge never
-  // touches a coordinate.
-  EXPECT_EQ(weighted_rows(ab), weighted_rows(ba));
-  EXPECT_NE(ab.point(0)[0], ba.point(0)[0]);  // but the order did move
-
-  // Fixed operand order is bitwise stable across repeated folds.
-  const Dataset again = merge_weighted(a, b);
-  ASSERT_EQ(again.size(), ab.size());
-  for (std::size_t i = 0; i < ab.size(); ++i) {
-    auto x = ab.point(i);
-    auto y = again.point(i);
-    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin()));
-    EXPECT_EQ(ab.weight(i), again.weight(i));
-  }
-}
-
-TEST(Merge, UnionSkipsEmptiesAndConcatenatesInOrder) {
-  const Coreset a = make_coreset(3, 4, 0xcULL);
-  const Coreset b = make_coreset(2, 4, 0xdULL);
-  std::vector<Dataset> pieces;
-  pieces.push_back({});
-  pieces.push_back(a.points);
-  pieces.push_back({});
-  pieces.push_back(b.points);
-  const Dataset u = merge_union(std::move(pieces));
-  ASSERT_EQ(u.size(), 5u);
-  // Concatenation order: a's rows then b's rows, coordinates untouched.
-  EXPECT_EQ(u.point(0)[0], a.points.point(0)[0]);
-  EXPECT_EQ(u.point(3)[0], b.points.point(0)[0]);
-  EXPECT_EQ(u.weight(4), b.points.weight(1));
-
-  EXPECT_EQ(merge_union({}).size(), 0u);
-  std::vector<Dataset> empties(3);
-  EXPECT_EQ(merge_union(std::move(empties)).size(), 0u);
 }
 
 }  // namespace

@@ -163,6 +163,60 @@ TEST(Concatenate, RoundTripsPartition) {
   EXPECT_EQ(merged.dim(), d.dim());
 }
 
+/// A dataset's weighted rows as a sortable multiset.
+std::vector<std::vector<double>> weighted_rows(const Dataset& ds) {
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    auto p = ds.point(i);
+    std::vector<double> row(p.begin(), p.end());
+    row.push_back(ds.weight(i));
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// disSS's server union: a source that sent nothing leaves an empty
+// piece, wherever it sits in site order.
+TEST(Concatenate, SkipsEmptyPartsInOrderWithWeights) {
+  Rng rng = make_rng(8);
+  const Dataset a(Matrix::gaussian(3, 4, rng), {1.5, 2.0, 0.25});
+  const Dataset b(Matrix::gaussian(2, 4, rng), {3.0, 0.5});
+
+  // The width comes from the first non-empty part, on either side.
+  for (const std::vector<Dataset>& parts :
+       {std::vector<Dataset>{Dataset{}, a}, std::vector<Dataset>{a, Dataset{}}}) {
+    const Dataset got = concatenate(parts);
+    EXPECT_EQ(got.points(), a.points());
+    ASSERT_TRUE(got.is_weighted());
+    EXPECT_EQ(*got.weights(), *a.weights());
+  }
+  const Dataset none = concatenate(std::vector<Dataset>(3));
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.dim(), 0u);
+
+  // Rows and weights in operand order, coordinates untouched.
+  const Dataset ab = concatenate(std::vector<Dataset>{Dataset{}, a, Dataset{}, b});
+  ASSERT_EQ(ab.size(), 5u);
+  for (std::size_t i = 0; i < ab.size(); ++i) {
+    const Dataset& from = i < 3 ? a : b;
+    const std::size_t row = i < 3 ? i : i - 3;
+    auto x = ab.point(i);
+    auto y = from.point(row);
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin())) << "row " << i;
+    EXPECT_EQ(ab.weight(i), from.weight(row)) << "row " << i;
+  }
+  // Permuting the operands permutes the rows but keeps the weighted row
+  // multiset exactly.
+  const Dataset ba = concatenate(std::vector<Dataset>{b, a});
+  EXPECT_NE(ab.points(), ba.points());
+  EXPECT_EQ(weighted_rows(ab), weighted_rows(ba));
+
+  EXPECT_THROW((void)concatenate(std::vector<Dataset>{a, Dataset(Matrix(2, 3))}),
+               precondition_error);
+  EXPECT_THROW((void)concatenate(std::vector<Dataset>{}), precondition_error);
+}
+
 TEST(Generators, GaussianMixtureIsClusterable) {
   Rng rng = make_rng(6);
   GaussianMixtureSpec spec;

@@ -2,8 +2,7 @@
 // synchronous Network (fault-free ledger/center parity), the
 // determinism rules of docs/simulation.md (same seed + any EKM_THREADS
 // → identical event order and metrics), fault accounting
-// (drop/retransmit billing), scenario parsing, and the streaming
-// deployment path.
+// (drop/retransmit billing) and scenario parsing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -390,86 +389,6 @@ TEST(Sim, HugeRetryBudgetStillInjectsLoss) {
             0u);
 }
 
-TEST(Sim, StreamingDeploymentOverSimulatedLinks) {
-  const std::size_t m = 3, rounds = 4;
-  const auto parts = make_parts(m, 1600, 12, 61);
-  PipelineConfig cfg = base_config(61);
-  StreamingCoresetOptions sopts;
-  sopts.k = cfg.k;
-  sopts.leaf_size = 128;
-  sopts.coreset_size = 64;
-  sopts.seed = 61;
-  const Coordinator coord(parse_scenario("ble-swarm,seed=61"));
-  const SimReport report = coord.run_streaming(parts, sopts, cfg, rounds);
-  EXPECT_EQ(report.pipeline, "streaming");
-  // One summary frame per site per round.
-  EXPECT_EQ(report.result.uplink.messages, m * rounds);
-  EXPECT_EQ(report.result.centers.rows(), cfg.k);
-  EXPECT_GT(report.result.summary_points, 0u);
-  EXPECT_GT(report.completion_seconds, 0.0);
-
-  // Deterministic across thread counts, like everything else.
-  set_parallel_threads(1);
-  const SimReport again = coord.run_streaming(parts, sopts, cfg, rounds);
-  set_parallel_threads(0);
-  EXPECT_EQ(again.result.centers, report.result.centers);
-  EXPECT_EQ(again.completion_seconds, report.completion_seconds);
-}
-
-// The streaming collect checks each decoded summary against the round's
-// width: a site whose shard is one column short sends a summary of
-// d - 1 columns, which names the source and both widths instead of
-// failing later in the merge.
-TEST(Sim, StreamingRejectsSummaryOfWrongWidth) {
-  auto parts = make_parts(3, 600, 8, 62);
-  Rng rng = make_rng(63);
-  parts[2] = Dataset(Matrix::gaussian(200, 7, rng));
-  PipelineConfig cfg = base_config(62);
-  StreamingCoresetOptions sopts;
-  sopts.k = cfg.k;
-  sopts.leaf_size = 64;
-  sopts.coreset_size = 32;
-  sopts.seed = 62;
-  const Coordinator coord(parse_scenario("ideal,seed=62"));
-  try {
-    (void)coord.run_streaming(parts, sopts, cfg, 2);
-    FAIL() << "a 7-column summary in an 8-dimensional round was accepted";
-  } catch (const precondition_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("source 2 sent a summary of 7 columns"),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("expected 8 columns and no basis"), std::string::npos)
-        << what;
-  }
-}
-
-TEST(Sim, StreamRoundUplinkOverSynchronousChannel) {
-  // The streaming round helper works over any Port — here the plain
-  // synchronous Channel.
-  Rng rng = make_rng(71);
-  const Dataset batch(Matrix::gaussian(300, 6, rng));
-  StreamingCoresetOptions sopts;
-  sopts.k = 2;
-  sopts.leaf_size = 64;
-  sopts.coreset_size = 32;
-  StreamingCoreset stream(sopts);
-  Channel ch;
-
-  // A round before any data ships an empty frame to keep the server's
-  // receive loop matched.
-  const Coreset empty = stream_round_uplink(stream, Dataset{}, ch);
-  EXPECT_EQ(empty.size(), 0u);
-  EXPECT_EQ(decode_coreset(ch.receive()).size(), 0u);
-
-  const Coreset sent = stream_round_uplink(stream, batch, ch, 8);
-  EXPECT_GT(sent.size(), 0u);
-  const Coreset received = decode_coreset(ch.receive());
-  EXPECT_EQ(received.points.points(), sent.points.points());
-  // QT billing applies to the summary's point coordinates.
-  EXPECT_EQ(ch.ledger().messages, 2u);
-}
-
 TEST(Sim, ReceiveOnIdleNetworkThrows) {
   SimNetwork net(2, parse_scenario("ideal"));
   EXPECT_THROW((void)net.uplink(0).receive(), precondition_error);
@@ -632,27 +551,6 @@ TEST(Deadline, EventOrderDeterministicAcrossThreadCounts) {
   EXPECT_EQ(one.completion_seconds, eight.completion_seconds);
   EXPECT_EQ(one.server_completion_seconds, eight.server_completion_seconds);
   EXPECT_EQ(one.result.centers, eight.result.centers);
-}
-
-TEST(Deadline, StreamingKeepsStaleSummariesForLateSites) {
-  const std::size_t m = 3, rounds = 4;
-  const auto parts = make_parts(m, 1500, 12, 37);
-  PipelineConfig cfg = base_config(37);
-  StreamingCoresetOptions sopts;
-  sopts.k = cfg.k;
-  sopts.leaf_size = 128;
-  sopts.coreset_size = 64;
-  sopts.seed = 37;
-  // Site 0 cannot finish a summary inside any round's budget; the
-  // deployment keeps serving models from the other sites' summaries.
-  const Coordinator coord(parse_scenario(
-      "radio=wifi,sps=1e-4,deadline=0.5,site0.speed=0.001,seed=37"));
-  const SimReport report = coord.run_streaming(parts, sopts, cfg, rounds);
-  EXPECT_EQ(report.result.uplink.messages, m * rounds);  // sends still billed
-  EXPECT_EQ(report.deadline_misses, rounds);  // site 0 missed every round
-  EXPECT_EQ(report.sites_dropped, 1u);
-  EXPECT_EQ(report.result.centers.rows(), cfg.k);
-  EXPECT_GT(report.result.summary_points, 0u);
 }
 
 // --- one round policy, read from the fabric ------------------------------
@@ -1187,20 +1085,6 @@ TEST(Pipeline, FaultFreeFiniteDeadlineRunsBitIdentical) {
       EXPECT_EQ(b.event_log[i], a.event_log[i]) << "event " << i;
     }
   }
-  // Streaming rounds ride the same task-graph machinery now; the
-  // conversion itself (and the pipeline edges) must be invisible on a
-  // fault-free fleet too.
-  StreamingCoresetOptions sopts;
-  sopts.k = cfg.k;
-  sopts.coreset_size = 120;
-  sopts.seed = 11;
-  const SimReport sa = off.run_streaming(parts, sopts, cfg, 3);
-  const SimReport sb = on.run_streaming(parts, sopts, cfg, 3);
-  EXPECT_EQ(sb.result.centers, sa.result.centers);
-  EXPECT_EQ(sb.result.uplink, sa.result.uplink);
-  EXPECT_EQ(sb.completion_seconds, sa.completion_seconds);
-  EXPECT_EQ(sb.server_completion_seconds, sa.server_completion_seconds);
-  EXPECT_EQ(sb.energy_joules, sa.energy_joules);
 }
 
 TEST(Pipeline, InfiniteDeadlineStragglerRunsBitIdentical) {
@@ -1289,33 +1173,6 @@ TEST(Pipeline, PredictedNaksFireBeforeAbandonTime) {
   EXPECT_EQ(b.energy_joules, a.energy_joules);
   // The sender-side schedule proves the miss well before the cutoff,
   // and the critical-path bound brackets the result.
-  EXPECT_LT(b.server_completion_seconds, a.server_completion_seconds);
-  EXPECT_GE(b.server_completion_seconds, b.server_critical_path_seconds);
-}
-
-TEST(Pipeline, StreamingStragglerKeepsSummariesAndCommitsEarlier) {
-  // Streaming rounds under pipelining: round r+1 opens on round r's
-  // committed barrier, so the slow site's expired summary stops pinning
-  // the server to each cutoff. Same summaries survive (the stale-over-
-  // fresh rule sees identical frames), same centers, earlier commit.
-  const auto parts = make_parts(4, 1600, 16, 9);
-  const PipelineConfig cfg = base_config(9);
-  StreamingCoresetOptions sopts;
-  sopts.k = cfg.k;
-  sopts.coreset_size = 120;
-  sopts.seed = 9;
-  const char* base =
-      "radio=wifi,sps=1e-4,deadline=3,retry=giveup,site0.bandwidth=2000,"
-      "seed=9";
-  const Coordinator off(parse_scenario(base));
-  const Coordinator on(parse_scenario(std::string(base) + ",pipeline=on"));
-  const SimReport a = off.run_streaming(parts, sopts, cfg, 4);
-  const SimReport b = on.run_streaming(parts, sopts, cfg, 4);
-  EXPECT_GT(a.deadline_misses, 0u);
-  EXPECT_EQ(b.deadline_misses, a.deadline_misses);
-  EXPECT_EQ(b.result.centers, a.result.centers);
-  EXPECT_EQ(b.result.uplink, a.result.uplink);
-  EXPECT_EQ(b.energy_joules, a.energy_joules);
   EXPECT_LT(b.server_completion_seconds, a.server_completion_seconds);
   EXPECT_GE(b.server_completion_seconds, b.server_critical_path_seconds);
 }
@@ -1784,9 +1641,8 @@ TEST(Quant, AdaptiveNarrowsFramesToSurviveDeadlines) {
   EXPECT_EQ(b.result.centers.rows(), cfg.k);
 }
 
-// Only disSS narrows frames. The NR round and the streaming rounds send
-// at the configured width, so they reject quant=adaptive instead of
-// running as if it were fixed.
+// Only disSS narrows frames. The NR round sends at the configured width,
+// so it rejects quant=adaptive instead of running as if it were fixed.
 TEST(Quant, AdaptiveRejectedByNrRound) {
   const auto parts = make_parts(4, 800, 8, 64);
   const Coordinator coord(
@@ -1796,26 +1652,6 @@ TEST(Quant, AdaptiveRejectedByNrRound) {
     FAIL() << "the NR round accepted quant=adaptive";
   } catch (const precondition_error& e) {
     EXPECT_NE(std::string(e.what()).find("NR round: quant=adaptive"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(Quant, AdaptiveRejectedByStreamingRounds) {
-  const auto parts = make_parts(3, 600, 8, 65);
-  const PipelineConfig cfg = base_config(65);
-  StreamingCoresetOptions sopts;
-  sopts.k = cfg.k;
-  sopts.leaf_size = 64;
-  sopts.coreset_size = 32;
-  sopts.seed = 65;
-  const Coordinator coord(
-      parse_scenario("radio=wifi,deadline=0.5,quant=adaptive,seed=65"));
-  try {
-    (void)coord.run_streaming(parts, sopts, cfg, 2);
-    FAIL() << "the streaming rounds accepted quant=adaptive";
-  } catch (const precondition_error& e) {
-    EXPECT_NE(std::string(e.what()).find("streaming round: quant=adaptive"),
               std::string::npos)
         << e.what();
   }

@@ -10,8 +10,7 @@
 //                         with --synthetic)
 //   --synthetic NAME      mnist | neurips | mixture (default mixture)
 //   --n N, --d D          synthetic dataset shape
-//   --algorithm NAME      nr | fss | jl+fss | fss+jl | jl+fss+jl |
-//                         bklw | jl+bklw          (default jl+fss+jl)
+//   --algorithm NAME      a name in kAlgorithms    (default jl+fss+jl)
 //   --k K                 number of centers        (default 2)
 //   --sources M           data sources; >1 selects the distributed path
 //   --coreset-size S, --jl-dim D1, --pca-dim T    summary knobs
@@ -19,14 +18,11 @@
 //   --refine ITERS        device-side refinement rounds (extension)
 //   --seed SEED           master seed
 //   --output PATH         write centers as CSV (default: stdout summary only)
-//   --sim SPEC            run the multi-source path over the discrete-event
-//                         simulator: SPEC is a named scenario (ideal,
-//                         wifi-office, ble-swarm, lora-field, nr5g-fleet,
-//                         lossy-mesh, hetero-mesh, deadline-fleet) optionally
-//                         followed by key=value overrides, e.g.
+//   --sim SPEC            run the multi-source path (NR and the distributed
+//                         algorithms) over the discrete-event simulator:
+//                         SPEC is a preset in sim_scenario_names()
+//                         optionally followed by key=value overrides, e.g.
 //                         "lora-field,loss=0.1,site2.radio=ble".
-//                         Algorithms: nr | bklw | jl+bklw | stream.
-//   --rounds R            uplink rounds for --algorithm stream (default 4)
 //   --deadline SECONDS    per-collection-round deadline on the virtual
 //                         clock (sim only); sites that miss it are dropped
 //                         from the round and the server aggregates over the
@@ -51,6 +47,8 @@
 //   --event-log off|N     cap the retained simulator event trace; same as
 //                         scenario key event-log=. The default retains
 //                         every radio event in memory (docs/simulation.md).
+//
+// `ekm --help` prints the algorithm and preset names from those tables.
 //
 // Every numeric flag goes through a checked parse: trailing garbage,
 // empty values, and out-of-range numbers exit 2 with a message naming
@@ -106,7 +104,6 @@ struct CliArgs {
   int refine = 0;
   std::uint64_t seed = 1;
   std::string sim;
-  std::size_t rounds = 4;
   double deadline = std::numeric_limits<double>::infinity();
   bool deadline_set = false;
   std::string retry;  // empty = keep the scenario's strategy
@@ -196,7 +193,6 @@ constexpr FlagMember<std::size_t> kSizeFlags[] = {
     {"--coreset-size", &CliArgs::coreset_size},
     {"--jl-dim", &CliArgs::jl_dim},
     {"--pca-dim", &CliArgs::pca_dim},
-    {"--rounds", &CliArgs::rounds},
 };
 
 /// The member `flag` names in `table`, or nullptr.
@@ -336,15 +332,43 @@ std::optional<CliArgs> parse(int argc, char** argv) {
   return a;
 }
 
+// The one place an algorithm's name is written: kind_of, --help and the
+// --sim error all read this table.
+struct AlgorithmName {
+  const char* name;
+  PipelineKind kind;
+};
+
+constexpr AlgorithmName kAlgorithms[] = {
+    {"nr", PipelineKind::kNoReduction},
+    {"fss", PipelineKind::kFss},
+    {"jl+fss", PipelineKind::kJlFss},
+    {"fss+jl", PipelineKind::kFssJl},
+    {"jl+fss+jl", PipelineKind::kJlFssJl},
+    {"bklw", PipelineKind::kBklw},
+    {"jl+bklw", PipelineKind::kJlBklw},
+};
+
 std::optional<PipelineKind> kind_of(const std::string& name) {
-  if (name == "nr") return PipelineKind::kNoReduction;
-  if (name == "fss") return PipelineKind::kFss;
-  if (name == "jl+fss") return PipelineKind::kJlFss;
-  if (name == "fss+jl") return PipelineKind::kFssJl;
-  if (name == "jl+fss+jl") return PipelineKind::kJlFssJl;
-  if (name == "bklw") return PipelineKind::kBklw;
-  if (name == "jl+bklw") return PipelineKind::kJlBklw;
+  for (const AlgorithmName& a : kAlgorithms) {
+    if (name == a.name) return a.kind;
+  }
   return std::nullopt;
+}
+
+bool is_single_source(PipelineKind kind) {
+  return kind != PipelineKind::kNoReduction && !pipeline_is_distributed(kind);
+}
+
+/// The algorithm names as "nr|fss|..."; with `sim_only`, only those the
+/// simulator runs (NR and the distributed pipelines).
+std::string algorithm_names(bool sim_only) {
+  std::string names;
+  for (const AlgorithmName& a : kAlgorithms) {
+    if (sim_only && is_single_source(a.kind)) continue;
+    names += (names.empty() ? "" : "|") + std::string(a.name);
+  }
+  return names;
 }
 
 Dataset make_input(const CliArgs& a) {
@@ -387,21 +411,8 @@ void write_centers_csv(const std::string& path, const Matrix& centers) {
   if (!out) throw std::runtime_error("cannot write centers to " + path);
 }
 
-constexpr const char* kUsage =
-    "ekm — communication-efficient k-means (Lu et al., ICDCS'20 reproduction)\n"
-    "  --input PATH | --synthetic mnist|neurips|mixture [--n N --d D]\n"
-    "  --algorithm nr|fss|jl+fss|fss+jl|jl+fss+jl|bklw|jl+bklw|stream\n"
-    "  --k K  --sources M  --coreset-size S  --jl-dim D1  --pca-dim T\n"
-    "  --qt-bits S  --refine ITERS  --seed SEED  --output centers.csv\n"
-    "  --sim SCENARIO[,key=value...]  (scenarios: ideal wifi-office\n"
-    "    ble-swarm lora-field nr5g-fleet lossy-mesh hetero-mesh\n"
-    "    deadline-fleet; keys: radio loss dropout outage retries jitter\n"
-    "    stragglers slowdown skew sps server-speed deadline\n"
-    "    min-responders realloc realloc-reserve pipeline event-log\n"
-    "    retry churn quant backoff-base backoff-cap backoff-jitter seed\n"
-    "    siteN.{radio,bandwidth,loss,dropout,speed,retry,join,leave,trace};\n"
-    "    sim algorithms: nr bklw jl+bklw stream)\n"
-    "  --rounds R   uplink rounds for --algorithm stream (default 4)\n"
+// The flags after --sim; usage() puts the lines that name tables first.
+constexpr const char* kUsageFlags =
     "  --deadline SECONDS   per-round deadline on the virtual clock (sim\n"
     "    only): sites that miss it are dropped from that round and the\n"
     "    server aggregates over the responders; inf waits for everyone\n"
@@ -429,8 +440,31 @@ constexpr const char* kUsage =
     "  --event-log off|N    cap the retained simulator event trace (same\n"
     "    as scenario key event-log=; the default keeps every event)\n";
 
-bool is_single_source(PipelineKind kind) {
-  return kind != PipelineKind::kNoReduction && !pipeline_is_distributed(kind);
+/// The usage text; the algorithm and preset names come from their tables.
+std::string usage() {
+  std::string scenarios = "    scenarios:";
+  std::size_t width = scenarios.size();
+  for (const std::string& name : sim_scenario_names()) {
+    if (width + 1 + name.size() > 72) {
+      scenarios += "\n   ";
+      width = 3;
+    }
+    scenarios += " " + name;
+    width += 1 + name.size();
+  }
+  return "ekm — communication-efficient k-means (Lu et al., ICDCS'20 reproduction)\n"
+         "  --input PATH | --synthetic mnist|neurips|mixture [--n N --d D]\n"
+         "  --algorithm " + algorithm_names(false) + "\n"
+         "  --k K  --sources M  --coreset-size S  --jl-dim D1  --pca-dim T\n"
+         "  --qt-bits S  --refine ITERS  --seed SEED  --output centers.csv\n"
+         "  --sim SCENARIO[,key=value...]  (sim algorithms: " +
+         algorithm_names(true) + ";\n" + scenarios + ";\n"
+         "    keys: radio loss dropout outage retries jitter\n"
+         "    stragglers slowdown skew sps server-speed deadline\n"
+         "    min-responders realloc realloc-reserve pipeline event-log\n"
+         "    retry churn quant backoff-base backoff-cap backoff-jitter seed\n"
+         "    siteN.{radio,bandwidth,loss,dropout,speed,retry,join,leave,trace})\n" +
+         kUsageFlags;
 }
 
 /// The whole CLI run. Usage errors it detects itself return 2; errors
@@ -438,7 +472,7 @@ bool is_single_source(PipelineKind kind) {
 int run_cli(int argc, char** argv) {
   const auto args = parse(argc, argv);
   if (!args || args->help) {
-    std::fputs(kUsage, args ? stdout : stderr);
+    std::fputs(usage().c_str(), args ? stdout : stderr);
     return args ? 0 : 2;
   }
   if (!args->explain_diff_a.empty()) {
@@ -453,40 +487,28 @@ int run_cli(int argc, char** argv) {
     std::fputs(report.c_str(), rc == 2 ? stderr : stdout);
     return rc;
   }
-  const bool streaming = args->algorithm == "stream";
-  std::optional<PipelineKind> kind;
-  if (!streaming) {
-    kind = kind_of(args->algorithm);
-    if (!kind) {
-      std::fprintf(stderr, "unknown algorithm '%s'\n%s", args->algorithm.c_str(),
-                   kUsage);
-      return 2;
-    }
-    if (pipeline_is_distributed(*kind) && args->sources < 2) {
-      std::fprintf(stderr, "%s needs --sources >= 2\n", args->algorithm.c_str());
-      return 2;
-    }
-    if (is_single_source(*kind) && args->sources > 1) {
-      std::fprintf(stderr,
-                   "%s runs on a single source: --sources must be 1, got %zu\n",
-                   args->algorithm.c_str(), args->sources);
-      return 2;
-    }
+  const std::optional<PipelineKind> kind = kind_of(args->algorithm);
+  if (!kind) {
+    std::fprintf(stderr, "unknown algorithm '%s'\n%s", args->algorithm.c_str(),
+                 usage().c_str());
+    return 2;
   }
-  if (streaming && args->sim.empty()) {
-    std::fprintf(stderr, "--algorithm stream needs --sim\n");
+  if (pipeline_is_distributed(*kind) && args->sources < 2) {
+    std::fprintf(stderr, "%s needs --sources >= 2\n", args->algorithm.c_str());
+    return 2;
+  }
+  if (is_single_source(*kind) && args->sources > 1) {
+    std::fprintf(stderr,
+                 "%s runs on a single source: --sources must be 1, got %zu\n",
+                 args->algorithm.c_str(), args->sources);
     return 2;
   }
   if (args->sources < 1) {
     std::fprintf(stderr, "--sources must be >= 1\n");
     return 2;
   }
-  if (streaming && args->rounds < 1) {
-    std::fprintf(stderr, "--rounds must be >= 1\n");
-    return 2;
-  }
-  if (!args->sim.empty() && !streaming && is_single_source(*kind)) {
-    std::fprintf(stderr, "--sim supports nr|bklw|jl+bklw|stream\n");
+  if (!args->sim.empty() && is_single_source(*kind)) {
+    std::fprintf(stderr, "--sim supports %s\n", algorithm_names(true).c_str());
     return 2;
   }
   // Flags whose effect lives on the simulator: each needs --sim.
@@ -568,17 +590,7 @@ int run_cli(int argc, char** argv) {
       cfg.recorder = &recorder;
       install_recorder(&recorder);
     }
-    const Coordinator coord(scenario);
-    SimReport report;
-    if (streaming) {
-      StreamingCoresetOptions sopts;
-      sopts.k = args->k;
-      sopts.coreset_size = args->coreset_size;
-      sopts.seed = derive_seed(args->seed, 0x57ea3ULL);
-      report = coord.run_streaming(parts, sopts, cfg, args->rounds);
-    } else {
-      report = coord.run(*kind, parts, cfg);
-    }
+    SimReport report = Coordinator(scenario).run(*kind, parts, cfg);
     res = std::move(report.result);
     const LinkStats& up = report.uplink_stats;
     std::printf("sim scenario   : %s over %zu site(s), radio %s\n",
@@ -669,8 +681,7 @@ int run_cli(int argc, char** argv) {
   }
 
   const double cost = kmeans_cost(data, res.centers);
-  std::printf("algorithm      : %s\n",
-              streaming ? "streaming" : pipeline_name(*kind));
+  std::printf("algorithm      : %s\n", pipeline_name(*kind));
   std::printf("k-means cost   : %.6g\n", cost);
   std::printf("summary points : %zu\n", res.summary_points);
   std::printf("uplink         : %llu bits, %llu scalars, %llu messages\n",
